@@ -189,8 +189,10 @@ def verify_dominance(
         raise DomainError(f"shrink must lie in (0, 1), got {shrink}")
     lam = shrink * lam_opt
 
-    count = int(round(2.0 * tau_bar / grid_step)) + 1
-    taus = np.linspace(-tau_bar, tau_bar, count)
+    # tau_bar * k / intervals for k = -intervals, ..., intervals step 2: the two
+    # halves mirror each other and the middle node, when there is one, is 0.0
+    intervals = max(int(round(2.0 * tau_bar / grid_step)), 1)
+    taus = tau_bar * (np.arange(-intervals, intervals + 1, 2) / intervals)
     p_wrong = _wrong_probability(t, taus, noise_sd)
     mag = np.abs(taus) ** alpha_g
     risk_single = mag * p_wrong

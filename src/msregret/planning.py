@@ -129,6 +129,21 @@ class EsComparison:
         )
 
 
+def _bounded_worst_msr(rule: TreatmentRule) -> float:
+    """Unit-problem worst MSR of a rule that plans and comparisons can use.
+
+    Raises DomainError when the worst-case scan saturates: the supremum then
+    sits on the scan edge and the rule's MSR may grow without bound.
+    """
+    worst = worst_case_msr(rule, 1.0, 1)
+    if worst.saturated:
+        raise DomainError(
+            f"worst-case MSR of {rule!r} is not bounded on the scan: its supremum "
+            f"sits on the edge at tau={worst.argsup_tau!r}"
+        )
+    return worst.sup
+
+
 def compare_vs_es(sigma: float, epsilon: float, rule: TreatmentRule) -> EsComparison:
     """Match the plug-in design's worst-case MSR with fewer samples.
 
@@ -138,7 +153,7 @@ def compare_vs_es(sigma: float, epsilon: float, rule: TreatmentRule) -> EsCompar
     """
     u1 = es_mean_regret_unit()
     u_es = es_msr_unit()
-    u_rule = worst_case_msr(rule, 1.0, 1).sup
+    u_rule = _bounded_worst_msr(rule)
     n_es = es_epsilon_optimal_n(sigma, epsilon)
     es_msr = sigma * sigma * u_es / n_es
     n_rule_real = n_es * u_rule / u_es
@@ -289,7 +304,7 @@ def plan_worst_msr(
     sigma: float, epsilon: float, rule: TreatmentRule
 ) -> SampleSizePlan:
     """n making the rule's worst-case MSR at most epsilon^2."""
-    unit = worst_case_msr(rule, 1.0, 1).sup
+    unit = _bounded_worst_msr(rule)
     n = n_for_msr_target(sigma, epsilon, unit)
     return SampleSizePlan(
         criterion="worst_msr_target",

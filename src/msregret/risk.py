@@ -237,9 +237,11 @@ def exact_risk(
     """Risk report for one rule at one state.
 
     Regret moments come from integrating Reg and Reg^2; welfare moments from
-    integrating the fraction and its square.  Piecewise-constant rules skip
-    quadrature in favor of the exact two-outcome sums.  Tail entries are
-    computed by tail_probability for each requested threshold.
+    integrating the fraction f and (f - c)^2 with c = f(tau), so the variance
+    E[(f-c)^2] - (E f - c)^2 does not cancel when the statistic is sharp.  The
+    four integrands share one quadrature, evaluating the rule once per node.
+    Piecewise-constant rules skip quadrature in favor of the exact two-outcome
+    sums.  Tail entries are computed by tail_probability for each threshold.
     """
     tau = exp.tau
     sd = exp.stat_sd
@@ -252,25 +254,30 @@ def exact_risk(
         w_var = 0.0
     elif step is not None:
         cut, vlo, vhi = step
-        p_hi = 1.0 - float(std_normal_cdf((cut - tau) / sd))
-        p_lo = 1.0 - p_hi
-        e_frac = vlo * p_lo + vhi * p_hi
-        e_frac2 = vlo * vlo * p_lo + vhi * vhi * p_hi
+        # each side from its own tail, so p_lo * p_hi keeps its relative accuracy
+        p_lo = float(std_normal_cdf((cut - tau) / sd))
+        p_hi = float(std_normal_cdf((tau - cut) / sd))
         m1 = tau * (ind - vlo) * p_lo + tau * (ind - vhi) * p_hi
         m2 = (tau * (ind - vlo)) ** 2 * p_lo + (tau * (ind - vhi)) ** 2 * p_hi
-        w_mean = tau * e_frac
-        w_var = max(tau * tau * (e_frac2 - e_frac * e_frac), 0.0)
+        w_mean = tau * (vlo * p_lo + vhi * p_hi)
+        w_var = tau * tau * p_lo * p_hi * (vhi - vlo) ** 2
     else:
+        center = []
 
-        def frac(y: np.ndarray) -> np.ndarray:
-            return np.asarray(rule.evaluate(y), dtype=float)
+        def moments(y: np.ndarray) -> np.ndarray:
+            frac = np.asarray(rule.evaluate(y), dtype=float)
+            if not center:
+                # c = f(tau) off the first level, whose middle node is tau for an
+                # even node_count; any constant c keeps the identity exact
+                center.append(float(frac[np.argmin(np.abs(y - tau))]))
+            dev = frac - center[0]
+            reg = tau * (ind - frac)
+            return np.stack([frac, dev * dev, reg, reg * reg])
 
-        e_frac = gaussian_expectation(frac, tau, sd, spec)
-        e_frac2 = gaussian_expectation(lambda y: frac(y) ** 2, tau, sd, spec)
-        m1 = gaussian_expectation(lambda y: tau * (ind - frac(y)), tau, sd, spec)
-        m2 = gaussian_expectation(lambda y: (tau * (ind - frac(y))) ** 2, tau, sd, spec)
+        e_frac, e_dev2, m1, m2 = gaussian_expectation(moments, tau, sd, spec).tolist()
+        shift = e_frac - center[0]
         w_mean = tau * e_frac
-        w_var = max(tau * tau * (e_frac2 - e_frac * e_frac), 0.0)
+        w_var = max(tau * tau * (e_dev2 - shift * shift), 0.0)
 
     tail = tuple(
         (float(c), tail_probability(rule, exp, float(c), spec)) for c in tail_thresholds

@@ -120,6 +120,15 @@ class TestVerifyDominance:
         assert taus[0] == -1.0 and taus[-1] == 1.0
         assert len(taus) == 201
 
+    def test_grid_is_mirrored_about_an_exact_zero(self):
+        # tau_bar values whose evenly spaced grid lands a hair off zero used to
+        # have the valid construction refused at tau = -1.1e-16
+        cert = verify_dominance(-0.226, 0.992, 2.0, 1.0, 0.332)
+        assert cert.is_valid
+        taus = np.array([row[0] for row in cert.grid])
+        assert taus[len(taus) // 2] == 0.0
+        assert np.array_equal(taus, -taus[::-1])
+
     def test_margins_strict_away_from_zero(self):
         cert = verify_dominance(0.5, 1.0, 2.0, 1.0)
         for tau, r_single, r_frac, margin in cert.grid:

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 import oracles
 from msregret import (
+    BayesFlatMSR,
     BracketError,
     ConvergenceError,
     DomainError,
+    GaussianExperiment,
+    MinimaxMSR,
     QuadratureSpec,
     RngSeed,
+    exact_risk,
     find_root,
     gaussian_expectation,
     maximize_scalar,
@@ -118,7 +122,8 @@ class TestRngSeed:
 
 class TestGaussianExpectation:
     def test_polynomial_exactness(self):
-        # Gauss-Hermite at 64 nodes is exact through degree 127
+        # the trapezoid rule on a Gaussian-weighted polynomial is exact to
+        # rounding from the first level on
         mean, sd = 0.7, 1.3
         assert abs(gaussian_expectation(lambda x: x, mean, sd) - mean) < 1e-12
         got = gaussian_expectation(lambda x: x * x, mean, sd)
@@ -148,6 +153,94 @@ class TestGaussianExpectation:
         # refusal instead of a silently wrong value
         with pytest.raises(ConvergenceError):
             gaussian_expectation(lambda x: (np.asarray(x) >= 0.0).astype(float), 0.3, 1.0)
+
+    def test_stacked_integrand_equals_separate_calls(self):
+        fs = (
+            lambda x: np.cos(x),
+            lambda x: 1.0 / (1.0 + np.exp(-3.0 * x)),
+            lambda x: x * x,
+        )
+        got = gaussian_expectation(lambda x: np.stack([f(x) for f in fs]), 0.4, 1.7)
+        assert got.shape == (3,)
+        for value, f in zip(got, fs):
+            single = gaussian_expectation(f, 0.4, 1.7)
+            assert isinstance(single, float)
+            assert abs(value - single) < 1e-12
+
+    def test_integrand_growing_past_the_window_is_refused(self):
+        with pytest.raises(ConvergenceError):
+            gaussian_expectation(lambda x: np.exp(0.5 * x * x), 0.0, 1.0)
+
+    def test_non_finite_integrand_is_refused(self):
+        with pytest.raises(ConvergenceError):
+            gaussian_expectation(lambda x: np.where(x > 0.0, np.nan, 1.0), 0.0, 1.0)
+
+
+def _logistic(x: float) -> float:
+    # math-only logistic for the scalar oracle integrands
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+class TestExactRiskKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=0.1, max_value=50.0),
+            st.just(None),  # the flat-prior Bayes rule
+        ),
+        st.floats(min_value=-30.0, max_value=30.0),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.integers(min_value=1, max_value=400),
+    )
+    def test_matches_adaptive_oracle(self, c, b, sigma, n):
+        sd = sigma / math.sqrt(n)
+        tau = b * sd
+        if c is None:
+            rule = BayesFlatMSR(scale=sd)
+            frac = lambda y: (
+                oracles.cdf(y / sd) + (y / sd) * oracles.phi(y / sd) / (1.0 + (y / sd) ** 2)
+            )
+        else:
+            rule = MinimaxMSR(tau_star=c, scale=sd)
+            frac = lambda y: _logistic(2.0 * c * y / sd)
+        report = exact_risk(rule, GaussianExperiment(tau, sigma, n))
+        ind = 1.0 if tau >= 0 else 0.0
+        mean_regret = oracles.normal_expectation(lambda y: tau * (ind - frac(y)), tau, sd)
+        msr = oracles.normal_expectation(lambda y: (tau * (ind - frac(y))) ** 2, tau, sd)
+        e_frac = oracles.normal_expectation(frac, tau, sd)
+        w_var = tau * tau * oracles.normal_expectation(
+            lambda y: (frac(y) - e_frac) ** 2, tau, sd
+        )
+        scale = max(1.0, tau * tau)
+        assert abs(report.mean_regret - mean_regret) < 1e-9 * scale
+        assert abs(report.mean_square_regret - msr) < 1e-9 * scale
+        assert abs(report.welfare_mean - tau * e_frac) < 1e-9 * scale
+        assert abs(report.welfare_sd**2 - w_var) < 1e-9 * scale
+
+    def test_each_node_is_evaluated_once(self, monkeypatch):
+        seen = []
+        evaluate = MinimaxMSR.evaluate
+
+        def counting(rule, stat):
+            seen.append(np.array(stat, dtype=float).ravel())
+            return evaluate(rule, stat)
+
+        monkeypatch.setattr(MinimaxMSR, "evaluate", counting)
+        exact_risk(MinimaxMSR(tau_star=2.0), GaussianExperiment(0.7, 1.0, 1))
+        points = np.concatenate(seen)
+        assert len(points) == len(np.unique(points))
+
+    def test_welfare_sd_of_a_sharp_statistic(self):
+        # sd = 1e-8: the variance is tau^2 f'(tau)^2 sd^2 to first order,
+        # far below the rounding of E[f^2] - E[f]^2
+        c, tau, sd = 1.22814, 1.0, 1e-8
+        f = _logistic(2.0 * c * tau)
+        want = tau * 2.0 * c * f * (1.0 - f) * sd
+        got = exact_risk(MinimaxMSR(c), GaussianExperiment(tau, 1.0, 10**16)).welfare_sd
+        assert abs(got - want) < 1e-6 * want
 
 
 class TestFindRoot:

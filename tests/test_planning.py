@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msregret import (
+    ComplementMix,
     DomainError,
     EmpiricalSuccess,
     EsComparison,
@@ -181,6 +182,14 @@ class TestPlans:
         assert plan.n_required == 1199
         assert plan.achieved_worst_msr <= 0.01**2 + 1e-15
         assert plan.es_comparison is None and plan.ht_comparison is None
+
+    @pytest.mark.parametrize("plan", [plan_worst_msr, plan_es_epsilon])
+    def test_plans_refuse_an_unbounded_worst_case(self, plan):
+        # the mixture treats a share lam at every statistic, so its regret
+        # grows like lam * |tau| along the negative tail and the scan saturates
+        rule = ComplementMix(MinimaxMSR(tau_star=TAU_STAR), 0.3)
+        with pytest.raises(DomainError, match="ComplementMix"):
+            plan(1.0, 0.1, rule)
 
     def test_es_epsilon_plan(self):
         plan = plan_es_epsilon(1.0, 0.01, MinimaxMSR(tau_star=TAU_STAR))
