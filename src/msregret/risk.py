@@ -31,22 +31,13 @@ from .numerics import (
     DomainError,
     QuadratureSpec,
     RngSeed,
+    find_root,
     gaussian_expectation,
     maximize_scalar,
     std_normal_cdf,
     _gh_nodes,
 )
-from .rules import (
-    BayesFlatMSR,
-    ComplementMix,
-    DiscretePrior,
-    EmpiricalSuccess,
-    HypothesisTest,
-    MinimaxMSR,
-    PosteriorMatchFlat,
-    Threshold,
-    TreatmentRule,
-)
+from .rules import DiscretePrior, TreatmentRule
 
 __all__ = [
     "GaussianExperiment",
@@ -68,7 +59,7 @@ __all__ = [
 # a Gaussian tail past |b| = 8 on the standardized scale
 _SCAN_LIMIT = 8.0
 _SCAN_STEP = 0.01
-_INDICATOR_ORDER = 512
+_TAIL_BRACKET = 60.0  # tail_probability's crossing search, in statistic sd units
 _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
 
 
@@ -204,30 +195,6 @@ def regret(rule_output: float, tau: float) -> float:
     return tau * (ind - rule_output)
 
 
-def _step_params(rule: TreatmentRule):
-    """(cutoff, low_value, high_value) for rules piecewise constant in the
-    statistic, None otherwise.
-
-    Two-valued rules make every risk functional a two-outcome sum, so their
-    moments reduce to exact normal-CDF arithmetic; quadrature on the
-    discontinuous integrand would waste its convergence rate.
-    """
-    if isinstance(rule, EmpiricalSuccess):
-        return 0.0, 0.0, 1.0
-    if isinstance(rule, Threshold):
-        return rule.t, 0.0, 1.0
-    if isinstance(rule, HypothesisTest):
-        return rule.critical_value, 0.0, 1.0
-    if isinstance(rule, ComplementMix):
-        base = _step_params(rule.base)
-        if base is None:
-            return None
-        cut, lo, hi = base
-        lam = rule.lam
-        return cut, (1 - lam) * lo + lam * (1 - lo), (1 - lam) * hi + lam * (1 - hi)
-    return None
-
-
 def exact_risk(
     rule: TreatmentRule,
     exp: GaussianExperiment,
@@ -246,7 +213,7 @@ def exact_risk(
     tau = exp.tau
     sd = exp.stat_sd
     ind = 1.0 if tau >= 0 else 0.0
-    step = _step_params(rule)
+    step = rule.step
 
     if tau == 0.0:
         m1 = m2 = 0.0
@@ -280,7 +247,7 @@ def exact_risk(
         w_var = max(tau * tau * (e_dev2 - shift * shift), 0.0)
 
     tail = tuple(
-        (float(c), tail_probability(rule, exp, float(c), spec)) for c in tail_thresholds
+        (float(c), tail_probability(rule, exp, float(c))) for c in tail_thresholds
     )
     return RiskReport(
         mean_regret=m1,
@@ -292,38 +259,20 @@ def exact_risk(
     )
 
 
-def _monotone_nondecreasing(rule: TreatmentRule) -> bool:
-    if isinstance(
-        rule,
-        (
-            EmpiricalSuccess,
-            Threshold,
-            HypothesisTest,
-            MinimaxMSR,
-            BayesFlatMSR,
-            PosteriorMatchFlat,
-        ),
-    ):
-        return True
-    if isinstance(rule, ComplementMix):
-        # mixing weight above 1/2 flips the direction
-        return rule.lam <= 0.5 and _monotone_nondecreasing(rule.base)
-    return False
-
-
 def tail_probability(
-    rule: TreatmentRule,
-    exp: GaussianExperiment,
-    threshold: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    rule: TreatmentRule, exp: GaussianExperiment, threshold: float
 ) -> float:
-    """P(Reg > threshold) under the experiment.
+    """P(Reg > threshold) under the experiment, by exact inversion.
 
-    For rules that are nondecreasing in the statistic the event inverts
-    exactly: regret crosses the threshold where the fraction crosses
-    1 - threshold/tau (tau > 0) or threshold/|tau| (tau < 0), and the crossing
-    point is located by bisection, so the result is a single normal CDF value.
-    Other rules fall back to indicator quadrature at a fixed high order.
+    Step rules give a two-outcome sum.  On a rule monotone in the statistic,
+    regret exceeds the threshold exactly where the fraction falls below
+    q = 1 - threshold/tau (tau > 0) or rises above q = threshold/|tau|
+    (tau < 0), which is one side of the point where the fraction crosses q.
+    A Brent root on the standardized statistic in [-60, 60] locates that
+    point, so the result is a single normal CDF value; a rule that does not
+    cross q inside the bracket gives 0 or 1.  Raises DomainError for a
+    negative threshold and for a rule that declares neither a step form nor
+    a direction.
     """
     if threshold < 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
@@ -333,7 +282,7 @@ def tail_probability(
         return 0.0
     ind = 1.0 if tau >= 0 else 0.0
 
-    step = _step_params(rule)
+    step = rule.step
     if step is not None:
         cut, vlo, vhi = step
         p_hi = 1.0 - float(std_normal_cdf((cut - tau) / sd))
@@ -344,37 +293,33 @@ def tail_probability(
             out += p_hi
         return out
 
-    if _monotone_nondecreasing(rule):
-        if tau > 0:
-            # Reg > c  <=>  frac(Y) < 1 - c/tau
-            q = 1.0 - threshold / tau
-            if q <= 0.0:
-                return 0.0
-            below = True
-        else:
-            # Reg > c  <=>  frac(Y) > c/|tau|
-            q = threshold / abs(tau)
-            if q >= 1.0:
-                return 0.0
-            below = False
-        lo = tau - 60.0 * sd
-        hi = tau + 60.0 * sd
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(rule.evaluate(mid)) < q:
-                lo = mid
-            else:
-                hi = mid
-        cut = 0.5 * (lo + hi)
-        p_below = std_normal_cdf((cut - tau) / sd)
-        return p_below if below else 1.0 - p_below
+    direction = rule.direction
+    if direction is None:
+        raise DomainError(
+            f"{type(rule).__name__} declares neither a step form nor a direction, "
+            "so its tail probability has no exact inversion"
+        )
+    if tau > 0:
+        q = 1.0 - threshold / tau
+        if q <= 0.0:
+            return 0.0
+    else:
+        q = threshold / -tau
+        if q >= 1.0:
+            return 0.0
 
-    z, w = _gh_nodes(_INDICATOR_ORDER)
-    y = tau + math.sqrt(2.0) * sd * z
-    frac = np.asarray(rule.evaluate(y), dtype=float)
-    ind = 1.0 if tau >= 0 else 0.0
-    reg = tau * (ind - frac)
-    return float(w @ (reg > threshold))
+    def rising(z: float) -> float:
+        return direction * (float(rule.evaluate(tau + sd * z)) - q)
+
+    # the event is {rising < 0} when tau and direction agree in sign, else {rising > 0}
+    sign = direction if tau > 0 else -direction
+    if rising(-_TAIL_BRACKET) >= 0.0:
+        z_cross = -math.inf
+    elif rising(_TAIL_BRACKET) <= 0.0:
+        z_cross = math.inf
+    else:
+        z_cross = find_root(rising, -_TAIL_BRACKET, _TAIL_BRACKET)
+    return float(std_normal_cdf(sign * z_cross))
 
 
 def _unit_curve(rule: TreatmentRule, power: int, b: np.ndarray) -> np.ndarray:
@@ -385,7 +330,7 @@ def _unit_curve(rule: TreatmentRule, power: int, b: np.ndarray) -> np.ndarray:
     sum for piecewise-constant rules.
     """
     ind = (b >= 0.0).astype(float)
-    step = _step_params(rule)
+    step = rule.step
     if step is not None:
         cut, vlo, vhi = step
         p_hi = 1.0 - np.asarray(std_normal_cdf(cut - b), dtype=float)

@@ -4,9 +4,17 @@ A rule takes the observed statistic (for the Gaussian experiment, the sample
 mean of the treated-arm outcomes, or a standardized version of it) and returns
 the fraction of the population assigned to treatment, a value in [0, 1].
 Singleton rules return only 0 or 1; fractional rules interpolate.  The module
-also houses the generic Bayes first-order-condition solver for finitely
-supported priors under power regret g(r) = r^alpha, and the closed-form
-special case alpha = 2 (the tilted posterior probability matching rule).
+also houses the Bayes fraction for finitely supported priors under power
+regret g(r) = r^alpha, in closed form for every alpha > 1 (solve_bayes_foc),
+and the ratio-of-sums form of the alpha = 2 case (the tilted posterior
+probability matching rule).
+
+Each rule declares the facts the risk functionals need: step is
+(cutoff, low, high) for a rule piecewise constant in the statistic and None
+otherwise, and direction is +1 (nondecreasing) or -1 (nonincreasing).  A rule
+that declares neither has no exact tail probability, and the risk module
+refuses it.  Rules serialize through one kind registry over their dataclass
+fields (rule_to_dict, rule_from_dict).
 
 All rule values are immutable, hashable, and evaluate as pure functions; they
 accept a float or an ndarray statistic and return the matching type.
@@ -14,8 +22,8 @@ accept a float or an ndarray statistic and return the matching type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import special
@@ -73,9 +81,12 @@ def psi(x):
 
 
 class TreatmentRule:
-    """Base class; concrete rules are frozen dataclasses with an evaluate method."""
+    """Base class; concrete rules are frozen dataclasses with an evaluate method
+    that set kind, direction and, when piecewise constant, step."""
 
     kind: str = ""
+    step: Optional[Tuple[float, float, float]] = None
+    direction: Optional[int] = None
 
     def evaluate(self, stat: Stat) -> Stat:
         raise NotImplementedError
@@ -86,6 +97,8 @@ class EmpiricalSuccess(TreatmentRule):
     """Treat everyone iff the statistic is nonnegative."""
 
     kind = "empirical_success"
+    step = (0.0, 0.0, 1.0)
+    direction = 1
 
     def evaluate(self, stat: Stat) -> Stat:
         s = np.asarray(stat, dtype=float)
@@ -98,6 +111,11 @@ class Threshold(TreatmentRule):
 
     t: float
     kind = "threshold"
+    direction = 1
+
+    @property
+    def step(self) -> Tuple[float, float, float]:
+        return self.t, 0.0, 1.0
 
     def evaluate(self, stat: Stat) -> Stat:
         s = np.asarray(stat, dtype=float)
@@ -111,6 +129,7 @@ class HypothesisTest(TreatmentRule):
 
     alpha: float
     kind = "hypothesis_test"
+    direction = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
@@ -119,6 +138,10 @@ class HypothesisTest(TreatmentRule):
     @property
     def critical_value(self) -> float:
         return std_normal_quantile(1.0 - self.alpha)
+
+    @property
+    def step(self) -> Tuple[float, float, float]:
+        return self.critical_value, 0.0, 1.0
 
     def evaluate(self, stat: Stat) -> Stat:
         s = np.asarray(stat, dtype=float)
@@ -133,6 +156,7 @@ class MinimaxMSR(TreatmentRule):
     tau_star: float
     scale: float = 1.0
     kind = "minimax_msr"
+    direction = 1
 
     def __post_init__(self) -> None:
         if not self.tau_star > 0:
@@ -157,6 +181,7 @@ class BayesFlatMSR(TreatmentRule):
 
     scale: float = 1.0
     kind = "bayes_flat_msr"
+    direction = 1
 
     def __post_init__(self) -> None:
         if not self.scale > 0:
@@ -174,6 +199,7 @@ class PosteriorMatchFlat(TreatmentRule):
 
     scale: float = 1.0
     kind = "posterior_match_flat"
+    direction = 1
 
     def __post_init__(self) -> None:
         if not self.scale > 0:
@@ -187,7 +213,11 @@ class PosteriorMatchFlat(TreatmentRule):
 @dataclass(frozen=True)
 class ComplementMix(TreatmentRule):
     """Mixture of a base rule with its complement:
-    (1 - lam) * base + lam * (1 - base)."""
+    (1 - lam) * base + lam * (1 - base).
+
+    The mixture equals lam + (1 - 2 lam) * base, so a weight above 1/2 flips
+    the base's direction and a weight of exactly 1/2 is the constant 1/2.
+    """
 
     base: TreatmentRule
     lam: float
@@ -197,9 +227,27 @@ class ComplementMix(TreatmentRule):
         if not 0.0 < self.lam < 1.0:
             raise DomainError(f"lam must lie in (0, 1), got {self.lam}")
 
+    def _mix(self, b):
+        return (1.0 - self.lam) * b + self.lam * (1.0 - b)
+
+    @property
+    def step(self) -> Optional[Tuple[float, float, float]]:
+        if self.lam == 0.5:
+            return 0.0, 0.5, 0.5
+        base = self.base.step
+        if base is None:
+            return None
+        cut, lo, hi = base
+        return cut, self._mix(lo), self._mix(hi)
+
+    @property
+    def direction(self) -> Optional[int]:
+        d = self.base.direction
+        return None if d is None else (-d if self.lam > 0.5 else d)
+
     def evaluate(self, stat: Stat) -> Stat:
         b = np.asarray(self.base.evaluate(stat), dtype=float)
-        return _match((1.0 - self.lam) * b + self.lam * (1.0 - b), stat)
+        return _match(self._mix(b), stat)
 
 
 @dataclass(frozen=True)
@@ -249,13 +297,15 @@ class DiscretePrior:
 
 @dataclass(frozen=True)
 class DiscretePriorBayes(TreatmentRule):
-    """Bayes rule for a finitely supported prior under power regret r^alpha_g,
-    solving the posterior first-order condition at each statistic value."""
+    """Bayes rule for a finitely supported prior under power regret r^alpha_g:
+    the closed-form solution of the posterior first-order condition at each
+    statistic value (solve_bayes_foc)."""
 
     prior: DiscretePrior
     alpha_g: float
     noise_sd: float
     kind = "discrete_prior_bayes"
+    direction = 1
 
     def __post_init__(self) -> None:
         if not self.alpha_g > 1:
@@ -264,16 +314,7 @@ class DiscretePriorBayes(TreatmentRule):
             raise DomainError(f"noise_sd must be positive, got {self.noise_sd}")
 
     def evaluate(self, stat: Stat) -> Stat:
-        if np.ndim(stat) == 0:
-            return solve_bayes_foc(self.prior, self.alpha_g, self.noise_sd, float(stat))
-        flat = np.asarray(stat, dtype=float)
-        out = np.array(
-            [
-                solve_bayes_foc(self.prior, self.alpha_g, self.noise_sd, s)
-                for s in flat.ravel()
-            ]
-        )
-        return out.reshape(flat.shape)
+        return solve_bayes_foc(self.prior, self.alpha_g, self.noise_sd, stat)
 
 
 def evaluate(rule: TreatmentRule, stat: Stat) -> Stat:
@@ -281,70 +322,52 @@ def evaluate(rule: TreatmentRule, stat: Stat) -> Stat:
     return rule.evaluate(stat)
 
 
-def _posterior_weights(prior: DiscretePrior, noise_sd: float, stat: float) -> np.ndarray:
-    taus = prior.taus
-    logw = np.log(prior.weights) - 0.5 * ((stat - taus) / noise_sd) ** 2
-    logw -= logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
-
-
-def _require_two_sided(taus: np.ndarray, weights: np.ndarray) -> None:
+def _require_two_sided(prior: DiscretePrior) -> None:
     # points at tau = 0 contribute no regret and drop out of the condition
-    if not ((taus > 0) & (weights > 0)).any() or not ((taus < 0) & (weights > 0)).any():
-        raise PriorSupportError(
-            "posterior mass must be positive on both {tau > 0} and {tau < 0}"
-        )
+    if not prior.two_sided:
+        raise PriorSupportError("prior mass must be positive on both {tau > 0} and {tau < 0}")
 
 
 def solve_bayes_foc(
-    prior: DiscretePrior, alpha_g: float, noise_sd: float, stat: float
-) -> float:
+    prior: DiscretePrior, alpha_g: float, noise_sd: float, stat: Stat
+) -> Stat:
     """Unique delta in (0, 1) solving the posterior first-order condition
 
         sum_i w_i(stat) * tau_i * g'(tau_i * (1{tau_i >= 0} - delta)) = 0
 
-    with g(r) = r^alpha_g and w_i(stat) the Gaussian posterior weights.  The
-    left side strictly decreases in delta, so a bisection bracket followed by
-    Brent refinement pins the root.
+    with g(r) = r^alpha_g and w_i(stat) the Gaussian posterior weights.  With
+    e = alpha_g - 1 the condition separates into (1 - delta)^e A = delta^e B,
+    where A(y) = sum_{tau_i > 0} w_i tau_i^alpha_g phi((y - tau_i) / sd) and
+    B(y) is the same sum over tau_i < 0 with |tau_i|, so
 
-    Raises PriorSupportError when the posterior mass is one-sided and
-    DomainError for alpha_g <= 1 or noise_sd <= 0.
+        delta = expit((log A - log B) / e),
+
+    computed in log space (the common factor exp(-y^2 / (2 sd^2)) is dropped,
+    so neither side underflows) and clipped to [1e-12, 1 - 1e-12].  The rule
+    is increasing in the statistic: d/dy (log A - log B) equals the mean of
+    tau under A's weights minus the mean of tau under B's weights, over sd^2,
+    which is positive because A puts all its weight on tau > 0 and B on
+    tau < 0 (the monotone likelihood ratio of the Gaussian location family).
+
+    Accepts a float or an ndarray statistic and returns the matching type.
+    Raises PriorSupportError when the prior mass is one-sided and DomainError
+    for alpha_g <= 1 or noise_sd <= 0.
     """
     if not alpha_g > 1:
         raise DomainError(f"alpha_g must exceed 1, got {alpha_g}")
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
-    w = _posterior_weights(prior, noise_sd, stat)
-    taus = prior.taus
-    _require_two_sided(taus, w)
-    pos = taus > 0
-    neg = taus < 0
-    wp, tp = w[pos], taus[pos]
-    wn, tn = w[neg], -taus[neg]
-    ex = alpha_g - 1.0
+    _require_two_sided(prior)
+    taus, weights = prior.taus, prior.weights
+    y = np.asarray(stat, dtype=float)[..., None]
 
-    def foc(delta: float) -> float:
-        up = (wp * tp * (tp * (1.0 - delta)) ** ex).sum()
-        down = (wn * tn * (tn * delta) ** ex).sum()
-        return up - down
+    def log_mass(side: np.ndarray) -> np.ndarray:
+        t = taus[side]
+        log_terms = np.log(weights[side]) + alpha_g * np.log(np.abs(t))
+        return np.logaddexp.reduce(log_terms + t * (y - 0.5 * t) / noise_sd**2, axis=-1)
 
-    lo, hi = 1e-12, 1.0 - 1e-12
-    flo, fhi = foc(lo), foc(hi)
-    if flo <= 0.0:
-        return lo
-    if fhi >= 0.0:
-        return hi
-    # a few bisection steps shrink the bracket before handing off to Brent
-    for _ in range(8):
-        mid = 0.5 * (lo + hi)
-        if foc(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    from scipy.optimize import brentq
-
-    return float(brentq(foc, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    delta = special.expit((log_mass(taus > 0) - log_mass(taus < 0)) / (alpha_g - 1.0))
+    return _match(np.clip(delta, 1e-12, 1.0 - 1e-12), stat)
 
 
 def tilted_posterior_match_msr(
@@ -359,65 +382,61 @@ def tilted_posterior_match_msr(
     """
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
-    w = _posterior_weights(prior, noise_sd, stat)
+    _require_two_sided(prior)
     taus = prior.taus
-    _require_two_sided(taus, w)
+    logw = np.log(prior.weights) - 0.5 * ((stat - taus) / noise_sd) ** 2
+    w = np.exp(logw - logw.max())
     tilt = w * taus * taus
     return float(tilt[taus >= 0].sum() / tilt.sum())
 
 
 # --- JSON mapping ----------------------------------------------------------
 
+_KINDS = {
+    cls.kind: cls
+    for cls in (
+        EmpiricalSuccess,
+        Threshold,
+        HypothesisTest,
+        MinimaxMSR,
+        BayesFlatMSR,
+        PosteriorMatchFlat,
+        ComplementMix,
+        DiscretePriorBayes,
+    )
+}
+
+
 def rule_to_dict(rule: TreatmentRule) -> dict:
-    """Plain-dict form {"kind": ..., ...params} used by the CLI payloads."""
-    if isinstance(rule, EmpiricalSuccess):
-        return {"kind": rule.kind}
-    if isinstance(rule, Threshold):
-        return {"kind": rule.kind, "t": rule.t}
-    if isinstance(rule, HypothesisTest):
-        return {"kind": rule.kind, "alpha": rule.alpha}
-    if isinstance(rule, MinimaxMSR):
-        return {"kind": rule.kind, "tau_star": rule.tau_star, "scale": rule.scale}
-    if isinstance(rule, BayesFlatMSR):
-        return {"kind": rule.kind, "scale": rule.scale}
-    if isinstance(rule, PosteriorMatchFlat):
-        return {"kind": rule.kind, "scale": rule.scale}
-    if isinstance(rule, ComplementMix):
-        return {"kind": rule.kind, "base": rule_to_dict(rule.base), "lam": rule.lam}
-    if isinstance(rule, DiscretePriorBayes):
-        return {
-            "kind": rule.kind,
-            "prior": [[t, w] for t, w in rule.prior.support],
-            "alpha_g": rule.alpha_g,
-            "noise_sd": rule.noise_sd,
-        }
-    raise DomainError(f"unknown rule type {type(rule).__name__}")
+    """Plain-dict form {"kind": ..., ...fields} used by the CLI payloads."""
+    if _KINDS.get(rule.kind) is not type(rule):
+        raise DomainError(f"unknown rule type {type(rule).__name__}")
+    out = {"kind": rule.kind}
+    for f in fields(rule):
+        out[f.name] = _CODECS[f.type][0](getattr(rule, f.name))
+    return out
 
 
 def rule_from_dict(data: dict) -> TreatmentRule:
-    """Inverse of rule_to_dict."""
-    kind = data.get("kind")
-    if kind == "empirical_success":
-        return EmpiricalSuccess()
-    if kind == "threshold":
-        return Threshold(t=float(data["t"]))
-    if kind == "hypothesis_test":
-        return HypothesisTest(alpha=float(data["alpha"]))
-    if kind == "minimax_msr":
-        return MinimaxMSR(
-            tau_star=float(data["tau_star"]), scale=float(data.get("scale", 1.0))
-        )
-    if kind == "bayes_flat_msr":
-        return BayesFlatMSR(scale=float(data.get("scale", 1.0)))
-    if kind == "posterior_match_flat":
-        return PosteriorMatchFlat(scale=float(data.get("scale", 1.0)))
-    if kind == "complement_mix":
-        return ComplementMix(base=rule_from_dict(data["base"]), lam=float(data["lam"]))
-    if kind == "discrete_prior_bayes":
-        prior = DiscretePrior(tuple((float(t), float(w)) for t, w in data["prior"]))
-        return DiscretePriorBayes(
-            prior=prior,
-            alpha_g=float(data["alpha_g"]),
-            noise_sd=float(data["noise_sd"]),
-        )
-    raise DomainError(f"unknown rule kind {kind!r}")
+    """Inverse of rule_to_dict; a missing field takes its dataclass default."""
+    cls = _KINDS.get(data.get("kind"))
+    if cls is None:
+        raise DomainError(f"unknown rule kind {data.get('kind')!r}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            kwargs[f.name] = _CODECS[f.type][1](data[f.name])
+        elif f.default is MISSING:
+            raise DomainError(f"rule kind {cls.kind!r} needs field {f.name!r}")
+    return cls(**kwargs)
+
+
+# field annotation -> (to plain value, from plain value)
+_CODECS = {
+    "float": (lambda v: v, float),
+    "TreatmentRule": (rule_to_dict, rule_from_dict),
+    "DiscretePrior": (
+        lambda p: [[t, w] for t, w in p.support],
+        lambda d: DiscretePrior(tuple((float(t), float(w)) for t, w in d)),
+    ),
+}

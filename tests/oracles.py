@@ -69,6 +69,46 @@ def bayes_objective(tau):
     )
 
 
+def bayes_foc_root(pairs, alpha_g, sd, stat):
+    """Bayes fraction of a discrete prior under regret power alpha_g: the brentq
+    root in delta of the unseparated posterior first-order condition
+
+        sum_i w_i(stat) tau_i g'(tau_i (1{tau_i >= 0} - delta)) = 0,
+
+    g(r) = r^alpha_g, which is positive at delta = 0 and negative at 1."""
+    taus = np.array([t for t, _ in pairs], dtype=float)
+    logw = np.log([w for _, w in pairs]) - 0.5 * ((stat - taus) / sd) ** 2
+    post = np.exp(logw - logw.max())
+    ind = (taus >= 0).astype(float)
+
+    def foc(delta):
+        r = taus * (ind - delta)
+        return float(np.sum(post * taus * alpha_g * r ** (alpha_g - 1.0)))
+
+    return optimize.brentq(foc, 0.0, 1.0, xtol=1e-15, maxiter=200)
+
+
+def prior_bayes_msr(pairs, alpha_g, sd, tau):
+    """tau^2 E[(1{tau >= 0} - delta(Y))^2], Y ~ N(tau, sd^2), with delta the
+    bayes_foc_root fraction at noise sd."""
+    ind = 1.0 if tau >= 0 else 0.0
+    return normal_expectation(
+        lambda y: (tau * (ind - bayes_foc_root(pairs, alpha_g, sd, y))) ** 2, tau, sd
+    )
+
+
+def prior_bayes_tail(pairs, alpha_g, sd, tau, threshold):
+    """P(Reg > threshold), Y ~ N(tau, sd^2), for tau > 0: the fraction rises
+    in the statistic, so the event is Y below the point where it reaches
+    1 - threshold/tau."""
+    q = 1.0 - threshold / tau
+    cut = optimize.brentq(
+        lambda y: bayes_foc_root(pairs, alpha_g, sd, y) - q,
+        tau - 20.0 * sd, tau + 20.0 * sd, xtol=1e-14,
+    )
+    return float(cdf((cut - tau) / sd))
+
+
 def grid_argmax(f, lo, hi, step):
     xs = np.arange(lo, hi + step / 2, step)
     vals = np.array([f(x) for x in xs])
@@ -169,6 +209,12 @@ def main():
     wm = 0.5 * float(phi(1.0))
     out["tilted prior{(2,.5),(-1,.5)} stat 0"] = 4 * wp / (4 * wp + wm)
     out["tilted prior{(1,.5),(-1,.5)} stat 0.5"] = math.e / (math.e + 1.0)
+    # three-point prior {-1: 1, 1: 1, 2: 0.5}, sd 1: tail and worst-case MSR
+    three = [(-1.0, 0.4), (1.0, 0.4), (2.0, 0.2)]
+    out["3-point alpha 2 P(Reg>0.1) at tau=1"] = prior_bayes_tail(three, 2.0, 1.0, 1.0, 0.1)
+    msr3 = lambda t: prior_bayes_msr(three, 2.0, 1.0, t)
+    t3, _ = grid_argmax(msr3, -4.0, 4.0, 0.1)
+    out["3-point alpha 2 worst msr (argmax, sup)"] = refine_max(msr3, t3 - 0.1, t3 + 0.1)
 
     # -- dominance ---------------------------------------------------------
     p = float(cdf(-1.0))

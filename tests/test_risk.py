@@ -23,6 +23,7 @@ from msregret import (
     RiskReport,
     RngSeed,
     Threshold,
+    TreatmentRule,
     bayes_msr,
     exact_risk,
     regret,
@@ -50,9 +51,20 @@ MM_WORST_MSR = 0.11987899265878338
 ES_WORST_MEAN_REGRET = 0.1699712074799036
 ES_WORST_MSR = 0.16571661477885144
 
+# frozen from oracles.py: the Bayes rule of the prior {-1: 1, 1: 1, 2: 0.5}
+# under squared regret at unit noise
+PRIOR3_PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
+PRIOR3_TAIL_01 = 0.4062915299574189  # P(Reg > 0.1) at tau = 1
+PRIOR3_WORST_MSR = 0.15729250451144042
+PRIOR3_ARGSUP = -1.30056154243124
+
 
 def mm_rule() -> MinimaxMSR:
     return MinimaxMSR(tau_star=TAU_STAR)
+
+
+def prior3_rule(alpha_g: float = 2.0) -> DiscretePriorBayes:
+    return DiscretePriorBayes(DiscretePrior.from_pairs(PRIOR3_PAIRS), alpha_g, 1.0)
 
 
 class TestExperiment:
@@ -189,6 +201,38 @@ class TestExactRisk:
         got = exact_risk(rule, GaussianExperiment(0.8, 1.0, 1))
         assert abs(got.mean_square_regret - want.mean_square_regret) < 1e-9
 
+    def test_prior_bayes_sharp_noise_matches_logistic(self):
+        # at noise sd 0.05 the far side's posterior weight underflows; the
+        # two-point rule is still the logistic expit(800 y)
+        prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+        rule = DiscretePriorBayes(prior=prior, alpha_g=2.0, noise_sd=0.05)
+        logistic = MinimaxMSR(tau_star=20.0, scale=0.05)
+        for tau in (1.0, 0.05, -0.1):
+            exp = GaussianExperiment(tau, 0.5, 100)
+            got, want = exact_risk(rule, exp), exact_risk(logistic, exp)
+            assert abs(got.mean_regret - want.mean_regret) < 1e-9
+            assert abs(got.mean_square_regret - want.mean_square_regret) < 1e-9
+            assert abs(got.welfare_sd - want.welfare_sd) < 1e-9
+
+    def test_half_mixture_is_an_exact_constant(self):
+        rule = ComplementMix(base=mm_rule(), lam=0.5)
+        for tau in (-1.5, 0.8):
+            r = exact_risk(rule, GaussianExperiment(tau, 1.0, 1), tail_thresholds=[0.1, 0.9])
+            assert abs(r.mean_regret - 0.5 * abs(tau)) < 1e-15
+            assert abs(r.mean_square_regret - 0.25 * tau * tau) < 1e-15
+            assert abs(r.welfare_mean - 0.5 * tau) < 1e-15
+            assert r.welfare_sd == 0.0
+            # regret is |tau| / 2 with certainty
+            assert r.tail == ((0.1, 1.0), (0.9, 0.0))
+
+    def test_negative_zero_effect(self):
+        rules = [mm_rule(), EmpiricalSuccess(), ComplementMix(BayesFlatMSR(), 0.7),
+                 prior3_rule()]
+        for rule in rules:
+            pos = exact_risk(rule, GaussianExperiment(0.0, 1.0, 1), tail_thresholds=[0.0, 0.2])
+            neg = exact_risk(rule, GaussianExperiment(-0.0, 1.0, 1), tail_thresholds=[0.0, 0.2])
+            assert neg == pos
+
     def test_report_round_trip(self):
         report = exact_risk(
             mm_rule(), GaussianExperiment(1.0, 1.0, 1), tail_thresholds=[0.5, 0.95]
@@ -243,6 +287,34 @@ class TestTailProbability:
         assert tail_probability(mm_rule(), exp, 0.5) == 0.0
         assert tail_probability(mm_rule(), exp, 0.6) == 0.0
 
+    def test_prior_bayes_exact_inversion(self):
+        got = tail_probability(prior3_rule(), GaussianExperiment(1.0, 1.0, 1), 0.1)
+        assert abs(got - PRIOR3_TAIL_01) < 1e-9
+
+    def test_decreasing_mixture_exact(self):
+        # Reg = 0.3 + 0.4 * base(y) > 0.5 iff y > 0
+        rule = ComplementMix(base=BayesFlatMSR(), lam=0.7)
+        got = tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 0.5)
+        assert abs(got - (1.0 - float(oracles.cdf(-1.0)))) < 1e-12
+
+    def test_no_crossing_inside_the_bracket(self):
+        # the fraction never leaves [1e-12, 1 - 1e-12], so regret is always
+        # above 1e-13 at tau = -1 and always below 1 - 1e-13 at tau = 1
+        rule = prior3_rule()
+        assert tail_probability(rule, GaussianExperiment(-1.0, 1.0, 1), 1e-13) == 1.0
+        assert tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 1.0 - 1e-13) == 0.0
+
+    def test_undeclared_rule_refused(self):
+        class Wave(TreatmentRule):
+            def evaluate(self, stat):
+                return 0.5 + 0.4 * np.sin(stat)
+
+        exp = GaussianExperiment(1.0, 1.0, 1)
+        with pytest.raises(DomainError, match="Wave"):
+            tail_probability(Wave(), exp, 0.3)
+        with pytest.raises(DomainError):
+            exact_risk(Wave(), exp, tail_thresholds=[0.3])
+
     def test_non_monotone_fallback_close_to_analytic(self):
         # lam > 1/2 flips the direction; the fixed-order indicator quadrature
         # is only approximate, so the tolerance here is loose by design
@@ -285,6 +357,14 @@ class TestWorstCase:
         assert w.saturated
         assert w.argsup_tau < -7.9
         assert w.sup > 60.0
+
+    def test_prior_bayes_matches_oracle(self):
+        w = worst_case_msr(prior3_rule(), 1.0, 1)
+        want = oracles.prior_bayes_msr(prior3_rule().prior.support, 2.0, 1.0, w.argsup_tau)
+        assert abs(w.sup - want) < 1e-9
+        assert abs(w.sup - PRIOR3_WORST_MSR) < 1e-9
+        assert abs(w.argsup_tau - PRIOR3_ARGSUP) < 1e-5
+        assert not w.saturated
 
     def test_minimax_flatness_near_the_calibrated_level(self):
         # the defining property: the risk curve of the calibrated rule peaks
@@ -367,6 +447,28 @@ class TestSimulate:
             t, p, se = sim.tail[0]
             if se > 0:
                 assert abs(p - exact.tail[0][1]) < 4 * se
+
+    @given(
+        st.sampled_from([
+            mm_rule(),
+            BayesFlatMSR(),
+            ComplementMix(base=mm_rule(), lam=0.3),
+            ComplementMix(base=BayesFlatMSR(), lam=0.7),
+            prior3_rule(3.0),
+        ]),
+        st.floats(min_value=0.05, max_value=2.5),
+        st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_agrees_with_exact_risk_property(self, rule, size, negative):
+        tau = -size if negative else size
+        exp = GaussianExperiment(tau, 1.0, 1)
+        exact = exact_risk(rule, exp)
+        sim = simulate(rule, exp, 20_000, RngSeed(2026))
+        assert abs(sim.mean_regret - exact.mean_regret) < 5 * sim.se_mean_regret
+        assert abs(
+            sim.mean_square_regret - exact.mean_square_regret
+        ) < 5 * sim.se_mean_square_regret
 
     def test_welfare_and_regret_spreads_coincide(self):
         # welfare and regret differ by a constant given the effect

@@ -21,6 +21,7 @@ from msregret import (
     PosteriorMatchFlat,
     PriorSupportError,
     Threshold,
+    TreatmentRule,
     evaluate,
     psi,
     rule_from_dict,
@@ -195,6 +196,15 @@ class TestComplementMix:
         with pytest.raises(DomainError):
             ComplementMix(base=EmpiricalSuccess(), lam=1.0)
 
+    def test_declared_step_and_direction(self):
+        assert ComplementMix(base=BayesFlatMSR(), lam=0.3).direction == 1
+        assert ComplementMix(base=BayesFlatMSR(), lam=0.7).direction == -1
+        assert ComplementMix(base=BayesFlatMSR(), lam=0.3).step is None
+        assert ComplementMix(base=Threshold(t=0.2), lam=0.1).step == (0.2, 0.1, 0.9)
+        # a half-half mixture is the constant 1/2 whatever its base
+        assert ComplementMix(base=MinimaxMSR(tau_star=TAU_STAR), lam=0.5).step == (
+            0.0, 0.5, 0.5)
+
     @given(finite_stats, st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
     def test_range_preserved(self, y, lam):
         mix = ComplementMix(base=BayesFlatMSR(), lam=lam)
@@ -213,6 +223,19 @@ class TestRangeInvariant:
         ys = np.linspace(-10.0, 10.0, 400)
         for rule in ALL_SMOOTH + ALL_STEP:
             vals = np.asarray(rule.evaluate(ys))
+            assert np.all(np.diff(vals) >= -1e-12)
+
+    def test_declared_direction_holds(self):
+        ys = np.linspace(-10.0, 10.0, 400)
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)])
+        rules = ALL_SMOOTH + ALL_STEP + [
+            ComplementMix(base=BayesFlatMSR(), lam=0.7),
+            ComplementMix(base=Threshold(t=0.3), lam=0.9),
+            ComplementMix(base=MinimaxMSR(tau_star=TAU_STAR), lam=0.2),
+            DiscretePriorBayes(prior=prior, alpha_g=1.5, noise_sd=1.0),
+        ]
+        for rule in rules:
+            vals = rule.direction * np.asarray(rule.evaluate(ys))
             assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -313,6 +336,64 @@ class TestBayesFoc:
         d = solve_bayes_foc(prior, alpha_g, 1.0, s)
         assert 0.0 < d < 1.0
 
+    def test_posterior_underflow_is_not_one_sided(self):
+        # at noise sd 0.05 the posterior weight of -1 given stat 1 is below the
+        # smallest double, but the prior is two-sided: the fraction is the
+        # upper clip, not a refusal
+        prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+        assert solve_bayes_foc(prior, 2.0, 0.05, 1.0) == 1.0 - 1e-12
+        assert solve_bayes_foc(prior, 2.0, 0.05, -1.0) == 1e-12
+
+    def test_matches_unseparated_oracle_randomized(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            k_pos = int(rng.integers(1, 3))
+            k_neg = int(rng.integers(1, 3))
+            taus = np.concatenate(
+                [rng.uniform(0.1, 3.0, k_pos), -rng.uniform(0.1, 3.0, k_neg)]
+            )
+            prior = DiscretePrior.from_pairs(zip(taus, rng.uniform(0.1, 1.0, taus.size)))
+            alpha_g = float(rng.uniform(1.2, 5.0))
+            sd = float(rng.uniform(0.3, 2.0))
+            s = float(rng.uniform(-3.0, 3.0))
+            got = solve_bayes_foc(prior, alpha_g, sd, s)
+            want = oracles.bayes_foc_root(prior.support, alpha_g, sd, s)
+            assert abs(got - want) < 1e-10
+
+    def test_array_matches_scalar_calls(self):
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)])
+        rule = DiscretePriorBayes(prior=prior, alpha_g=3.0, noise_sd=0.7)
+        ss = np.linspace(-5.0, 5.0, 41).reshape(41, 1)
+        vals = rule.evaluate(ss)
+        assert vals.shape == ss.shape
+        for s, v in zip(ss.ravel(), vals.ravel()):
+            assert abs(v - solve_bayes_foc(prior, 3.0, 0.7, float(s))) <= 1e-15
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 1.0)),
+            min_size=1, max_size=2, unique_by=lambda p: p[0],
+        ),
+        st.lists(
+            st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 1.0)),
+            min_size=1, max_size=2, unique_by=lambda p: p[0],
+        ),
+        st.floats(1.2, 5.0),
+        st.floats(0.5, 2.0),
+        st.floats(-3.0, 3.0),
+        st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_strictly_increasing_property(self, pos, neg, alpha_g, sd, s, ds):
+        # monotone likelihood ratio: the log-odds rise at rate
+        # (mean tau under A - mean tau under B) / sd^2 > 0
+        prior = DiscretePrior.from_pairs(pos + [(-t, w) for t, w in neg])
+        rule = DiscretePriorBayes(prior=prior, alpha_g=alpha_g, noise_sd=sd)
+        lo, hi = rule.evaluate(s), rule.evaluate(s + ds)
+        assert lo <= hi
+        if 1e-6 < lo and hi < 1.0 - 1e-6:
+            assert lo < hi
+
     def test_monotone_in_the_statistic(self):
         prior = DiscretePrior.from_pairs([(1.0, 0.4), (-2.0, 0.6)])
         rule = DiscretePriorBayes(prior=prior, alpha_g=2.0, noise_sd=1.0)
@@ -352,3 +433,45 @@ class TestJsonMapping:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             rule_from_dict({"kind": "nope"})
+
+    # json.dumps(rule_to_dict(r), sort_keys=True) of RULES, frozen before the
+    # mapping moved to the kind registry
+    FROZEN = [
+        '{"kind": "empirical_success"}',
+        '{"kind": "threshold", "t": -0.3}',
+        '{"alpha": 0.1, "kind": "hypothesis_test"}',
+        '{"kind": "minimax_msr", "scale": 0.5, "tau_star": 1.22814}',
+        '{"kind": "bayes_flat_msr", "scale": 2.0}',
+        '{"kind": "posterior_match_flat", "scale": 1.0}',
+        '{"base": {"kind": "threshold", "t": 0.2}, "kind": "complement_mix", "lam": 0.07}',
+        '{"base": {"base": {"kind": "empirical_success"}, "kind": "complement_mix", '
+        '"lam": 0.1}, "kind": "complement_mix", "lam": 0.2}',
+        '{"alpha_g": 2.5, "kind": "discrete_prior_bayes", "noise_sd": 0.8, '
+        '"prior": [[1.0, 0.25], [-0.5, 0.75]]}',
+    ]
+
+    def test_frozen_payloads(self):
+        got = [json.dumps(rule_to_dict(r), sort_keys=True) for r in self.RULES]
+        assert got == self.FROZEN
+
+    def test_every_concrete_rule_is_covered(self):
+        # RULES round-trip above, so this makes every shipped kind round-trip
+        concrete, pending = set(), [TreatmentRule]
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if cls is not TreatmentRule and cls.__module__ == "msregret.rules":
+                concrete.add(cls)
+        assert concrete == {type(r) for r in self.RULES}
+
+    def test_missing_fields(self):
+        assert rule_from_dict({"kind": "minimax_msr", "tau_star": 1.5}) == MinimaxMSR(1.5)
+        with pytest.raises(DomainError):
+            rule_from_dict({"kind": "minimax_msr", "scale": 2.0})
+
+    def test_unregistered_subclass_rejected(self):
+        class Half(TreatmentRule):
+            kind = "minimax_msr"
+
+        with pytest.raises(DomainError):
+            rule_to_dict(Half())
