@@ -19,6 +19,7 @@ constants module, a fresh solve rounded to 6 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -429,7 +430,10 @@ def _add_tau_star_flag(sub: argparse.ArgumentParser) -> None:
                      help="override the minimax calibration constant")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args returns a fresh namespace and no
+    # command touches the parser or its defaults, so main() can share it
     parser = argparse.ArgumentParser(
         prog="msregret",
         description="Treatment-choice rules under mean square regret.",

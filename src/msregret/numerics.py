@@ -10,6 +10,14 @@ the error estimate.  An integrand that does not settle within ten halvings (a
 jump, for instance), is not negligible at the window edges, or is non-finite
 raises ConvergenceError instead of returning a doubtful number.
 
+find_root and maximize_scalar are Brent's root finder and his bounded
+minimizer (R. P. Brent, Algorithms for Minimization without Derivatives,
+Prentice-Hall, 1973, chapters 4 and 5), written out step for step as scipy
+runs them (brentq.c and _minimize_scalar_bounded), so they return the same
+floats without importing scipy.optimize.  Both refuse a non-finite function
+value with DomainError and an exhausted evaluation budget with
+ConvergenceError.
+
 All functions here are pure and deterministic; values may be shared freely
 across threads.
 """
@@ -21,7 +29,8 @@ from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import optimize, special
+from numpy.polynomial.hermite import hermgauss
+from scipy import special
 
 __all__ = [
     "DomainError",
@@ -43,6 +52,11 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _HALF_WIDTH = 10.0  # trapezoid window half-width in sd units
 _EDGE_DENSITY = math.exp(-0.5 * _HALF_WIDTH**2) / _SQRT2PI
 _MAX_HALVINGS = 10
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
+_ROOT_MAXITER = 200
+_MAX_EVALS = 500
+_SQRT_EPS = math.sqrt(2.2e-16)  # the bounded minimizer's relative step floor
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 class DomainError(ValueError):
@@ -120,9 +134,9 @@ def std_normal_quantile(p: float) -> float:
 
 @lru_cache(maxsize=16)
 def _gh_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    # roots_hermite stays finite at high orders where the power-basis
-    # recurrence overflows
-    z, w = special.roots_hermite(order)
+    # hermgauss uses the normalized recurrence, so it stays finite at high
+    # orders where the power basis overflows, and it needs only numpy.linalg
+    z, w = hermgauss(order)
     return z, w / _SQRTPI
 
 
@@ -181,25 +195,74 @@ def gaussian_expectation(
     )
 
 
+def _finite(f: Callable[[float], float], x: float) -> float:
+    fx = float(f(x))
+    if not math.isfinite(fx):
+        raise DomainError(f"function value at x = {x!r} is {fx!r}")
+    return fx
+
+
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
     """Brent root of a continuous f on [lo, hi] with f(lo)*f(hi) <= 0.
 
-    Returns x with bracket width below tol.  Raises BracketError when the
-    endpoint values share a sign.
+    Returns x with bracket width below tol + 4 eps |x|.  Raises BracketError
+    when the endpoint values share a sign, DomainError for a non-finite
+    value of f, and ConvergenceError when 200 iterations do not close the
+    bracket.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+    xpre, xcur = float(lo), float(hi)
+    fpre = _finite(f, xpre)
+    fcur = _finite(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise BracketError(
-            f"f({lo}) = {flo} and f({hi}) = {fhi} do not bracket a sign change"
+            f"f({lo}) = {fpre} and f({hi}) = {fcur} do not bracket a sign change"
         )
-    return float(optimize.brentq(f, lo, hi, xtol=tol, maxiter=200))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        # keep the root between xcur and the contrapoint xblk, with
+        # |f(xcur)| <= |f(xblk)|
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _finite(f, xcur)
+    raise ConvergenceError(
+        f"Brent root not within {tol!r} after {_ROOT_MAXITER} iterations; last x = {xcur!r}"
+    )
 
 
 def maximize_scalar(
@@ -209,18 +272,78 @@ def maximize_scalar(
 
     The caller supplies a bracket known to contain the maximizer; ties go to
     whichever maximizer the deterministic iteration lands on (the objectives
-    in this package are unimodal on their brackets).
+    in this package are unimodal on their brackets).  The interior search
+    stops when both bracket ends lie within 2 tol / 3 + 3e-8 |x| of the best
+    point x; the endpoints are then checked, since the iteration never
+    evaluates them.
+    Raises DomainError for a non-finite value of f and ConvergenceError after
+    500 evaluations.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    res = optimize.minimize_scalar(
-        lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": tol}
-    )
-    x = float(res.x)
-    # bounded Brent never evaluates the endpoints; check them explicitly
-    best = (x, float(f(x)))
+    # minimize g = -f; v, w, x are the third-best, second-best and best points
+    a, b = float(lo), float(hi)
+    v = w = x = a + _GOLDEN * (b - a)
+    gv = gw = gx = -_finite(f, x)
+    evals = 1
+    step = last = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        if evals >= _MAX_EVALS:
+            raise ConvergenceError(
+                f"bounded Brent search not within {tol!r} after {_MAX_EVALS} evaluations"
+            )
+        golden = True
+        if abs(last) > tol1:
+            # parabola through (v, gv), (w, gw), (x, gx)
+            golden = False
+            r = (x - w) * (gx - gv)
+            q = (x - v) * (gx - gw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, last = last, step
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                u = x + step
+                if u - a < tol2 or b - u < tol2:
+                    step = tol1 if xm - x >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            last = (a - x) if x >= xm else (b - x)
+            step = _GOLDEN * last
+        u = x + (1.0 if step >= 0 else -1.0) * max(abs(step), tol1)
+        gu = -_finite(f, u)
+        evals += 1
+        if gu <= gx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, gv = w, gw
+            w, gw = x, gx
+            x, gx = u, gu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if gu <= gw or w == x:
+                v, gv = w, gw
+                w, gw = u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+    best = (x, -gx)
     for edge in (lo, hi):
-        fe = float(f(edge))
+        fe = _finite(f, edge)
         if fe > best[1]:
             best = (edge, fe)
     return best

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .lfp import default_tau_star
 from .numerics import DomainError
@@ -171,6 +170,22 @@ def fraction_from_tstat(
     return mm, by
 
 
+def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # back substitution for R x = b, R upper triangular
+    x = np.empty_like(b)
+    for i in range(len(b) - 1, -1, -1):
+        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x
+
+
+def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # forward substitution for L x = b, L lower triangular
+    x = np.empty_like(b)
+    for i in range(len(b)):
+        x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
+    return x
+
+
 def fit(
     data: Dataset,
     tau_star: Optional[float] = None,
@@ -197,7 +212,7 @@ def fit(
         raise RankError(
             f"design is rank deficient near column {data.column_names[j]!r}"
         )
-    coef = solve_triangular(r, q.T @ y)
+    coef = _solve_upper(r, q.T @ y)
     resid = y - z @ coef
     rss = float(resid @ resid)
     dof = n - k if unbiased else n
@@ -205,7 +220,8 @@ def fit(
 
     e0 = np.zeros(k)
     e0[0] = 1.0
-    row = solve_triangular(r, e0, trans="T")
+    # a contiguous copy gives the row dot products unit stride
+    row = _solve_lower(np.ascontiguousarray(r.T), e0)
     inv00 = float(row @ row)
     se = math.sqrt(sigma2 * inv00)
     if se == 0.0:

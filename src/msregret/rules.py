@@ -272,6 +272,14 @@ class DiscretePrior:
         total = sum(weights)
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
+        # derived once, since solve_bayes_foc reads them on every call; they
+        # are not fields, so equality, hashing and to_dict see support alone
+        taus, weights = np.array(taus), np.array(weights)
+        taus.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "_taus", taus)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_two_sided", bool((taus > 0).any() and (taus < 0).any()))
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscretePrior":
@@ -283,16 +291,17 @@ class DiscretePrior:
 
     @property
     def taus(self) -> np.ndarray:
-        return np.array([t for t, _ in self.support])
+        """Support locations (a read-only array)."""
+        return self._taus
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.support])
+        """Prior weights (a read-only array)."""
+        return self._weights
 
     @property
     def two_sided(self) -> bool:
-        taus = self.taus
-        return bool((taus > 0).any() and (taus < 0).any())
+        return self._two_sided
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """End-to-end command-line tests driven through main(argv) in process."""
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import msregret
 import msregret.lfp
 from msregret import (
     ComplementMix,
@@ -28,7 +33,7 @@ from msregret import (
     rule_from_dict,
     simulate,
 )
-from msregret.cli import main
+from msregret.cli import _build_parser, main
 
 TAU_STAR = 1.22814
 
@@ -486,3 +491,41 @@ class TestSolveTauStar:
         assert abs(payload["tau_star"] - 1.23) < 0.01
         assert abs(payload["bayes_objective"] - payload["frequentist_objective"]) < 1e-8
         assert abs(payload["bayes_objective"] - 0.1199) < 1e-3
+
+
+class TestProcessFloor:
+    def test_no_scipy_optimize_or_linalg_on_import_or_use(self):
+        # a fresh interpreter, so modules loaded by this test session do not count
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import msregret.cli
+            from msregret import (BayesFlatMSR, Dataset, GaussianExperiment, MinimaxMSR,
+                                  fit, solve_tau_star, tail_probability, worst_case_msr)
+            tau_star = solve_tau_star()
+            worst_case_msr(MinimaxMSR(tau_star), 1.0, 1)
+            tail_probability(BayesFlatMSR(), GaussianExperiment(1.0, 1.0, 1), 0.3)
+            rng = np.random.default_rng(0)
+            d = np.arange(20) % 2
+            x = np.column_stack([rng.normal(size=20), np.ones(20)])
+            fit(Dataset(d + x[:, 0] + rng.normal(size=20), d, x))
+            print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(msregret.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_parser_is_built_once(self, capsys):
+        assert _build_parser() is _build_parser()
+        argv = ["rule-eval", "--rule", "minimax", "--stat", "0.5"]
+        _, first, _ = run_cli(capsys, argv)
+        _, second, _ = run_cli(capsys, argv + ["--tau-star", "2.0"])
+        _, third, _ = run_cli(capsys, argv)
+        # an option given once does not stick to the shared parser
+        assert first == third != second

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import oracles
 from msregret import (
@@ -262,6 +263,15 @@ class TestFindRoot:
         got = find_root(lambda x: std_normal_cdf(x) - 0.95, 0.0, 5.0)
         assert abs(got - Z_95) < 1e-9
 
+    def test_exhausted_iterations_are_refused(self):
+        # a jump at 0 with a subnormal tolerance needs about 1000 halvings
+        with pytest.raises(ConvergenceError):
+            find_root(lambda x: math.copysign(1.0, x), -1.0, 1.0, tol=1e-300)
+
+    def test_nan_value_is_refused(self):
+        with pytest.raises(DomainError):
+            find_root(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 2.0)
+
 
 class TestMaximizeScalar:
     def test_parabola(self):
@@ -289,3 +299,53 @@ class TestMaximizeScalar:
         arg, val = maximize_scalar(lambda b: b * b * std_normal_cdf(crit - b), 0.0, 8.0)
         assert abs(val - 1.4457718111903313) < 1e-9
         assert abs(arg - 1.969573030735857) < 1e-6
+
+    def test_exhausted_evaluations_are_refused(self):
+        # a kink at 0 with a subnormal tolerance outlasts 500 evaluations
+        with pytest.raises(ConvergenceError):
+            maximize_scalar(lambda x: -abs(x), -1.0, 2.0, tol=1e-300)
+
+    def test_nan_value_is_refused(self):
+        with pytest.raises(DomainError):
+            maximize_scalar(lambda x: math.nan if x > 0.5 else x, 0.0, 2.0)
+
+
+def _seeded_cases(seed: int, count: int = 12):
+    """(name, shift, slope, half-widths) draws for the scipy comparisons."""
+    rng = np.random.default_rng(seed)
+    for name in ("smooth", "steep", "cubic"):
+        for _ in range(count):
+            yield name, rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0), rng.uniform(0.1, 4.0, 2)
+
+
+class TestSameFloatsAsScipy:
+    """The Brent ports return bit-identical results to scipy.optimize."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_find_root_matches_brentq(self, tol):
+        roots = {
+            "smooth": lambda a, s: lambda x: math.tanh(s * (x - a)),
+            "steep": lambda a, s: lambda x: math.atan(50.0 * s * (x - a)),
+            "cubic": lambda a, s: lambda x: (x - a) ** 3 + 0.1 * s * (x - a),
+        }
+        for name, a, s, (left, right) in _seeded_cases(11):
+            f = roots[name](a, s)
+            want = optimize.brentq(f, a - left, a + right, xtol=tol, maxiter=200)
+            assert find_root(f, a - left, a + right, tol) == want, name
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_maximize_scalar_matches_bounded_minimizer(self, tol):
+        peaks = {
+            "smooth": lambda a, s: lambda x: -math.cosh(s * (x - a)),
+            "steep": lambda a, s: lambda x: math.exp(-50.0 * s * (x - a) ** 2),
+            # local max at a, unimodal on the bracket: slope 1 - (x - a + 1)^2
+            "cubic": lambda a, s: lambda x: s * ((x - a + 1.0) - (x - a + 1.0) ** 3 / 3.0),
+        }
+        for name, a, s, (left, right) in _seeded_cases(12):
+            f = peaks[name](a, s)
+            lo, hi = a - min(left, 1.5), a + right
+            res = optimize.minimize_scalar(
+                lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": tol}
+            )
+            assert res.status == 0
+            assert maximize_scalar(f, lo, hi, tol) == (float(res.x), -float(res.fun)), name

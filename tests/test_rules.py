@@ -260,6 +260,17 @@ class TestDiscretePrior:
         assert DiscretePrior.from_pairs([(1.0, 1.0), (-2.0, 1.0)]).two_sided
         assert not DiscretePrior.from_pairs([(1.0, 1.0), (2.0, 1.0)]).two_sided
 
+    def test_arrays_are_stored_read_only_and_outside_equality(self):
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (2.0, 3.0)])
+        assert prior.taus is prior.taus
+        assert prior.taus.tolist() == [-1.0, 2.0]
+        assert prior.weights.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            prior.weights[0] = 0.5
+        twin = DiscretePrior(((-1.0, 0.25), (2.0, 0.75)))
+        assert twin == prior and hash(twin) == hash(prior)
+        assert "taus" not in repr(prior)
+
 
 class TestBayesFoc:
     def test_symmetric_two_point_equals_logistic(self):
