@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ._codec import csv_text
 from .dominance import DominanceViolation, dominating_rule, verify_dominance
 from .lfp import (
     SaddleViolation,
@@ -201,10 +202,6 @@ def _emit_csv(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _stat_sd(args: argparse.Namespace) -> float:
     return args.sigma / math.sqrt(args.n)
 
@@ -346,17 +343,17 @@ def _cmd_table1(args: argparse.Namespace) -> None:
     bayes = BayesFlatMSR()
     post = PosteriorMatchFlat()
     es = EmpiricalSuccess()
-    lines = ["ybar,minimax,bayes,posterior_match,es"]
-    for ybar in TABLE1_YBAR:
-        cells = [
-            _fmt(ybar),
-            _fmt(float(minimax.evaluate(ybar))),
-            _fmt(float(bayes.evaluate(ybar))),
-            _fmt(float(post.evaluate(ybar))),
-            _fmt(float(es.evaluate(ybar))),
-        ]
-        lines.append(",".join(cells))
-    _emit_csv("\n".join(lines) + "\n", args.csv)
+    rows = (
+        (
+            ybar,
+            float(minimax.evaluate(ybar)),
+            float(bayes.evaluate(ybar)),
+            float(post.evaluate(ybar)),
+            float(es.evaluate(ybar)),
+        )
+        for ybar in TABLE1_YBAR
+    )
+    _emit_csv(csv_text("ybar,minimax,bayes,posterior_match,es", rows), args.csv)
 
 
 def _cmd_figure1(args: argparse.Namespace) -> None:
@@ -392,12 +389,11 @@ def _cmd_figures3to6(args: argparse.Namespace) -> None:
         (name, _build_rule(name, tau_star, 1.0, args.alpha, None, 2.0))
         for name in FIGURE_RULES
     ]
-    lines = ["figure,rule,x,value"]
+    rows = []
     frac_grid = _parse_grid(args.fraction_grid)
     for name, rule in rules:
         values = np.asarray(rule.evaluate(frac_grid), dtype=float)
-        for x, v in zip(frac_grid, values):
-            lines.append(f"fraction,{name},{_fmt(float(x))},{_fmt(float(v))}")
+        rows.extend(("fraction", name, float(x), float(v)) for x, v in zip(frac_grid, values))
     tau_grid = _parse_grid(args.grid)
     curves = {name: risk_curve(rule, tau_grid, 1.0, 1) for name, rule in rules}
     for figure, pick in (
@@ -406,9 +402,8 @@ def _cmd_figures3to6(args: argparse.Namespace) -> None:
         ("regret_sd", lambda rep: rep.regret_sd),
     ):
         for name, _ in rules:
-            for tau, rep in curves[name]:
-                lines.append(f"{figure},{name},{_fmt(tau)},{_fmt(pick(rep))}")
-    _emit_csv("\n".join(lines) + "\n", args.csv)
+            rows.extend((figure, name, tau, pick(rep)) for tau, rep in curves[name])
+    _emit_csv(csv_text("figure,rule,x,value", rows), args.csv)
 
 
 def _add_rule_flags(sub: argparse.ArgumentParser, default: Optional[str] = "minimax") -> None:

@@ -18,18 +18,21 @@ and r = m / (1-m), the mixing weight
 
 minimizes the mixed risk at the least-distinguishable state, and every
 lam in (0, lambda_star] makes the margin risk_singleton - risk_fractional
-strictly positive at all tau != 0 in the range (the margin is increasing in
-P(wrong) and positive already at its minimum m).  verify_dominance certifies
-a particular construction on a tau grid using the closed forms, so the check
-is limited by grid resolution only, not quadrature error.
+strictly positive at all tau != 0 in the range: the normalized margin
+margin / |tau|^alpha_g = p (1 - (1-lam)^alpha_g) - lam^alpha_g (1 - p) is
+increasing in p = P(wrong) and positive already at its minimum m.
+verify_dominance certifies a particular construction on a tau grid using the
+closed forms, so the check is limited by grid resolution only, not quadrature
+error; inside |tau| < 1 its strict tolerance applies to the normalized margin.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ._codec import csv_text, record
 from .numerics import DomainError, std_normal_cdf
 from .rules import ComplementMix, Threshold
 
@@ -114,13 +117,14 @@ def dominating_rule(
     return ComplementMix(base=Threshold(t), lam=lam)
 
 
+@record
 @dataclass(frozen=True)
 class DominanceCertificate:
     """Grid evidence that the fractional rule dominates the threshold rule.
 
     grid rows are (tau, risk_singleton, risk_fractional, margin) under the
-    E[Reg^alpha_g] risk; margins must clear -1e-12 everywhere and +1e-12 away
-    from tau = 0, where both risks vanish identically.
+    E[Reg^alpha_g] risk; margins must clear -1e-12 everywhere and, away from
+    tau = 0, where both risks vanish identically, +1e-12 * min(1, |tau|^alpha_g).
     """
 
     threshold_t: float
@@ -130,40 +134,23 @@ class DominanceCertificate:
     lambda_used: float
     grid: Tuple[Tuple[float, float, float, float], ...]
 
+    def _violation(self) -> Optional[str]:
+        """Why the certificate fails the checks of verify_dominance, or None."""
+        for tau, _, _, margin in self.grid:
+            if margin < _MIN_MARGIN:
+                return f"margin {margin!r} below tolerance at tau={tau!r}"
+            # the margin vanishes like |tau|^alpha_g at tau = 0, so near 0 the
+            # strict tolerance is held by the normalized margin
+            if tau != 0.0 and not margin > _STRICT_MARGIN * min(1.0, abs(tau) ** self.alpha_g):
+                return f"margin {margin!r} not strictly positive at tau={tau!r}"
+        return None
+
     @property
     def is_valid(self) -> bool:
-        worst = min(row[3] for row in self.grid)
-        strict = [row[3] for row in self.grid if row[0] != 0.0]
-        return worst >= _MIN_MARGIN and (not strict or min(strict) > _STRICT_MARGIN)
+        return self._violation() is None
 
     def to_csv(self) -> str:
-        lines = ["tau,risk_singleton,risk_fractional,margin"]
-        for tau, rs, rf, margin in self.grid:
-            lines.append(f"{tau:.12g},{rs:.12g},{rf:.12g},{margin:.12g}")
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold_t": self.threshold_t,
-            "tau_bar": self.tau_bar,
-            "alpha_g": self.alpha_g,
-            "lambda_star": self.lambda_star,
-            "lambda_used": self.lambda_used,
-            "grid": [list(row) for row in self.grid],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DominanceCertificate":
-        return cls(
-            threshold_t=float(data["threshold_t"]),
-            tau_bar=float(data["tau_bar"]),
-            alpha_g=float(data["alpha_g"]),
-            lambda_star=float(data["lambda_star"]),
-            lambda_used=float(data["lambda_used"]),
-            grid=tuple(
-                (float(a), float(b), float(c), float(d)) for a, b, c, d in data["grid"]
-            ),
-        )
+        return csv_text("tau,risk_singleton,risk_fractional,margin", self.grid)
 
 
 def verify_dominance(
@@ -205,25 +192,18 @@ def verify_dominance(
     risk_frac[zero] = 0.0
     margins = risk_single - risk_frac
 
-    rows = tuple(
-        (float(tau), float(rs), float(rf), float(mg))
-        for tau, rs, rf, mg in zip(taus, risk_single, risk_frac, margins)
-    )
-    bad = [row for row in rows if row[3] < _MIN_MARGIN]
-    if bad:
-        raise DominanceViolation(
-            f"margin {bad[0][3]!r} below tolerance at tau={bad[0][0]!r}"
-        )
-    weak = [row for row in rows if row[0] != 0.0 and row[3] <= _STRICT_MARGIN]
-    if weak:
-        raise DominanceViolation(
-            f"margin {weak[0][3]!r} not strictly positive at tau={weak[0][0]!r}"
-        )
-    return DominanceCertificate(
+    cert = DominanceCertificate(
         threshold_t=t,
         tau_bar=tau_bar,
         alpha_g=alpha_g,
         lambda_star=lam_opt,
         lambda_used=lam,
-        grid=rows,
+        grid=tuple(
+            (float(tau), float(rs), float(rf), float(mg))
+            for tau, rs, rf, mg in zip(taus, risk_single, risk_frac, margins)
+        ),
     )
+    problem = cert._violation()
+    if problem is not None:
+        raise DominanceViolation(problem)
+    return cert

@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import expit
 
+from ._codec import csv_text, record
 from .numerics import (
     DEFAULT_QUADRATURE,
     ConvergenceError,
@@ -116,6 +117,7 @@ def solve_tau_star(
     return args[0]
 
 
+@record
 @dataclass(frozen=True)
 class SaddleCertificate:
     """Numerical evidence that (two-point prior, logistic rule) is a saddle.
@@ -132,41 +134,28 @@ class SaddleCertificate:
     objective_gap: float
     curve_samples: Tuple[Tuple[float, float, float], ...]
 
+    def _violation(self) -> Optional[str]:
+        """Why the certificate fails the checks of verify_saddle, or None."""
+        if self.objective_gap > 1e-6:
+            return (
+                f"bayes risk {self.bayes_risk_at_lfp!r} and worst-case risk "
+                f"{self.worst_case_risk!r} differ by {self.objective_gap!r}"
+            )
+        if abs(self.argsup_tau - self.tau_star) > 1e-4:
+            return f"worst case at tau={self.argsup_tau!r}, not within 1e-4 of tau_star"
+        if self.curve_samples:
+            tau, _, f = max(self.curve_samples, key=lambda row: row[2])
+            over = f - self.worst_case_risk
+            if over > 1e-8:
+                return f"frequentist risk exceeds the worst case by {over!r} at tau={tau!r}"
+        return None
+
     @property
     def is_valid(self) -> bool:
-        return (
-            self.objective_gap <= 1e-6
-            and abs(self.argsup_tau - self.tau_star) <= 1e-4
-        )
+        return self._violation() is None
 
     def to_csv(self) -> str:
-        lines = ["tau,bayes_objective,frequentist_risk"]
-        for tau, b, f in self.curve_samples:
-            lines.append(f"{tau:.12g},{b:.12g},{f:.12g}")
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "tau_star": self.tau_star,
-            "bayes_risk_at_lfp": self.bayes_risk_at_lfp,
-            "worst_case_risk": self.worst_case_risk,
-            "argsup_tau": self.argsup_tau,
-            "objective_gap": self.objective_gap,
-            "curve_samples": [list(row) for row in self.curve_samples],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SaddleCertificate":
-        return cls(
-            tau_star=float(data["tau_star"]),
-            bayes_risk_at_lfp=float(data["bayes_risk_at_lfp"]),
-            worst_case_risk=float(data["worst_case_risk"]),
-            argsup_tau=float(data["argsup_tau"]),
-            objective_gap=float(data["objective_gap"]),
-            curve_samples=tuple(
-                (float(a), float(b), float(c)) for a, b, c in data["curve_samples"]
-            ),
-        )
+        return csv_text("tau,bayes_objective,frequentist_risk", self.curve_samples)
 
 
 def verify_saddle(
@@ -180,7 +169,8 @@ def verify_saddle(
     Bayes risk against the two-point prior must match the worst-case risk of
     the rule within 1e-6, the worst case must be attained at +-tau_star
     within 1e-4, and the frequentist risk curve sampled on [0, grid_hi] must
-    never exceed the worst case.  Any failure raises SaddleViolation.
+    never exceed the worst case by more than 1e-8.  Any failure raises
+    SaddleViolation.
     """
     if not tau_star > 0:
         raise DomainError(f"tau_star must be positive, got {tau_star}")
@@ -188,7 +178,6 @@ def verify_saddle(
 
     bayes = bayes_objective(tau_star, spec)
     worst = worst_case_msr(rule, 1.0, 1)
-    gap = abs(bayes - worst.sup)
 
     taus = np.arange(0.0, grid_hi + grid_step / 2, grid_step)
     samples = []
@@ -197,24 +186,18 @@ def verify_saddle(
         rep = exact_risk(rule, GaussianExperiment(float(tau), 1.0, 1), spec)
         samples.append((float(tau), b, rep.mean_square_regret))
 
-    if gap > 1e-6:
-        raise SaddleViolation(
-            f"bayes risk {bayes!r} and worst-case risk {worst.sup!r} differ by {gap!r}"
-        )
-    overshoot = max(f - worst.sup for _, _, f in samples)
-    if overshoot > 1e-8:
-        worst_tau = max(samples, key=lambda row: row[2])[0]
-        raise SaddleViolation(
-            f"frequentist risk exceeds the worst case by {overshoot!r} at tau={worst_tau!r}"
-        )
-    return SaddleCertificate(
+    cert = SaddleCertificate(
         tau_star=tau_star,
         bayes_risk_at_lfp=bayes,
         worst_case_risk=worst.sup,
         argsup_tau=abs(worst.argsup_tau),
-        objective_gap=gap,
+        objective_gap=abs(bayes - worst.sup),
         curve_samples=tuple(samples),
     )
+    problem = cert._violation()
+    if problem is not None:
+        raise SaddleViolation(problem)
+    return cert
 
 
 def round_sig(x: float, digits: int) -> float:

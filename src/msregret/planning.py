@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ._codec import record
 from .numerics import DomainError, std_normal_quantile
 from .risk import worst_case_mean_regret, worst_case_msr
 from .rules import EmpiricalSuccess, HypothesisTest, MinimaxMSR, TreatmentRule
@@ -87,6 +88,7 @@ def es_epsilon_optimal_n(sigma: float, epsilon: float) -> int:
     return n_for_msr_target(sigma, epsilon, u1 * u1)
 
 
+@record
 @dataclass(frozen=True)
 class EsComparison:
     """Samples a rule needs to match the plug-in design on worst-case MSR.
@@ -104,29 +106,6 @@ class EsComparison:
     ratio: float
     es_n_constant: float
     rule_n_constant: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_es": self.n_es,
-            "es_worst_msr_at_n": self.es_worst_msr_at_n,
-            "n_rule": self.n_rule,
-            "n_rule_real": self.n_rule_real,
-            "ratio": self.ratio,
-            "es_n_constant": self.es_n_constant,
-            "rule_n_constant": self.rule_n_constant,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EsComparison":
-        return cls(
-            n_es=int(data["n_es"]),
-            es_worst_msr_at_n=float(data["es_worst_msr_at_n"]),
-            n_rule=int(data["n_rule"]),
-            n_rule_real=float(data["n_rule_real"]),
-            ratio=float(data["ratio"]),
-            es_n_constant=float(data["es_n_constant"]),
-            rule_n_constant=float(data["rule_n_constant"]),
-        )
 
 
 def _bounded_worst_msr(rule: TreatmentRule) -> float:
@@ -190,6 +169,7 @@ def ht_power_n(sigma: float, alpha: float, beta: float, tau_alt: float) -> int:
     return n
 
 
+@record
 @dataclass(frozen=True)
 class HtComparison:
     """Worst-case MSR of a test-based design against the minimax rule.
@@ -205,27 +185,6 @@ class HtComparison:
     msr_ratio: float
     sample_multiple: float
     n_minimax: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ht": self.n_ht,
-            "ht_msr_unit": self.ht_msr_unit,
-            "minimax_msr_unit": self.minimax_msr_unit,
-            "msr_ratio": self.msr_ratio,
-            "sample_multiple": self.sample_multiple,
-            "n_minimax": self.n_minimax,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HtComparison":
-        return cls(
-            n_ht=int(data["n_ht"]),
-            ht_msr_unit=float(data["ht_msr_unit"]),
-            minimax_msr_unit=float(data["minimax_msr_unit"]),
-            msr_ratio=float(data["msr_ratio"]),
-            sample_multiple=float(data["sample_multiple"]),
-            n_minimax=int(data["n_minimax"]),
-        )
 
 
 def compare_vs_ht(
@@ -250,6 +209,7 @@ def compare_vs_ht(
     )
 
 
+@record
 @dataclass(frozen=True)
 class SampleSizePlan:
     """One planning answer: the criterion, its inputs, and the resulting n."""
@@ -264,40 +224,6 @@ class SampleSizePlan:
     tau_alt: Optional[float] = None
     es_comparison: Optional[EsComparison] = None
     ht_comparison: Optional[HtComparison] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "criterion": self.criterion,
-            "sigma": self.sigma,
-            "n_required": self.n_required,
-            "achieved_worst_msr": self.achieved_worst_msr,
-        }
-        for key in ("epsilon", "alpha", "beta", "tau_alt"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.es_comparison is not None:
-            out["es_comparison"] = self.es_comparison.to_dict()
-        if self.ht_comparison is not None:
-            out["ht_comparison"] = self.ht_comparison.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SampleSizePlan":
-        es = data.get("es_comparison")
-        ht = data.get("ht_comparison")
-        return cls(
-            criterion=str(data["criterion"]),
-            sigma=float(data["sigma"]),
-            n_required=int(data["n_required"]),
-            achieved_worst_msr=float(data["achieved_worst_msr"]),
-            epsilon=None if data.get("epsilon") is None else float(data["epsilon"]),
-            alpha=None if data.get("alpha") is None else float(data["alpha"]),
-            beta=None if data.get("beta") is None else float(data["beta"]),
-            tau_alt=None if data.get("tau_alt") is None else float(data["tau_alt"]),
-            es_comparison=None if es is None else EsComparison.from_dict(es),
-            ht_comparison=None if ht is None else HtComparison.from_dict(ht),
-        )
 
 
 def plan_worst_msr(

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._codec import record
 from .lfp import default_tau_star
 from .numerics import DomainError
 from .rules import BayesFlatMSR, MinimaxMSR
@@ -113,6 +114,7 @@ class Dataset:
         return ("d",) + tuple(names)
 
 
+@record
 @dataclass(frozen=True)
 class RegressionResult:
     """Treatment fit plus the implied treatment fractions.
@@ -130,33 +132,6 @@ class RegressionResult:
     delta_bayes: float
     n_obs: int
     tau_star: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tau_hat": self.tau_hat,
-            "beta_hat": list(self.beta_hat),
-            "sigma2_hat": self.sigma2_hat,
-            "se_tau": self.se_tau,
-            "t_stat": self.t_stat,
-            "delta_minimax": self.delta_minimax,
-            "delta_bayes": self.delta_bayes,
-            "n_obs": self.n_obs,
-            "tau_star": self.tau_star,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegressionResult":
-        return cls(
-            tau_hat=float(data["tau_hat"]),
-            beta_hat=tuple(float(b) for b in data["beta_hat"]),
-            sigma2_hat=float(data["sigma2_hat"]),
-            se_tau=float(data["se_tau"]),
-            t_stat=float(data["t_stat"]),
-            delta_minimax=float(data["delta_minimax"]),
-            delta_bayes=float(data["delta_bayes"]),
-            n_obs=int(data["n_obs"]),
-            tau_star=float(data["tau_star"]),
-        )
 
 
 def fraction_from_tstat(

@@ -19,13 +19,14 @@ varies with the design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
 
+from ._codec import csv_text, record
 from .numerics import (
     DEFAULT_QUADRATURE,
     DomainError,
@@ -82,6 +83,7 @@ class GaussianExperiment:
         return self.sigma / math.sqrt(self.n)
 
 
+@record
 @dataclass(frozen=True)
 class RiskReport:
     """Exact risk functionals of one (rule, experiment) pair."""
@@ -93,32 +95,12 @@ class RiskReport:
     welfare_sd: float
     tail: Tuple[Tuple[float, float], ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_regret": self.mean_regret,
-            "regret_variance": self.regret_variance,
-            "mean_square_regret": self.mean_square_regret,
-            "welfare_mean": self.welfare_mean,
-            "welfare_sd": self.welfare_sd,
-            "tail": [[t, p] for t, p in self.tail],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RiskReport":
-        return cls(
-            mean_regret=float(data["mean_regret"]),
-            regret_variance=float(data["regret_variance"]),
-            mean_square_regret=float(data["mean_square_regret"]),
-            welfare_mean=float(data["welfare_mean"]),
-            welfare_sd=float(data["welfare_sd"]),
-            tail=tuple((float(t), float(p)) for t, p in data.get("tail", [])),
-        )
-
     @property
     def regret_sd(self) -> float:
         return math.sqrt(self.regret_variance)
 
 
+@record
 @dataclass(frozen=True)
 class SimulationSummary:
     """Empirical analogues of the RiskReport fields with standard errors.
@@ -144,43 +126,6 @@ class SimulationSummary:
     @property
     def regret_sd(self) -> float:
         return math.sqrt(self.regret_variance)
-
-    def to_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "seed": self.seed.seed,
-            "mean_regret": self.mean_regret,
-            "regret_variance": self.regret_variance,
-            "mean_square_regret": self.mean_square_regret,
-            "welfare_mean": self.welfare_mean,
-            "welfare_sd": self.welfare_sd,
-            "se_mean_regret": self.se_mean_regret,
-            "se_mean_square_regret": self.se_mean_square_regret,
-            "se_regret_sd": self.se_regret_sd,
-            "se_welfare_mean": self.se_welfare_mean,
-            "se_welfare_sd": self.se_welfare_sd,
-            "tail": [[t, p, s] for t, p, s in self.tail],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulationSummary":
-        return cls(
-            replications=int(data["replications"]),
-            seed=RngSeed(int(data["seed"])),
-            mean_regret=float(data["mean_regret"]),
-            regret_variance=float(data["regret_variance"]),
-            mean_square_regret=float(data["mean_square_regret"]),
-            welfare_mean=float(data["welfare_mean"]),
-            welfare_sd=float(data["welfare_sd"]),
-            se_mean_regret=float(data["se_mean_regret"]),
-            se_mean_square_regret=float(data["se_mean_square_regret"]),
-            se_regret_sd=float(data["se_regret_sd"]),
-            se_welfare_mean=float(data["se_welfare_mean"]),
-            se_welfare_sd=float(data["se_welfare_sd"]),
-            tail=tuple(
-                (float(t), float(p), float(s)) for t, p, s in data.get("tail", [])
-            ),
-        )
 
 
 class WorstCase(NamedTuple):
@@ -502,10 +447,8 @@ def risk_curve(
 
 def risk_curve_csv(curve: Sequence[Tuple[float, RiskReport]]) -> str:
     """CSV rendering with header tau,mean_regret,regret_sd,msr,welfare_mean,welfare_sd."""
-    lines = ["tau,mean_regret,regret_sd,msr,welfare_mean,welfare_sd"]
-    for tau, rep in curve:
-        lines.append(
-            f"{tau:.12g},{rep.mean_regret:.12g},{rep.regret_sd:.12g},"
-            f"{rep.mean_square_regret:.12g},{rep.welfare_mean:.12g},{rep.welfare_sd:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (tau, r.mean_regret, r.regret_sd, r.mean_square_regret, r.welfare_mean, r.welfare_sd)
+        for tau, r in curve
+    )
+    return csv_text("tau,mean_regret,regret_sd,msr,welfare_mean,welfare_sd", rows)

@@ -13,8 +13,10 @@ Each rule declares the facts the risk functionals need: step is
 (cutoff, low, high) for a rule piecewise constant in the statistic and None
 otherwise, and direction is +1 (nondecreasing) or -1 (nonincreasing).  A rule
 that declares neither has no exact tail probability, and the risk module
-refuses it.  Rules serialize through one kind registry over their dataclass
-fields (rule_to_dict, rule_from_dict).
+refuses it.  Rules serialize through one kind registry (rule_to_dict,
+rule_from_dict); their fields go through the payload codec the report
+classes share, to which this module adds the TreatmentRule and DiscretePrior
+entries.
 
 All rule values are immutable, hashable, and evaluate as pure functions; they
 accept a float or an ndarray statistic and return the matching type.
@@ -22,12 +24,13 @@ accept a float or an ndarray statistic and return the matching type.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import special
 
+from ._codec import from_dict, register, to_dict
 from .numerics import (
     DomainError,
     std_normal_cdf,
@@ -420,10 +423,7 @@ def rule_to_dict(rule: TreatmentRule) -> dict:
     """Plain-dict form {"kind": ..., ...fields} used by the CLI payloads."""
     if _KINDS.get(rule.kind) is not type(rule):
         raise DomainError(f"unknown rule type {type(rule).__name__}")
-    out = {"kind": rule.kind}
-    for f in fields(rule):
-        out[f.name] = _CODECS[f.type][0](getattr(rule, f.name))
-    return out
+    return {"kind": rule.kind, **to_dict(rule)}
 
 
 def rule_from_dict(data: dict) -> TreatmentRule:
@@ -431,21 +431,12 @@ def rule_from_dict(data: dict) -> TreatmentRule:
     cls = _KINDS.get(data.get("kind"))
     if cls is None:
         raise DomainError(f"unknown rule kind {data.get('kind')!r}")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in data:
-            kwargs[f.name] = _CODECS[f.type][1](data[f.name])
-        elif f.default is MISSING:
-            raise DomainError(f"rule kind {cls.kind!r} needs field {f.name!r}")
-    return cls(**kwargs)
+    return from_dict(cls, data)
 
 
-# field annotation -> (to plain value, from plain value)
-_CODECS = {
-    "float": (lambda v: v, float),
-    "TreatmentRule": (rule_to_dict, rule_from_dict),
-    "DiscretePrior": (
-        lambda p: [[t, w] for t, w in p.support],
-        lambda d: DiscretePrior(tuple((float(t), float(w)) for t, w in d)),
-    ),
-}
+register("TreatmentRule", rule_to_dict, rule_from_dict)
+register(
+    "DiscretePrior",
+    lambda p: [[t, w] for t, w in p.support],
+    lambda d: DiscretePrior(tuple((float(t), float(w)) for t, w in d)),
+)

@@ -295,6 +295,12 @@ class TestSaddle:
         header = path.read_text(encoding="ascii").splitlines()[0]
         assert header == "tau,bayes_objective,frequentist_risk"
 
+    def test_worst_case_away_from_tau_star_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, ["saddle", "--tau-star", "1.2301"])
+        assert code == 1
+        assert out == ""
+        assert "not within 1e-4" in err
+
 
 class TestDominate:
     def test_certificate_and_rule_round_trip(self, capsys, tmp_path):

@@ -201,6 +201,28 @@ class TestVerifyDominance:
         back = DominanceCertificate.from_dict(cert.to_dict())
         assert back == cert
 
+    def test_steep_power_near_zero_is_certified(self):
+        # the raw margin at tau = -0.01 is 1.75e-13, under the strict
+        # tolerance; the normalized margin is smallest where the wrong-side
+        # probability is smallest, at an endpoint, with value 3.6e-3
+        cert = verify_dominance(0.5, 2.0, 6.0, 1.0)
+        assert cert.is_valid
+        m = min(tail_bounds(0.5, 2.0, 1.0))
+        lam = cert.lambda_used
+        floor = m * (1.0 - (1.0 - lam) ** 6) - lam**6 * (1.0 - m)
+        normalized = [mg / abs(tau) ** 6 for tau, _, _, mg in cert.grid if tau != 0.0]
+        assert abs(min(normalized) - floor) <= 1e-12 * floor
+        assert 3.5e-3 < floor < 3.7e-3
+
+    def test_validity_predicate_scales_the_strict_tolerance(self):
+        # inside |tau| < 1 the margin is judged over |tau|^alpha_g, outside raw
+        near = DominanceCertificate(0.0, 1.0, 6.0, 0.2, 0.1, ((0.01, 2e-12, 1e-12, 1e-12),))
+        assert near.is_valid
+        tiny = DominanceCertificate(0.0, 1.0, 6.0, 0.2, 0.1, ((0.01, 2e-24, 1e-24, 1e-24),))
+        assert not tiny.is_valid
+        far = DominanceCertificate(0.0, 3.0, 6.0, 0.2, 0.1, ((2.0, 2.0, 2.0 - 5e-13, 5e-13),))
+        assert not far.is_valid
+
     def test_validity_predicate_flags_bad_margins(self):
         good = DominanceCertificate(0.0, 1.0, 2.0, 0.2, 0.1, ((0.5, 2.0, 1.0, 1.0),))
         assert good.is_valid

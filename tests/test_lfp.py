@@ -112,6 +112,11 @@ class TestVerifySaddle:
         with pytest.raises(DomainError):
             verify_saddle(0.0)
 
+    def test_worst_case_away_from_tau_star_rejected(self):
+        # the objective gap (6e-9) passes; the worst case sits 2.3e-4 away
+        with pytest.raises(SaddleViolation, match="not within 1e-4"):
+            verify_saddle(default_tau_star() + 2e-4)
+
     def test_csv_and_dict_round_trip(self, tau_star_solved):
         cert = verify_saddle(tau_star_solved, grid_hi=1.0, grid_step=0.5)
         lines = cert.to_csv().strip().split("\n")
@@ -125,6 +130,10 @@ class TestVerifySaddle:
         assert good.is_valid
         assert not SaddleCertificate(1.0, 0.1, 0.1, 1.0, 1e-5, ()).is_valid
         assert not SaddleCertificate(1.0, 0.1, 0.1, 1.001, 0.0, ()).is_valid
+
+    def test_validity_predicate_checks_the_overshoot(self):
+        assert SaddleCertificate(1.0, 0.1, 0.1, 1.0, 0.0, ((0.5, 0.05, 0.1 + 5e-9),)).is_valid
+        assert not SaddleCertificate(1.0, 0.1, 0.1, 1.0, 0.0, ((0.5, 0.05, 0.1 + 2e-8),)).is_valid
 
 
 class TestRoundSig:

@@ -1,20 +1,41 @@
-"""Report payloads: frozen JSON and CSV bytes of every report class."""
+"""Payloads: frozen JSON and CSV bytes of every report class, the codec's
+missing-field rules, round trips of every record and rule kind, and a guard
+against hand-written payload methods."""
+import ast
+import dataclasses
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msregret
 from msregret import (
+    BayesFlatMSR,
+    ComplementMix,
+    DiscretePrior,
+    DiscretePriorBayes,
+    DomainError,
     DominanceCertificate,
+    EmpiricalSuccess,
     EsComparison,
     HtComparison,
+    HypothesisTest,
+    MinimaxMSR,
+    PosteriorMatchFlat,
     RegressionResult,
     RiskReport,
     RngSeed,
     SaddleCertificate,
     SampleSizePlan,
     SimulationSummary,
+    Threshold,
     risk_curve_csv,
+    rule_from_dict,
+    rule_to_dict,
 )
+from msregret.rules import _KINDS
 
 RISK = RiskReport(
     mean_regret=0.0812345678901234,
@@ -229,3 +250,125 @@ def test_frozen_csv():
     assert SADDLE.to_csv() == FROZEN_SADDLE_CSV
     assert DOMINANCE.to_csv() == FROZEN_DOMINANCE_CSV
     assert risk_curve_csv([(-0.5, RISK), (0.25, RISK)]) == FROZEN_RISK_CURVE_CSV
+
+
+def test_missing_required_field_raises():
+    data = RISK.to_dict()
+    del data["welfare_sd"]
+    with pytest.raises(DomainError, match="welfare_sd"):
+        RiskReport.from_dict(data)
+    data = PLAN_ES.to_dict()
+    del data["es_comparison"]["n_rule"]
+    with pytest.raises(DomainError, match="n_rule"):
+        SampleSizePlan.from_dict(data)
+
+
+def test_missing_defaulted_field_takes_its_default():
+    data = RISK.to_dict()
+    del data["tail"]
+    assert RiskReport.from_dict(data) == dataclasses.replace(RISK, tail=())
+    data = PLAN.to_dict()
+    del data["epsilon"]
+    assert SampleSizePlan.from_dict(data) == dataclasses.replace(PLAN, epsilon=None)
+
+
+# --- round trips over every record and every rule kind ----------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _rows(width):
+    return st.lists(st.tuples(*[FINITE] * width), max_size=3).map(tuple)
+
+
+FIELDS = {
+    "float": FINITE,
+    "int": st.integers(min_value=0, max_value=2**53),
+    "str": st.text(max_size=8),
+    "RngSeed": st.builds(RngSeed, st.integers(min_value=0, max_value=2**64 - 1)),
+    "Tuple[float, ...]": st.lists(FINITE, max_size=4).map(tuple),
+    "Tuple[Tuple[float, float], ...]": _rows(2),
+    "Tuple[Tuple[float, float, float], ...]": _rows(3),
+    "Tuple[Tuple[float, float, float, float], ...]": _rows(4),
+}
+RECORDS = {
+    cls.__name__: cls
+    for cls in (
+        RiskReport,
+        SimulationSummary,
+        SaddleCertificate,
+        DominanceCertificate,
+        EsComparison,
+        HtComparison,
+        SampleSizePlan,
+        RegressionResult,
+    )
+}
+
+
+def _record(cls):
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        optional = f.type.startswith("Optional[")
+        name = f.type[len("Optional["):-1] if optional else f.type
+        value = _record(RECORDS[name]) if name in RECORDS else FIELDS[name]
+        kwargs[f.name] = st.none() | value if optional else value
+    return st.builds(cls, **kwargs)
+
+
+PRIORS = st.lists(
+    st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 1.0)),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda pair: pair[0],
+).map(DiscretePrior.from_pairs)
+RULE_KINDS = {
+    EmpiricalSuccess: st.builds(EmpiricalSuccess),
+    Threshold: st.builds(Threshold, FINITE),
+    HypothesisTest: st.builds(HypothesisTest, st.floats(1e-6, 0.49)),
+    MinimaxMSR: st.builds(MinimaxMSR, POSITIVE, POSITIVE),
+    BayesFlatMSR: st.builds(BayesFlatMSR, POSITIVE),
+    PosteriorMatchFlat: st.builds(PosteriorMatchFlat, POSITIVE),
+    ComplementMix: st.builds(
+        ComplementMix, st.deferred(lambda: RULES), st.floats(1e-6, 1.0 - 1e-6)
+    ),
+    DiscretePriorBayes: st.builds(DiscretePriorBayes, PRIORS, st.floats(1.01, 10.0), POSITIVE),
+}
+RULES = st.one_of(*RULE_KINDS.values())
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_every_record_round_trips(name):
+    @settings(max_examples=40, deadline=None)
+    @given(_record(RECORDS[name]))
+    def check(report):
+        assert type(report).from_dict(json.loads(json.dumps(report.to_dict()))) == report
+
+    check()
+
+
+def test_every_rule_kind_round_trips():
+    assert set(RULE_KINDS) == set(_KINDS.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(RULES)
+    def check(rule):
+        assert rule_from_dict(json.loads(json.dumps(rule_to_dict(rule)))) == rule
+
+    check()
+
+
+def test_no_class_writes_its_payload_by_hand():
+    # the codec is the one payload format; to_dict/from_dict come from @record
+    package = pathlib.Path(msregret.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.name}:{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in ("to_dict", "from_dict")
+                ]
+    assert found == []
