@@ -6,11 +6,14 @@ annotations`, so dataclass fields carry their annotations as text).  Numbers
 and strings pass through, so ints stay ints; tuples become lists; a seed
 becomes its int; a nested record becomes its dict; a field holding None is
 left out.  Reading back, a missing or null field takes its dataclass default,
-and a missing required field raises DomainError.
+and a missing required field raises DomainError.  Each class's field plan,
+(name, encoder, decoder, required) per field, is built once, by @record for
+the report classes and on first use for the rules.
 """
 from __future__ import annotations
 
 from dataclasses import MISSING, fields
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Tuple
 
 from .numerics import DomainError, RngSeed
@@ -42,31 +45,40 @@ register("Tuple[Tuple[float, float, float], ...]", _rows, _float_rows)
 register("Tuple[Tuple[float, float, float, float], ...]", _rows, _float_rows)
 
 
+@lru_cache(maxsize=None)
+def _plan(cls) -> tuple:
+    """(name, encode, decode, required) for each field of a dataclass."""
+    return tuple(
+        (f.name, *CODECS[f.type], f.default is MISSING) for f in fields(cls)
+    )
+
+
 def to_dict(obj) -> dict:
     """Plain-dict payload of a dataclass, one key per field that is not None."""
     out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name, encode, _, _ in _plan(type(obj)):
+        value = getattr(obj, name)
         if value is not None:
-            out[f.name] = CODECS[f.type][0](value)
+            out[name] = encode(value)
     return out
 
 
 def from_dict(cls, data: dict):
     """Inverse of to_dict: a missing or null field takes its default."""
     kwargs = {}
-    for f in fields(cls):
-        value = data.get(f.name)
+    for name, _, decode, required in _plan(cls):
+        value = data.get(name)
         if value is not None:
-            kwargs[f.name] = CODECS[f.type][1](value)
-        elif f.default is MISSING:
-            raise DomainError(f"{cls.__name__} payload needs field {f.name!r}")
+            kwargs[name] = decode(value)
+        elif required:
+            raise DomainError(f"{cls.__name__} payload needs field {name!r}")
     return cls(**kwargs)
 
 
 def record(cls):
     """Class decorator: to_dict/from_dict through the codec, and a table entry
     so that other records can hold this one as a field."""
+    _plan(cls)
     cls.to_dict = to_dict
     cls.from_dict = classmethod(from_dict)
     register(cls.__name__, to_dict, cls.from_dict)

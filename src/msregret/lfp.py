@@ -38,7 +38,7 @@ from .numerics import (
     maximize_scalar,
     _gh_nodes,
 )
-from .risk import GaussianExperiment, exact_risk, worst_case_msr
+from .risk import worst_case_msr
 from .rules import MinimaxMSR
 
 __all__ = [
@@ -78,15 +78,18 @@ def frequentist_objective(a: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -
     return a * a * val
 
 
-def _objective_grid(kind: str, grid: np.ndarray) -> np.ndarray:
-    # shared-node evaluation of either objective over a calibration grid
+def _objective_grids(grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # both objectives over a calibration grid from one logistic matrix on
+    # shared Gauss-Hermite nodes
     z, w = _gh_nodes(2 * DEFAULT_QUADRATURE.node_count)
     a = grid[:, None]
     s = a + math.sqrt(2.0) * z[None, :]
     t = expit(-2.0 * a * s)
-    if kind == "bayes":
-        return 0.5 * grid * grid * (t @ w)
-    return grid * grid * ((t * t) @ w)
+    return 0.5 * grid * grid * (t @ w), grid * grid * ((t * t) @ w)
+
+
+def _objective_grid(kind: str, grid: np.ndarray) -> np.ndarray:
+    return _objective_grids(grid)[0 if kind == "bayes" else 1]
 
 
 def solve_tau_star(
@@ -101,12 +104,10 @@ def solve_tau_star(
     """
     grid = np.arange(_SCAN_LO, _SCAN_HI + _SCAN_STEP / 2, _SCAN_STEP)
     args = []
-    for kind in ("bayes", "freq"):
-        vals = _objective_grid(kind, grid)
+    for vals, f in zip(_objective_grids(grid), (bayes_objective, frequentist_objective)):
         i = int(np.argmax(vals))
         lo = float(grid[max(i - 1, 0)])
         hi = float(grid[min(i + 1, len(grid) - 1)])
-        f = bayes_objective if kind == "bayes" else frequentist_objective
         arg, _ = maximize_scalar(lambda a: f(a, spec), lo, hi, tol=tol)
         args.append(arg)
     if abs(args[0] - args[1]) > 10.0 * tol:
@@ -171,6 +172,12 @@ def verify_saddle(
     within 1e-4, and the frequentist risk curve sampled on [0, grid_hi] must
     never exceed the worst case by more than 1e-8.  Any failure raises
     SaddleViolation.
+
+    Both curve columns come from one stacked gaussian_expectation call with
+    spec: a Bayes row expit(-2 a (a + z)) and a frequentist row
+    (a (1 - f(a + z)))^2 for each nonzero grid tau = a, so every row is
+    certified to spec's tolerance, since the kernel stops only when all rows
+    have converged.  The tau = 0 row is exactly zero.
     """
     if not tau_star > 0:
         raise DomainError(f"tau_star must be positive, got {tau_star}")
@@ -180,11 +187,23 @@ def verify_saddle(
     worst = worst_case_msr(rule, 1.0, 1)
 
     taus = np.arange(0.0, grid_hi + grid_step / 2, grid_step)
-    samples = []
-    for tau in taus:
-        b = bayes_objective(float(tau), spec)
-        rep = exact_risk(rule, GaussianExperiment(float(tau), 1.0, 1), spec)
-        samples.append((float(tau), b, rep.mean_square_regret))
+    nonzero = taus != 0.0
+    a = taus[nonzero]
+    col = a[:, None]
+
+    def rows(z: np.ndarray) -> np.ndarray:
+        # s = a + z is the statistic at effect a; the Bayes rows are
+        # bayes_objective's integrand, the frequentist rows exact_risk's
+        # squared regret
+        s = col + z
+        return np.concatenate([expit(-2.0 * col * s), (col * (1.0 - rule.evaluate(s))) ** 2])
+
+    curve = gaussian_expectation(rows, 0.0, 1.0, spec)
+    bayes_col = np.zeros(taus.size)
+    freq_col = np.zeros(taus.size)
+    bayes_col[nonzero] = 0.5 * a * a * curve[: a.size]
+    freq_col[nonzero] = curve[a.size :]
+    samples = tuple(zip(taus.tolist(), bayes_col.tolist(), freq_col.tolist()))
 
     cert = SaddleCertificate(
         tau_star=tau_star,
@@ -192,7 +211,7 @@ def verify_saddle(
         worst_case_risk=worst.sup,
         argsup_tau=abs(worst.argsup_tau),
         objective_gap=abs(bayes - worst.sup),
-        curve_samples=tuple(samples),
+        curve_samples=samples,
     )
     problem = cert._violation()
     if problem is not None:

@@ -15,6 +15,16 @@ map of the standardized statistic sqrt(n) * Ybar / sigma, solve the
 sigma = n = 1 problem once, and scale the supremum by sigma^2/n (mean regret
 scales by sigma/sqrt(n)); that is exactly how the worst case of a fixed rule
 varies with the design.
+
+The unit-problem supremum comes from one certified scan and a refinement.
+The scan evaluates the rule once on a uniform grid of the statistic and takes
+the objective at every b = k/100 in [-8, 8] as a trapezoid sum against the
+normal density, a discrete Gaussian correlation taken by FFT for each side
+of b = 0.  Halving the grid step until two levels agree within
+1e-10 gives the scan's error; a rule too steep to settle by step 0.01/64
+raises ConvergenceError instead of returning an uncertified number.  Every
+grid peak within that error of the best one, both peaks of a symmetric rule
+for instance, is then refined by Brent's bounded search on exact_risk.
 """
 from __future__ import annotations
 
@@ -29,6 +39,7 @@ from scipy.special import ndtri
 from ._codec import csv_text, record
 from .numerics import (
     DEFAULT_QUADRATURE,
+    ConvergenceError,
     DomainError,
     QuadratureSpec,
     RngSeed,
@@ -36,7 +47,8 @@ from .numerics import (
     gaussian_expectation,
     maximize_scalar,
     std_normal_cdf,
-    _gh_nodes,
+    _HALF_WIDTH,
+    _SQRT2PI,
 )
 from .rules import DiscretePrior, TreatmentRule
 
@@ -59,7 +71,11 @@ __all__ = [
 # worst-case scan setup: every regret objective vanishes at 0 and decays like
 # a Gaussian tail past |b| = 8 on the standardized scale
 _SCAN_LIMIT = 8.0
-_SCAN_STEP = 0.01
+_SCAN_DIV = 100  # scan grid points per unit of b
+_SCAN_STEP = 1.0 / _SCAN_DIV
+_SCAN_MAX_LEVEL = 64  # finest s-grid step is _SCAN_STEP / 64
+# FFT rounding on the unit curves; measured at most 5e-14 with the b^2 factor
+_SCAN_ROUNDING = 1e-12
 _TAIL_BRACKET = 60.0  # tail_probability's crossing search, in statistic sd units
 _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
 
@@ -267,30 +283,71 @@ def tail_probability(
     return float(std_normal_cdf(sign * z_cross))
 
 
-def _unit_curve(rule: TreatmentRule, power: int, b: np.ndarray) -> np.ndarray:
-    """Vectorized unit-problem objective over standardized effects b.
+def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Unit-problem objective on the scan grid b = k / 100, |b| <= 8, with its error.
 
     power 1: b * E[1{b>=0} - frac(s)]; power 2: b^2 * E[(1{b>=0} - frac(s))^2],
-    with s ~ N(b, 1) on shared Gauss-Hermite nodes, or the exact two-outcome
-    sum for piecewise-constant rules.
+    with s ~ N(b, 1).  Step rules take the exact two-outcome sums, error 0.
+    Otherwise the rule is evaluated once on the uniform s-grid of step
+    h = 0.01 / m over [-18, 18], so the b-grid is every m-th node, and each
+    expectation is the trapezoid sum of h phi(s - b) over z = s - b in
+    [-10, 10]: a discrete Gaussian correlation, taken for the whole grid by
+    one FFT of the b >= 0 integrand (1 - frac)^power and one of the b < 0
+    integrand frac^power.  m doubles, reusing every node, until two levels
+    agree within DEFAULT_QUADRATURE.fallback_abs_tol; that gap is the error.
+    Raises ConvergenceError on a non-finite value and when the levels still
+    differ at m = 64.
     """
-    ind = (b >= 0.0).astype(float)
+    n_b = round(_SCAN_LIMIT * _SCAN_DIV)
+    b = np.arange(-n_b, n_b + 1) / _SCAN_DIV
+    upper = b >= 0.0
     step = rule.step
     if step is not None:
         cut, vlo, vhi = step
+        ind = upper.astype(float)
         p_hi = 1.0 - np.asarray(std_normal_cdf(cut - b), dtype=float)
         dlo = ind - vlo
         dhi = ind - vhi
         if power == 1:
-            return b * (dlo * (1.0 - p_hi) + dhi * p_hi)
-        return b * b * (dlo * dlo * (1.0 - p_hi) + dhi * dhi * p_hi)
-    z, w = _gh_nodes(2 * DEFAULT_QUADRATURE.node_count)
-    s = b[:, None] + math.sqrt(2.0) * z[None, :]
-    frac = np.asarray(rule.evaluate(s), dtype=float)
-    diff = ind[:, None] - frac
-    if power == 1:
-        return b * (diff @ w)
-    return b * b * ((diff * diff) @ w)
+            return b, b * (dlo * (1.0 - p_hi) + dhi * p_hi), 0.0
+        return b, b * b * (dlo * dlo * (1.0 - p_hi) + dhi * dhi * p_hi), 0.0
+
+    n_z = round(_HALF_WIDTH * _SCAN_DIV)
+    scale = np.abs(b) ** power
+    tol = DEFAULT_QUADRATURE.fallback_abs_tol
+    frac = previous = None
+    m = 1
+    while True:
+        s = np.arange(-(n_b + n_z) * m, (n_b + n_z) * m + 1) / (_SCAN_DIV * m)
+        if frac is None:
+            frac = np.asarray(rule.evaluate(s), dtype=float)
+        else:
+            finer = np.empty(s.size)
+            finer[::2] = frac
+            finer[1::2] = rule.evaluate(s[1::2])
+            frac = finer
+        z = np.arange(-n_z * m, n_z * m + 1) / (_SCAN_DIV * m)
+        w = np.exp(-0.5 * z * z) / (_SQRT2PI * _SCAN_DIV * m)
+        w[[0, -1]] *= 0.5
+        rows = np.stack([1.0 - frac, frac]) ** power
+        size = 1 << (s.size - 1).bit_length()
+        corr = np.fft.irfft(np.fft.rfft(rows, size) * np.fft.rfft(w, size).conj(), size)
+        # correlation index j * m is b = b[j]: the window z starts at s[j * m]
+        corr = corr[:, : 2 * n_b * m + 1 : m]
+        vals = scale * np.where(upper, corr[0], corr[1])
+        if not np.all(np.isfinite(vals)):
+            raise ConvergenceError(f"worst-case scan of {rule!r} is not finite")
+        if previous is not None:
+            gap = float(np.max(np.abs(vals - previous)))
+            if gap <= tol:
+                return b, vals, gap
+            if m == _SCAN_MAX_LEVEL:
+                raise ConvergenceError(
+                    f"worst-case scan of {rule!r} not certified: levels still differ "
+                    f"by {gap!r} at s-step {_SCAN_STEP / m!r}"
+                )
+        previous = vals
+        m *= 2
 
 
 def _unit_objective(rule: TreatmentRule, power: int, spec: QuadratureSpec):
@@ -305,16 +362,26 @@ def _unit_objective(rule: TreatmentRule, power: int, spec: QuadratureSpec):
 def _unit_worst(rule: TreatmentRule, power: int) -> Tuple[float, float, bool]:
     """Supremum of the unit-problem objective over b in [-8, 8].
 
-    Coarse 0.01-spaced scan first so an interior peak cannot be missed, then
-    golden-section refinement around the best grid point.
+    The certified scan curve of _unit_curve picks the candidates: every grid
+    local maximum within the curve's error plus the FFT rounding floor (1e-12)
+    of the best grid value, so both peaks of a symmetric rule are kept.  Each
+    candidate is refined by the bounded Brent search of exact_risk between its
+    grid neighbours, and the largest refined value wins; candidates go in
+    increasing b, so an exact tie goes to the smaller argsup.  saturated flags
+    an argsup within two grid steps of the scan edge.
     """
-    grid = np.arange(-_SCAN_LIMIT, _SCAN_LIMIT + _SCAN_STEP / 2, _SCAN_STEP)
-    vals = _unit_curve(rule, power, grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    grid, vals, err = _unit_curve(rule, power)
+    near = vals >= vals.max() - err - _SCAN_ROUNDING
+    left = np.concatenate(([-np.inf], vals[:-1]))
+    right = np.concatenate((vals[1:], [-np.inf]))
+    # strict on the left, so a plateau contributes its first point only
+    peaks = np.flatnonzero(near & (vals > left) & (vals >= right))
     obj = _unit_objective(rule, power, DEFAULT_QUADRATURE)
-    arg, val = maximize_scalar(obj, float(lo), float(hi), tol=1e-10)
+    refined = []
+    for i in peaks:
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        refined.append(maximize_scalar(obj, float(lo), float(hi), tol=1e-10))
+    arg, val = max(refined, key=lambda r: r[1])
     saturated = abs(arg) >= _SCAN_LIMIT - 2 * _SCAN_STEP
     return arg, val, saturated
 
@@ -325,7 +392,8 @@ def worst_case_msr(rule: TreatmentRule, sigma: float, n: int) -> WorstCase:
     attained at argsup_tau = (sigma/sqrt(n)) times the unit argsup.
 
     saturated flags a supremum that sat on the scan bracket edge (degenerate
-    rules whose risk grows along one tail).
+    rules whose risk grows along one tail).  Raises ConvergenceError when the
+    scan cannot be certified (see _unit_curve).
     """
     exp = GaussianExperiment(0.0, sigma, n)
     arg, val, saturated = _unit_worst(rule, 2)

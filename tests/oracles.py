@@ -88,12 +88,14 @@ def bayes_foc_root(pairs, alpha_g, sd, stat):
     return optimize.brentq(foc, 0.0, 1.0, xtol=1e-15, maxiter=200)
 
 
-def prior_bayes_msr(pairs, alpha_g, sd, tau):
-    """tau^2 E[(1{tau >= 0} - delta(Y))^2], Y ~ N(tau, sd^2), with delta the
-    bayes_foc_root fraction at noise sd."""
+def prior_bayes_msr(pairs, alpha_g, sd, tau, stat_sd=None):
+    """tau^2 E[(1{tau >= 0} - delta(Y))^2], Y ~ N(tau, stat_sd^2), with delta
+    the bayes_foc_root fraction at noise sd; stat_sd defaults to sd."""
     ind = 1.0 if tau >= 0 else 0.0
     return normal_expectation(
-        lambda y: (tau * (ind - bayes_foc_root(pairs, alpha_g, sd, y))) ** 2, tau, sd
+        lambda y: (tau * (ind - bayes_foc_root(pairs, alpha_g, sd, y))) ** 2,
+        tau,
+        sd if stat_sd is None else stat_sd,
     )
 
 
@@ -215,6 +217,14 @@ def main():
     msr3 = lambda t: prior_bayes_msr(three, 2.0, 1.0, t)
     t3, _ = grid_argmax(msr3, -4.0, 4.0, 0.1)
     out["3-point alpha 2 worst msr (argmax, sup)"] = refine_max(msr3, t3 - 0.1, t3 + 0.1)
+    # steep worst cases: the same prior at noise sd 0.1 in the unit problem,
+    # and MinimaxMSR(200), symmetric, so b >= 0 (where minimax_msr_at holds)
+    sharp = lambda t: prior_bayes_msr(three, 2.0, 0.1, t, 1.0)
+    t4, _ = grid_argmax(sharp, -4.0, 4.0, 0.01)
+    out["3-point noise sd 0.1 worst msr (argmax, sup)"] = refine_max(sharp, t4 - 0.01, t4 + 0.01)
+    steep = lambda t: minimax_msr_at(t, 200.0)
+    t5, _ = grid_argmax(steep, 0.0, 4.0, 0.01)
+    out["MinimaxMSR(200) worst msr (argmax, sup)"] = refine_max(steep, t5 - 0.01, t5 + 0.01)
 
     # -- dominance ---------------------------------------------------------
     p = float(cdf(-1.0))

@@ -21,7 +21,7 @@ from msregret import (
     verify_saddle,
     write_constants,
 )
-from msregret import _constants
+from msregret import _constants, lfp, numerics
 from msregret.lfp import _objective_grid
 
 # frozen from oracles.py: independent refinement of both programs
@@ -116,6 +116,32 @@ class TestVerifySaddle:
         # the objective gap (6e-9) passes; the worst case sits 2.3e-4 away
         with pytest.raises(SaddleViolation, match="not within 1e-4"):
             verify_saddle(default_tau_star() + 2e-4)
+
+    def test_stacked_curve_matches_per_point_values(self):
+        tau_star = default_tau_star()
+        rule = MinimaxMSR(tau_star=tau_star)
+        cert = verify_saddle(tau_star)
+        assert len(cert.curve_samples) == 201
+        assert cert.curve_samples[0] == (0.0, 0.0, 0.0)
+        for tau, bayes, freq in cert.curve_samples[1:]:
+            assert abs(bayes - bayes_objective(tau)) < 1e-12
+            rep = exact_risk(rule, GaussianExperiment(tau, 1.0, 1))
+            assert abs(freq - rep.mean_square_regret) < 1e-12
+
+    def test_curve_is_one_kernel_call_with_the_given_spec(self, monkeypatch):
+        calls = []
+
+        def spy(f, mean, sd, spec=lfp.DEFAULT_QUADRATURE):
+            out = numerics.gaussian_expectation(f, mean, sd, spec)
+            calls.append((spec, np.size(out)))
+            return out
+
+        spec = QuadratureSpec(node_count=16, fallback_abs_tol=1e-3)
+        monkeypatch.setattr(lfp, "gaussian_expectation", spy)
+        loose = verify_saddle(default_tau_star(), spec=spec)
+        # bayes_objective at tau_star, then the 200 nonzero rows of each column
+        assert calls == [(spec, 1), (spec, 400)]
+        assert loose.is_valid
 
     def test_csv_and_dict_round_trip(self, tau_star_solved):
         cert = verify_saddle(tau_star_solved, grid_hi=1.0, grid_step=0.5)

@@ -372,3 +372,21 @@ def test_no_class_writes_its_payload_by_hand():
                     if isinstance(item, ast.FunctionDef) and item.name in ("to_dict", "from_dict")
                 ]
     assert found == []
+
+
+def test_field_plans_are_built_once(monkeypatch):
+    # every record has its plan from @record, every rule kind from its first
+    # payload; after that no payload reads the dataclass fields again
+    from msregret import _codec
+
+    for rule in (MinimaxMSR(1.5), ComplementMix(EmpiricalSuccess(), 0.3)):
+        rule_to_dict(rule)
+
+    def no_fields(cls):
+        raise AssertionError(f"dataclass fields of {cls!r} read again")
+
+    monkeypatch.setattr(_codec, "fields", no_fields)
+    for report in REPORTS.values():
+        assert type(report).from_dict(report.to_dict()) == report
+    rule = ComplementMix(MinimaxMSR(1.5), 0.3)
+    assert rule_from_dict(rule_to_dict(rule)) == rule

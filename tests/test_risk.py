@@ -12,6 +12,7 @@ import oracles
 from msregret import (
     BayesFlatMSR,
     ComplementMix,
+    ConvergenceError,
     DiscretePrior,
     DiscretePriorBayes,
     DomainError,
@@ -26,6 +27,7 @@ from msregret import (
     TreatmentRule,
     bayes_msr,
     exact_risk,
+    maximize_scalar,
     regret,
     risk_curve,
     risk_curve_csv,
@@ -34,7 +36,7 @@ from msregret import (
     worst_case_mean_regret,
     worst_case_msr,
 )
-from msregret.risk import _normal_draws
+from msregret.risk import _normal_draws, _unit_curve, _unit_worst
 
 TAU_STAR = 1.22814
 CDF_MINUS_1 = 0.15865525393145707
@@ -57,6 +59,11 @@ PRIOR3_PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
 PRIOR3_TAIL_01 = 0.4062915299574189  # P(Reg > 0.1) at tau = 1
 PRIOR3_WORST_MSR = 0.15729250451144042
 PRIOR3_ARGSUP = -1.30056154243124
+
+# frozen from oracles.py: sups of two steep rules, grid_argmax at step 0.01
+# and refine_max (MinimaxMSR(200) is symmetric, so its scan covers b >= 0)
+MM200_WORST_MSR = 0.1650242355899824  # at +-1.18969
+PRIOR3_SHARP_WORST_MSR = 0.16433894501144464  # noise sd 0.1, at 1.18880
 
 
 def mm_rule() -> MinimaxMSR:
@@ -366,11 +373,69 @@ class TestWorstCase:
         assert abs(w.argsup_tau - PRIOR3_ARGSUP) < 1e-5
         assert not w.saturated
 
+    def test_steep_minimax_sup_matches_oracle(self):
+        w = worst_case_msr(MinimaxMSR(200.0), 1.0, 1)
+        assert abs(w.sup - MM200_WORST_MSR) < 1e-10
+        assert abs(abs(w.argsup_tau) - 1.18969) < 1e-4
+        assert abs(w.sup - oracles.minimax_msr_at(abs(w.argsup_tau), 200.0)) < 1e-10
+        assert not w.saturated
+
+    def test_sharp_prior_bayes_sup_matches_oracle(self):
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs(PRIOR3_PAIRS), 2.0, 0.1)
+        w = worst_case_msr(rule, 1.0, 1)
+        assert abs(w.sup - PRIOR3_SHARP_WORST_MSR) < 1e-10
+        want = oracles.prior_bayes_msr(rule.prior.support, 2.0, 0.1, w.argsup_tau, 1.0)
+        assert abs(w.sup - want) < 1e-10
+        assert abs(w.argsup_tau - 1.18880) < 1e-4
+
     def test_minimax_flatness_near_the_calibrated_level(self):
         # the defining property: the risk curve of the calibrated rule peaks
         # at the saddle level
         got = exact_risk(mm_rule(), GaussianExperiment(TAU_STAR, 1.0, 1))
         assert abs(got.mean_square_regret - MM_WORST_MSR) < 1e-7
+
+
+class TestWorstCaseScan:
+    @pytest.mark.parametrize(
+        "rule", [MinimaxMSR(TAU_STAR), BayesFlatMSR(), EmpiricalSuccess()],
+        ids=["minimax", "bayes-flat", "es"],
+    )
+    def test_twin_peaks_keep_the_better_refinement(self, rule):
+        # a symmetric rule peaks at +-b; each side is located on the 0.01 grid
+        # by exact_risk and refined between its neighbours, as the scan does
+        def msr(b):
+            return exact_risk(rule, GaussianExperiment(float(b), 1.0, 1)).mean_square_regret
+
+        w = worst_case_msr(rule, 1.0, 1)
+        peak = round(abs(w.argsup_tau) * 100)
+        refined = []
+        for sign in (-1, 1):
+            ks = [sign * k for k in range(peak - 3, peak + 4)]
+            k = max(ks, key=lambda k: msr(k / 100))
+            refined.append(maximize_scalar(msr, (k - 1) / 100, (k + 1) / 100, tol=1e-10))
+        assert abs(refined[0][1] - refined[1][1]) < 1e-12
+        assert (w.argsup_tau, w.sup) == max(refined, key=lambda r: r[1])
+        _unit_worst.cache_clear()
+        assert worst_case_msr(rule, 1.0, 1) == w
+
+    @pytest.mark.parametrize(
+        "rule",
+        [MinimaxMSR(200.0), DiscretePriorBayes(DiscretePrior.from_pairs(PRIOR3_PAIRS), 2.0, 0.1)],
+        ids=["minimax-200", "prior-bayes-sharp"],
+    )
+    def test_curve_is_within_its_certified_error(self, rule):
+        for power in (1, 2):
+            grid, vals, err = _unit_curve(rule, power)
+            assert len(grid) == 1601 and err <= 1e-10
+            for i in range(0, 1601, 40):
+                rep = exact_risk(rule, GaussianExperiment(float(grid[i]), 1.0, 1))
+                want = rep.mean_regret if power == 1 else rep.mean_square_regret
+                # exact_risk carries its own 1e-10 tolerance
+                assert abs(vals[i] - want) <= err + 2e-10
+
+    def test_rule_too_steep_for_the_scan_is_refused(self):
+        with pytest.raises(ConvergenceError, match="not certified"):
+            worst_case_msr(MinimaxMSR(1e5), 1.0, 1)
 
 
 class TestBayesMsr:
