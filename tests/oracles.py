@@ -53,9 +53,10 @@ def logistic(x):
 
 
 def minimax_msr_at(tau, tau_star):
-    """tau^2 E[(1 - logistic(2 tau* Y))^2], Y ~ N(tau, 1)."""
+    """tau^2 E[(1{tau >= 0} - logistic(2 tau* Y))^2], Y ~ N(tau, 1)."""
+    sign = -1.0 if tau >= 0 else 1.0
     return tau ** 2 * normal_expectation(
-        lambda y: float(logistic(-2.0 * tau_star * np.asarray([y]))[0]) ** 2, tau, 1.0
+        lambda y: float(logistic(sign * 2.0 * tau_star * np.asarray([y]))[0]) ** 2, tau, 1.0
     )
 
 
@@ -218,12 +219,12 @@ def main():
     t3, _ = grid_argmax(msr3, -4.0, 4.0, 0.1)
     out["3-point alpha 2 worst msr (argmax, sup)"] = refine_max(msr3, t3 - 0.1, t3 + 0.1)
     # steep worst cases: the same prior at noise sd 0.1 in the unit problem,
-    # and MinimaxMSR(200), symmetric, so b >= 0 (where minimax_msr_at holds)
+    # and MinimaxMSR(200)
     sharp = lambda t: prior_bayes_msr(three, 2.0, 0.1, t, 1.0)
     t4, _ = grid_argmax(sharp, -4.0, 4.0, 0.01)
     out["3-point noise sd 0.1 worst msr (argmax, sup)"] = refine_max(sharp, t4 - 0.01, t4 + 0.01)
     steep = lambda t: minimax_msr_at(t, 200.0)
-    t5, _ = grid_argmax(steep, 0.0, 4.0, 0.01)
+    t5, _ = grid_argmax(steep, -4.0, 4.0, 0.01)
     out["MinimaxMSR(200) worst msr (argmax, sup)"] = refine_max(steep, t5 - 0.01, t5 + 0.01)
 
     # -- dominance ---------------------------------------------------------

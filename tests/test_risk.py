@@ -61,8 +61,8 @@ PRIOR3_WORST_MSR = 0.15729250451144042
 PRIOR3_ARGSUP = -1.30056154243124
 
 # frozen from oracles.py: sups of two steep rules, grid_argmax at step 0.01
-# and refine_max (MinimaxMSR(200) is symmetric, so its scan covers b >= 0)
-MM200_WORST_MSR = 0.1650242355899824  # at +-1.18969
+# and refine_max
+MM200_WORST_MSR = 0.16502423558998242  # at +-1.18969
 PRIOR3_SHARP_WORST_MSR = 0.16433894501144464  # noise sd 0.1, at 1.18880
 
 
@@ -377,7 +377,7 @@ class TestWorstCase:
         w = worst_case_msr(MinimaxMSR(200.0), 1.0, 1)
         assert abs(w.sup - MM200_WORST_MSR) < 1e-10
         assert abs(abs(w.argsup_tau) - 1.18969) < 1e-4
-        assert abs(w.sup - oracles.minimax_msr_at(abs(w.argsup_tau), 200.0)) < 1e-10
+        assert abs(w.sup - oracles.minimax_msr_at(w.argsup_tau, 200.0)) < 1e-10
         assert not w.saturated
 
     def test_sharp_prior_bayes_sup_matches_oracle(self):

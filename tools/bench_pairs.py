@@ -8,12 +8,12 @@ Exports the committed files of REV into a temporary directory (git archive,
 so the repository gains no worktree or branch) and runs the unmodified
 bench/run.py of each side: REV's copy, then this working tree's, alternating
 which side goes first from one pair to the next.  Pair i uses seed
---first-seed + i and the same --seconds on both sides.  Every run, both
-sides' medians and quartiles of each end-to-end metric, the change's win
-count, and whether it stays within the bound BENCHMARK.json fixes are
-written under workloads[W] of --out; an existing file keeps its other
-workloads, so several invocations fill one file.  A gain is claimed for a
-metric when the change wins at least nine tenths of the pairs and the
+--first-seed + i, and both sides run for the run_seconds of BENCHMARK.json.
+Every run, both sides' medians and quartiles of each end-to-end metric, the
+change's win count, and whether it stays within the bound BENCHMARK.json
+fixes are written under workloads[W] of --out; an existing file keeps its
+other workloads, so several invocations fill one file.  A gain is claimed
+for a metric when the change wins at least nine tenths of the pairs and the
 medians differ by more than the distance between the parent's quartiles.
 """
 from __future__ import annotations
@@ -97,12 +97,12 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=24)
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
 
     pairs = []
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run(parent_root if side == "parent" else ROOT,
-                                 args.workload, seed, args.seconds)
+                                 args.workload, seed, seconds)
             pairs.append(pair)
             print(f"{args.workload} seed {seed}: pass_s parent "
                   f"{pair['parent']['metrics']['pass_s']:.4f} change "
@@ -130,10 +130,10 @@ def main(argv=None) -> int:
         + (" (uncommitted changes)" if git("status", "--porcelain", "--", "src") else ""),
         machine=f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         command="python3 bench/run.py --workload W --seed S "
-        f"--seconds {args.seconds} --trace 0",
+        f"--seconds {seconds} --trace 0",
     )
     doc.setdefault("workloads", {})[args.workload] = {
-        "summary": summarize(pairs, spec),
+        "summary": summarize(pairs, bench["end_to_end"]),
         "runs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
