@@ -36,6 +36,7 @@ from msregret import (
     worst_case_mean_regret,
     worst_case_msr,
 )
+from msregret import risk
 from msregret.risk import _normal_draws, _unit_curve, _unit_worst
 
 TAU_STAR = 1.22814
@@ -400,13 +401,23 @@ class TestWorstCaseScan:
         "rule", [MinimaxMSR(TAU_STAR), BayesFlatMSR(), EmpiricalSuccess()],
         ids=["minimax", "bayes-flat", "es"],
     )
-    def test_twin_peaks_keep_the_better_refinement(self, rule):
+    def test_twin_peaks_keep_the_better_refinement(self, rule, monkeypatch):
         # a symmetric rule peaks at +-b; each side is located on the 0.01 grid
         # by exact_risk and refined between its neighbours, as the scan does
         def msr(b):
             return exact_risk(rule, GaussianExperiment(float(b), 1.0, 1)).mean_square_regret
 
+        brackets = []
+
+        def recording(f, lo, hi, tol):
+            brackets.append((lo, hi))
+            return maximize_scalar(f, lo, hi, tol)
+
+        monkeypatch.setattr(risk, "maximize_scalar", recording)
+        _unit_worst.cache_clear()
         w = worst_case_msr(rule, 1.0, 1)
+        assert len(brackets) == 2 and brackets[0] == (-brackets[1][1], -brackets[1][0])
+        monkeypatch.undo()
         peak = round(abs(w.argsup_tau) * 100)
         refined = []
         for sign in (-1, 1):
