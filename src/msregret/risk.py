@@ -16,6 +16,13 @@ sigma = n = 1 problem once, and scale the supremum by sigma^2/n (mean regret
 scales by sigma/sqrt(n)); that is exactly how the worst case of a fixed rule
 varies with the design.
 
+tail_probability inverts the regret event: on a monotone rule, regret exceeds
+a threshold on one side of the statistic where the fraction crosses a level
+q.  Rules with a closed-form inverse (stat_at) give that point with no
+search; the others are evaluated once, vectorized, on a fixed grid of the
+standardized statistic, and a Brent root runs inside the one grid cell
+where the crossing lies.
+
 The unit-problem supremum comes from one certified scan and a refinement.
 The scan evaluates the rule once on a uniform grid of the statistic and takes
 the objective at every b = k/100 in [-8, 8] as a trapezoid sum against the
@@ -76,7 +83,9 @@ _SCAN_STEP = 1.0 / _SCAN_DIV
 _SCAN_MAX_LEVEL = 64  # finest s-grid step is _SCAN_STEP / 64
 # FFT rounding on the unit curves; measured at most 5e-14 with the b^2 factor
 _SCAN_ROUNDING = 1e-12
-_TAIL_BRACKET = 60.0  # tail_probability's crossing search, in statistic sd units
+# tail_probability's crossing search: the standardized statistic in [-60, 60]
+# at step 1/4; one vectorized rule evaluation, then Brent inside one cell
+_TAIL_GRID = np.arange(-240, 241) / 4.0
 _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
 
 
@@ -228,14 +237,17 @@ def tail_probability(
     Step rules give a two-outcome sum.  On a rule monotone in the statistic,
     regret exceeds the threshold exactly where the fraction falls below
     q = 1 - threshold/tau (tau > 0) or rises above q = threshold/|tau|
-    (tau < 0), which is one side of the point where the fraction crosses q.
-    A Brent root on the standardized statistic in [-60, 60] locates that
-    point, so the result is a single normal CDF value; a rule that does not
-    cross q inside the bracket gives 0 or 1.  Raises DomainError for a
-    negative threshold and for a rule that declares neither a step form nor
-    a direction.
+    (tau < 0), which is one side of the point where the fraction crosses q,
+    so the result is a single normal CDF value.  A rule with a closed-form
+    inverse (rule.stat_at) gives that point directly.  Any other rule is
+    evaluated once, vectorized, on the standardized statistic at the 481
+    nodes k/4 of [-60, 60], and a Brent root runs only inside the first cell
+    where the sign flips.  A crossing outside [-60, 60] gives 0 or 1.
+    Raises DomainError for a negative or NaN threshold, for a non-finite
+    rule value, and for a rule that declares neither a step form nor a
+    direction.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
     tau = exp.tau
     sd = exp.stat_sd
@@ -268,18 +280,27 @@ def tail_probability(
         q = threshold / -tau
         if q >= 1.0:
             return 0.0
-
-    def rising(z: float) -> float:
-        return direction * (float(rule.evaluate(tau + sd * z)) - q)
-
-    # the event is {rising < 0} when tau and direction agree in sign, else {rising > 0}
+    # the event is {direction * (f - q) < 0} when tau and direction agree in
+    # sign, else {direction * (f - q) > 0}
     sign = direction if tau > 0 else -direction
-    if rising(-_TAIL_BRACKET) >= 0.0:
+    y_cross = rule.stat_at(q)
+    if y_cross is not None:
+        return float(std_normal_cdf(sign * (y_cross - tau) / sd))
+
+    rising = direction * (np.asarray(rule.evaluate(tau + sd * _TAIL_GRID), dtype=float) - q)
+    if not np.all(np.isfinite(rising)):
+        raise DomainError(f"{rule!r} is not finite on [tau - 60 sd, tau + 60 sd]")
+    if rising[0] >= 0.0:
         z_cross = -math.inf
-    elif rising(_TAIL_BRACKET) <= 0.0:
+    elif rising[-1] <= 0.0:
         z_cross = math.inf
     else:
-        z_cross = find_root(rising, -_TAIL_BRACKET, _TAIL_BRACKET)
+        i = int(np.argmax(rising >= 0.0))
+        z_cross = find_root(
+            lambda z: direction * (float(rule.evaluate(tau + sd * z)) - q),
+            _TAIL_GRID[i - 1],
+            _TAIL_GRID[i],
+        )
     return float(std_normal_cdf(sign * z_cross))
 
 
@@ -425,13 +446,16 @@ def bayes_msr(
     return total
 
 
+@lru_cache(maxsize=1)
 def _normal_draws(seed: RngSeed, count: int) -> np.ndarray:
     """count standard normals, bit-reproducible and order-independent.
 
     Draw r comes from the r-th 64-bit word of a Philox stream whose counter
     is initialized to the fixed-width chunk index holding r, mapped through
     the inverse normal CDF.  The chunk width is an implementation constant,
-    so the draws do not depend on how work is batched or parallelized.
+    so the draws do not depend on how work is batched or parallelized.  The
+    last call's draws are kept, read-only, since figure1 simulates two rules
+    from one seed.
     """
     out = np.empty(count, dtype=float)
     for chunk in range(0, (count + _CHUNK - 1) // _CHUNK):
@@ -441,6 +465,7 @@ def _normal_draws(seed: RngSeed, count: int) -> np.ndarray:
         words = gen.random_raw(stop - start)
         u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         out[start:stop] = ndtri(u)
+    out.setflags(write=False)
     return out
 
 

@@ -13,10 +13,13 @@ Each rule declares the facts the risk functionals need: step is
 (cutoff, low, high) for a rule piecewise constant in the statistic and None
 otherwise, and direction is +1 (nondecreasing) or -1 (nonincreasing).  A rule
 that declares neither has no exact tail probability, and the risk module
-refuses it.  Rules serialize through one kind registry (rule_to_dict,
-rule_from_dict); their fields go through the payload codec the report
-classes share, to which this module adds the TreatmentRule and DiscretePrior
-entries.
+refuses it.  A directional rule whose inverse has a closed form gives it as
+stat_at(q), the statistic where the fraction crosses q: the logistic rule by
+logit, posterior probability matching by the normal quantile, and a
+complement mixture through its base; the others return None.  Rules
+serialize through one kind registry (rule_to_dict, rule_from_dict); their
+fields go through the payload codec the report classes share, to which this
+module adds the TreatmentRule and DiscretePrior entries.
 
 All rule values are immutable, hashable, and evaluate as pure functions; they
 accept a float or an ndarray statistic and return the matching type.
@@ -93,6 +96,15 @@ class TreatmentRule:
 
     def evaluate(self, stat: Stat) -> Stat:
         raise NotImplementedError
+
+    def stat_at(self, q: float) -> Optional[float]:
+        """Statistic y* where direction * (fraction - q) turns from negative to
+        positive, or None when the rule has no closed-form inverse.
+
+        A q the fraction never crosses gives -inf when direction * (fraction
+        - q) is positive everywhere and +inf when it is negative everywhere.
+        """
+        return None
 
 
 @dataclass(frozen=True)
@@ -171,6 +183,11 @@ class MinimaxMSR(TreatmentRule):
         u = np.asarray(stat, dtype=float) / self.scale
         return _match(special.expit(2.0 * self.tau_star * u), stat)
 
+    def stat_at(self, q: float) -> float:
+        if not 0.0 < q < 1.0:
+            return -math.inf if q <= 0.0 else math.inf
+        return self.scale * math.log(q / (1.0 - q)) / (2.0 * self.tau_star)
+
 
 @dataclass(frozen=True)
 class BayesFlatMSR(TreatmentRule):
@@ -212,6 +229,11 @@ class PosteriorMatchFlat(TreatmentRule):
         u = np.asarray(stat, dtype=float) / self.scale
         return _match(np.asarray(std_normal_cdf(u)), stat)
 
+    def stat_at(self, q: float) -> float:
+        if not 0.0 < q < 1.0:
+            return -math.inf if q <= 0.0 else math.inf
+        return self.scale * std_normal_quantile(q)
+
 
 @dataclass(frozen=True)
 class ComplementMix(TreatmentRule):
@@ -251,6 +273,13 @@ class ComplementMix(TreatmentRule):
     def evaluate(self, stat: Stat) -> Stat:
         b = np.asarray(self.base.evaluate(stat), dtype=float)
         return _match(self._mix(b), stat)
+
+    def stat_at(self, q: float) -> Optional[float]:
+        # the mixture is q exactly where the base is b, and
+        # direction * (mixture - q) has the sign of base direction * (base - b)
+        if self.lam == 0.5:
+            return None
+        return self.base.stat_at((q - self.lam) / (1.0 - 2.0 * self.lam))
 
 
 @dataclass(frozen=True)

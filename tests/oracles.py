@@ -100,16 +100,45 @@ def prior_bayes_msr(pairs, alpha_g, sd, tau, stat_sd=None):
     )
 
 
-def prior_bayes_tail(pairs, alpha_g, sd, tau, threshold):
-    """P(Reg > threshold), Y ~ N(tau, sd^2), for tau > 0: the fraction rises
-    in the statistic, so the event is Y below the point where it reaches
-    1 - threshold/tau."""
-    q = 1.0 - threshold / tau
-    cut = optimize.brentq(
+def prior_bayes_tail(pairs, alpha_g, sd, tau, threshold, stat_sd=None):
+    """P(Reg > threshold), Y ~ N(tau, stat_sd^2) with stat_sd defaulting to
+    sd.  The fraction rises in the statistic, so for tau > 0 the event is Y
+    below the point where it reaches 1 - threshold/tau, and for tau < 0 it
+    is Y above the point where it reaches threshold/|tau|; the search for
+    that point spans 20 sd either side of tau, or of 0 when stat_sd is given."""
+    q = 1.0 - threshold / tau if tau > 0 else threshold / -tau
+    if not 0.0 < q < 1.0:
+        return 0.0 if (q <= 0.0) == (tau > 0) else 1.0
+    cut = prior_bayes_cut(pairs, alpha_g, sd, q, tau if stat_sd is None else 0.0)
+    z = (cut - tau) / (sd if stat_sd is None else stat_sd)
+    return float(cdf(z if tau > 0 else -z))
+
+
+def prior_bayes_cut(pairs, alpha_g, sd, q, mid=0.0):
+    """Statistic where the bayes_foc_root fraction equals q in (0, 1), by
+    brentq within 20 sd of mid."""
+    return optimize.brentq(
         lambda y: bayes_foc_root(pairs, alpha_g, sd, y) - q,
-        tau - 20.0 * sd, tau + 20.0 * sd, xtol=1e-14,
+        mid - 20.0 * sd, mid + 20.0 * sd, xtol=1e-14,
     )
-    return float(cdf((cut - tau) / sd))
+
+
+def bayes_flat_cut(q):
+    """Standardized statistic u where the flat-prior Bayes fraction
+    cdf(u) + u phi(u) / (1 + u^2) equals q in (0, 1), by brentq."""
+    return optimize.brentq(
+        lambda u: float(cdf(u)) + u * float(phi(u)) / (1.0 + u * u) - q,
+        -60.0, 60.0, xtol=1e-15,
+    )
+
+
+def crossing_tail(cut, rising, tau, sd):
+    """P(Reg > c), Y ~ N(tau, sd^2), for a rule monotone in the statistic
+    (rising or falling) that crosses q, the fraction where regret is c, at
+    the statistic cut (+-inf when it never does).  Regret exceeds c where the
+    fraction is below q for tau > 0 and above q for tau < 0."""
+    z = (cut - tau) / sd
+    return float(cdf(z if (tau > 0) == rising else -z))
 
 
 def grid_argmax(f, lo, hi, step):

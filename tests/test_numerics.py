@@ -310,10 +310,10 @@ class TestMaximizeScalar:
             maximize_scalar(lambda x: math.nan if x > 0.5 else x, 0.0, 2.0)
 
 
-def _seeded_cases(seed: int, count: int = 12):
+def _seeded_cases(seed: int, names, count: int = 12):
     """(name, shift, slope, half-widths) draws for the scipy comparisons."""
     rng = np.random.default_rng(seed)
-    for name in ("smooth", "steep", "cubic"):
+    for name in names:
         for _ in range(count):
             yield name, rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0), rng.uniform(0.1, 4.0, 2)
 
@@ -327,8 +327,12 @@ class TestSameFloatsAsScipy:
             "smooth": lambda a, s: lambda x: math.tanh(s * (x - a)),
             "steep": lambda a, s: lambda x: math.atan(50.0 * s * (x - a)),
             "cubic": lambda a, s: lambda x: (x - a) ** 3 + 0.1 * s * (x - a),
+            # values near 1e-300, flat below the root: the inverse-quadratic
+            # denominator underflows to zero, and brentq bisects
+            "flat-tiny": lambda a, s: lambda x: max(1e-300 * math.expm1(s * (x - a)), -1e-301),
+            "tiny": lambda a, s: lambda x: 1e-300 * math.expm1(s * (x - a)),
         }
-        for name, a, s, (left, right) in _seeded_cases(11):
+        for name, a, s, (left, right) in _seeded_cases(11, roots):
             f = roots[name](a, s)
             want = optimize.brentq(f, a - left, a + right, xtol=tol, maxiter=200)
             assert find_root(f, a - left, a + right, tol) == want, name
@@ -341,7 +345,7 @@ class TestSameFloatsAsScipy:
             # local max at a, unimodal on the bracket: slope 1 - (x - a + 1)^2
             "cubic": lambda a, s: lambda x: s * ((x - a + 1.0) - (x - a + 1.0) ** 3 / 3.0),
         }
-        for name, a, s, (left, right) in _seeded_cases(12):
+        for name, a, s, (left, right) in _seeded_cases(12, peaks):
             f = peaks[name](a, s)
             lo, hi = a - min(left, 1.5), a + right
             res = optimize.minimize_scalar(

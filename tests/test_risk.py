@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import expit, logit
+from hypothesis import assume
+from scipy.special import expit, logit, ndtri
 
 import oracles
 from msregret import (
@@ -334,6 +335,124 @@ class TestTailProbability:
         assert abs(got - want) < 2e-2
 
 
+    def test_rejects_nan_threshold(self):
+        exp = GaussianExperiment(1.0, 1.0, 1)
+        for rule in (EmpiricalSuccess(), mm_rule(), BayesFlatMSR()):
+            with pytest.raises(DomainError):
+                tail_probability(rule, exp, math.nan)
+            with pytest.raises(DomainError):
+                exact_risk(rule, exp, tail_thresholds=[math.nan])
+
+    def test_edge_thresholds_both_signs(self):
+        # regret lies in (0, |tau|) for every rule here, so P(Reg > 0) is 1 and
+        # P(Reg > |tau|) is 0; at threshold 0 the closed forms invert q = 0 or 1
+        rules = [mm_rule(), PosteriorMatchFlat(0.7), BayesFlatMSR(), prior3_rule(),
+                 ComplementMix(mm_rule(), 0.3), ComplementMix(PosteriorMatchFlat(), 0.8),
+                 ComplementMix(BayesFlatMSR(), 0.2)]
+        for rule in rules:
+            for tau, sd in ((1.3, 1.0), (-1.3, 1.0), (30.0, 1.0), (-0.3, 0.01)):
+                exp = GaussianExperiment(tau, sd, 1)
+                assert tail_probability(rule, exp, 0.0) == 1.0, (rule, tau)
+                assert tail_probability(rule, exp, abs(tau)) == 0.0, (rule, tau)
+
+    def test_crossing_where_the_rule_underflows(self):
+        # the fraction reaches 1e-300 near z = -34.7, where its values are so
+        # small that Brent's inverse-quadratic denominator underflows to zero
+        rule = BayesFlatMSR()
+        assert tail_probability(rule, GaussianExperiment(-1.0, 1.0, 1), 1e-300) == 1.0
+
+    def test_closed_form_rules_skip_the_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed-form inverse expected")
+
+        monkeypatch.setattr(risk, "find_root", refuse)
+        for cls in (MinimaxMSR, PosteriorMatchFlat):
+            monkeypatch.setattr(cls, "evaluate", refuse)
+        rules = [mm_rule(), PosteriorMatchFlat(0.7), ComplementMix(mm_rule(), 0.3),
+                 ComplementMix(PosteriorMatchFlat(), 0.8)]
+        for rule in rules:
+            for tau, c in ((1.0, 0.3), (-1.0, 0.3), (1.0, 0.0), (-1.0, 0.0)):
+                tail_probability(rule, GaussianExperiment(tau, 1.0, 1), c)
+
+    def test_bracketed_rules_evaluate_once_before_brent(self, monkeypatch):
+        events = []
+        real_root = risk.find_root
+
+        def spy_root(*args, **kwargs):
+            events.append("find_root")
+            return real_root(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "find_root", spy_root)
+        for cls in (BayesFlatMSR, DiscretePriorBayes):
+            def spy_evaluate(self, stat, real=cls.evaluate):
+                events.append(np.shape(stat))
+                return real(self, stat)
+
+            monkeypatch.setattr(cls, "evaluate", spy_evaluate)
+        for rule in (BayesFlatMSR(), prior3_rule(), ComplementMix(BayesFlatMSR(), 0.7)):
+            events.clear()
+            tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 0.5)
+            assert events[:2] == [(481,), "find_root"], rule
+            assert all(e == () for e in events[2:]), rule
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_independent_inversions(self, data):
+        kind = data.draw(st.sampled_from(["logistic", "post-match", "bayes-flat", "prior"]))
+        lam = data.draw(st.sampled_from([None, "below", "above"]))
+        sd = data.draw(st.floats(0.1, 3.0))
+        tau = data.draw(st.floats(0.01, 30.0)) * data.draw(st.sampled_from([-1.0, 1.0])) * sd
+        scale = data.draw(st.floats(0.2, 5.0)) * sd
+        if kind == "logistic":
+            c = data.draw(st.floats(0.3, 5.0))
+            base = MinimaxMSR(c, scale)
+            cut = lambda b: scale * float(logit(b)) / (2.0 * c)
+        elif kind == "post-match":
+            base = PosteriorMatchFlat(scale)
+            cut = lambda b: scale * float(ndtri(b))
+        elif kind == "bayes-flat":
+            base = BayesFlatMSR(scale)
+            cut = lambda b: scale * oracles.bayes_flat_cut(b)
+        else:
+            pairs = [(-data.draw(st.floats(0.3, 3.0)), data.draw(st.floats(0.2, 1.0))),
+                     (data.draw(st.floats(0.3, 3.0)), data.draw(st.floats(0.2, 1.0))),
+                     (data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(0.2, 1.0)))]
+            assume(len({t for t, _ in pairs}) == 3 and pairs[2][0] != 0.0)
+            alpha_g = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
+            noise_sd = data.draw(st.floats(0.5, 2.0))
+            base = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), alpha_g, noise_sd)
+            weights = sum(w for _, w in pairs)
+            pairs = [(t, w / weights) for t, w in pairs]
+            cut = lambda b: oracles.prior_bayes_cut(pairs, alpha_g, noise_sd, b)
+        if lam is None:
+            rule, mix = base, 0.0
+        else:
+            mix = data.draw(st.floats(0.05, 0.45) if lam == "below" else st.floats(0.55, 0.95))
+            rule = ComplementMix(base, mix)
+        # threshold: the two edges, or where the base crosses b; the rule's
+        # own rounding hides its crossing when b is within 0.01 of 0 or 1
+        where = data.draw(st.sampled_from(["zero", "tau", "inside"]))
+        if where == "zero":
+            threshold = 0.0
+        elif where == "tau":
+            threshold = abs(tau)
+        else:
+            q = mix + (1.0 - 2.0 * mix) * data.draw(st.floats(0.01, 0.99))
+            threshold = tau * (1.0 - q) if tau > 0 else -tau * q
+        got = tail_probability(rule, GaussianExperiment(tau, sd, 1), threshold)
+
+        q = 1.0 - threshold / tau if tau > 0 else threshold / -tau
+        b = (q - mix) / (1.0 - 2.0 * mix)
+        if (tau > 0 and q <= 0.0) or (tau < 0 and q >= 1.0):
+            want = 0.0
+        elif kind == "prior" and lam is None:
+            want = oracles.prior_bayes_tail(pairs, alpha_g, noise_sd, tau, threshold, sd)
+        else:
+            y = -math.inf if b <= 0.0 else math.inf if b >= 1.0 else cut(b)
+            want = oracles.crossing_tail(y, mix < 0.5, tau, sd)
+        assert abs(got - want) <= 1e-12, (rule, tau, sd, threshold, got, want)
+
+
 class TestWorstCase:
     def test_minimax_unit_value(self):
         w = worst_case_msr(mm_rule(), 1.0, 1)
@@ -485,6 +604,12 @@ class TestNormalDraws:
 
     def test_seed_sensitivity(self):
         assert not np.array_equal(_normal_draws(RngSeed(1), 64), _normal_draws(RngSeed(2), 64))
+
+    def test_last_draws_are_kept_read_only(self):
+        # figure1 simulates two rules from one seed: the second call reuses the draws
+        a = _normal_draws(RngSeed(9), 500)
+        assert _normal_draws(RngSeed(9), 500) is a
+        assert not a.flags.writeable
 
     def test_moments_sane(self):
         x = _normal_draws(RngSeed(5), 200_000)
