@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._codec import csv_text
+from ._codec import csv_text, json_text
 from .dominance import DominanceViolation, dominating_rule, verify_dominance
 from .lfp import (
     SaddleViolation,
@@ -191,7 +191,7 @@ def _echo_config(args: argparse.Namespace, **extra) -> None:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
 
 
 def _emit_csv(text: str, path: Optional[str]) -> None:

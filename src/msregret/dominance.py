@@ -135,15 +135,26 @@ class DominanceCertificate:
     grid: Tuple[Tuple[float, float, float, float], ...]
 
     def _violation(self) -> Optional[str]:
-        """Why the certificate fails the checks of verify_dominance, or None."""
-        for tau, _, _, margin in self.grid:
-            if margin < _MIN_MARGIN:
-                return f"margin {margin!r} below tolerance at tau={tau!r}"
-            # the margin vanishes like |tau|^alpha_g at tau = 0, so near 0 the
-            # strict tolerance is held by the normalized margin
-            if tau != 0.0 and not margin > _STRICT_MARGIN * min(1.0, abs(tau) ** self.alpha_g):
-                return f"margin {margin!r} not strictly positive at tau={tau!r}"
-        return None
+        """Why the certificate fails the checks of verify_dominance, or None.
+
+        The first offending row in grid order is named, and in that row a
+        margin below tolerance before a margin that is not strictly positive.
+        """
+        grid = np.asarray(self.grid, dtype=float).reshape(-1, 4)
+        tau, margin = grid[:, 0], grid[:, 3]
+        low = margin < _MIN_MARGIN
+        # the margin vanishes like |tau|^alpha_g at tau = 0, so near 0 the
+        # strict tolerance is held by the normalized margin
+        strict = _STRICT_MARGIN * np.minimum(1.0, np.abs(tau) ** self.alpha_g)
+        weak = (tau != 0.0) & ~(margin > strict)
+        bad = np.flatnonzero(low | weak)
+        if bad.size == 0:
+            return None
+        i = bad[0]
+        at, mg = float(tau[i]), float(margin[i])
+        if low[i]:
+            return f"margin {mg!r} below tolerance at tau={at!r}"
+        return f"margin {mg!r} not strictly positive at tau={at!r}"
 
     @property
     def is_valid(self) -> bool:
@@ -199,8 +210,7 @@ def verify_dominance(
         lambda_star=lam_opt,
         lambda_used=lam,
         grid=tuple(
-            (float(tau), float(rs), float(rf), float(mg))
-            for tau, rs, rf, mg in zip(taus, risk_single, risk_frac, margins)
+            map(tuple, np.column_stack((taus, risk_single, risk_frac, margins)).tolist())
         ),
     )
     problem = cert._violation()

@@ -14,9 +14,11 @@ and at that point the two-point prior on {-tau_star, +tau_star} is least
 favorable: the Bayes risk of the prior equals the worst-case risk of the
 rule, which certifies minimaxity of delta_{tau_star} among all rules.
 
-solve_tau_star locates the common argmax; verify_saddle checks the
-saddle-point equalities numerically and samples the two curves on a grid for
-plotting.  The shipped constant lives in _constants.py, written by
+solve_tau_star locates the common argmax from a certified 41-point scan of
+[0.5, 2.5], one stacked Gaussian-expectation call for both objectives, and a
+Brent refinement of every scan peak that could hold the maximum.
+verify_saddle checks the saddle-point equalities numerically and samples the
+two curves on a grid for plotting.  The shipped constant lives in _constants.py, written by
 write_constants from a fresh solve.
 """
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .numerics import (
     QuadratureSpec,
     gaussian_expectation,
     maximize_scalar,
-    _gh_nodes,
+    scan_brackets,
 )
 from .risk import worst_case_msr
 from .rules import MinimaxMSR
@@ -53,9 +55,11 @@ __all__ = [
     "round_sig",
 ]
 
+# calibration scan a = k / _SCAN_DIV on [_SCAN_LO, _SCAN_HI]: 41 points
 _SCAN_LO = 0.5
 _SCAN_HI = 2.5
-_SCAN_STEP = 1e-3
+_SCAN_DIV = 20
+_GRID_BLOCK = 512
 
 
 class SaddleViolation(RuntimeError):
@@ -78,18 +82,34 @@ def frequentist_objective(a: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -
     return a * a * val
 
 
-def _objective_grids(grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # both objectives over a calibration grid from one logistic matrix on
-    # shared Gauss-Hermite nodes
-    z, w = _gh_nodes(2 * DEFAULT_QUADRATURE.node_count)
-    a = grid[:, None]
-    s = a + math.sqrt(2.0) * z[None, :]
-    t = expit(-2.0 * a * s)
-    return 0.5 * grid * grid * (t @ w), grid * grid * ((t * t) @ w)
+def _objective_grids(
+    grid: np.ndarray, spec: QuadratureSpec = DEFAULT_QUADRATURE
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both objectives over a calibration grid from one stacked kernel call.
+
+    Each calibration a contributes the row expit(-2 a (a + z)) and its square,
+    the integrands of bayes_objective and frequentist_objective at s = a + z,
+    so every value is certified to spec's tolerance.
+    """
+    a = np.asarray(grid, dtype=float)
+    col = a[:, None]
+
+    def rows(z: np.ndarray) -> np.ndarray:
+        t = expit(-2.0 * col * (col + z))
+        return np.concatenate([t, t * t])
+
+    vals = gaussian_expectation(rows, 0.0, 1.0, spec)
+    return 0.5 * a * a * vals[: a.size], a * a * vals[a.size :]
 
 
 def _objective_grid(kind: str, grid: np.ndarray) -> np.ndarray:
-    return _objective_grids(grid)[0 if kind == "bayes" else 1]
+    """One objective over a grid of any length, _GRID_BLOCK calibrations per
+    kernel call so that the node matrix stays small."""
+    which = 0 if kind == "bayes" else 1
+    return np.concatenate([
+        _objective_grids(grid[i : i + _GRID_BLOCK])[which]
+        for i in range(0, len(grid), _GRID_BLOCK)
+    ])
 
 
 def solve_tau_star(
@@ -97,19 +117,25 @@ def solve_tau_star(
 ) -> float:
     """Common argmax of the Bayes and frequentist objectives.
 
-    Coarse scan at step 1e-3 over [0.5, 2.5] for each objective, golden
-    refinement of both, and an agreement check: the two argmaxes must land
-    within 10 * tol of each other, otherwise the saddle structure is broken
-    and we refuse to return a value.
+    Both objectives are scanned at the 41 points a = 0.5, 0.55, ..., 2.5 by
+    one stacked gaussian_expectation call with spec, so each scan value is
+    certified to within a^2 spec.fallback_abs_tol.  Every scan local maximum
+    within that error of the best one is refined by Brent's bounded search
+    between its grid neighbours, and the largest refined value is each
+    objective's argmax.  The two argmaxes must land within 10 * tol of each
+    other, otherwise the saddle structure is broken and ConvergenceError is
+    raised instead of a value.
     """
-    grid = np.arange(_SCAN_LO, _SCAN_HI + _SCAN_STEP / 2, _SCAN_STEP)
+    grid = np.arange(_SCAN_LO * _SCAN_DIV, _SCAN_HI * _SCAN_DIV + 1) / _SCAN_DIV
+    # two scan values, each within a^2 tol of its objective
+    err = 2.0 * _SCAN_HI**2 * spec.fallback_abs_tol
     args = []
-    for vals, f in zip(_objective_grids(grid), (bayes_objective, frequentist_objective)):
-        i = int(np.argmax(vals))
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, len(grid) - 1)])
-        arg, _ = maximize_scalar(lambda a: f(a, spec), lo, hi, tol=tol)
-        args.append(arg)
+    for vals, f in zip(_objective_grids(grid, spec), (bayes_objective, frequentist_objective)):
+        refined = [
+            maximize_scalar(lambda a: f(a, spec), lo, hi, tol=tol)
+            for lo, hi in scan_brackets(grid, vals, err)
+        ]
+        args.append(max(refined, key=lambda r: r[1])[0])
     if abs(args[0] - args[1]) > 10.0 * tol:
         raise ConvergenceError(
             "bayes and frequentist calibrations disagree: "

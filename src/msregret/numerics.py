@@ -16,7 +16,8 @@ Prentice-Hall, 1973, chapters 4 and 5), written out step for step as scipy
 runs them (brentq.c and _minimize_scalar_bounded), so they return the same
 floats without importing scipy.optimize.  Both refuse a non-finite function
 value with DomainError and an exhausted evaluation budget with
-ConvergenceError.
+ConvergenceError.  scan_brackets picks the brackets that maximize_scalar
+refines from a certified scan of a curve.
 
 All functions here are pure and deterministic; values may be shared freely
 across threads.
@@ -26,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy import special
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "maximize_scalar",
 ]
 
-_SQRTPI = math.sqrt(math.pi)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _HALF_WIDTH = 10.0  # trapezoid window half-width in sd units
 _EDGE_DENSITY = math.exp(-0.5 * _HALF_WIDTH**2) / _SQRT2PI
@@ -132,14 +131,6 @@ def std_normal_quantile(p: float) -> float:
     return float(special.ndtri(p))
 
 
-@lru_cache(maxsize=16)
-def _gh_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    # hermgauss uses the normalized recurrence, so it stays finite at high
-    # orders where the power basis overflows, and it needs only numpy.linalg
-    z, w = hermgauss(order)
-    return z, w / _SQRTPI
-
-
 @lru_cache(maxsize=64)
 def _trapezoid_level(intervals: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes added at one halving level, with their weights phi(z).
@@ -195,26 +186,36 @@ def gaussian_expectation(
     )
 
 
-def _finite(f: Callable[[float], float], x: float) -> float:
-    fx = float(f(x))
+def _finite(f: Callable[[float], float], x: float, known: Optional[float] = None) -> float:
+    # f(x), or the caller's known value of it, refused unless finite
+    fx = float(f(x) if known is None else known)
     if not math.isfinite(fx):
         raise DomainError(f"function value at x = {x!r} is {fx!r}")
     return fx
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
+def find_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float = 1e-12,
+    *,
+    f_lo: Optional[float] = None,
+    f_hi: Optional[float] = None,
+) -> float:
     """Brent root of a continuous f on [lo, hi] with f(lo)*f(hi) <= 0.
 
-    Returns x with bracket width below tol + 4 eps |x|.  Raises BracketError
-    when the endpoint values share a sign, DomainError for a non-finite
-    value of f, and ConvergenceError when 200 iterations do not close the
-    bracket.
+    Returns x with bracket width below tol + 4 eps |x|.  f_lo and f_hi, when
+    given, are taken as f(lo) and f(hi) instead of evaluating f there.
+    Raises BracketError when the endpoint values share a sign, DomainError
+    for a non-finite value of f, and ConvergenceError when 200 iterations do
+    not close the bracket.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     xpre, xcur = float(lo), float(hi)
-    fpre = _finite(f, xpre)
-    fcur = _finite(f, xcur)
+    fpre = _finite(f, xpre, f_lo)
+    fcur = _finite(f, xcur, f_hi)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -350,3 +351,22 @@ def maximize_scalar(
         if fe > best[1]:
             best = (edge, fe)
     return best
+
+
+def scan_brackets(grid, vals, err: float) -> list:
+    """Refinement brackets (lo, hi) of the peaks of a scan on an increasing grid.
+
+    Every grid local maximum within err of the best value gets the bracket of
+    its two grid neighbours, in increasing grid order; a plateau contributes
+    its first point only.  Callers refine every bracket and keep the largest
+    refined value, so near-equal peaks, as on a symmetric rule, all compete.
+    """
+    vals = np.asarray(vals, dtype=float)
+    near = vals >= vals.max() - err
+    left = np.concatenate(([-np.inf], vals[:-1]))
+    right = np.concatenate((vals[1:], [-np.inf]))
+    last = len(grid) - 1
+    return [
+        (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)]))
+        for i in np.flatnonzero(near & (vals > left) & (vals >= right))
+    ]

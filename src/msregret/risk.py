@@ -53,6 +53,7 @@ from .numerics import (
     find_root,
     gaussian_expectation,
     maximize_scalar,
+    scan_brackets,
     std_normal_cdf,
     _HALF_WIDTH,
     _SQRT2PI,
@@ -87,6 +88,7 @@ _SCAN_ROUNDING = 1e-12
 # at step 1/4; one vectorized rule evaluation, then Brent inside one cell
 _TAIL_GRID = np.arange(-240, 241) / 4.0
 _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
+_SIM_BLOCK = 8192  # simulate's evaluation block, 64 KB of floats
 
 
 @dataclass(frozen=True)
@@ -296,10 +298,13 @@ def tail_probability(
         z_cross = math.inf
     else:
         i = int(np.argmax(rising >= 0.0))
+        # the grid already holds f at both ends of the cell
         z_cross = find_root(
             lambda z: direction * (float(rule.evaluate(tau + sd * z)) - q),
             _TAIL_GRID[i - 1],
             _TAIL_GRID[i],
+            f_lo=rising[i - 1],
+            f_hi=rising[i],
         )
     return float(std_normal_cdf(sign * z_cross))
 
@@ -392,16 +397,11 @@ def _unit_worst(rule: TreatmentRule, power: int) -> Tuple[float, float, bool]:
     an argsup within two grid steps of the scan edge.
     """
     grid, vals, err = _unit_curve(rule, power)
-    near = vals >= vals.max() - err - _SCAN_ROUNDING
-    left = np.concatenate(([-np.inf], vals[:-1]))
-    right = np.concatenate((vals[1:], [-np.inf]))
-    # strict on the left, so a plateau contributes its first point only
-    peaks = np.flatnonzero(near & (vals > left) & (vals >= right))
     obj = _unit_objective(rule, power, DEFAULT_QUADRATURE)
-    refined = []
-    for i in peaks:
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        refined.append(maximize_scalar(obj, float(lo), float(hi), tol=1e-10))
+    refined = [
+        maximize_scalar(obj, lo, hi, tol=1e-10)
+        for lo, hi in scan_brackets(grid, vals, err + _SCAN_ROUNDING)
+    ]
     arg, val = max(refined, key=lambda r: r[1])
     saturated = abs(arg) >= _SCAN_LIMIT - 2 * _SCAN_STEP
     return arg, val, saturated
@@ -469,6 +469,26 @@ def _normal_draws(seed: RngSeed, count: int) -> np.ndarray:
     return out
 
 
+def _mean_var(blocks: List[np.ndarray], count: int) -> Tuple[float, float, list]:
+    """Mean and ddof=1 variance of the concatenated blocks, two-pass, with the
+    blocks of squared deviations from the mean.
+
+    Block sums are added in order, so one block gives numpy's mean and var
+    bit for bit.
+    """
+    total = blocks[0].sum()
+    for block in blocks[1:]:
+        total = total + block.sum()
+    mean = total / count
+    squares = [block - mean for block in blocks]
+    for block in squares:
+        block *= block
+    m2 = squares[0].sum()
+    for block in squares[1:]:
+        m2 = m2 + block.sum()
+    return float(mean), float(m2 / (count - 1)), squares
+
+
 def simulate(
     rule: TreatmentRule,
     exp: GaussianExperiment,
@@ -476,35 +496,41 @@ def simulate(
     seed: RngSeed,
     tail_thresholds: Sequence[float] = (),
 ) -> SimulationSummary:
-    """Monte Carlo analogue of exact_risk; deterministic given the seed."""
+    """Monte Carlo analogue of exact_risk; deterministic given the seed.
+
+    The rule and the regret are evaluated in blocks of at most 8192 draws,
+    64 KB arrays that stay under glibc's initial 128 KB mmap threshold, so a
+    call does not fault in fresh pages whatever the process freed before.
+    Moments are combined two-pass over the blocks; up to 8192 replications
+    they are numpy's mean, var and std bit for bit.
+    """
     if replications < 2:
         raise DomainError(f"need at least 2 replications, got {replications}")
     tau = exp.tau
     ind = 1.0 if tau >= 0 else 0.0
-    y = tau + exp.stat_sd * _normal_draws(seed, replications)
-    frac = np.asarray(rule.evaluate(y), dtype=float)
-    reg = tau * (ind - frac)
-    welfare = tau * frac
+    draws = _normal_draws(seed, replications)
+    fracs = [
+        np.asarray(rule.evaluate(tau + exp.stat_sd * draws[i : i + _SIM_BLOCK]), dtype=float)
+        for i in range(0, replications, _SIM_BLOCK)
+    ]
+    regs = [tau * (ind - f) for f in fracs]
     r = float(replications)
 
-    mean_reg = float(reg.mean())
-    var_reg = float(reg.var(ddof=1))
+    mean_reg, var_reg, centered2 = _mean_var(regs, replications)
     sd_reg = math.sqrt(var_reg)
-    reg2 = reg * reg
-    msr = float(reg2.mean())
-    w_mean = float(welfare.mean())
-    w_sd = float(welfare.std(ddof=1))
+    msr, var_reg2, _ = _mean_var([x * x for x in regs], replications)
+    w_mean, w_var, _ = _mean_var([tau * f for f in fracs], replications)
+    w_sd = math.sqrt(w_var)
 
     se_mean = sd_reg / math.sqrt(r)
-    se_msr = float(reg2.std(ddof=1)) / math.sqrt(r)
+    se_msr = math.sqrt(var_reg2) / math.sqrt(r)
     # delta method for the sd: se(s) = se(s^2) / (2 s)
-    centered2 = (reg - mean_reg) ** 2
-    se_var = float(centered2.std(ddof=1)) / math.sqrt(r)
+    se_var = math.sqrt(_mean_var(centered2, replications)[1]) / math.sqrt(r)
     se_sd = se_var / (2.0 * sd_reg) if sd_reg > 0 else 0.0
 
     tail = []
     for c in tail_thresholds:
-        p = float((reg > c).mean())
+        p = sum(int(np.count_nonzero(x > c)) for x in regs) / r
         tail.append((float(c), p, math.sqrt(p * (1.0 - p) / r)))
 
     return SimulationSummary(

@@ -76,7 +76,9 @@ def run_cli(capsys, argv):
 def payload_of(capsys, argv):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    return json.loads(out)
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return payload
 
 
 class TestExitCodes:
@@ -179,6 +181,28 @@ class TestConfigEcho:
         assert cfg["resolved_tau_star"] == TAU_STAR
         assert "func" not in cfg
         assert "tail" not in cfg  # None flags are dropped
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv", [
+        ["solve-tau-star"],
+        ["rule-eval", "--rule", "mix:minimax,0.3", "--stat", "0.7"],
+        ["risk", "--rule", "bayes-flat", "--tau", "-0.4", "--tail", "0.1", "--tail", "0.3"],
+        ["simulate", "--rule", "minimax", "--tau", "0.5", "--reps", "9000", "--seed", "5",
+         "--tail", "0.2,0.4"],
+        ["saddle"],
+        ["dominate", "--t", "0.1", "--tau-bar", "1.25", "--alpha-g", "3"],
+        ["sample-size", "--criterion", "es-epsilon-optimal", "--epsilon", "0.05"],
+        ["figure1", "--tau", "0.4", "--reps", "500", "--seed", "5"],
+        ["regress", "--data", "{csv}", "--unbiased"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_is_indented_sorted_json(self, capsys, tmp_path, argv):
+        path = tmp_path / "trial.csv"
+        path.write_text("y,d,x\n3,1,0.5\n5,1,-1\n1,0,2\n2,0,0.25\n2.5,1,1\n", encoding="utf-8")
+        argv = [str(path) if a == "{csv}" else a for a in argv]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class TestRuleEval:

@@ -85,6 +85,62 @@ class TestSolve:
             bayes_objective(tau_star_solved) - frequentist_objective(tau_star_solved)
         ) < 1e-8
 
+    def test_scan_is_one_stacked_kernel_call_and_no_gauss_hermite(self, monkeypatch):
+        import numpy.polynomial.hermite as hermite
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gauss-Hermite nodes requested")
+
+        monkeypatch.setattr(hermite, "hermgauss", refuse)
+        assert not hasattr(numerics, "_gh_nodes")
+        calls = []
+
+        def spy(f, mean, sd, spec=lfp.DEFAULT_QUADRATURE):
+            out = numerics.gaussian_expectation(f, mean, sd, spec)
+            calls.append((spec, np.size(out)))
+            return out
+
+        spec = QuadratureSpec(node_count=32, fallback_abs_tol=1e-11)
+        monkeypatch.setattr(lfp, "gaussian_expectation", spy)
+        got = solve_tau_star(spec)
+        # both objectives at the 41 scan points, then scalar refinement calls
+        assert calls[0] == (spec, 82)
+        assert len(calls) > 1 and all(c == (spec, 1) for c in calls[1:])
+        assert abs(got - ORACLE_ARGMAX) < 1e-6
+
+    @pytest.mark.parametrize("lift, brackets", [
+        (1e-11, [(0.95, 1.05), (1.95, 2.05)]),  # peaks within the scan error
+        (1e-6, [(1.95, 2.05)]),  # the lower peak is out of the running
+    ])
+    def test_every_near_best_scan_peak_is_refined(self, monkeypatch, lift, brackets):
+        def two_peaks(a, spec=lfp.DEFAULT_QUADRATURE):
+            return -(((a - 1.0) * (a - 2.0)) ** 2) + lift * a
+
+        seen = []
+
+        def recording(f, lo, hi, tol):
+            seen.append((lo, hi))
+            return numerics.maximize_scalar(f, lo, hi, tol)
+
+        def grids(grid, spec):
+            vals = np.array([two_peaks(a) for a in grid])
+            return vals, vals
+
+        monkeypatch.setattr(lfp, "_objective_grids", grids)
+        monkeypatch.setattr(lfp, "bayes_objective", two_peaks)
+        monkeypatch.setattr(lfp, "frequentist_objective", two_peaks)
+        monkeypatch.setattr(lfp, "maximize_scalar", recording)
+        got = solve_tau_star()
+        assert seen == brackets + brackets
+        assert abs(got - 2.0) < 1e-3
+
+    def test_scan_matches_the_pointwise_objectives(self):
+        grid = np.arange(10, 51) / 20
+        bayes, freq = lfp._objective_grids(grid)
+        for a, b, f in zip(grid, bayes, freq):
+            assert abs(b - bayes_objective(a)) < 1e-12
+            assert abs(f - frequentist_objective(a)) < 1e-12
+
 
 class TestVerifySaddle:
     def test_certificate_at_the_solved_constant(self, tau_star_solved):
@@ -182,6 +238,7 @@ class TestShippedConstant:
         assert value == _constants.TAU_STAR
         shipped = open(_constants.__file__, encoding="ascii").read()
         assert out.read_text(encoding="ascii") == shipped
+        assert "TAU_STAR = 1.22814\n" in shipped
 
     def test_missing_cache_falls_back_to_a_rounded_solve(self, monkeypatch):
         import msregret.lfp as lfp

@@ -25,6 +25,7 @@ from msregret import (
     std_normal_pdf,
     std_normal_quantile,
 )
+from msregret.numerics import scan_brackets
 
 # frozen from oracles.py (erfc route)
 CDF_MINUS_1 = 0.15865525393145707
@@ -272,6 +273,39 @@ class TestFindRoot:
         with pytest.raises(DomainError):
             find_root(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 2.0)
 
+    def test_known_end_values_are_not_evaluated_again(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x * x - 2.0
+
+        got = find_root(f, 1.0, 2.0, f_lo=-1.0, f_hi=2.0)
+        assert 1.0 not in seen and 2.0 not in seen
+        assert abs(got - math.sqrt(2.0)) < 1e-12
+
+    def test_known_non_finite_end_value_is_refused(self):
+        with pytest.raises(DomainError):
+            find_root(lambda x: x, -1.0, 1.0, f_lo=math.nan)
+
+
+class TestScanBrackets:
+    GRID = np.arange(11) / 10
+
+    def test_single_peak(self):
+        vals = -((self.GRID - 0.42) ** 2)
+        assert scan_brackets(self.GRID, vals, 1e-9) == [(0.3, 0.5)]
+
+    def test_near_equal_peaks_are_all_kept_in_grid_order(self):
+        vals = np.array([0, 1, 3, 1, 0, 0, 0, 1, 3 + 1e-12, 1, 0], dtype=float)
+        assert scan_brackets(self.GRID, vals, 1e-9) == [(0.1, 0.3), (0.7, 0.9)]
+        assert scan_brackets(self.GRID, vals, 1e-13) == [(0.7, 0.9)]
+
+    def test_edges_and_plateaus(self):
+        # a peak at an end gets its one neighbour; a plateau gives its first point
+        vals = np.array([5, 4, 3, 2, 5, 5, 5, 1, 0, 0, 0], dtype=float)
+        assert scan_brackets(self.GRID, vals, 0.0) == [(0.0, 0.1), (0.3, 0.5)]
+
 
 class TestMaximizeScalar:
     def test_parabola(self):
@@ -336,6 +370,15 @@ class TestSameFloatsAsScipy:
             f = roots[name](a, s)
             want = optimize.brentq(f, a - left, a + right, xtol=tol, maxiter=200)
             assert find_root(f, a - left, a + right, tol) == want, name
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_find_root_with_known_ends_matches_brentq(self, tol):
+        for name, a, s, (left, right) in _seeded_cases(12, ["smooth", "steep"]):
+            f = (lambda x: math.tanh(s * (x - a))) if name == "smooth" else (
+                lambda x: math.atan(50.0 * s * (x - a)))
+            lo, hi = a - left, a + right
+            want = optimize.brentq(f, lo, hi, xtol=tol, maxiter=200)
+            assert find_root(f, lo, hi, tol, f_lo=f(lo), f_hi=f(hi)) == want, name
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     def test_maximize_scalar_matches_bounded_minimizer(self, tol):

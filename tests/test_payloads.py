@@ -4,8 +4,10 @@ against hand-written payload methods."""
 import ast
 import dataclasses
 import json
+import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from msregret import (
     rule_from_dict,
     rule_to_dict,
 )
+from msregret._codec import json_text
 from msregret.rules import _KINDS
 
 RISK = RiskReport(
@@ -390,3 +393,60 @@ def test_field_plans_are_built_once(monkeypatch):
         assert type(report).from_dict(report.to_dict()) == report
     rule = ComplementMix(MinimaxMSR(1.5), 0.3)
     assert rule_from_dict(rule_to_dict(rule)) == rule
+
+
+# the JSON writer: byte for byte json.dumps(payload, indent=2, sort_keys=True)
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, -2.5)
+JSON_FLOATS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(EDGE_FLOATS)
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+)
+JSON_STRINGS = st.text() | st.sampled_from(["", "caf\u00e9", 'q"uote\\', "tab\t\n\x00", "\U0001f600"])
+JSON_SCALARS = JSON_FLOATS | st.integers() | st.booleans() | st.none() | JSON_STRINGS
+JSON_ROWS = (
+    # equal-length float tables, ragged rows, and mixed int/float rows
+    st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.lists(JSON_FLOATS, min_size=k, max_size=k), max_size=5)
+    )
+    | st.lists(st.lists(JSON_FLOATS, max_size=4), max_size=5)
+    | st.lists(st.lists(JSON_FLOATS | st.integers(), max_size=4), max_size=5)
+    | st.lists(st.tuples(JSON_FLOATS, JSON_FLOATS), max_size=4)
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS | JSON_ROWS | st.lists(JSON_FLOATS, max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_PAYLOADS)
+def test_json_text_is_indented_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), [[]], [[], []], [{}], {"a": {}},
+    [float(x) for x in EDGE_FLOATS],
+    [[1.0, math.nan], [-math.inf, np.float64(0.25)]],
+    [[1.0, 2.0], [3.0]],
+    [[1, 2.0], [3.0, 4]],
+    [True, 1, 1.0, None, "x"],
+    {"\u00e9": 1, "b": [np.float64(1) / 3], "a": (1.5, -0.0)},
+    {"k": {"z": [[0.5]], "y": [0.5]}},
+])
+def test_json_text_edge_cases(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_text_keys_and_refusals():
+    for keys in ({1.5: "f", 2: "i", True: "t", -math.inf: "m"}, {None: "n"}, {False: 0}):
+        assert json_text(keys) == json.dumps(keys, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        json_text({"x": np.float32(1.0)})
+    with pytest.raises(TypeError):
+        json_text({(1, 2): 0})

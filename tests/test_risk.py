@@ -395,6 +395,22 @@ class TestTailProbability:
             assert events[:2] == [(481,), "find_root"], rule
             assert all(e == () for e in events[2:]), rule
 
+    def test_brent_reuses_the_grid_values_at_the_cell_ends(self, monkeypatch):
+        points = []
+        real = BayesFlatMSR.evaluate
+
+        def spy(self, stat):
+            if np.ndim(stat) == 0:
+                points.append(float(stat))
+            return real(self, stat)
+
+        monkeypatch.setattr(BayesFlatMSR, "evaluate", spy)
+        exp = GaussianExperiment(0.7, 1.0, 1)
+        tail_probability(BayesFlatMSR(), exp, 0.2)
+        assert points
+        # no scalar evaluation repeats a grid node
+        assert not np.isin(points, exp.tau + exp.stat_sd * risk._TAIL_GRID).any()
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_independent_inversions(self, data):
@@ -699,6 +715,82 @@ class TestSimulate:
         )
         back = SimulationSummary.from_dict(sim.to_dict())
         assert back == sim
+
+
+def one_array_summary(rule, exp, reps, seed, tails):
+    """simulate's statistics from numpy's mean/var/std on one array of draws."""
+    tau = exp.tau
+    ind = 1.0 if tau >= 0 else 0.0
+    frac = np.asarray(rule.evaluate(tau + exp.stat_sd * _normal_draws(seed, reps)), dtype=float)
+    reg = tau * (ind - frac)
+    welfare = tau * frac
+    root = math.sqrt(float(reps))
+    mean_reg = float(reg.mean())
+    sd_reg = math.sqrt(float(reg.var(ddof=1)))
+    reg2 = reg * reg
+    se_var = float(((reg - mean_reg) ** 2).std(ddof=1)) / root
+    ps = [float((reg > c).mean()) for c in tails]
+    return {
+        "mean_regret": mean_reg,
+        "regret_variance": float(reg.var(ddof=1)),
+        "mean_square_regret": float(reg2.mean()),
+        "welfare_mean": float(welfare.mean()),
+        "welfare_sd": float(welfare.std(ddof=1)),
+        "se_mean_regret": sd_reg / root,
+        "se_mean_square_regret": float(reg2.std(ddof=1)) / root,
+        "se_regret_sd": se_var / (2.0 * sd_reg) if sd_reg > 0 else 0.0,
+        "tail": [(float(c), p, math.sqrt(p * (1.0 - p) / reps)) for c, p in zip(tails, ps)],
+    }
+
+
+SUMMARY_FIELDS = (
+    "mean_regret", "regret_variance", "mean_square_regret", "welfare_mean", "welfare_sd",
+    "se_mean_regret", "se_mean_square_regret", "se_regret_sd",
+)
+SIM_CASES = [
+    (mm_rule(), GaussianExperiment(0.4, 1.0, 1)),
+    (BayesFlatMSR(), GaussianExperiment(-0.7, 2.0, 4)),
+    (ComplementMix(base=mm_rule(), lam=0.3), GaussianExperiment(1.1, 1.0, 1)),
+    (Threshold(0.1), GaussianExperiment(-0.2, 1.0, 1)),
+]
+
+
+class TestSimulateBlocks:
+    def summary(self, rule, exp, reps, seed):
+        sim = simulate(rule, exp, reps, seed, tail_thresholds=[0.05, 0.3])
+        got = {k: getattr(sim, k) for k in SUMMARY_FIELDS}
+        got["tail"] = list(sim.tail)
+        return got
+
+    @pytest.mark.parametrize("reps", [2, 3, 1000, 8191, 8192])
+    def test_one_block_is_numpy_bit_for_bit(self, reps):
+        for k, (rule, exp) in enumerate(SIM_CASES):
+            seed = RngSeed(300 + k)
+            want = one_array_summary(rule, exp, reps, seed, [0.05, 0.3])
+            assert self.summary(rule, exp, reps, seed) == want
+
+    @pytest.mark.parametrize("reps", [8191, 8192, 8193, 2 * 8192 + 3, 20_000])
+    def test_block_edges_match_one_array(self, reps):
+        for k, (rule, exp) in enumerate(SIM_CASES):
+            seed = RngSeed(400 + k)
+            want = one_array_summary(rule, exp, reps, seed, [0.05, 0.3])
+            got = self.summary(rule, exp, reps, seed)
+            # tail probabilities are counts over reps, exact in any order
+            assert got.pop("tail") == want.pop("tail")
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e-12 * abs(value), key
+
+    def test_rule_sees_blocks_of_at_most_8192_draws(self, monkeypatch):
+        sizes = []
+        real = MinimaxMSR.evaluate
+
+        def spy(self, stat):
+            sizes.append(np.size(stat))
+            return real(self, stat)
+
+        monkeypatch.setattr(MinimaxMSR, "evaluate", spy)
+        simulate(mm_rule(), GaussianExperiment(0.4, 1.0, 1), 20_000, RngSeed(1))
+        assert sizes == [8192, 8192, 3616]
 
 
 class TestRiskCurve:

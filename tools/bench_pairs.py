@@ -11,8 +11,11 @@ which side goes first from one pair to the next.  Pair i uses seed
 --first-seed + i, and both sides run for the run_seconds of BENCHMARK.json.
 Every run, both sides' medians and quartiles of each end-to-end metric, the
 change's win count, and whether it stays within the bound BENCHMARK.json
-fixes are written under workloads[W] of --out; an existing file keeps its
-other workloads, so several invocations fill one file.  A gain is claimed
+fixes are written under workloads[W] of --out, with each side's median over
+the pairs of the per-kind sums of operation times (kind_s: the operation
+medians that bench-out/W-seedS.json records for a run, summed by kind, in
+seconds at the reference speed).  An existing file keeps its other
+workloads, so several invocations fill one file.  A gain is claimed
 for a metric when the change wins at least nine tenths of the pairs and the
 medians differ by more than the distance between the parent's quartiles.
 """
@@ -56,11 +59,25 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"bench/run.py failed in {checkout}:\n{proc.stderr[-2000:]}")
     out = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads((checkout / "bench-out" / f"{workload}-seed{seed}.json").read_text())
+    kind_s: dict = {}
+    for kind, op_s in zip(record["record"]["kinds"], record["record"]["op_s"]):
+        kind_s[kind] = kind_s.get(kind, 0.0) + op_s
     return {
         "correct": out["correct"],
         "attempted": out["attempted"],
         "failed": out["failed"],
         "metrics": {name: m["value"] for name, m in out["metrics"].items()},
+        "kind_s": kind_s,
+    }
+
+
+def summarize_kinds(pairs: list) -> dict:
+    """Median over the pairs of each side's per-kind sum of operation times."""
+    return {
+        kind: {side + "_median": statistics.median(p[side]["kind_s"][kind] for p in pairs)
+               for side in ("parent", "change")}
+        for kind in pairs[0]["parent"]["kind_s"]
     }
 
 
@@ -134,6 +151,7 @@ def main(argv=None) -> int:
     )
     doc.setdefault("workloads", {})[args.workload] = {
         "summary": summarize(pairs, bench["end_to_end"]),
+        "kind_s": summarize_kinds(pairs),
         "runs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
