@@ -88,7 +88,7 @@ _SCAN_ROUNDING = 1e-12
 # at step 1/4; one vectorized rule evaluation, then Brent inside one cell
 _TAIL_GRID = np.arange(-240, 241) / 4.0
 _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
-_SIM_BLOCK = 8192  # simulate's evaluation block, 64 KB of floats
+_SIM_BLOCK = 8192  # simulate's draw and evaluation block, 64 KB of floats
 
 
 @dataclass(frozen=True)
@@ -458,13 +458,16 @@ def _normal_draws(seed: RngSeed, count: int) -> np.ndarray:
     from one seed.
     """
     out = np.empty(count, dtype=float)
-    for chunk in range(0, (count + _CHUNK - 1) // _CHUNK):
-        start = chunk * _CHUNK
-        stop = min(start + _CHUNK, count)
-        gen = np.random.Philox(key=seed.seed, counter=[0, 0, 0, chunk])
-        words = gen.random_raw(stop - start)
-        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        out[start:stop] = ndtri(u)
+    # a chunk's stream continues across random_raw calls, so it is mapped in
+    # blocks of _SIM_BLOCK words (a divisor of _CHUNK) with small temporaries
+    for lo in range(0, count, _SIM_BLOCK):
+        if lo % _CHUNK == 0:
+            gen = np.random.Philox(key=seed.seed, counter=[0, 0, 0, lo // _CHUNK])
+        hi = min(lo + _SIM_BLOCK, count)
+        u = (gen.random_raw(hi - lo) >> np.uint64(11)).astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        ndtri(u, out=out[lo:hi])
     out.setflags(write=False)
     return out
 
@@ -498,11 +501,12 @@ def simulate(
 ) -> SimulationSummary:
     """Monte Carlo analogue of exact_risk; deterministic given the seed.
 
-    The rule and the regret are evaluated in blocks of at most 8192 draws,
-    64 KB arrays that stay under glibc's initial 128 KB mmap threshold, so a
-    call does not fault in fresh pages whatever the process freed before.
-    Moments are combined two-pass over the blocks; up to 8192 replications
-    they are numpy's mean, var and std bit for bit.
+    The draws are mapped, and the rule and the regret evaluated, in blocks of
+    at most 8192 draws: 64 KB temporaries stay under glibc's initial 128 KB
+    mmap threshold, so a call works in reused heap memory instead of faulting
+    in fresh pages, whatever the process freed before.  Moments are combined
+    two-pass over the blocks; up to 8192 replications they are numpy's mean,
+    var and std bit for bit.
     """
     if replications < 2:
         raise DomainError(f"need at least 2 replications, got {replications}")
