@@ -472,24 +472,13 @@ def _normal_draws(seed: RngSeed, count: int) -> np.ndarray:
     return out
 
 
-def _mean_var(blocks: List[np.ndarray], count: int) -> Tuple[float, float, list]:
-    """Mean and ddof=1 variance of the concatenated blocks, two-pass, with the
-    blocks of squared deviations from the mean.
-
-    Block sums are added in order, so one block gives numpy's mean and var
-    bit for bit.
-    """
-    total = blocks[0].sum()
-    for block in blocks[1:]:
-        total = total + block.sum()
-    mean = total / count
-    squares = [block - mean for block in blocks]
-    for block in squares:
-        block *= block
-    m2 = squares[0].sum()
-    for block in squares[1:]:
-        m2 = m2 + block.sum()
-    return float(mean), float(m2 / (count - 1)), squares
+def _totals(rows: list) -> list:
+    """Column sums of per-block rows, added in block order starting from the
+    first block's values, so one block gives numpy's sums bit for bit."""
+    out = list(rows[0])
+    for row in rows[1:]:
+        out = [t + x for t, x in zip(out, row)]
+    return out
 
 
 def simulate(
@@ -503,10 +492,11 @@ def simulate(
 
     The draws are mapped, and the rule and the regret evaluated, in blocks of
     at most 8192 draws: 64 KB temporaries stay under glibc's initial 128 KB
-    mmap threshold, so a call works in reused heap memory instead of faulting
-    in fresh pages, whatever the process freed before.  Moments are combined
-    two-pass over the blocks; up to 8192 replications they are numpy's mean,
-    var and std bit for bit.
+    mmap threshold, and only the blocks of fractions live across the passes
+    over them, so a call works in reused heap memory instead of faulting in
+    fresh pages, whatever the process freed before.  The moments are
+    two-pass (block sums, then squared deviations from the means); up to 8192
+    replications they are numpy's mean, var and std bit for bit.
     """
     if replications < 2:
         raise DomainError(f"need at least 2 replications, got {replications}")
@@ -517,25 +507,53 @@ def simulate(
         np.asarray(rule.evaluate(tau + exp.stat_sd * draws[i : i + _SIM_BLOCK]), dtype=float)
         for i in range(0, replications, _SIM_BLOCK)
     ]
-    regs = [tau * (ind - f) for f in fracs]
     r = float(replications)
 
-    mean_reg, var_reg, centered2 = _mean_var(regs, replications)
+    def regret(f: np.ndarray) -> np.ndarray:
+        out = ind - f
+        out *= tau
+        return out
+
+    def spread(block: np.ndarray, mean) -> np.ndarray:
+        # squared deviations, in place
+        block -= mean
+        block *= block
+        return block
+
+    # only the fractions are kept across the passes; every other block is
+    # recomputed from them, so a call holds a few blocks at once
+    counts = [0] * len(tail_thresholds)
+    sums = []
+    for f in fracs:
+        reg = regret(f)
+        counts = [n + int(np.count_nonzero(reg > c)) for n, c in zip(counts, tail_thresholds)]
+        sums.append((reg.sum(), (reg * reg).sum(), (tau * f).sum()))
+    s_reg, s_reg2, s_w = _totals(sums)
+    mean_reg, msr, w_mean = s_reg / replications, s_reg2 / replications, s_w / replications
+    sums = []
+    for f in fracs:
+        reg = regret(f)
+        reg2 = spread(reg * reg, msr)
+        sums.append((spread(reg, mean_reg).sum(), reg2.sum(), spread(tau * f, w_mean).sum()))
+    m2_reg, m2_reg2, m2_w = _totals(sums)
+    # the squared regret deviations have mean m2_reg / n; a third pass takes
+    # their spread
+    mean_c2 = m2_reg / replications
+    (m2_c2,) = _totals([(spread(spread(regret(f), mean_reg), mean_c2).sum(),) for f in fracs])
+
+    mean_reg, msr, w_mean = float(mean_reg), float(msr), float(w_mean)
+    var_reg = float(m2_reg / (replications - 1))
     sd_reg = math.sqrt(var_reg)
-    msr, var_reg2, _ = _mean_var([x * x for x in regs], replications)
-    w_mean, w_var, _ = _mean_var([tau * f for f in fracs], replications)
-    w_sd = math.sqrt(w_var)
-
+    w_sd = math.sqrt(float(m2_w / (replications - 1)))
     se_mean = sd_reg / math.sqrt(r)
-    se_msr = math.sqrt(var_reg2) / math.sqrt(r)
+    se_msr = math.sqrt(float(m2_reg2 / (replications - 1))) / math.sqrt(r)
     # delta method for the sd: se(s) = se(s^2) / (2 s)
-    se_var = math.sqrt(_mean_var(centered2, replications)[1]) / math.sqrt(r)
+    se_var = math.sqrt(float(m2_c2 / (replications - 1))) / math.sqrt(r)
     se_sd = se_var / (2.0 * sd_reg) if sd_reg > 0 else 0.0
-
-    tail = []
-    for c in tail_thresholds:
-        p = sum(int(np.count_nonzero(x > c)) for x in regs) / r
-        tail.append((float(c), p, math.sqrt(p * (1.0 - p) / r)))
+    tail = [
+        (float(c), n / r, math.sqrt((n / r) * (1.0 - n / r) / r))
+        for c, n in zip(tail_thresholds, counts)
+    ]
 
     return SimulationSummary(
         replications=replications,
