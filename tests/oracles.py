@@ -105,7 +105,8 @@ def prior_bayes_tail(pairs, alpha_g, sd, tau, threshold, stat_sd=None):
     sd.  The fraction rises in the statistic, so for tau > 0 the event is Y
     below the point where it reaches 1 - threshold/tau, and for tau < 0 it
     is Y above the point where it reaches threshold/|tau|; the search for
-    that point spans 20 sd either side of tau, or of 0 when stat_sd is given."""
+    that point starts 20 sd either side of tau, or of 0 when stat_sd is given,
+    and widens as prior_bayes_cut describes."""
     q = 1.0 - threshold / tau if tau > 0 else threshold / -tau
     if not 0.0 < q < 1.0:
         return 0.0 if (q <= 0.0) == (tau > 0) else 1.0
@@ -116,11 +117,17 @@ def prior_bayes_tail(pairs, alpha_g, sd, tau, threshold, stat_sd=None):
 
 def prior_bayes_cut(pairs, alpha_g, sd, q, mid=0.0):
     """Statistic where the bayes_foc_root fraction equals q in (0, 1), by
-    brentq within 20 sd of mid."""
-    return optimize.brentq(
-        lambda y: bayes_foc_root(pairs, alpha_g, sd, y) - q,
-        mid - 20.0 * sd, mid + 20.0 * sd, xtol=1e-14,
-    )
+    brentq on mid +- 20 sd, the half-width doubled until the fraction minus q
+    changes sign across it.  The fraction can approach 0 or 1 slowly, as the
+    (alpha_g - 1)-th root of the posterior odds, so a crossing can lie well
+    beyond 20 sd."""
+    gap = lambda y: bayes_foc_root(pairs, alpha_g, sd, y) - q
+    half = 20.0 * sd
+    for _ in range(8):
+        if gap(mid - half) * gap(mid + half) <= 0.0:
+            break
+        half *= 2.0
+    return optimize.brentq(gap, mid - half, mid + half, xtol=1e-14)
 
 
 def bayes_flat_cut(q):
