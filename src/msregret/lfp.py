@@ -220,9 +220,16 @@ def verify_saddle(
     def rows(z: np.ndarray) -> np.ndarray:
         # s = a + z is the statistic at effect a; the Bayes rows are
         # bayes_objective's integrand, the frequentist rows exact_risk's
-        # squared regret
-        s = col + z
-        return np.concatenate([expit(-2.0 * col * s), (col * (1.0 - rule.evaluate(s))) ** 2])
+        # squared regret.  Both halves are written into one buffer, s held in
+        # the frequentist half until the rule has read it.
+        out = np.empty((2 * a.size, z.size))
+        bayes, freq = out[: a.size], out[a.size :]
+        s = np.add(col, z, out=freq)
+        expit(np.multiply(-2.0 * col, s, out=bayes), out=bayes)
+        np.subtract(1.0, rule.evaluate(s), out=freq)
+        np.multiply(col, freq, out=freq)
+        np.multiply(freq, freq, out=freq)
+        return out
 
     curve = gaussian_expectation(rows, 0.0, 1.0, spec)
     bayes_col = np.zeros(taus.size)

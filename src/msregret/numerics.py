@@ -148,6 +148,14 @@ def _trapezoid_level(intervals: int, level: int) -> Tuple[np.ndarray, np.ndarray
     return z, w
 
 
+@lru_cache(maxsize=64)
+def _first_levels(intervals: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level 0's nodes followed by level 1's, and each level's weights."""
+    z0, w0 = _trapezoid_level(intervals, 0)
+    z1, w1 = _trapezoid_level(intervals, 1)
+    return np.concatenate((z0, z1)), w0, w1
+
+
 def gaussian_expectation(
     f: Callable,
     mean: float,
@@ -160,24 +168,35 @@ def gaussian_expectation(
     stacked integrands; the result is a float or a length-k array.  The
     trapezoid rule starts at spec.node_count intervals and halves its step,
     evaluating f at the new midpoints only, until two levels agree within
-    spec.fallback_abs_tol on every component.  Raises ConvergenceError as the
-    module docstring describes, DomainError for sd <= 0.
+    spec.fallback_abs_tol on every component.  Since that takes two levels at
+    least, the first call of f gets level 0's spec.node_count + 1 nodes and
+    level 1's spec.node_count midpoints together, in that order; each later
+    level is one call.  Raises ConvergenceError as the module docstring
+    describes, DomainError for sd <= 0.
     """
     if not sd > 0:
         raise DomainError(f"sd must be positive, got {sd}")
     tol = spec.fallback_abs_tol
+    n0 = spec.node_count + 1
+    z, w0, w1 = _first_levels(spec.node_count)
+    vals = np.asarray(f(mean + sd * z), dtype=float)
+    # level 0's end columns are its first and last nodes
+    if np.abs(vals[..., 0:n0:n0 - 1]).max() * _EDGE_DENSITY > tol:
+        raise ConvergenceError(f"integrand not negligible at z = +-{_HALF_WIDTH}")
+    first = (vals[..., :n0] @ w0, vals[..., n0:] @ w1)
     total, previous = 0.0, None
     for level in range(_MAX_HALVINGS + 1):
-        z, w = _trapezoid_level(spec.node_count, level)
-        vals = np.asarray(f(mean + sd * z), dtype=float)
-        if level == 0 and np.max(np.abs(vals[..., [0, -1]])) * _EDGE_DENSITY > tol:
-            raise ConvergenceError(f"integrand not negligible at z = +-{_HALF_WIDTH}")
-        total = total + vals @ w
+        if level < 2:
+            part = first[level]
+        else:
+            z, w = _trapezoid_level(spec.node_count, level)
+            part = np.asarray(f(mean + sd * z), dtype=float) @ w
+        total = total + part
         value = total * (2.0 * _HALF_WIDTH / (spec.node_count << level))
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise ConvergenceError("trapezoid rule produced a non-finite value")
         if previous is not None:
-            gap = float(np.max(np.abs(value - previous)))
+            gap = float(np.abs(value - previous).max())
             if gap <= tol:
                 return float(value) if value.ndim == 0 else value
         previous = value

@@ -202,16 +202,23 @@ def exact_risk(
         w_var = tau * tau * p_lo * p_hi * (vhi - vlo) ** 2
     else:
         center = []
+        n0 = spec.node_count + 1
 
         def moments(y: np.ndarray) -> np.ndarray:
-            frac = np.asarray(rule.evaluate(y), dtype=float)
+            out = np.empty((4, y.size))
+            frac, dev2, reg, reg2 = out
+            frac[...] = rule.evaluate(y)
             if not center:
-                # c = f(tau) off the first level, whose middle node is tau for an
-                # even node_count; any constant c keeps the identity exact
-                center.append(float(frac[np.argmin(np.abs(y - tau))]))
-            dev = frac - center[0]
-            reg = tau * (ind - frac)
-            return np.stack([frac, dev * dev, reg, reg * reg])
+                # c = f(tau) off level 0, the first n0 points, whose middle
+                # node is tau for an even node_count; any constant c keeps the
+                # identity exact
+                center.append(float(frac[np.argmin(np.abs(y[:n0] - tau))]))
+            np.subtract(frac, center[0], out=dev2)
+            np.multiply(dev2, dev2, out=dev2)
+            np.subtract(ind, frac, out=reg)
+            np.multiply(tau, reg, out=reg)
+            np.multiply(reg, reg, out=reg2)
+            return out
 
         e_frac, e_dev2, m1, m2 = gaussian_expectation(moments, tau, sd, spec).tolist()
         shift = e_frac - center[0]

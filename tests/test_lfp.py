@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import oracles
 from msregret import (
@@ -183,6 +184,23 @@ class TestVerifySaddle:
             assert abs(bayes - bayes_objective(tau)) < 1e-12
             rep = exact_risk(rule, GaussianExperiment(tau, 1.0, 1))
             assert abs(freq - rep.mean_square_regret) < 1e-12
+
+    def test_in_place_rows_give_the_concatenated_rows_bit_for_bit(self):
+        tau_star = default_tau_star()
+        rule = MinimaxMSR(tau_star=tau_star)
+        a = np.arange(0.0, 4.0 + 0.01, 0.02)[1:]
+        col = a[:, None]
+
+        def rows(z):
+            s = col + z
+            return np.concatenate(
+                [expit(-2.0 * col * s), (col * (1.0 - rule.evaluate(s))) ** 2]
+            )
+
+        curve = numerics.gaussian_expectation(rows, 0.0, 1.0)
+        samples = verify_saddle(tau_star).curve_samples[1:]
+        assert [b for _, b, _ in samples] == (0.5 * a * a * curve[: a.size]).tolist()
+        assert [f for _, _, f in samples] == curve[a.size :].tolist()
 
     def test_curve_is_one_kernel_call_with_the_given_spec(self, monkeypatch):
         calls = []

@@ -177,6 +177,43 @@ class TestGaussianExpectation:
         with pytest.raises(ConvergenceError):
             gaussian_expectation(lambda x: np.where(x > 0.0, np.nan, 1.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("node_count", [16, 17, 64])
+    def test_first_call_holds_the_first_two_levels(self, node_count):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return 1.0 / (1.0 + np.exp(-8.0 * x))
+
+        spec = QuadratureSpec(node_count=node_count)
+        got = gaussian_expectation(f, 0.3, 1.0, spec)
+        want = oracles.normal_expectation(lambda x: _logistic(8.0 * x), 0.3, 1.0)
+        assert abs(got - want) < 1e-10
+        n = node_count
+        # level 0's n + 1 nodes and level 1's n midpoints, then one call per
+        # level; every node of the finest level, level len(sizes), once
+        assert len(sizes) >= 3
+        assert sizes == [2 * n + 1] + [n << level for level in range(1, len(sizes))]
+        assert sum(sizes) == (n << len(sizes)) + 1
+
+    def test_edge_check_reads_level_zero_ends(self):
+        # the last column of the first call is level 1's outermost midpoint,
+        # which the edge check does not read; level 0's ends are z = +-10
+        with pytest.raises(ConvergenceError, match="not negligible"):
+            gaussian_expectation(lambda x: np.where(x == -10.0, 1e20, 0.0), 0.0, 1.0)
+        with pytest.raises(ConvergenceError, match="not negligible"):
+            gaussian_expectation(lambda x: np.where(x == 10.0, 1e20, 0.0), 0.0, 1.0)
+        # 1e13 at z = 10 would fail the check; one node's weight there is tiny
+        inner = 10.0 - 10.0 / 64
+        got = gaussian_expectation(lambda x: np.where(x == inner, 1e13, 0.0), 0.0, 1.0)
+        assert 0.0 < got < 1e-10
+
+    def test_stacked_edge_check_reads_every_row(self):
+        with pytest.raises(ConvergenceError, match="not negligible"):
+            gaussian_expectation(
+                lambda x: np.stack([np.cos(x), np.where(x == 10.0, 1e20, 0.0)]), 0.0, 1.0
+            )
+
 
 def _logistic(x: float) -> float:
     # math-only logistic for the scalar oracle integrands
@@ -234,6 +271,20 @@ class TestExactRiskKernel:
         exact_risk(MinimaxMSR(tau_star=2.0), GaussianExperiment(0.7, 1.0, 1))
         points = np.concatenate(seen)
         assert len(points) == len(np.unique(points))
+
+    def test_rule_sees_the_first_two_levels_in_one_call(self, monkeypatch):
+        sizes = []
+        evaluate = BayesFlatMSR.evaluate
+
+        def counting(rule, stat):
+            sizes.append(np.size(stat))
+            return evaluate(rule, stat)
+
+        monkeypatch.setattr(BayesFlatMSR, "evaluate", counting)
+        for n in (64, 17):
+            sizes.clear()
+            exact_risk(BayesFlatMSR(), GaussianExperiment(1.3, 1.0, 1), QuadratureSpec(n))
+            assert sizes == [2 * n + 1] + [n << level for level in range(1, len(sizes))]
 
     def test_welfare_sd_of_a_sharp_statistic(self):
         # sd = 1e-8: the variance is tau^2 f'(tau)^2 sd^2 to first order,

@@ -27,6 +27,8 @@ from msregret import (
     rule_from_dict,
     rule_to_dict,
     solve_bayes_foc,
+    std_normal_cdf,
+    std_normal_pdf,
     tilted_posterior_match_msr,
 )
 
@@ -170,6 +172,50 @@ class TestBayesFlatRule:
         for y in (0.5, 1.0, 2.0, 3.0):
             assert bayes.evaluate(y) > post.evaluate(y)
             assert bayes.evaluate(-y) < post.evaluate(-y)
+
+
+def _bayes_flat_reference(u):
+    # the published form through the public normal functions, clipped
+    out = std_normal_cdf(u) + u * std_normal_pdf(u) / (1.0 + u * u)
+    return np.clip(out, 0.0, 1.0)
+
+
+# each smooth rule against its formula spelled through the public helpers:
+# the rules skip those helpers' wrappers, and must give the same bits
+REFERENCE_FORMS = [
+    (lambda s: MinimaxMSR(TAU_STAR, s), lambda u: expit(2.0 * TAU_STAR * u)),
+    (BayesFlatMSR, _bayes_flat_reference),
+    (PosteriorMatchFlat, std_normal_cdf),
+]
+EXTREME_STATS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.3, -0.3, 8.5, -8.5, 38.0, -38.0, 1e3, -1e3,
+     1e300, -1e300, np.inf, -np.inf, np.nan]
+)
+
+
+class TestReferenceForms:
+    @pytest.mark.parametrize("make, form", REFERENCE_FORMS)
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_arrays_bit_for_bit(self, make, form, scale):
+        ys = np.concatenate([np.linspace(-60.0, 60.0, 4801), EXTREME_STATS])
+        kept = ys.copy()
+        got = make(scale).evaluate(ys)
+        assert got.tobytes() == np.asarray(form(ys / scale), dtype=float).tobytes()
+        assert ys.tobytes() == kept.tobytes()  # the statistic is not written to
+        grid = ys[:4800].reshape(60, 80)
+        assert make(scale).evaluate(grid).tobytes() == form(grid / scale).tobytes()
+
+    @pytest.mark.parametrize("make, form", REFERENCE_FORMS)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scalars_are_floats_bit_for_bit(self, make, form):
+        rule = make(0.3)
+        for y in EXTREME_STATS.tolist():
+            want = np.float64(form(np.float64(y) / 0.3)).tobytes()
+            for stat in (y, np.float64(y), np.array(y)):
+                got = rule.evaluate(stat)
+                assert type(got) is float and np.float64(got).tobytes() == want, stat
+        assert type(rule.evaluate(2)) is float
 
 
 class TestPsi:
