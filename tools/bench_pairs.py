@@ -18,6 +18,12 @@ seconds at the reference speed).  An existing file keeps its other
 workloads, so several invocations fill one file.  A gain is claimed
 for a metric when the change wins at least nine tenths of the pairs and the
 medians differ by more than the distance between the parent's quartiles.
+
+Each pair also runs the unmodified bench/worker.py of each side once more,
+with --check 0, and compares the two lists of output digests: the pair
+records outputs_identical and the indices of the operations whose digests
+differ (differing_ops), and the workload records whether every pair's
+outputs were identical.
 """
 from __future__ import annotations
 
@@ -32,9 +38,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the environment bench/run.py gives its workers: BLAS on one thread, fixed hashing
+WORKER_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+              "NUMEXPR_NUM_THREADS": "1", "VECLIB_MAXIMUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
 
 def git(*args: str) -> str:
@@ -70,6 +80,27 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "metrics": {name: m["value"] for name, m in out["metrics"].items()},
         "kind_s": kind_s,
     }
+
+
+def digests(checkout: Path, workload: str, seed: int) -> list:
+    """Every operation's output digest from one pass of checkout's bench/worker.py."""
+    env = dict(os.environ, **WORKER_ENV)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, "bench/worker.py", "--root", str(checkout), "--workload", workload,
+         "--seed", str(seed), "--check", "0", "--spawned", repr(time.perf_counter())],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"bench/worker.py failed in {checkout}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])["digests"]
+
+
+def compare_outputs(parent: list, change: list) -> dict:
+    """Whether two passes' output digests agree, and where they do not."""
+    differ = [i for i, (p, c) in enumerate(zip(parent, change)) if p != c]
+    differ += list(range(min(len(parent), len(change)), max(len(parent), len(change))))
+    return {"outputs_identical": not differ, "differing_ops": differ}
 
 
 def summarize_kinds(pairs: list) -> dict:
@@ -133,10 +164,14 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run(parent_root if side == "parent" else ROOT,
                                  args.workload, seed, seconds)
+            pair.update(compare_outputs(digests(parent_root, args.workload, seed),
+                                        digests(ROOT, args.workload, seed)))
             pairs.append(pair)
             print(f"{args.workload} seed {seed}: pass_s parent "
                   f"{pair['parent']['metrics']['pass_s']:.4f} change "
-                  f"{pair['change']['metrics']['pass_s']:.4f}", file=sys.stderr)
+                  f"{pair['change']['metrics']['pass_s']:.4f}, outputs "
+                  + ("identical" if pair["outputs_identical"]
+                     else f"differ at {pair['differing_ops']}"), file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     if doc.get("parent", parent_sha) != parent_sha:
@@ -151,6 +186,7 @@ def main(argv=None) -> int:
     )
     doc.setdefault("workloads", {})[args.workload] = {
         "summary": summarize(pairs, bench["end_to_end"]),
+        "outputs_identical": all(p["outputs_identical"] for p in pairs),
         "kind_s": summarize_kinds(pairs),
         "runs": pairs,
     }
