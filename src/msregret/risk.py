@@ -178,7 +178,10 @@ def exact_risk(
     Regret moments come from integrating Reg and Reg^2; welfare moments from
     integrating the fraction f and (f - c)^2 with c = f(tau), so the variance
     E[(f-c)^2] - (E f - c)^2 does not cancel when the statistic is sharp.  The
-    four integrands share one quadrature, evaluating the rule once per node.
+    four integrands share one quadrature, evaluating the rule once per node
+    and writing f, (f - c)^2, Reg and Reg^2 into one (4, n) buffer; c is the
+    rule's value at the level-0 node nearest tau, which is tau itself for an
+    even spec.node_count.
     Piecewise-constant rules skip quadrature in favor of the exact two-outcome
     sums.  Tail entries are computed by tail_probability for each threshold.
     """
