@@ -16,21 +16,27 @@ from msregret import (
     DiscretePriorBayes,
     DomainError,
     EmpiricalSuccess,
+    GaussianExperiment,
     HypothesisTest,
     MinimaxMSR,
     PosteriorMatchFlat,
     PriorSupportError,
+    RngSeed,
     Threshold,
     TreatmentRule,
     evaluate,
     psi,
     rule_from_dict,
     rule_to_dict,
+    simulate,
     solve_bayes_foc,
     std_normal_cdf,
     std_normal_pdf,
+    tail_probability,
     tilted_posterior_match_msr,
+    worst_case_msr,
 )
+from msregret.risk import _unit_worst
 
 TAU_STAR = 1.22814
 YBAR_GRID = (0.0, 0.2533, 0.5244, 0.8416, 1.2816, 1.6449, 2.3263)
@@ -459,6 +465,249 @@ class TestBayesFoc:
         assert vals.shape == ss.shape
         assert np.all(np.diff(vals) > 0.0)
 
+
+class TestBayesFocFrozen:
+    """DiscretePriorBayes outputs frozen as literals from the per-sign
+    solver (each sign masked out and reduced on its own), so any rewrite of
+    solve_bayes_foc must reproduce them bit for bit.  Floats are compared as
+    JSON text, where NaN equals NaN."""
+
+    PIN_PAIRS = [(-1.3, 0.3), (-0.4, 0.2), (0.6, 0.35), (1.9, 0.15)]
+    ZERO_PAIRS = [(-1.0, 0.3), (0.0, 0.4), (1.5, 0.3)]
+    TABLE = np.linspace(-4.0, 4.0, 24)
+    GRID = np.linspace(-6.0, 6.0, 24).reshape(4, 6)
+    SPECIAL = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e308, -1e308]
+    SCALARS = [0.7, np.float64(-0.3), np.array(1.1), 2]
+    NAN = math.nan
+    FROZEN_BAYES = {
+        1.5: {
+            "table": [
+                5.169082524712177e-11, 4.070375813672262e-10, 3.2021419976545464e-09,
+                2.5153161231155866e-08, 1.9711744013475274e-07, 1.5391947707101271e-06,
+                1.1954115542045449e-05, 9.211614616777679e-05, 0.000702024145579076,
+                0.005261756404696314, 0.03787120969732642, 0.22608362222219205,
+                0.6889883959263065, 0.9470816317920244, 0.9938320886015289, 0.9993933281856568,
+                0.9999465805000469, 0.9999955878054039, 0.9999996453200121, 0.9999999716569169,
+                0.9999999977280136, 0.9999999998168618, 0.9999999999851599, 0.9999999999987925,
+            ],
+            "grid": [
+                [
+                    1e-12, 1e-12, 1e-12, 3.915455536160516e-12, 8.659604796677237e-11,
+                    1.912226131449808e-09,
+                ],
+                [
+                    4.2095825929000255e-08, 9.211624429826527e-07, 1.9933762101297966e-05,
+                    0.00042305278281070584, 0.00866885248195269, 0.15027895243037606,
+                ],
+                [
+                    0.7874904709948447, 0.9892380809735802, 0.9996667015420447,
+                    0.9999917390610009, 0.9999998114149942, 0.9999999957322245,
+                ],
+                [
+                    0.9999999999023332, 0.9999999999977398, 0.999999999999, 0.999999999999,
+                    0.999999999999, 0.999999999999,
+                ],
+            ],
+            "special": [
+                0.999999999999, 1e-12, NAN, 0.4445956893845991, 0.4445956893845991,
+                0.999999999999, 1e-12,
+            ],
+            "scalars": [
+                0.9819291698841407, 0.1236863924765714, 0.9986532502842006, 0.9999976472244139,
+            ],
+            "zero_table": [
+                1.9930400956714077e-09, 1.1345164123363514e-08, 6.458111084528244e-08,
+                3.6762084627405074e-07, 2.092638120852368e-06, 1.1911998198321497e-05,
+                6.780396572262295e-05, 0.0003858439477813581, 0.002192405338938243,
+                0.012352946748639331, 0.06646516345877959, 0.2883995192214887,
+                0.6976137779664067, 0.9292411702657999, 0.9867996203747061, 0.9976555373752738,
+                0.9995873434968283, 0.9999274826877947, 0.9999872598978602, 0.9999977618833419,
+                0.9999996068223977, 0.9999999309292519, 0.9999999878661273, 0.9999999978684051,
+            ],
+            "zero_special": [
+                0.999999999999, 1e-12, NAN, 0.49159962159381454, 0.49159962159381454,
+                0.999999999999, 1e-12,
+            ],
+        },
+        2.0: {
+            "table": [
+                4.887532387972374e-06, 1.3720847951000944e-05, 3.851071725035118e-05,
+                0.00010805498333093846, 0.0003030390840490088, 0.0008492267791875077,
+                0.002376778874606112, 0.006635193388195125, 0.018414286407377616,
+                0.05031153060527698, 0.13165896960454995, 0.308526116624645,
+                0.5795815010257708, 0.8201828886022939, 0.9419223542556808, 0.983806619695347,
+                0.9957147948388378, 0.9988710618387179, 0.9996983070281352, 0.9999179014288685,
+                0.9999773018882349, 0.9999936490969272, 0.9999982081343699, 0.9999994916134076,
+            ],
+            "grid": [
+                [
+                    1.2904237958267488e-08, 6.072910819348449e-08, 2.857860590275333e-07,
+                    1.3447595272110222e-06, 6.326580724720545e-06, 2.975378157615814e-05,
+                ],
+                [
+                    0.00013984001832834165, 0.0006564216476688655, 0.003073206546226572,
+                    0.014279837051063882, 0.06436176573553454, 0.2534052388258643,
+                ],
+                [
+                    0.648678676187417, 0.9215063412443221, 0.988358112451541,
+                    0.9984257137714637, 0.9997824630579867, 0.9999687376228995,
+                ],
+                [
+                    0.9999953744123974, 0.9999993036989873, 0.9999998942107727,
+                    0.9999999838512821, 0.9999999975290854, 0.9999999996214874,
+                ],
+            ],
+            "special": [
+                0.999999999999, 1e-12, NAN, 0.4377020189131108, 0.4377020189131108,
+                0.999999999999, 1e-12,
+            ],
+            "scalars": [
+                0.8965516514550974, 0.23099205780718415, 0.974844367224369, 0.999189647748763,
+            ],
+            "zero_table": [
+                5.467388093679261e-05, 0.0001304350690795758, 0.0003111453029863852,
+                0.0007420332975864579, 0.0017685786834385974, 0.0042092875720899725,
+                0.009984581348700212, 0.023496812014105327, 0.054292458108641015,
+                0.12047043308341257, 0.2463049186253147, 0.43810598456417266,
+                0.6503806521063622, 0.8161200015405641, 0.9137134487143909, 0.9619260947449153,
+                0.9836810338731576, 0.9930947145209383, 0.9970941061819936, 0.9987799825400905,
+                0.9994882868829018, 0.9997854599973521, 0.9999100678386857, 0.999962304427567,
+            ],
+            "zero_special": [
+                0.999999999999, 1e-12, NAN, 0.5463491066966051, 0.5463491066966051,
+                0.999999999999, 1e-12,
+            ],
+        },
+        3.0: {
+            "table": [
+                0.001500230796876382, 0.002511800785525507, 0.004203085805909902,
+                0.007026994011972767, 0.011732369146722564, 0.01954918731857383,
+                0.03247982289387239, 0.05374712876620989, 0.08845620023825802,
+                0.14442805689111018, 0.23244235355440057, 0.362454006725066,
+                0.5298639543023114, 0.7014194387566203, 0.8350445974493026, 0.9169672010270359,
+                0.959922948773179, 0.9807713977520433, 0.990650191374835, 0.9953589790266386,
+                0.9976483610346647, 0.9987878326735494, 0.9993671553746255, 0.9996666618727653,
+            ],
+            "grid": [
+                [
+                    7.716923980012445e-05, 0.00016739643264245593, 0.00036308060044342187,
+                    0.000787345518413226, 0.0017066015696299485, 0.0036957443894194684,
+                ],
+                [
+                    0.007988921469404187, 0.017210526697409606, 0.036853925917776295,
+                    0.07814509534198606, 0.16296248313588269, 0.3258245772592282,
+                ],
+                [
+                    0.5742010706852688, 0.8065762838506025, 0.9306376536797297,
+                    0.9769133062968873, 0.992167928550979, 0.9972176471034463,
+                ],
+                [
+                    0.9989706843436905, 0.9996089749716668, 0.9998492155601485,
+                    0.9999414003011743, 0.9999771371458799, 0.9999910628724875,
+                ],
+            ],
+            "special": [
+                0.999999999999, 1e-12, NAN, 0.4428842160584389, 0.4428842160584389,
+                0.999999999999, 1e-12,
+            ],
+            "scalars": [
+                0.7763827736599427, 0.31021844213794114, 0.8945826083481749,
+                0.9839704307032018,
+            ],
+            "zero_table": [
+                0.00897495098142648, 0.013795521163937952, 0.02115002872050851,
+                0.03229688634873301, 0.04902432394274741, 0.073755047451312,
+                0.10952456198276861, 0.1596514054303157, 0.22687501225277595,
+                0.31189843178939824, 0.41181283307205535, 0.5195665921331014,
+                0.6255303206920675, 0.7206869332213082, 0.7994169355515046, 0.8602582781340868,
+                0.9048418042404222, 0.936255291502532, 0.9577824486070285, 0.9722551282783144,
+                0.9818603659891654, 0.9881807076802192, 0.9923161044110742, 0.9950118902770868,
+            ],
+            "zero_special": [
+                0.999999999999, 1e-12, NAN, 0.5733904392342579, 0.5733904392342579,
+                0.999999999999, 1e-12,
+            ],
+        },
+    }
+
+    @staticmethod
+    def same(got, want) -> bool:
+        return json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("alpha_g", [1.5, 2.0, 3.0])
+    def test_pin_prior(self, alpha_g):
+        want = self.FROZEN_BAYES[alpha_g]
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs(self.PIN_PAIRS), alpha_g, 0.8)
+        assert self.same(rule.evaluate(self.TABLE).tolist(), want["table"])
+        grid = rule.evaluate(self.GRID)
+        assert grid.shape == (4, 6) and self.same(grid.tolist(), want["grid"])
+        scalars = [rule.evaluate(s) for s in self.SCALARS]
+        assert all(type(v) is float for v in scalars)
+        assert self.same(scalars, want["scalars"])
+        # the overflow and inf warnings numpy raises on the way are not pinned
+        with np.errstate(over="ignore", invalid="ignore"):
+            special = rule.evaluate(np.array(self.SPECIAL)).tolist()
+            special_scalar = [rule.evaluate(s) for s in self.SPECIAL]
+        assert self.same(special, want["special"])
+        assert self.same(special_scalar, want["special"])
+
+    @pytest.mark.parametrize("alpha_g", [1.5, 2.0, 3.0])
+    def test_prior_with_a_point_at_zero(self, alpha_g):
+        want = self.FROZEN_BAYES[alpha_g]
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs(self.ZERO_PAIRS), alpha_g, 1.0)
+        assert self.same(rule.evaluate(self.TABLE).tolist(), want["zero_table"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            special = rule.evaluate(np.array(self.SPECIAL)).tolist()
+        assert self.same(special, want["zero_special"])
+
+
+    # the six fixed tail cases of the prior-bayes benchmark workload:
+    # (prior, alpha_g, noise_sd, tau, threshold) and P(Reg > threshold)
+    FROZEN_TAILS = [
+        ([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)], 2.0, 1.0, 1.0, 0.1, 0.4062915299574522),
+        ([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)], 3.0, 1.0, 1.0, 0.3, 0.28051501385958133),
+        ([(-2.0, 0.5), (1.0, 0.5)], 1.5, 1.0, 0.5, 0.2, 0.27898853244228833),
+        ([(-1.5, 0.3), (-0.5, 0.2), (0.5, 0.2), (1.5, 0.3)], 2.0, 0.5, -0.8, 0.3,
+         0.07814572622654883),
+        ([(-1.0, 0.6), (2.5, 0.4)], 3.0, 2.0, 1.5, 0.5, 0.1782847466888604),
+        ([(-0.7, 0.5), (0.4, 0.3), (1.8, 0.2)], 1.5, 1.0, -1.2, 0.4, 0.11730820341721387),
+    ]
+    FROZEN_SIMULATE = (
+        '{"mean_regret": 0.16005479007298506, "mean_square_regret": 0.037324602067418194, '
+        '"regret_variance": 0.011712922703462608, "replications": 2000, '
+        '"se_mean_regret": 0.002420012675944344, "se_mean_square_regret": 0.000885570003805164, '
+        '"se_regret_sd": 0.001147718681649357, "se_welfare_mean": 0.002420012675944344, '
+        '"se_welfare_sd": 0.001147718681649357, "seed": 20261018, '
+        '"tail": [[0.1, 0.633, 0.010777546102893738], [0.25, 0.2435, 0.009597076377730876]], '
+        '"welfare_mean": 0.23994520992701496, "welfare_sd": 0.10822625699645447}'
+    )
+    # worst_case_msr of the prior {-1: 1, 1: 1, 2: 0.5} at alpha_g 2:
+    # noise sd, sup and argsup
+    FROZEN_WORST = [
+        (1.0, 0.1572925045114404, -1.3005615430493072),
+        (0.1, 0.16433894501118618, 1.18879641641774),
+    ]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_tail_probabilities(self, case):
+        pairs, alpha_g, sd, tau, threshold, want = self.FROZEN_TAILS[case]
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), alpha_g, sd)
+        assert tail_probability(rule, GaussianExperiment(tau, sd, 1), threshold) == want
+
+    def test_simulate(self):
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs(self.PIN_PAIRS), 3.0, 0.8)
+        got = simulate(rule, GaussianExperiment(0.4, 0.8, 1), 2000, RngSeed(20261018),
+                       [0.1, 0.25])
+        assert json.dumps(got.to_dict(), sort_keys=True) == self.FROZEN_SIMULATE
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_worst_case_msr(self, case):
+        sd, sup, argsup = self.FROZEN_WORST[case]
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)])
+        # a scan cached by an earlier test would not run the solver here
+        _unit_worst.cache_clear()
+        got = worst_case_msr(DiscretePriorBayes(prior, 2.0, sd), 1.0, 1)
+        assert (got.sup, got.argsup_tau, got.saturated) == (sup, argsup, False)
 
 class TestJsonMapping:
     RULES = [
