@@ -308,14 +308,16 @@ class DiscretePrior:
         total = sum(weights)
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
-        # derived once, since solve_bayes_foc reads them on every call; they
-        # are not fields, so equality, hashing and to_dict see support alone
+        # derived once and not fields, so equality, hashing and to_dict see
+        # support alone; solve_bayes_foc reads its own terms, which _foc_terms
+        # builds on first use for each alpha_g
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "_taus", taus)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_two_sided", bool((taus > 0).any() and (taus < 0).any()))
+        object.__setattr__(self, "_foc_cache", {})
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscretePrior":
@@ -338,6 +340,14 @@ class DiscretePrior:
     @property
     def two_sided(self) -> bool:
         return self._two_sided
+
+    def _foc_terms(self, alpha_g: float) -> Tuple[np.ndarray, ...]:
+        """(taus, log terms, taus > 0, taus < 0) of solve_bayes_foc at alpha_g,
+        built on first use and kept read-only."""
+        terms = self._foc_cache.get(alpha_g)
+        if terms is None:
+            terms = self._foc_cache[alpha_g] = _build_foc_terms(self._taus, self._weights, alpha_g)
+        return terms
 
 
 @dataclass(frozen=True)
@@ -373,6 +383,19 @@ def _require_two_sided(prior: DiscretePrior) -> None:
         raise PriorSupportError("prior mass must be positive on both {tau > 0} and {tau < 0}")
 
 
+def _build_foc_terms(
+    taus: np.ndarray, weights: np.ndarray, alpha_g: float
+) -> Tuple[np.ndarray, ...]:
+    # points at tau = 0 carry no regret and drop out of the condition, so
+    # they are left out here rather than masked, and never log 0
+    keep = taus != 0.0
+    taus = taus[keep]
+    terms = (taus, np.log(weights[keep]) + alpha_g * np.log(np.abs(taus)), taus > 0, taus < 0)
+    for a in terms:
+        a.setflags(write=False)
+    return terms
+
+
 def solve_bayes_foc(
     prior: DiscretePrior, alpha_g: float, noise_sd: float, stat: Stat
 ) -> Stat:
@@ -388,11 +411,20 @@ def solve_bayes_foc(
         delta = expit((log A - log B) / e),
 
     computed in log space (the common factor exp(-y^2 / (2 sd^2)) is dropped,
-    so neither side underflows) and clipped to [1e-12, 1 - 1e-12].  The rule
+    so neither side underflows) and clamped to [1e-12, 1 - 1e-12].  The rule
     is increasing in the statistic: d/dy (log A - log B) equals the mean of
     tau under A's weights minus the mean of tau under B's weights, over sd^2,
     which is positive because A puts all its weight on tau > 0 and B on
     tau < 0 (the monotone likelihood ratio of the Gaussian location family).
+
+    Both signs share one array z = log(w_i) + alpha_g log|tau_i|
+    + tau_i (y - tau_i / 2) / sd^2 with the support on its first axis; the
+    prior's log terms are built once per alpha_g.  Each of log A and log B is
+    one logaddexp reduction along that axis, masked to its sign and started
+    from -inf.  Since logaddexp(-inf, x) == x exactly and the masked
+    reduction still runs in support order, the result is bit for bit that of
+    reducing each sign's terms on their own, infinite and NaN statistics
+    included.
 
     Accepts a float or an ndarray statistic and returns the matching type.
     Raises PriorSupportError when the prior mass is one-sided and DomainError
@@ -403,16 +435,18 @@ def solve_bayes_foc(
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
-    taus, weights = prior.taus, prior.weights
-    y = np.asarray(stat, dtype=float)[..., None]
-
-    def log_mass(side: np.ndarray) -> np.ndarray:
-        t = taus[side]
-        log_terms = np.log(weights[side]) + alpha_g * np.log(np.abs(t))
-        return np.logaddexp.reduce(log_terms + t * (y - 0.5 * t) / noise_sd**2, axis=-1)
-
-    delta = special.expit((log_mass(taus > 0) - log_mass(taus < 0)) / (alpha_g - 1.0))
-    return _match(np.clip(delta, 1e-12, 1.0 - 1e-12), stat)
+    taus, log_terms, pos, neg = prior._foc_terms(alpha_g)
+    y = np.asarray(stat, dtype=float)
+    shape = (-1,) + (1,) * y.ndim
+    t = taus.reshape(shape)
+    z = y - 0.5 * t
+    z *= t
+    z /= noise_sd**2
+    z += log_terms.reshape(shape)
+    log_a = np.logaddexp.reduce(z, axis=0, where=pos.reshape(shape), initial=-np.inf)
+    log_b = np.logaddexp.reduce(z, axis=0, where=neg.reshape(shape), initial=-np.inf)
+    delta = special.expit((log_a - log_b) / (alpha_g - 1.0))
+    return _match(np.minimum(np.maximum(delta, 1e-12), 1.0 - 1e-12), stat)
 
 
 def tilted_posterior_match_msr(

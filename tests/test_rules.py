@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import msregret.rules as rules_module
 import oracles
 from msregret import (
     BayesFlatMSR,
@@ -36,6 +37,7 @@ from msregret import (
     tilted_posterior_match_msr,
     worst_case_msr,
 )
+from msregret._codec import to_dict
 from msregret.risk import _unit_worst
 
 TAU_STAR = 1.22814
@@ -323,6 +325,49 @@ class TestDiscretePrior:
         assert twin == prior and hash(twin) == hash(prior)
         assert "taus" not in repr(prior)
 
+    def test_solver_terms_stay_outside_equality(self):
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (0.0, 1.0), (2.0, 3.0)])
+        rule = DiscretePriorBayes(prior=prior, alpha_g=2.5, noise_sd=0.8)
+        before = (hash(prior), repr(prior), to_dict(prior), rule_to_dict(rule), hash(rule))
+        rule.evaluate(np.linspace(-2.0, 2.0, 5))
+        solve_bayes_foc(prior, 4.0, 1.0, 0.3)
+        after = (hash(prior), repr(prior), to_dict(prior), rule_to_dict(rule), hash(rule))
+        assert after == before
+        twin = DiscretePrior(prior.support)
+        assert twin == prior and hash(twin) == hash(prior)
+        assert DiscretePriorBayes(prior=twin, alpha_g=2.5, noise_sd=0.8) == rule
+
+    def test_solver_terms_are_read_only(self):
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (0.0, 1.0), (2.0, 3.0)])
+        taus, log_terms, pos, neg = prior._foc_terms(2.0)
+        # the point at tau = 0 carries no regret and is left out
+        assert taus.tolist() == [-1.0, 2.0]
+        assert pos.tolist() == [False, True] and neg.tolist() == [True, False]
+        for a in (taus, log_terms, pos, neg):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+
+    def test_solver_terms_built_once_per_alpha(self, monkeypatch):
+        built = []
+        build = rules_module._build_foc_terms
+
+        def spy(taus, weights, alpha_g):
+            built.append(alpha_g)
+            return build(taus, weights, alpha_g)
+
+        monkeypatch.setattr(rules_module, "_build_foc_terms", spy)
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)])
+        for alpha_g in (2.0, 3.0):
+            rule = DiscretePriorBayes(prior=prior, alpha_g=alpha_g, noise_sd=0.7)
+            for stat in (0.3, np.linspace(-1.0, 1.0, 4), np.zeros((2, 3))):
+                rule.evaluate(stat)
+        tail_probability(rule, GaussianExperiment(1.0, 0.7, 1), 0.1)
+        assert built == [2.0, 3.0]
+        # an equal prior is a separate value with its own terms
+        twin = DiscretePrior(prior.support)
+        solve_bayes_foc(twin, 2.0, 0.7, 0.3)
+        assert built == [2.0, 3.0, 2.0]
+
 
 class TestBayesFoc:
     def test_symmetric_two_point_equals_logistic(self):
@@ -456,6 +501,44 @@ class TestBayesFoc:
         assert lo <= hi
         if 1e-6 < lo and hi < 1.0 - 1e-6:
             assert lo < hi
+
+    def test_evaluate_calls_the_module_solver_once(self, monkeypatch):
+        calls = []
+        solve = rules_module.solve_bayes_foc
+
+        def spy(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(rules_module, "solve_bayes_foc", spy)
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)])
+        rule = DiscretePriorBayes(prior=prior, alpha_g=2.0, noise_sd=1.0)
+        rule.evaluate(np.linspace(-3.0, 3.0, 24))
+        assert len(calls) == 1
+        rule.evaluate(0.5)
+        assert len(calls) == 2
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.floats(1.1, 6.0),
+        st.floats(0.05, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_and_scalar_calls_agree_bitwise(self, seed, size, alpha_g, sd):
+        rng = np.random.default_rng(seed)
+        taus = np.concatenate([[-rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)],
+                               rng.uniform(-3.0, 3.0, size - 2)])
+        if len(set(taus.tolist())) < size:
+            return
+        prior = DiscretePrior.from_pairs(zip(taus, rng.uniform(0.1, 1.0, size)))
+        rule = DiscretePriorBayes(prior=prior, alpha_g=alpha_g, noise_sd=sd)
+        stats = np.concatenate([rng.uniform(-4.0, 4.0, 20), rng.uniform(-60.0, 60.0, 4)])
+        vals = rule.evaluate(stats)
+        assert vals.shape == stats.shape
+        scalars = np.array([rule.evaluate(float(s)) for s in stats])
+        assert scalars.tobytes() == vals.tobytes()
+        assert rule.evaluate(stats.reshape(4, 6)).tobytes() == vals.tobytes()
 
     def test_monotone_in_the_statistic(self):
         prior = DiscretePrior.from_pairs([(1.0, 0.4), (-2.0, 0.6)])
