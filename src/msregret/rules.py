@@ -308,16 +308,14 @@ class DiscretePrior:
         total = sum(weights)
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
-        # derived once and not fields, so equality, hashing and to_dict see
-        # support alone; solve_bayes_foc reads its own terms, which _foc_terms
-        # builds on first use for each alpha_g
+        # derived once, since solve_bayes_foc reads them on every call; they
+        # are not fields, so equality, hashing and to_dict see support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "_taus", taus)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_two_sided", bool((taus > 0).any() and (taus < 0).any()))
-        object.__setattr__(self, "_foc_cache", {})
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscretePrior":
@@ -340,14 +338,6 @@ class DiscretePrior:
     @property
     def two_sided(self) -> bool:
         return self._two_sided
-
-    def _foc_terms(self, alpha_g: float) -> Tuple[np.ndarray, ...]:
-        """(taus, log terms, taus > 0, taus < 0) of solve_bayes_foc at alpha_g,
-        built on first use and kept read-only."""
-        terms = self._foc_cache.get(alpha_g)
-        if terms is None:
-            terms = self._foc_cache[alpha_g] = _build_foc_terms(self._taus, self._weights, alpha_g)
-        return terms
 
 
 @dataclass(frozen=True)
@@ -383,19 +373,6 @@ def _require_two_sided(prior: DiscretePrior) -> None:
         raise PriorSupportError("prior mass must be positive on both {tau > 0} and {tau < 0}")
 
 
-def _build_foc_terms(
-    taus: np.ndarray, weights: np.ndarray, alpha_g: float
-) -> Tuple[np.ndarray, ...]:
-    # points at tau = 0 carry no regret and drop out of the condition, so
-    # they are left out here rather than masked, and never log 0
-    keep = taus != 0.0
-    taus = taus[keep]
-    terms = (taus, np.log(weights[keep]) + alpha_g * np.log(np.abs(taus)), taus > 0, taus < 0)
-    for a in terms:
-        a.setflags(write=False)
-    return terms
-
-
 def solve_bayes_foc(
     prior: DiscretePrior, alpha_g: float, noise_sd: float, stat: Stat
 ) -> Stat:
@@ -418,13 +395,13 @@ def solve_bayes_foc(
     tau < 0 (the monotone likelihood ratio of the Gaussian location family).
 
     Both signs share one array z = log(w_i) + alpha_g log|tau_i|
-    + tau_i (y - tau_i / 2) / sd^2 with the support on its first axis; the
-    prior's log terms are built once per alpha_g.  Each of log A and log B is
-    one logaddexp reduction along that axis, masked to its sign and started
-    from -inf.  Since logaddexp(-inf, x) == x exactly and the masked
-    reduction still runs in support order, the result is bit for bit that of
-    reducing each sign's terms on their own, infinite and NaN statistics
-    included.
+    + tau_i (y - tau_i / 2) / sd^2 with the support on its first axis,
+    partitioned stably by sign: the negative points, then the positive ones,
+    each in support order (points at tau = 0 drop out).  log B and log A are
+    the logaddexp reductions of the two slices along that axis, so each sums
+    exactly the terms of its own sign in support order, as reducing the signs
+    one at a time would, and the result is the same bit for bit, infinite and
+    NaN statistics included.
 
     Accepts a float or an ndarray statistic and returns the matching type.
     Raises PriorSupportError when the prior mass is one-sided and DomainError
@@ -435,7 +412,11 @@ def solve_bayes_foc(
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
-    taus, log_terms, pos, neg = prior._foc_terms(alpha_g)
+    support = [p for p in prior.support if p[0] < 0]
+    m = len(support)
+    support += [p for p in prior.support if p[0] > 0]
+    taus = np.array([t for t, _ in support])
+    log_terms = np.log(np.array([w for _, w in support])) + alpha_g * np.log(np.abs(taus))
     y = np.asarray(stat, dtype=float)
     shape = (-1,) + (1,) * y.ndim
     t = taus.reshape(shape)
@@ -443,8 +424,8 @@ def solve_bayes_foc(
     z *= t
     z /= noise_sd**2
     z += log_terms.reshape(shape)
-    log_a = np.logaddexp.reduce(z, axis=0, where=pos.reshape(shape), initial=-np.inf)
-    log_b = np.logaddexp.reduce(z, axis=0, where=neg.reshape(shape), initial=-np.inf)
+    log_a = np.logaddexp.reduce(z[m:], axis=0)
+    log_b = np.logaddexp.reduce(z[:m], axis=0)
     delta = special.expit((log_a - log_b) / (alpha_g - 1.0))
     return _match(np.minimum(np.maximum(delta, 1e-12), 1.0 - 1e-12), stat)
 

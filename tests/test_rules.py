@@ -37,7 +37,6 @@ from msregret import (
     tilted_posterior_match_msr,
     worst_case_msr,
 )
-from msregret._codec import to_dict
 from msregret.risk import _unit_worst
 
 TAU_STAR = 1.22814
@@ -324,49 +323,6 @@ class TestDiscretePrior:
         twin = DiscretePrior(((-1.0, 0.25), (2.0, 0.75)))
         assert twin == prior and hash(twin) == hash(prior)
         assert "taus" not in repr(prior)
-
-    def test_solver_terms_stay_outside_equality(self):
-        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (0.0, 1.0), (2.0, 3.0)])
-        rule = DiscretePriorBayes(prior=prior, alpha_g=2.5, noise_sd=0.8)
-        before = (hash(prior), repr(prior), to_dict(prior), rule_to_dict(rule), hash(rule))
-        rule.evaluate(np.linspace(-2.0, 2.0, 5))
-        solve_bayes_foc(prior, 4.0, 1.0, 0.3)
-        after = (hash(prior), repr(prior), to_dict(prior), rule_to_dict(rule), hash(rule))
-        assert after == before
-        twin = DiscretePrior(prior.support)
-        assert twin == prior and hash(twin) == hash(prior)
-        assert DiscretePriorBayes(prior=twin, alpha_g=2.5, noise_sd=0.8) == rule
-
-    def test_solver_terms_are_read_only(self):
-        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (0.0, 1.0), (2.0, 3.0)])
-        taus, log_terms, pos, neg = prior._foc_terms(2.0)
-        # the point at tau = 0 carries no regret and is left out
-        assert taus.tolist() == [-1.0, 2.0]
-        assert pos.tolist() == [False, True] and neg.tolist() == [True, False]
-        for a in (taus, log_terms, pos, neg):
-            with pytest.raises(ValueError):
-                a[0] = a[1]
-
-    def test_solver_terms_built_once_per_alpha(self, monkeypatch):
-        built = []
-        build = rules_module._build_foc_terms
-
-        def spy(taus, weights, alpha_g):
-            built.append(alpha_g)
-            return build(taus, weights, alpha_g)
-
-        monkeypatch.setattr(rules_module, "_build_foc_terms", spy)
-        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)])
-        for alpha_g in (2.0, 3.0):
-            rule = DiscretePriorBayes(prior=prior, alpha_g=alpha_g, noise_sd=0.7)
-            for stat in (0.3, np.linspace(-1.0, 1.0, 4), np.zeros((2, 3))):
-                rule.evaluate(stat)
-        tail_probability(rule, GaussianExperiment(1.0, 0.7, 1), 0.1)
-        assert built == [2.0, 3.0]
-        # an equal prior is a separate value with its own terms
-        twin = DiscretePrior(prior.support)
-        solve_bayes_foc(twin, 2.0, 0.7, 0.3)
-        assert built == [2.0, 3.0, 2.0]
 
 
 class TestBayesFoc:
@@ -743,6 +699,15 @@ class TestBayesFocFrozen:
             special = rule.evaluate(np.array(self.SPECIAL)).tolist()
         assert self.same(special, want["zero_special"])
 
+    @pytest.mark.parametrize("alpha_g", [2, np.float64(2.0), np.array(2.0)])
+    def test_alpha_g_scalar_types(self, alpha_g):
+        want = self.FROZEN_BAYES[2.0]
+        prior = DiscretePrior.from_pairs(self.PIN_PAIRS)
+        got = solve_bayes_foc(prior, alpha_g, 0.8, self.TABLE)
+        assert self.same(got.tolist(), want["table"])
+        scalars = [solve_bayes_foc(prior, alpha_g, 0.8, s) for s in self.SCALARS]
+        assert all(type(v) is float for v in scalars)
+        assert self.same(scalars, want["scalars"])
 
     # the six fixed tail cases of the prior-bayes benchmark workload:
     # (prior, alpha_g, noise_sd, tau, threshold) and P(Reg > threshold)
@@ -791,6 +756,7 @@ class TestBayesFocFrozen:
         _unit_worst.cache_clear()
         got = worst_case_msr(DiscretePriorBayes(prior, 2.0, sd), 1.0, 1)
         assert (got.sup, got.argsup_tau, got.saturated) == (sup, argsup, False)
+
 
 class TestJsonMapping:
     RULES = [
