@@ -308,8 +308,9 @@ class DiscretePrior:
         total = sum(weights)
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
-        # derived once, since solve_bayes_foc reads them on every call; they
-        # are not fields, so equality, hashing and to_dict see support alone
+        # derived once, since tilted_posterior_match_msr reads them on every
+        # call; they are not fields, so equality, hashing and to_dict see
+        # support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
         weights.setflags(write=False)
