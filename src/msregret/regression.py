@@ -15,8 +15,10 @@ QR factorization of the design [D | X], never forming the normal equations.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -222,73 +224,121 @@ def load_dataset_csv(path: str, intercept: bool = True) -> Dataset:
     The header must contain exactly one column named y (outcome) and one
     named d (treatment); every other column is a numeric covariate, kept in
     file order.  An intercept column of ones is appended last unless
-    intercept=False.  Malformed cells raise InputError naming the file line
-    and column.
+    intercept=False.  The file is UTF-8, with or without a leading
+    byte-order mark; rows whose cells are all blank are skipped.  Malformed
+    cells raise InputError naming the file line and column of the first one
+    in file order, and each row is checked y first, then d, then the
+    covariates.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected a header row") from None
-        names = [cell.strip() for cell in header]
-        if names.count("y") != 1:
-            raise InputError(
-                f"{path}: header must contain exactly one column 'y', got {names!r}"
-            )
-        if names.count("d") != 1:
-            raise InputError(
-                f"{path}: header must contain exactly one column 'd', got {names!r}"
-            )
-        y_pos = names.index("y")
-        d_pos = names.index("d")
-        cov_pos = [i for i in range(len(names)) if i not in (y_pos, d_pos)]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 text: byte {raw[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    try:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if not records:
+        raise InputError(f"{path}: empty file, expected a header row")
+    names = [cell.strip() for cell in records[0]]
+    if names.count("y") != 1:
+        raise InputError(
+            f"{path}: header must contain exactly one column 'y', got {names!r}"
+        )
+    if names.count("d") != 1:
+        raise InputError(
+            f"{path}: header must contain exactly one column 'd', got {names!r}"
+        )
+    y_pos = names.index("y")
+    d_pos = names.index("d")
+    cov_pos = [i for i in range(len(names)) if i not in (y_pos, d_pos)]
 
-        ys = []
-        ds = []
-        rows = []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells or all(cell.strip() == "" for cell in cells):
-                continue
-            if len(cells) != len(names):
-                raise InputError(
-                    f"{path}: line {line_no} has {len(cells)} cells, expected {len(names)}"
-                )
-            parsed = []
-            for pos in [y_pos, d_pos] + cov_pos:
-                cell = cells[pos].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise InputError(
-                        f"{path}: line {line_no}, column {names[pos]!r}: "
-                        f"not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise InputError(
-                        f"{path}: line {line_no}, column {names[pos]!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                parsed.append(value)
-            if parsed[1] not in (0.0, 1.0):
-                raise InputError(
-                    f"{path}: line {line_no}, column 'd': must be 0 or 1, "
-                    f"got {cells[d_pos].strip()!r}"
-                )
-            ys.append(parsed[0])
-            ds.append(parsed[1])
-            rows.append(parsed[2:])
-
-    if not ys:
+    rows = [cells for cells in records[1:] if "".join(cells).strip()]
+    if not rows:
         raise InputError(f"{path}: no data rows")
-    covs = np.asarray(rows, dtype=float).reshape(len(ys), len(cov_pos))
+    n, width = len(rows), len(names)
+    ragged = set(map(len, rows)) != {width}
+    values = None if ragged else _cells_as_floats(rows, n * width)
+    if values is None or not np.isfinite(values).all():
+        raise _first_bad_cell(path, names, records[1:])
+    table = values.reshape(n, width)
+    d = table[:, d_pos]
+    if not ((d == 0.0) | (d == 1.0)).all():
+        raise _first_bad_cell(path, names, records[1:])
+
+    # C-ordered copies: a strided outcome vector or an F-ordered covariate
+    # block changes the BLAS summation order in fit, and with it the last bits
+    k = len(cov_pos)
+    covs = np.ones((n, k + 1 if intercept else k))
+    covs[:, :k] = table[:, cov_pos]
     cov_names = [names[i] for i in cov_pos]
     if intercept:
-        covs = np.hstack([covs, np.ones((covs.shape[0], 1))])
         cov_names.append("intercept")
     return Dataset(
-        outcomes=np.asarray(ys, dtype=float),
-        treatments=np.asarray(ds, dtype=float),
+        outcomes=table[:, y_pos].copy(),
+        treatments=d.copy(),
         covariates=covs,
         covariate_names=tuple(cov_names),
     )
+
+
+def _cells_as_floats(rows: list, count: int) -> Optional[np.ndarray]:
+    """Every cell of rows, in order, as one float array; None if one is not a number.
+
+    float() skips the surrounding whitespace that str.strip() removes, except
+    the separators U+001C-U+001F, so a refused batch is stripped and tried
+    once more before the per-cell check runs.
+    """
+    try:
+        return np.fromiter(map(float, chain.from_iterable(rows)), float, count)
+    except ValueError:
+        pass
+    try:
+        return np.fromiter(
+            map(float, map(str.strip, chain.from_iterable(rows))), float, count
+        )
+    except ValueError:
+        return None
+
+
+def _first_bad_cell(path: str, names: list, records: list) -> InputError:
+    """The error for the first bad cell of the data records, in file order.
+
+    The per-cell check, run only on a file the bulk parse refused: rows are
+    read in order, and within a row the width, then y, d and the covariates,
+    then whether d is 0 or 1.
+    """
+    y_pos = names.index("y")
+    d_pos = names.index("d")
+    cov_pos = [i for i in range(len(names)) if i not in (y_pos, d_pos)]
+    for line_no, cells in enumerate(records, start=2):
+        if not cells or all(cell.strip() == "" for cell in cells):
+            continue
+        if len(cells) != len(names):
+            return InputError(
+                f"{path}: line {line_no} has {len(cells)} cells, expected {len(names)}"
+            )
+        for pos in [y_pos, d_pos] + cov_pos:
+            cell = cells[pos].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                return InputError(
+                    f"{path}: line {line_no}, column {names[pos]!r}: "
+                    f"not a number: {cell!r}"
+                )
+            if not math.isfinite(value):
+                return InputError(
+                    f"{path}: line {line_no}, column {names[pos]!r}: "
+                    f"non-finite value {cell!r}"
+                )
+        if float(cells[d_pos].strip()) not in (0.0, 1.0):
+            return InputError(
+                f"{path}: line {line_no}, column 'd': must be 0 or 1, "
+                f"got {cells[d_pos].strip()!r}"
+            )
+    raise RuntimeError(f"{path}: the bulk parse refused a file whose cells all check")

@@ -12,6 +12,7 @@ oracle at runtime import the functions directly.
 """
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -168,6 +169,79 @@ def round_sig(x, digits):
         return 0.0
     mag = math.floor(math.log10(abs(x)))
     return round(x, digits - 1 - mag)
+
+
+def load_csv_per_cell(path, intercept=True):
+    """The CSV loader parsed cell by cell: (outcomes, treatments, covariates, names).
+
+    The reference for msregret's bulk loader: rows are read in file order,
+    rows whose cells are all blank are skipped, and within a row the width
+    is checked, then y, d and the covariates are parsed, then d must be 0 or
+    1.  The first bad cell raises ValueError with the loader's message.  The
+    file is read as plain UTF-8.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        names = [cell.strip() for cell in header]
+        if names.count("y") != 1:
+            raise ValueError(
+                f"{path}: header must contain exactly one column 'y', got {names!r}"
+            )
+        if names.count("d") != 1:
+            raise ValueError(
+                f"{path}: header must contain exactly one column 'd', got {names!r}"
+            )
+        y_pos = names.index("y")
+        d_pos = names.index("d")
+        cov_pos = [i for i in range(len(names)) if i not in (y_pos, d_pos)]
+
+        ys = []
+        ds = []
+        rows = []
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells or all(cell.strip() == "" for cell in cells):
+                continue
+            if len(cells) != len(names):
+                raise ValueError(
+                    f"{path}: line {line_no} has {len(cells)} cells, expected {len(names)}"
+                )
+            parsed = []
+            for pos in [y_pos, d_pos] + cov_pos:
+                cell = cells[pos].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {line_no}, column {names[pos]!r}: "
+                        f"not a number: {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: line {line_no}, column {names[pos]!r}: "
+                        f"non-finite value {cell!r}"
+                    )
+                parsed.append(value)
+            if parsed[1] not in (0.0, 1.0):
+                raise ValueError(
+                    f"{path}: line {line_no}, column 'd': must be 0 or 1, "
+                    f"got {cells[d_pos].strip()!r}"
+                )
+            ys.append(parsed[0])
+            ds.append(parsed[1])
+            rows.append(parsed[2:])
+
+    if not ys:
+        raise ValueError(f"{path}: no data rows")
+    covs = np.asarray(rows, dtype=float).reshape(len(ys), len(cov_pos))
+    cov_names = [names[i] for i in cov_pos]
+    if intercept:
+        covs = np.hstack([covs, np.ones((covs.shape[0], 1))])
+        cov_names.append("intercept")
+    return np.asarray(ys, dtype=float), np.asarray(ds, dtype=float), covs, tuple(cov_names)
 
 
 def main():

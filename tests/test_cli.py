@@ -149,6 +149,13 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    def test_non_utf8_data_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,d\n1,0\n\xe9,1\n")
+        code, _, err = run_cli(capsys, ["regress", "--data", str(path)])
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: {path}: not UTF-8 text: byte 0xe9 at offset 8"
+
     def test_rank_deficient_regression(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
         path.write_text("y,d\n1,1\n2,1\n3,1\n", encoding="utf-8")

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import oracles
 from msregret import (
     Dataset,
     DomainError,
@@ -290,6 +293,9 @@ class TestLoadDatasetCsv:
             ("y,d\n1,2\n", "line 2, column 'd': must be 0 or 1, got '2'"),
             ("y,d\n1,0.5\n", "must be 0 or 1"),
             ("y,d\n", "no data rows"),
+            ("y,d,w\n1,0,2\n1,2,3\n4,1,5\n1,0,abc\n", "line 3, column 'd': must be 0 or 1"),
+            ("w,y,d\nabc,xyz,1\n", "line 2, column 'y': not a number: 'xyz'"),
+            ("y,d\n" + "1" * 200_000 + ",0\n", "field larger than field limit"),
         ],
         ids=[
             "empty",
@@ -303,6 +309,9 @@ class TestLoadDatasetCsv:
             "bad-treatment",
             "fractional-treatment",
             "header-only",
+            "first-bad-line-named",
+            "y-named-before-covariate",
+            "oversized-field",
         ],
     )
     def test_diagnostics_name_line_and_column(self, tmp_path, text, fragment):
@@ -311,3 +320,110 @@ class TestLoadDatasetCsv:
             load_dataset_csv(path)
         assert fragment in str(excinfo.value)
         assert path in str(excinfo.value)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = self._write(tmp_path, "\ufeffy,d,w\n1,0,2\n2,1,3\n3,0,5\n4,1,4\n")
+        data = load_dataset_csv(path)
+        assert data.covariate_names == ("w", "intercept")
+        assert np.array_equal(data.outcomes, [1.0, 2.0, 3.0, 4.0])
+
+    def test_non_utf8_bytes_name_the_offset(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,d\n1,0\n\xe9,1\n")
+        with pytest.raises(InputError) as excinfo:
+            load_dataset_csv(str(path))
+        assert str(excinfo.value) == f"{path}: not UTF-8 text: byte 0xe9 at offset 8"
+
+    def test_offset_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,d\n\xff")
+        with pytest.raises(InputError, match="byte 0xff at offset 7$"):
+            load_dataset_csv(str(path))
+
+    def test_arrays_are_c_contiguous(self, tmp_path):
+        path = self._write(tmp_path, "w,y,v,d\n1,2,3,1\n4,5,6,0\n7,8,9,1\n0,1,2,0\n5,3,1,1\n")
+        data = load_dataset_csv(path)
+        assert np.array_equal(
+            data.covariates, [[1, 3, 1], [4, 6, 1], [7, 9, 1], [0, 2, 1], [5, 1, 1]]
+        )
+        for array in (data.outcomes, data.treatments, data.covariates):
+            assert array.flags.c_contiguous
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.data())
+    def test_bulk_parse_matches_the_per_cell_loader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.draw(_csv_files()).encode("utf-8"))
+        try:
+            expected = Dataset(*oracles.load_csv_per_cell(str(path)))
+        except ValueError as exc:
+            with pytest.raises(InputError) as excinfo:
+                load_dataset_csv(str(path))
+            assert str(excinfo.value) == str(exc)
+            return
+        data = load_dataset_csv(str(path))
+        for got, want in zip(
+            (data.outcomes, data.treatments, data.covariates),
+            (expected.outcomes, expected.treatments, expected.covariates),
+        ):
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+        assert data.covariate_names == expected.covariate_names
+        assert _fit_or_error(data) == _fit_or_error(expected)
+
+
+def _fit_or_error(data: Dataset):
+    try:
+        return fit(data).to_dict()
+    except RankError as exc:
+        return str(exc)
+
+
+# cell spellings float() accepts, padded with whitespace str.strip() removes
+# (U+001C-U+001F among them, which float() alone does not skip)
+_PADS = st.sampled_from(["", " ", "  ", "\t", "\x0b\x0c", "\x1c", "\x1f ", "\xa0", "\u2003", "\x85"])
+_NUMBERS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(
+        ["+.5", "-.25", "1e-3", "2E+2", "1_0", "1_000.5", "-0", '"3.25"', '" 4 "', '"\n5"']
+    ),
+)
+_TREATMENTS = st.sampled_from(["0", "1", "1.0", "0.0", "-0", "+1", "1e0", "0_0", '"1"'])
+_NOT_NUMBERS = st.sampled_from(
+    ["abc", "", "1..2", "_1", "1__0", "0x10", '"1,5"', ' "2"', "nan", "NaN", "-inf",
+     "+Infinity", "1e400", '"nan"']
+)
+_BAD_TREATMENTS = st.sampled_from(["2", "0.5", "-1", "1e-300", "True"])
+_BLANK_ROWS = st.sampled_from(["", " ", "\t", ",", " , ", ",,,", "\x1c"])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text with y, d and up to two covariates; faulty files mix in bad rows."""
+    header = draw(st.permutations(["y", "d"] + draw(
+        st.lists(st.sampled_from(["w", "x1", " z "]), max_size=2)
+    )))
+    kinds = ["row"] * 4 + ["blank"]
+    if draw(st.booleans()):
+        kinds += ["not-a-number", "bad-treatment", "ragged"]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(_BLANK_ROWS))
+            continue
+        cells = [draw(_TREATMENTS if name == "d" else _NUMBERS) for name in header]
+        if kind == "not-a-number":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_NOT_NUMBERS)
+        elif kind == "bad-treatment":
+            cells[header.index("d")] = draw(_BAD_TREATMENTS)
+        elif kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join(
+            cell if cell.startswith('"') else draw(_PADS) + cell + draw(_PADS)
+            for cell in cells
+        ))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))

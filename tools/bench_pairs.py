@@ -147,8 +147,8 @@ def main(argv=None) -> int:
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2, the fewest runs that have quartiles")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
