@@ -235,6 +235,55 @@ class TestFractionFromTstat:
         assert abs(by_pos + by_neg - 1.0) < 1e-10
 
 
+# cell spellings float() accepts, padded with whitespace str.strip() removes
+# (U+001C-U+001F among them, which float() alone does not skip)
+_PADS = st.sampled_from(["", " ", "  ", "\t", "\x0b\x0c", "\x1c", "\x1f ", "\xa0", "\u2003", "\x85"])
+_NUMBERS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(
+        ["+.5", "-.25", "1e-3", "2E+2", "1_0", "1_000.5", "-0", '"3.25"', '" 4 "', '"\n5"']
+    ),
+)
+_TREATMENTS = st.sampled_from(["0", "1", "1.0", "0.0", "-0", "+1", "1e0", "0_0", '"1"'])
+_NOT_NUMBERS = st.sampled_from(
+    ["abc", "", "1..2", "_1", "1__0", "0x10", '"1,5"', ' "2"', "nan", "NaN", "-inf",
+     "+Infinity", "1e400", '"nan"']
+)
+_BAD_TREATMENTS = st.sampled_from(["2", "0.5", "-1", "1e-300", "True"])
+_BLANK_ROWS = st.sampled_from(["", " ", "\t", ",", " , ", ",,,", "\x1c"])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text with y, d and up to two covariates; faulty files mix in bad rows."""
+    header = draw(st.permutations(["y", "d"] + draw(
+        st.lists(st.sampled_from(["w", "x1", " z "]), max_size=2)
+    )))
+    kinds = ["row"] * 4 + ["blank"]
+    if draw(st.booleans()):
+        kinds += ["not-a-number", "bad-treatment", "ragged"]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(_BLANK_ROWS))
+            continue
+        cells = [draw(_TREATMENTS if name == "d" else _NUMBERS) for name in header]
+        if kind == "not-a-number":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_NOT_NUMBERS)
+        elif kind == "bad-treatment":
+            cells[header.index("d")] = draw(_BAD_TREATMENTS)
+        elif kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join(
+            cell if cell.startswith('"') else draw(_PADS) + cell + draw(_PADS)
+            for cell in cells
+        ))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
 class TestLoadDatasetCsv:
     def _write(self, tmp_path, text):
         path = tmp_path / "data.csv"
@@ -340,21 +389,12 @@ class TestLoadDatasetCsv:
         with pytest.raises(InputError, match="byte 0xff at offset 7$"):
             load_dataset_csv(str(path))
 
-    def test_arrays_are_c_contiguous(self, tmp_path):
-        path = self._write(tmp_path, "w,y,v,d\n1,2,3,1\n4,5,6,0\n7,8,9,1\n0,1,2,0\n5,3,1,1\n")
-        data = load_dataset_csv(path)
-        assert np.array_equal(
-            data.covariates, [[1, 3, 1], [4, 6, 1], [7, 9, 1], [0, 2, 1], [5, 1, 1]]
-        )
-        for array in (data.outcomes, data.treatments, data.covariates):
-            assert array.flags.c_contiguous
-
     @seed(20261018)
     @settings(max_examples=200, deadline=None)
-    @given(text=st.data())
+    @given(text=_csv_files())
     def test_bulk_parse_matches_the_per_cell_loader(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        path.write_bytes(text.draw(_csv_files()).encode("utf-8"))
+        path.write_bytes(text.encode("utf-8"))
         try:
             expected = Dataset(*oracles.load_csv_per_cell(str(path)))
         except ValueError as exc:
@@ -378,52 +418,3 @@ def _fit_or_error(data: Dataset):
         return fit(data).to_dict()
     except RankError as exc:
         return str(exc)
-
-
-# cell spellings float() accepts, padded with whitespace str.strip() removes
-# (U+001C-U+001F among them, which float() alone does not skip)
-_PADS = st.sampled_from(["", " ", "  ", "\t", "\x0b\x0c", "\x1c", "\x1f ", "\xa0", "\u2003", "\x85"])
-_NUMBERS = st.one_of(
-    st.floats(-1e6, 1e6).map(repr),
-    st.integers(-99, 99).map(str),
-    st.sampled_from(
-        ["+.5", "-.25", "1e-3", "2E+2", "1_0", "1_000.5", "-0", '"3.25"', '" 4 "', '"\n5"']
-    ),
-)
-_TREATMENTS = st.sampled_from(["0", "1", "1.0", "0.0", "-0", "+1", "1e0", "0_0", '"1"'])
-_NOT_NUMBERS = st.sampled_from(
-    ["abc", "", "1..2", "_1", "1__0", "0x10", '"1,5"', ' "2"', "nan", "NaN", "-inf",
-     "+Infinity", "1e400", '"nan"']
-)
-_BAD_TREATMENTS = st.sampled_from(["2", "0.5", "-1", "1e-300", "True"])
-_BLANK_ROWS = st.sampled_from(["", " ", "\t", ",", " , ", ",,,", "\x1c"])
-
-
-@st.composite
-def _csv_files(draw):
-    """CSV text with y, d and up to two covariates; faulty files mix in bad rows."""
-    header = draw(st.permutations(["y", "d"] + draw(
-        st.lists(st.sampled_from(["w", "x1", " z "]), max_size=2)
-    )))
-    kinds = ["row"] * 4 + ["blank"]
-    if draw(st.booleans()):
-        kinds += ["not-a-number", "bad-treatment", "ragged"]
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "blank":
-            lines.append(draw(_BLANK_ROWS))
-            continue
-        cells = [draw(_TREATMENTS if name == "d" else _NUMBERS) for name in header]
-        if kind == "not-a-number":
-            cells[draw(st.integers(0, len(cells) - 1))] = draw(_NOT_NUMBERS)
-        elif kind == "bad-treatment":
-            cells[header.index("d")] = draw(_BAD_TREATMENTS)
-        elif kind == "ragged":
-            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
-        lines.append(",".join(
-            cell if cell.startswith('"') else draw(_PADS) + cell + draw(_PADS)
-            for cell in cells
-        ))
-    return eol.join(lines) + draw(st.sampled_from(["", eol]))
