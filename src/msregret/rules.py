@@ -209,6 +209,14 @@ class BayesFlatMSR(TreatmentRule):
             raise DomainError(f"scale must be positive, got {self.scale}")
 
     def evaluate(self, stat: Stat) -> Stat:
+        if type(stat) is float:
+            # the array path's ufuncs in its order on one number, for the
+            # scalar calls of a root search; max and min pass a NaN through
+            # as np.maximum and np.minimum do
+            u = stat / self.scale
+            pdf = np.exp(-0.5 * u * u) / _SQRT2PI
+            out = special.ndtr(u) + u * pdf / (1.0 + u * u)
+            return float(min(max(out, 0.0), 1.0))
         u = np.asarray(stat, dtype=float) / self.scale
         # std_normal_cdf and std_normal_pdf written out, without their float
         # round trips; np.clip's wrapper costs more than the arithmetic
@@ -309,7 +317,9 @@ class DiscretePrior:
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
         # derived once, since tilted_posterior_match_msr reads them on every
-        # call; they are not fields, so equality, hashing and to_dict see
+        # call, and solve_bayes_foc keeps its per-alpha_g terms in _foc_terms,
+        # which a Brent root over one rule reuses on each of its scalar calls;
+        # none is a field, so equality, hashing, to_dict and pickling see
         # support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
@@ -317,6 +327,11 @@ class DiscretePrior:
         object.__setattr__(self, "_taus", taus)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_two_sided", bool((taus > 0).any() and (taus < 0).any()))
+        object.__setattr__(self, "_foc_terms", {})
+
+    def __reduce__(self):
+        # rebuilt from support, so a pickle or copy carries no derived state
+        return type(self), (self.support,)
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscretePrior":
@@ -374,6 +389,45 @@ def _require_two_sided(prior: DiscretePrior) -> None:
         raise PriorSupportError("prior mass must be positive on both {tau > 0} and {tau < 0}")
 
 
+class _FocTerms:
+    """One prior's support partitioned by sign, with its log terms at one alpha_g.
+
+    taus and log_terms (log w_i + alpha_g log|tau_i|) hold the m negative
+    points, then the positive ones, each in support order; scalar holds the
+    same pairs as Python floats, built on the first scalar call.
+    """
+
+    __slots__ = ("m", "taus", "log_terms", "scalar")
+
+    def __init__(self, prior: DiscretePrior, alpha_g: float) -> None:
+        support = [p for p in prior.support if p[0] < 0]
+        self.m = len(support)
+        support += [p for p in prior.support if p[0] > 0]
+        self.taus = np.array([t for t, _ in support])
+        self.log_terms = np.log(np.array([w for _, w in support])) + alpha_g * np.log(
+            np.abs(self.taus)
+        )
+        self.scalar = None
+
+
+def _foc_terms(prior: DiscretePrior, alpha_g: float) -> _FocTerms:
+    # float(alpha_g) is the key, so an int, a numpy float and a 0-d array
+    # share one entry; each multiplies log|tau| to the same bits
+    key = float(alpha_g)
+    terms = prior._foc_terms.get(key)
+    if terms is None:
+        terms = prior._foc_terms[key] = _FocTerms(prior, key)
+    return terms
+
+
+def _logaddexp_fold(z: list):
+    # what np.logaddexp.reduce does along an axis: one pair at a time, in order
+    acc = z[0]
+    for x in z[1:]:
+        acc = np.logaddexp(acc, x)
+    return acc
+
+
 def solve_bayes_foc(
     prior: DiscretePrior, alpha_g: float, noise_sd: float, stat: Stat
 ) -> Stat:
@@ -402,7 +456,13 @@ def solve_bayes_foc(
     the logaddexp reductions of the two slices along that axis, so each sums
     exactly the terms of its own sign in support order, as reducing the signs
     one at a time would, and the result is the same bit for bit, infinite and
-    NaN statistics included.
+    NaN statistics included.  The partition and log w_i + alpha_g log|tau_i|
+    are built once per prior and alpha_g and kept on the prior, so the
+    scalar calls of a root search over one rule pay for them once.  A Python
+    float statistic takes a path on Python floats: each z in the same
+    operation order, each sign folded by successive np.logaddexp calls in
+    support order, which is what the reduction does, then the same expit and
+    clamp, so it returns the array path's bits at a scalar's cost.
 
     Accepts a float or an ndarray statistic and returns the matching type.
     Raises PriorSupportError when the prior mass is one-sided and DomainError
@@ -413,18 +473,27 @@ def solve_bayes_foc(
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
-    support = [p for p in prior.support if p[0] < 0]
-    m = len(support)
-    support += [p for p in prior.support if p[0] > 0]
-    taus = np.array([t for t, _ in support])
-    log_terms = np.log(np.array([w for _, w in support])) + alpha_g * np.log(np.abs(taus))
+    terms = _foc_terms(prior, alpha_g)
+    m = terms.m
+    var = noise_sd**2
+    # a variance that underflows to 0 takes the array path, where z / 0 is
+    # numpy's inf or nan, not Python's ZeroDivisionError
+    if type(stat) is float and var:
+        pairs = terms.scalar
+        if pairs is None:
+            pairs = terms.scalar = list(zip(terms.taus.tolist(), terms.log_terms.tolist()))
+        z = [(stat - 0.5 * t) * t / var + lt for t, lt in pairs]
+        log_odds = (_logaddexp_fold(z[m:]) - _logaddexp_fold(z[:m])) / (alpha_g - 1.0)
+        # max and min return their first argument unless the second is
+        # strictly beyond it, so a NaN passes through as np.maximum's would
+        return float(min(max(special.expit(log_odds), 1e-12), 1.0 - 1e-12))
     y = np.asarray(stat, dtype=float)
     shape = (-1,) + (1,) * y.ndim
-    t = taus.reshape(shape)
+    t = terms.taus.reshape(shape)
     z = y - 0.5 * t
     z *= t
-    z /= noise_sd**2
-    z += log_terms.reshape(shape)
+    z /= var
+    z += terms.log_terms.reshape(shape)
     log_a = np.logaddexp.reduce(z[m:], axis=0)
     log_b = np.logaddexp.reduce(z[:m], axis=0)
     delta = special.expit((log_a - log_b) / (alpha_g - 1.0))

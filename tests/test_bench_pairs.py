@@ -109,3 +109,23 @@ def test_one_pair_is_refused_before_any_run(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parent_checkout_sits_beside_the_working_tree_and_is_removed(tmp_path):
+    root = tmp_path / "repo"
+    root.mkdir()
+    with bench_pairs.parent_checkout(root) as tmp:
+        checkout = Path(tmp)
+        assert checkout.is_dir()
+        assert checkout.parent == tmp_path
+        assert checkout.name.startswith("bench-parent-")
+    assert not checkout.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["repo"]
+
+
+def test_parent_checkout_defaults_to_beside_the_repository(monkeypatch):
+    # no directory is made: only the arguments are read
+    seen = {}
+    monkeypatch.setattr(bench_pairs.tempfile, "TemporaryDirectory", lambda **kw: seen.update(kw))
+    bench_pairs.parent_checkout()
+    assert seen == {"prefix": "bench-parent-", "dir": bench_pairs.ROOT.parent}

@@ -225,6 +225,41 @@ class TestReferenceForms:
         assert type(rule.evaluate(2)) is float
 
 
+FLAT_SPECIAL_STATS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e308, -1e308, 5e-324]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBayesFlatFloatPath:
+    """A Python float statistic takes BayesFlatMSR's scalar branch; it must
+    give the bits of the array path on a one-element array.  A NaN result is
+    compared as NaN only: when the statistic is a NaN, ndtr returns its own
+    NaN, and numpy's array addition keeps that one where scalar addition
+    keeps the other operand's, so the sign and payload bits differ between
+    a float and an array, as they did for a 0-d array statistic."""
+
+    @staticmethod
+    def check(scale, x):
+        rule = BayesFlatMSR(scale)
+        got = rule.evaluate(x)
+        assert type(got) is float
+        want = rule.evaluate(np.array([x]))
+        if math.isnan(got):
+            assert math.isnan(want[0]), (scale, x)
+        else:
+            assert np.array([got]).tobytes() == want.tobytes(), (scale, x)
+        assert np.float64(got).tobytes() == np.float64(rule.evaluate(np.array(x))).tobytes()
+
+    @given(st.floats(1e-3, 1e3), st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_one_element_array(self, scale, x):
+        self.check(scale, x)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
+    @pytest.mark.parametrize("x", FLAT_SPECIAL_STATS)
+    def test_special_values(self, scale, x):
+        self.check(scale, x)
+
+
 class TestPsi:
     def test_positive_everywhere(self):
         xs = np.linspace(-30.0, 30.0, 301)
@@ -709,6 +744,22 @@ class TestBayesFocFrozen:
         assert all(type(v) is float for v in scalars)
         assert self.same(scalars, want["scalars"])
 
+    @pytest.mark.parametrize("alpha_g", [2.0, 3.0])
+    @pytest.mark.parametrize("warm", [int, np.float64, np.array])
+    def test_memo_warmed_through_another_alpha_g_type(self, alpha_g, warm):
+        # the terms and their float form are built by the first call, with
+        # alpha_g of another type; every later type must read the same pins
+        want = self.FROZEN_BAYES[alpha_g]
+        prior = DiscretePrior.from_pairs(self.PIN_PAIRS)
+        solve_bayes_foc(prior, warm(alpha_g), 0.8, 0.7)
+        for a in (alpha_g, int(alpha_g), np.float64(alpha_g), np.array(alpha_g)):
+            scalars = [solve_bayes_foc(prior, a, 0.8, s) for s in self.SCALARS]
+            assert all(type(v) is float for v in scalars)
+            assert self.same(scalars, want["scalars"])
+            assert self.same(solve_bayes_foc(prior, a, 0.8, self.TABLE).tolist(),
+                             want["table"])
+        assert list(prior._foc_terms) == [alpha_g]
+
     # the six fixed tail cases of the prior-bayes benchmark workload:
     # (prior, alpha_g, noise_sd, tau, threshold) and P(Reg > threshold)
     FROZEN_TAILS = [
@@ -756,6 +807,70 @@ class TestBayesFocFrozen:
         _unit_worst.cache_clear()
         got = worst_case_msr(DiscretePriorBayes(prior, 2.0, sd), 1.0, 1)
         assert (got.sup, got.argsup_tau, got.saturated) == (sup, argsup, False)
+
+
+class TestFocTermsMemo:
+    """solve_bayes_foc keeps each prior's sign split and log terms per alpha_g."""
+
+    PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
+
+    def test_one_tail_builds_the_terms_once(self, monkeypatch):
+        built, calls = [], []
+        make, solve = rules_module._FocTerms, rules_module.solve_bayes_foc
+
+        def counted_make(*args):
+            built.append(args)
+            return make(*args)
+
+        def counted_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(rules_module, "_FocTerms", counted_make)
+        monkeypatch.setattr(rules_module, "solve_bayes_foc", counted_solve)
+        prior = DiscretePrior.from_pairs(self.PAIRS)
+        rule = DiscretePriorBayes(prior, 2.0, 1.0)
+        exp = GaussianExperiment(1.0, 1.0, 1)
+        assert tail_probability(rule, exp, 0.1) == 0.4062915299574522
+        # the grid, then Brent's scalar calls, on one set of terms
+        assert len(calls) > 2 and len(built) == 1
+        terms = prior._foc_terms[2.0]
+        pairs = terms.scalar
+        assert pairs is not None
+        tail_probability(rule, exp, 0.3)
+        tail_probability(DiscretePriorBayes(prior, 2, 0.5), exp, 0.1)
+        assert len(built) == 1
+        assert prior._foc_terms == {2.0: terms} and terms.scalar is pairs
+
+    def test_a_table_does_not_build_the_float_form(self):
+        prior = DiscretePrior.from_pairs(self.PAIRS)
+        rule = DiscretePriorBayes(prior, 3.0, 1.0)
+        rule.evaluate(np.linspace(-4.0, 4.0, 24))
+        rule.evaluate(np.float64(0.5))
+        assert list(prior._foc_terms) == [3.0]
+        assert prior._foc_terms[3.0].scalar is None
+        rule.evaluate(0.5)
+        assert prior._foc_terms[3.0].scalar is not None
+
+    def test_the_memo_is_invisible(self):
+        import copy
+        import pickle
+
+        cold = DiscretePrior.from_pairs(self.PAIRS)
+        warm = DiscretePrior.from_pairs(self.PAIRS)
+        for alpha_g in (1.5, 2.0, 3.0):
+            DiscretePriorBayes(warm, alpha_g, 1.0).evaluate(0.25)
+        assert len(warm._foc_terms) == 3 and not cold._foc_terms
+        assert warm == cold and hash(warm) == hash(cold)
+        rule_w, rule_c = (DiscretePriorBayes(p, 2.0, 1.0) for p in (warm, cold))
+        assert rule_w == rule_c and hash(rule_w) == hash(rule_c)
+        assert rule_to_dict(rule_w) == rule_to_dict(rule_c)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        assert pickle.dumps(rule_w) == pickle.dumps(rule_c)
+        for twin in (pickle.loads(pickle.dumps(rule_w)), copy.deepcopy(rule_w)):
+            assert twin == rule_w and not twin.prior._foc_terms
+            assert twin.prior.taus.tolist() == warm.taus.tolist()
+            assert twin.evaluate(0.25) == rule_w.evaluate(0.25)
 
 
 class TestJsonMapping:
