@@ -389,37 +389,6 @@ def _require_two_sided(prior: DiscretePrior) -> None:
         raise PriorSupportError("prior mass must be positive on both {tau > 0} and {tau < 0}")
 
 
-class _FocTerms:
-    """One prior's support partitioned by sign, with its log terms at one alpha_g.
-
-    taus and log_terms (log w_i + alpha_g log|tau_i|) hold the m negative
-    points, then the positive ones, each in support order; scalar holds the
-    same pairs as Python floats, built on the first scalar call.
-    """
-
-    __slots__ = ("m", "taus", "log_terms", "scalar")
-
-    def __init__(self, prior: DiscretePrior, alpha_g: float) -> None:
-        support = [p for p in prior.support if p[0] < 0]
-        self.m = len(support)
-        support += [p for p in prior.support if p[0] > 0]
-        self.taus = np.array([t for t, _ in support])
-        self.log_terms = np.log(np.array([w for _, w in support])) + alpha_g * np.log(
-            np.abs(self.taus)
-        )
-        self.scalar = None
-
-
-def _foc_terms(prior: DiscretePrior, alpha_g: float) -> _FocTerms:
-    # float(alpha_g) is the key, so an int, a numpy float and a 0-d array
-    # share one entry; each multiplies log|tau| to the same bits
-    key = float(alpha_g)
-    terms = prior._foc_terms.get(key)
-    if terms is None:
-        terms = prior._foc_terms[key] = _FocTerms(prior, key)
-    return terms
-
-
 def _logaddexp_fold(z: list):
     # what np.logaddexp.reduce does along an axis: one pair at a time, in order
     acc = z[0]
@@ -473,15 +442,30 @@ def solve_bayes_foc(
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
-    terms = _foc_terms(prior, alpha_g)
-    m = terms.m
+    # kept per prior and alpha_g as [m, taus, log_terms, pairs]: the m
+    # negative support points, then the positive ones, each in support
+    # order, with log w_i + alpha_g log|tau_i|, and the same (tau, log term)
+    # pairs as Python floats, made on the first scalar call.  float(alpha_g)
+    # is the key, so an int, a numpy float and a 0-d array share one entry;
+    # each multiplies log|tau| to the same bits.  Built inline: each table on
+    # a fresh rule pays for the miss, and a helper class made that cold call
+    # about a tenth slower
+    key = float(alpha_g)
+    terms = prior._foc_terms.get(key)
+    if terms is None:
+        support = [p for p in prior.support if p[0] < 0]
+        m = len(support)
+        support += [p for p in prior.support if p[0] > 0]
+        taus = np.array([t for t, _ in support])
+        log_terms = np.log(np.array([w for _, w in support])) + key * np.log(np.abs(taus))
+        terms = prior._foc_terms[key] = [m, taus, log_terms, None]
+    m, taus, log_terms, pairs = terms
     var = noise_sd**2
     # a variance that underflows to 0 takes the array path, where z / 0 is
     # numpy's inf or nan, not Python's ZeroDivisionError
     if type(stat) is float and var:
-        pairs = terms.scalar
         if pairs is None:
-            pairs = terms.scalar = list(zip(terms.taus.tolist(), terms.log_terms.tolist()))
+            pairs = terms[3] = list(zip(taus.tolist(), log_terms.tolist()))
         z = [(stat - 0.5 * t) * t / var + lt for t, lt in pairs]
         log_odds = (_logaddexp_fold(z[m:]) - _logaddexp_fold(z[:m])) / (alpha_g - 1.0)
         # max and min return their first argument unless the second is
@@ -489,11 +473,11 @@ def solve_bayes_foc(
         return float(min(max(special.expit(log_odds), 1e-12), 1.0 - 1e-12))
     y = np.asarray(stat, dtype=float)
     shape = (-1,) + (1,) * y.ndim
-    t = terms.taus.reshape(shape)
+    t = taus.reshape(shape)
     z = y - 0.5 * t
     z *= t
     z /= var
-    z += terms.log_terms.reshape(shape)
+    z += log_terms.reshape(shape)
     log_a = np.logaddexp.reduce(z[m:], axis=0)
     log_b = np.logaddexp.reduce(z[:m], axis=0)
     delta = special.expit((log_a - log_b) / (alpha_g - 1.0))

@@ -259,6 +259,16 @@ class TestBayesFlatFloatPath:
     def test_special_values(self, scale, x):
         self.check(scale, x)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
+    def test_dense_sweep(self, scale):
+        # where the density is not negligible a last-bit change in exp shows
+        # in the sum, which the sparse draws above rarely reach
+        rng = np.random.default_rng(20261019)
+        ys = np.concatenate([np.linspace(-12.0, 12.0, 2401), rng.normal(0.0, 3.0, 2000)]) * scale
+        rule = BayesFlatMSR(scale)
+        got = np.array([rule.evaluate(y) for y in ys.tolist()])
+        assert got.tobytes() == rule.evaluate(ys).tobytes()
+
 
 class TestPsi:
     def test_positive_everywhere(self):
@@ -814,43 +824,53 @@ class TestFocTermsMemo:
 
     PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
 
-    def test_one_tail_builds_the_terms_once(self, monkeypatch):
-        built, calls = [], []
-        make, solve = rules_module._FocTerms, rules_module.solve_bayes_foc
+    class CountingDict(dict):
+        def __init__(self):
+            super().__init__()
+            self.sets = 0
 
-        def counted_make(*args):
-            built.append(args)
-            return make(*args)
+        def __setitem__(self, key, value):
+            self.sets += 1
+            super().__setitem__(key, value)
+
+    def fresh(self):
+        # a prior whose memo counts the entries it is given
+        prior = DiscretePrior.from_pairs(self.PAIRS)
+        object.__setattr__(prior, "_foc_terms", self.CountingDict())
+        return prior
+
+    def test_one_tail_builds_the_terms_once(self, monkeypatch):
+        calls = []
+        solve = rules_module.solve_bayes_foc
 
         def counted_solve(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(rules_module, "_FocTerms", counted_make)
         monkeypatch.setattr(rules_module, "solve_bayes_foc", counted_solve)
-        prior = DiscretePrior.from_pairs(self.PAIRS)
+        prior = self.fresh()
         rule = DiscretePriorBayes(prior, 2.0, 1.0)
         exp = GaussianExperiment(1.0, 1.0, 1)
         assert tail_probability(rule, exp, 0.1) == 0.4062915299574522
-        # the grid, then Brent's scalar calls, on one set of terms
-        assert len(calls) > 2 and len(built) == 1
+        # the grid, then Brent's scalar calls, on one entry
+        assert len(calls) > 2 and prior._foc_terms.sets == 1
         terms = prior._foc_terms[2.0]
-        pairs = terms.scalar
+        pairs = terms[3]
         assert pairs is not None
         tail_probability(rule, exp, 0.3)
         tail_probability(DiscretePriorBayes(prior, 2, 0.5), exp, 0.1)
-        assert len(built) == 1
-        assert prior._foc_terms == {2.0: terms} and terms.scalar is pairs
+        assert prior._foc_terms.sets == 1
+        assert prior._foc_terms == {2.0: terms} and terms[3] is pairs
 
     def test_a_table_does_not_build_the_float_form(self):
-        prior = DiscretePrior.from_pairs(self.PAIRS)
+        prior = self.fresh()
         rule = DiscretePriorBayes(prior, 3.0, 1.0)
         rule.evaluate(np.linspace(-4.0, 4.0, 24))
         rule.evaluate(np.float64(0.5))
-        assert list(prior._foc_terms) == [3.0]
-        assert prior._foc_terms[3.0].scalar is None
+        assert list(prior._foc_terms) == [3.0] and prior._foc_terms.sets == 1
+        assert prior._foc_terms[3.0][3] is None
         rule.evaluate(0.5)
-        assert prior._foc_terms[3.0].scalar is not None
+        assert prior._foc_terms[3.0][3] is not None and prior._foc_terms.sets == 1
 
     def test_the_memo_is_invisible(self):
         import copy
