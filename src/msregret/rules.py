@@ -447,9 +447,8 @@ def solve_bayes_foc(
     # order, with log w_i + alpha_g log|tau_i|, and the same (tau, log term)
     # pairs as Python floats, made on the first scalar call.  float(alpha_g)
     # is the key, so an int, a numpy float and a 0-d array share one entry;
-    # each multiplies log|tau| to the same bits.  Built inline: each table on
-    # a fresh rule pays for the miss, and a helper class made that cold call
-    # about a tenth slower
+    # each multiplies log|tau| to the same bits.  Built inline, since each
+    # table on a fresh rule pays for the miss
     key = float(alpha_g)
     terms = prior._foc_terms.get(key)
     if terms is None:

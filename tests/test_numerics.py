@@ -271,7 +271,7 @@ class TestKernelEdgeCases:
             gaussian_expectation(wrap(lambda x: np.where(x == 10.0, 1e20, 0.0)), 0.0, 1.0)
 
     @pytest.mark.parametrize("k", [2, 8, 9])
-    def test_stacks_equal_their_rows_bit_for_bit(self, k):
+    def test_stacks_agree_with_their_rows(self, k):
         fs = [lambda x, j=j: 1.0 / (1.0 + np.exp(-(j + 1) * x)) for j in range(k)]
         got = gaussian_expectation(lambda x: np.stack([f(x) for f in fs]), 0.2, 1.3)
         assert got.shape == (k,)
