@@ -54,9 +54,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _HALF_WIDTH = 10.0  # trapezoid window half-width in sd units
 _EDGE_DENSITY = math.exp(-0.5 * _HALF_WIDTH**2) / _SQRT2PI
 _MAX_HALVINGS = 10
-# stacks of at most this many integrands sum their levels on Python floats;
-# past 10-20 rows numpy's few calls cost less than the per-float loops
-_FLOAT_ROWS = 8
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 _ROOT_MAXITER = 200
 _MAX_EVALS = 500
@@ -177,12 +174,8 @@ def gaussian_expectation(
     spec.fallback_abs_tol on every component.  Since that takes two levels at
     least, the first call of f gets level 0's spec.node_count + 1 nodes and
     level 1's spec.node_count midpoints together, in that order; each later
-    level is one call.  Each level's weighted sum is one matmul; for one
-    integrand, or a stack of at most _FLOAT_ROWS, the running sums, the
-    scaling, the finiteness test and the level gap then run on Python floats,
-    which cost less than numpy calls on so few numbers and round the same
-    way, so the result is the same bit for bit.  Raises ConvergenceError as
-    the module docstring describes, DomainError for sd <= 0.
+    level is one call.  Raises ConvergenceError as the module docstring
+    describes, DomainError for sd <= 0.
     """
     if not sd > 0:
         raise DomainError(f"sd must be positive, got {sd}")
@@ -193,54 +186,22 @@ def gaussian_expectation(
     # level 0's end columns are its first and last nodes
     if np.abs(vals[..., 0:n0:n0 - 1]).max() * _EDGE_DENSITY > tol:
         raise ConvergenceError(f"integrand not negligible at z = +-{_HALF_WIDTH}")
-
-    def parts():
-        # each level's weighted sum: the first call's two levels, then one
-        # call per level
-        yield vals[..., :n0] @ w0
-        yield vals[..., n0:] @ w1
-        for level in range(2, _MAX_HALVINGS + 1):
-            z, w = _trapezoid_level(spec.node_count, level)
-            yield np.asarray(f(mean + sd * z), dtype=float) @ w
-
-    if vals.ndim == 1:
-        return _settle(([p.tolist()] for p in parts()), 1, spec)[0]
-    if len(vals) <= _FLOAT_ROWS:
-        return np.array(_settle((p.tolist() for p in parts()), len(vals), spec))
-    return _settle(parts(), None, spec)
-
-
-def _settle(parts, rows: Optional[int], spec: QuadratureSpec):
-    """Running trapezoid sums of the level parts until two levels agree.
-
-    With rows given, each part is a list of that many Python floats and the
-    sums, the scaling, the finiteness test and the level gap run on Python
-    floats, which round as numpy does, so the values are the same bit for
-    bit; with rows None each part is an ndarray.
-    """
-    tol = spec.fallback_abs_tol
-    # 0.0 + part, as the first level's sum, turns a -0.0 into 0.0
-    total = 0.0 if rows is None else [0.0] * rows
-    previous = None
-    for level, part in enumerate(parts):
-        h = 2.0 * _HALF_WIDTH / (spec.node_count << level)
-        if rows is None:
-            total = total + part
-            value = total * h
-            finite = np.isfinite(value).all()
+    first = (vals[..., :n0] @ w0, vals[..., n0:] @ w1)
+    total, previous = 0.0, None
+    for level in range(_MAX_HALVINGS + 1):
+        if level < 2:
+            part = first[level]
         else:
-            total = [t + p for t, p in zip(total, part)]
-            value = [t * h for t in total]
-            finite = all(map(math.isfinite, value))
-        if not finite:
+            z, w = _trapezoid_level(spec.node_count, level)
+            part = np.asarray(f(mean + sd * z), dtype=float) @ w
+        total = total + part
+        value = total * (2.0 * _HALF_WIDTH / (spec.node_count << level))
+        if not np.isfinite(value).all():
             raise ConvergenceError("trapezoid rule produced a non-finite value")
         if previous is not None:
-            if rows is None:
-                gap = float(np.abs(value - previous).max())
-            else:
-                gap = max([abs(v - q) for v, q in zip(value, previous)])
+            gap = float(np.abs(value - previous).max())
             if gap <= tol:
-                return value
+                return float(value) if value.ndim == 0 else value
         previous = value
     raise ConvergenceError(
         f"trapezoid levels still differ by {gap!r} after {_MAX_HALVINGS} halvings"

@@ -209,14 +209,6 @@ class BayesFlatMSR(TreatmentRule):
             raise DomainError(f"scale must be positive, got {self.scale}")
 
     def evaluate(self, stat: Stat) -> Stat:
-        if type(stat) is float:
-            # the array path's ufuncs in its order on one number, for the
-            # scalar calls of a root search; max and min pass a NaN through
-            # as np.maximum and np.minimum do
-            u = stat / self.scale
-            pdf = np.exp(-0.5 * u * u) / _SQRT2PI
-            out = special.ndtr(u) + u * pdf / (1.0 + u * u)
-            return float(min(max(out, 0.0), 1.0))
         u = np.asarray(stat, dtype=float) / self.scale
         # std_normal_cdf and std_normal_pdf written out, without their float
         # round trips; np.clip's wrapper costs more than the arithmetic
@@ -319,8 +311,7 @@ class DiscretePrior:
         # derived once, since tilted_posterior_match_msr reads them on every
         # call, and solve_bayes_foc keeps its per-alpha_g terms in _foc_terms,
         # which a Brent root over one rule reuses on each of its scalar calls;
-        # none is a field, so equality, hashing, to_dict and pickling see
-        # support alone
+        # none is a field, so equality, hashing and to_dict see support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
         weights.setflags(write=False)
@@ -328,10 +319,6 @@ class DiscretePrior:
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_two_sided", bool((taus > 0).any() and (taus < 0).any()))
         object.__setattr__(self, "_foc_terms", {})
-
-    def __reduce__(self):
-        # rebuilt from support, so a pickle or copy carries no derived state
-        return type(self), (self.support,)
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscretePrior":
