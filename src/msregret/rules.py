@@ -309,8 +309,8 @@ class DiscretePrior:
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
         # derived once, since tilted_posterior_match_msr reads them on every
-        # call, and solve_bayes_foc keeps its per-alpha_g terms in _foc_terms,
-        # which a Brent root over one rule reuses on each of its scalar calls;
+        # call, and solve_bayes_foc's scalar calls keep their per-alpha_g terms
+        # in _foc_terms, which a Brent root over one rule reuses on each call;
         # none is a field, so equality, hashing and to_dict see support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
@@ -376,6 +376,16 @@ def _require_two_sided(prior: DiscretePrior) -> None:
         raise PriorSupportError("prior mass must be positive on both {tau > 0} and {tau < 0}")
 
 
+def _foc_terms(prior: DiscretePrior, alpha_g: float) -> tuple:
+    # the m negative support points, then the positive ones, each in support
+    # order, with log w_i + alpha_g log|tau_i|
+    support = [p for p in prior.support if p[0] < 0]
+    m = len(support)
+    support += [p for p in prior.support if p[0] > 0]
+    taus = np.array([t for t, _ in support])
+    return m, taus, np.log(np.array([w for _, w in support])) + alpha_g * np.log(np.abs(taus))
+
+
 def _logaddexp_fold(z: list):
     # what np.logaddexp.reduce does along an axis: one pair at a time, in order
     acc = z[0]
@@ -412,13 +422,14 @@ def solve_bayes_foc(
     the logaddexp reductions of the two slices along that axis, so each sums
     exactly the terms of its own sign in support order, as reducing the signs
     one at a time would, and the result is the same bit for bit, infinite and
-    NaN statistics included.  The partition and log w_i + alpha_g log|tau_i|
-    are built once per prior and alpha_g and kept on the prior, so the
-    scalar calls of a root search over one rule pay for them once.  A Python
-    float statistic takes a path on Python floats: each z in the same
-    operation order, each sign folded by successive np.logaddexp calls in
-    support order, which is what the reduction does, then the same expit and
-    clamp, so it returns the array path's bits at a scalar's cost.
+    NaN statistics included.  A Python float statistic takes a path on
+    Python floats: the partition and log w_i + alpha_g log|tau_i| are kept on
+    the prior per alpha_g, so the scalar calls of a root search over one rule
+    build them once; each z is formed in the same operation order, each sign
+    folded by successive np.logaddexp calls in support order, which is what
+    the reduction does, then the same expit and clamp, so it returns the
+    array path's bits at a scalar's cost.  An array statistic builds the
+    terms afresh and stores nothing.
 
     Accepts a float or an ndarray statistic and returns the matching type.
     Raises PriorSupportError when the prior mass is one-sided and DomainError
@@ -429,34 +440,28 @@ def solve_bayes_foc(
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
-    # kept per prior and alpha_g as [m, taus, log_terms, pairs]: the m
-    # negative support points, then the positive ones, each in support
-    # order, with log w_i + alpha_g log|tau_i|, and the same (tau, log term)
-    # pairs as Python floats, made on the first scalar call.  float(alpha_g)
-    # is the key, so an int, a numpy float and a 0-d array share one entry;
-    # each multiplies log|tau| to the same bits.  Built inline, since each
-    # table on a fresh rule pays for the miss
-    key = float(alpha_g)
-    terms = prior._foc_terms.get(key)
-    if terms is None:
-        support = [p for p in prior.support if p[0] < 0]
-        m = len(support)
-        support += [p for p in prior.support if p[0] > 0]
-        taus = np.array([t for t, _ in support])
-        log_terms = np.log(np.array([w for _, w in support])) + key * np.log(np.abs(taus))
-        terms = prior._foc_terms[key] = [m, taus, log_terms, None]
-    m, taus, log_terms, pairs = terms
     var = noise_sd**2
     # a variance that underflows to 0 takes the array path, where z / 0 is
     # numpy's inf or nan, not Python's ZeroDivisionError
     if type(stat) is float and var:
-        if pairs is None:
-            pairs = terms[3] = list(zip(taus.tolist(), log_terms.tolist()))
+        # a root search calls once per iterate on one rule, so the terms are
+        # kept per prior and alpha_g as Python floats; float(alpha_g) is the
+        # key, so an int, a numpy float and a 0-d array share one entry, and
+        # each multiplies log|tau| to the same bits
+        key = float(alpha_g)
+        scalar = prior._foc_terms.get(key)
+        if scalar is None:
+            m, taus, log_terms = _foc_terms(prior, key)
+            scalar = prior._foc_terms[key] = (m, list(zip(taus.tolist(), log_terms.tolist())))
+        m, pairs = scalar
         z = [(stat - 0.5 * t) * t / var + lt for t, lt in pairs]
         log_odds = (_logaddexp_fold(z[m:]) - _logaddexp_fold(z[:m])) / (alpha_g - 1.0)
         # max and min return their first argument unless the second is
         # strictly beyond it, so a NaN passes through as np.maximum's would
         return float(min(max(special.expit(log_odds), 1e-12), 1.0 - 1e-12))
+    # an array call stores nothing: a table or a simulate block on a fresh
+    # rule would pay for storing the terms
+    m, taus, log_terms = _foc_terms(prior, alpha_g)
     y = np.asarray(stat, dtype=float)
     shape = (-1,) + (1,) * y.ndim
     t = taus.reshape(shape)

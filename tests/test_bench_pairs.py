@@ -1,5 +1,7 @@
-"""The pure summary functions of tools/bench_pairs.py; no benchmark run starts."""
+"""The summary functions and checkout helpers of tools/bench_pairs.py; no
+benchmark run starts."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -111,21 +113,49 @@ def test_one_pair_is_refused_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_parent_checkout_sits_beside_the_working_tree_and_is_removed(tmp_path):
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_side_checkout_sits_beside_the_working_tree_and_is_removed(tmp_path, side):
     root = tmp_path / "repo"
     root.mkdir()
-    with bench_pairs.parent_checkout(root) as tmp:
+    with bench_pairs.side_checkout(side, root) as tmp:
         checkout = Path(tmp)
         assert checkout.is_dir()
         assert checkout.parent == tmp_path
-        assert checkout.name.startswith("bench-parent-")
+        assert checkout.name.startswith(f"bench-{side}-")
     assert not checkout.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["repo"]
 
 
-def test_parent_checkout_defaults_to_beside_the_repository(monkeypatch):
+def test_side_checkout_defaults_to_beside_the_repository(monkeypatch):
     # no directory is made: only the arguments are read
     seen = {}
     monkeypatch.setattr(bench_pairs.tempfile, "TemporaryDirectory", lambda **kw: seen.update(kw))
-    bench_pairs.parent_checkout()
-    assert seen == {"prefix": "bench-parent-", "dir": bench_pairs.ROOT.parent}
+    bench_pairs.side_checkout("change")
+    assert seen == {"prefix": "bench-change-", "dir": bench_pairs.ROOT.parent}
+
+
+def test_both_sides_paths_have_one_length(tmp_path):
+    root = tmp_path / "repo"
+    root.mkdir()
+    with bench_pairs.side_checkout("parent", root) as a, bench_pairs.side_checkout("change", root) as b:
+        assert len(a) == len(b)
+
+
+def test_copy_worktree_takes_tracked_and_untracked_files_but_not_ignored_ones(tmp_path):
+    root, dest = tmp_path / "repo", tmp_path / "copy"
+    (root / "src").mkdir(parents=True)
+    dest.mkdir()
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    (root / ".gitignore").write_text("/out/\n")
+    (root / "src" / "a.py").write_text("tracked, edited\n")
+    (root / "src" / "gone.py").write_text("tracked, then deleted\n")
+    subprocess.run(["git", "add", "."], cwd=root, check=True)
+    (root / "src" / "a.py").write_text("tracked, edited\nagain\n")
+    (root / "src" / "gone.py").unlink()
+    (root / "new.py").write_text("untracked\n")
+    (root / "out").mkdir()
+    (root / "out" / "result.json").write_text("ignored\n")
+    bench_pairs.copy_worktree(dest, root)
+    got = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert got == [".gitignore", "new.py", "src/a.py"]
+    assert (dest / "src" / "a.py").read_text() == "tracked, edited\nagain\n"

@@ -775,7 +775,8 @@ class TestBayesFocFrozen:
 
 
 class TestFocTermsMemo:
-    """solve_bayes_foc keeps each prior's sign split and log terms per alpha_g."""
+    """solve_bayes_foc keeps each prior's sign split and log terms per alpha_g
+    for its scalar calls."""
 
     PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
 
@@ -794,38 +795,42 @@ class TestFocTermsMemo:
         object.__setattr__(prior, "_foc_terms", self.CountingDict())
         return prior
 
-    def test_one_tail_builds_the_terms_once(self, monkeypatch):
-        calls = []
-        solve = rules_module.solve_bayes_foc
+    def test_one_tail_stores_the_terms_once(self, monkeypatch):
+        solves, builds = [], []
+        solve, build = rules_module.solve_bayes_foc, rules_module._foc_terms
 
         def counted_solve(*args):
-            calls.append(args)
+            solves.append(type(args[3]))
             return solve(*args)
 
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
         monkeypatch.setattr(rules_module, "solve_bayes_foc", counted_solve)
+        monkeypatch.setattr(rules_module, "_foc_terms", counted_build)
         prior = self.fresh()
         rule = DiscretePriorBayes(prior, 2.0, 1.0)
         exp = GaussianExperiment(1.0, 1.0, 1)
         assert tail_probability(rule, exp, 0.1) == 0.4062915299574522
-        # the grid, then Brent's scalar calls, on one entry
-        assert len(calls) > 2 and prior._foc_terms.sets == 1
-        terms = prior._foc_terms[2.0]
-        pairs = terms[3]
-        assert pairs is not None
+        # the grid's array call, then Brent's scalar calls on one stored entry
+        assert solves[0] is np.ndarray and solves.count(float) == len(solves) - 1 > 1
+        assert len(builds) == 2 and prior._foc_terms.sets == 1
+        entry = prior._foc_terms[2.0]
         tail_probability(rule, exp, 0.3)
         tail_probability(DiscretePriorBayes(prior, 2, 0.5), exp, 0.1)
-        assert prior._foc_terms.sets == 1
-        assert prior._foc_terms == {2.0: terms} and terms[3] is pairs
+        # each later tail builds for its grid only
+        assert len(builds) == 4 and prior._foc_terms.sets == 1
+        assert prior._foc_terms == {2.0: entry} and prior._foc_terms[2.0] is entry
 
-    def test_a_table_does_not_build_the_float_form(self):
+    def test_array_calls_store_nothing(self):
         prior = self.fresh()
         rule = DiscretePriorBayes(prior, 3.0, 1.0)
         rule.evaluate(np.linspace(-4.0, 4.0, 24))
         rule.evaluate(np.float64(0.5))
-        assert list(prior._foc_terms) == [3.0] and prior._foc_terms.sets == 1
-        assert prior._foc_terms[3.0][3] is None
+        assert not prior._foc_terms and prior._foc_terms.sets == 0
         rule.evaluate(0.5)
-        assert prior._foc_terms[3.0][3] is not None and prior._foc_terms.sets == 1
+        assert list(prior._foc_terms) == [3.0] and prior._foc_terms.sets == 1
 
     def test_the_memo_is_invisible(self):
         import pickle

@@ -4,11 +4,11 @@
     python3 tools/bench_pairs.py --parent REV --workload study-design --pairs 10 \
         --out BENCH_tag.json
 
-Exports the committed files of REV into a temporary directory beside this
-working tree, removed afterwards (git archive, so the repository gains no
-worktree or branch), and runs the unmodified
-bench/run.py of each side: REV's copy, then this working tree's, alternating
-which side goes first from one pair to the next.  Pair i uses seed
+Exports the committed files of REV (git archive, so the repository gains no
+worktree or branch) and copies this working tree's files into two temporary
+directories beside the working tree, removed afterwards, and runs the
+unmodified bench/run.py of each copy: REV's, then the working tree's,
+alternating which side goes first from one pair to the next.  Pair i uses seed
 --first-seed + i, and both sides run for the run_seconds of BENCHMARK.json.
 Every run, both sides' medians and quartiles of each end-to-end metric, the
 change's win count, and whether it stays within the bound BENCHMARK.json
@@ -34,6 +34,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -61,12 +62,26 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def parent_checkout(root: Path = ROOT) -> tempfile.TemporaryDirectory:
-    """The temporary directory REV is exported into: beside root, in root's
-    parent directory, so both sides run from checkouts at the same depth under
-    one directory.  Exported into tempfile's default directory instead, the
-    parent side ran a few percent faster in an A/A run."""
-    return tempfile.TemporaryDirectory(prefix="bench-parent-", dir=root.parent)
+def copy_worktree(dest: Path, root: Path = ROOT) -> None:
+    """The files of the working tree at root that git tracks or would track
+    (ignored ones left out), copied under dest."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=root, check=True, capture_output=True).stdout.decode().split("\0")
+    for name in names:
+        # a tracked file deleted from the working tree is not copied
+        if name and (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
+def side_checkout(side: str, root: Path = ROOT) -> tempfile.TemporaryDirectory:
+    """The temporary directory one side's files go into: beside root, in
+    root's parent directory, named bench-parent-* or bench-change-*, so both
+    sides run from copies made alike, at one depth and with paths of one
+    length.  With the working tree run in place and the parent exported into
+    tempfile's default directory, the parent side ran a few percent faster
+    in an A/A run."""
+    return tempfile.TemporaryDirectory(prefix=f"bench-{side}-", dir=root.parent)
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -163,18 +178,19 @@ def main(argv=None) -> int:
     parent_sha = git("rev-parse", args.parent)
 
     pairs = []
-    with parent_checkout() as tmp:
-        parent_root = Path(tmp)
+    with side_checkout("parent") as parent_tmp, side_checkout("change") as change_tmp:
+        parent_root, change_root = Path(parent_tmp), Path(change_tmp)
         export(parent_sha, parent_root)
+        copy_worktree(change_root)
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run(parent_root if side == "parent" else ROOT,
+                pair[side] = run(parent_root if side == "parent" else change_root,
                                  args.workload, seed, seconds)
             pair.update(compare_outputs(digests(parent_root, args.workload, seed),
-                                        digests(ROOT, args.workload, seed)))
+                                        digests(change_root, args.workload, seed)))
             pairs.append(pair)
             print(f"{args.workload} seed {seed}: pass_s parent "
                   f"{pair['parent']['metrics']['pass_s']:.4f} change "
