@@ -89,17 +89,24 @@ class _UsageError(Exception):
     """Bad flag value detected after argparse (malformed token syntax)."""
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str, flag: str = "--grid") -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _UsageError(f"--grid must be lo:hi:step, got {text!r}")
+        raise _UsageError(f"{flag} must be lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
-        raise _UsageError(f"--grid values must be numbers, got {text!r}") from None
+        raise _UsageError(f"{flag} values must be numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise _UsageError(f"{flag} values must be finite, got {text!r}")
     if step <= 0 or hi < lo:
-        raise _UsageError(f"--grid needs hi >= lo and step > 0, got {text!r}")
-    return np.arange(lo, hi + step / 2, step)
+        raise _UsageError(f"{flag} needs hi >= lo and step > 0, got {text!r}")
+    try:
+        return np.arange(lo, hi + step / 2, step)
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses a grid too long to index, and the allocator one too
+        # large to hold, before any element is written
+        raise _UsageError(f"{flag} {text!r}: {exc}") from None
 
 
 def _parse_prior(text: str) -> DiscretePrior:
@@ -203,7 +210,8 @@ def _emit_csv(text: str, path: Optional[str]) -> None:
 
 
 def _stat_sd(args: argparse.Namespace) -> float:
-    return args.sigma / math.sqrt(args.n)
+    # the experiment refuses sigma <= 0 and n < 1 with a DomainError
+    return GaussianExperiment(0.0, args.sigma, args.n).stat_sd
 
 
 def _rule_from_args(args: argparse.Namespace, tau_star: float, sd: float) -> TreatmentRule:
@@ -390,7 +398,7 @@ def _cmd_figures3to6(args: argparse.Namespace) -> None:
         for name in FIGURE_RULES
     ]
     rows = []
-    frac_grid = _parse_grid(args.fraction_grid)
+    frac_grid = _parse_grid(args.fraction_grid, "--fraction-grid")
     for name, rule in rules:
         values = np.asarray(rule.evaluate(frac_grid), dtype=float)
         rows.extend(("fraction", name, float(x), float(v)) for x, v in zip(frac_grid, values))

@@ -18,10 +18,12 @@ varies with the design.
 
 tail_probability inverts the regret event: on a monotone rule, regret exceeds
 a threshold on one side of the statistic where the fraction crosses a level
-q.  Rules with a closed-form inverse (stat_at) give that point with no
-search; the others are evaluated once, vectorized, on a fixed grid of the
-standardized statistic, and a Brent root runs inside the one grid cell
-where the crossing lies.
+q.  Rules that invert themselves (stat_at) give that point: the logistic
+and posterior-matching rules in closed form, the flat-prior Bayes rule by
+its own certified Newton search, and complement mixtures of them through
+their base.  The rest, the discrete-prior Bayes rule and its mixtures, are
+evaluated once, vectorized, on a fixed grid of the standardized statistic,
+and a Brent root runs inside the one grid cell where the crossing lies.
 
 The unit-problem supremum comes from one certified scan and a refinement.
 The scan evaluates the rule once on a uniform grid of the statistic and takes
@@ -250,8 +252,10 @@ def tail_probability(
     regret exceeds the threshold exactly where the fraction falls below
     q = 1 - threshold/tau (tau > 0) or rises above q = threshold/|tau|
     (tau < 0), which is one side of the point where the fraction crosses q,
-    so the result is a single normal CDF value.  A rule with a closed-form
-    inverse (rule.stat_at) gives that point directly.  Any other rule is
+    so the result is a single normal CDF value.  A rule that inverts itself
+    (rule.stat_at: the logistic, posterior-matching and flat-prior Bayes
+    rules and their complement mixtures) gives that point directly.  Any
+    other rule, today the discrete-prior Bayes rule and its mixtures, is
     evaluated once, vectorized, on the standardized statistic at the 481
     nodes k/4 of [-60, 60], and a Brent root runs only inside the first cell
     where the sign flips.  A crossing outside [-60, 60] gives 0 or 1.

@@ -13,10 +13,12 @@ Each rule declares the facts the risk functionals need: step is
 (cutoff, low, high) for a rule piecewise constant in the statistic and None
 otherwise, and direction is +1 (nondecreasing) or -1 (nonincreasing).  A rule
 that declares neither has no exact tail probability, and the risk module
-refuses it.  A directional rule whose inverse has a closed form gives it as
-stat_at(q), the statistic where the fraction crosses q: the logistic rule by
-logit, posterior probability matching by the normal quantile, and a
-complement mixture through its base; the others return None.  Rules
+refuses it.  A directional rule that can invert itself gives stat_at(q), the
+statistic where the fraction crosses q: the logistic rule by logit, posterior
+probability matching by the normal quantile, the flat-prior Bayes rule by a
+safeguarded Newton search on Python floats whose result is certified against
+its own computed fraction, and a complement mixture through its base; the
+discrete-prior Bayes rule returns None.  Rules
 serialize through one kind registry (rule_to_dict, rule_from_dict); their
 fields go through the payload codec the report classes share, to which this
 module adds the TreatmentRule and DiscretePrior entries.
@@ -27,6 +29,7 @@ accept a float or an ndarray statistic and return the matching type.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -59,6 +62,8 @@ __all__ = [
 Stat = Union[float, np.ndarray]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_FLOAT_MAX = sys.float_info.max
+_FLOAT_TINY = math.ulp(0.0)
 
 
 class PriorSupportError(ValueError):
@@ -96,7 +101,7 @@ class TreatmentRule:
 
     def stat_at(self, q: float) -> Optional[float]:
         """Statistic y* where direction * (fraction - q) turns from negative to
-        positive, or None when the rule has no closed-form inverse.
+        positive, or None when the rule has no inverse of its own.
 
         A q the fraction never crosses gives -inf when direction * (fraction
         - q) is positive everywhere and +inf when it is negative everywhere.
@@ -190,14 +195,42 @@ class MinimaxMSR(TreatmentRule):
         return self.scale * math.log(q / (1.0 - q)) / (2.0 * self.tau_star)
 
 
+def _finite_toward(y: float, z: float) -> float:
+    # |y| clamped to the finite nonzero floats, with the sign of z
+    return math.copysign(min(max(abs(y), _FLOAT_TINY), _FLOAT_MAX), z)
+
+
+def _bayes_flat_fraction(u):
+    """The flat-prior Bayes fraction cdf(u) + u * pdf(u) / (1 + u^2), clipped
+    to [0, 1], at a float or an array u; a float u goes through the same
+    ufuncs as an array's elements and gives their bits as a numpy float."""
+    # std_normal_cdf and std_normal_pdf written out, without their float
+    # round trips; np.clip's wrapper costs more than the arithmetic
+    pdf = np.exp(-0.5 * u * u) / _SQRT2PI
+    out = special.ndtr(u) + u * pdf / (1.0 + u * u)
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class BayesFlatMSR(TreatmentRule):
     """Bayes mean-square-regret rule under a flat prior on the effect:
     cdf(u) * (1 + u * psi(u)) with u = stat / scale.
 
-    Evaluated as cdf(u) + u * pdf(u) / (1 + u^2), the algebraically identical
-    form that stays finite when cdf(u) underflows; the classic Mills bound
-    keeps the value inside [0, 1] for every finite u.
+    Evaluated as f(u) = cdf(u) + u * pdf(u) / (1 + u^2) (_bayes_flat_fraction),
+    the algebraically identical form that stays finite when cdf(u)
+    underflows; the classic Mills bound keeps the value inside [0, 1] for
+    every finite u.
+
+    stat_at(q) inverts the computed f by safeguarded Newton on Python floats.
+    The slope is f'(u) = 2 pdf(u) / (1 + u^2)^2.  Since f - cdf has the sign
+    of u, the crossing lies between 0, where f is exactly 1/2, and
+    scale * ndtri(q); that end is checked with the computed f when the search
+    ends beside it, and pushed outward while it fails.  The search stops at
+    adjacent floats y- < y+ with f(y- / scale) < q <= f(y+ / scale), and
+    returns y+, so the result is certified against the rule's own values, not
+    a tolerance.  q = 1/2 gives 0.0, where the symmetry f(-u) = 1 - f(u)
+    puts the crossing; a q that no finite statistic reaches, which takes a
+    scale near the float maximum, gives +-inf.
     """
 
     scale: float = 1.0
@@ -209,12 +242,63 @@ class BayesFlatMSR(TreatmentRule):
             raise DomainError(f"scale must be positive, got {self.scale}")
 
     def evaluate(self, stat: Stat) -> Stat:
-        u = np.asarray(stat, dtype=float) / self.scale
-        # std_normal_cdf and std_normal_pdf written out, without their float
-        # round trips; np.clip's wrapper costs more than the arithmetic
-        pdf = np.exp(-0.5 * u * u) / _SQRT2PI
-        out = special.ndtr(u) + u * pdf / (1.0 + u * u)
-        return _match(np.minimum(np.maximum(out, 0.0), 1.0), stat)
+        return _match(_bayes_flat_fraction(np.asarray(stat, dtype=float) / self.scale), stat)
+
+    def stat_at(self, q: float) -> float:
+        if not 0.0 < q < 1.0:
+            return -math.inf if q <= 0.0 else math.inf
+        if q == 0.5:
+            return 0.0
+        s = self.scale
+        above = q > 0.5
+        z = std_normal_quantile(q)
+        far = _finite_toward(s * z, z)
+        lo, hi = (0.0, far) if above else (far, 0.0)
+        # Newton aims half an ulp below q, at the edge of the floats that
+        # round to q; it starts from u = z/2 + z^3/48 + ... near 0, which
+        # tends to u = z far out
+        half = 0.5 * (q - math.nextafter(q, 0.0))
+        x = far * (12.0 + z * z) / (24.0 + z * z)
+        while True:
+            if hi == math.nextafter(lo, math.inf):
+                if (hi if above else lo) != far:
+                    return hi
+                # the search ends beside the unchecked end: check it
+                fx = float(_bayes_flat_fraction(far / s))
+                if (fx >= q) == above:
+                    return hi
+                if abs(far) == _FLOAT_MAX:
+                    return far * math.inf
+                if above:
+                    lo, hi = far, _finite_toward(2.0 * far, z)
+                else:
+                    lo, hi = _finite_toward(2.0 * far, z), far
+                far = hi if above else lo
+                continue
+            if not lo < x < hi:
+                x = lo + 0.5 * (hi - lo)
+                if not lo < x < hi:
+                    x = math.nextafter(lo, math.inf)
+            fx = float(_bayes_flat_fraction(x / s))
+            if fx >= q:
+                hi = x
+            else:
+                lo = x
+            u = x / s
+            w = 1.0 + u * u
+            slope = 2.0 * math.exp(-0.5 * u * u) / (_SQRT2PI * w * w) / s
+            g = (fx - q) + half
+            m = 1.0 - fx if above else fx
+            if not abs(g) <= 0.5 * m:
+                # far from q, Newton runs on the log of the nearer tail's mass
+                # m, which is near quadratic in u where f is exponentially flat
+                if m == 0.0:
+                    g = math.nan
+                else:
+                    g = -m * math.log(m / (1.0 - q)) if above else m * math.log(m / q)
+            nxt = x - g / slope if slope > 0.0 else math.nan
+            # a step below one float moves one float toward the other side
+            x = math.nextafter(x, math.inf if fx < q else -math.inf) if nxt == x else nxt
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Independent oracle computations used to freeze expected values in the test suite.
 
-Everything here is deliberately written against scipy/stdlib only, with no
-imports from the package under test, so the numbers below constitute an
-independent route to the same quantities.  Run as a script to print the
-frozen table:
+Everything here is deliberately written against scipy, mpmath and the
+stdlib only, with no imports from the package under test, so the numbers
+below constitute an independent route to the same quantities.  The *_mp
+functions work at 40 digits by default and share no special function with
+the package.  Run as a script to print the frozen table:
 
     python tests/oracles.py
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, optimize, special
 
@@ -138,6 +140,36 @@ def bayes_flat_cut(q):
         lambda u: float(cdf(u)) + u * float(phi(u)) / (1.0 + u * u) - q,
         -60.0, 60.0, xtol=1e-15,
     )
+
+
+def bayes_flat_cut_mp(q, dps=40):
+    """bayes_flat_cut at dps digits, an mpmath number: Anderson's bracketed
+    solve, with |fraction - q| <= 10^-dps at the root, between 0 and the
+    normal quantile of q, which bracket the crossing because the fraction
+    minus cdf(u) has the sign of u.  q is an mpmath number or a float."""
+    with mpmath.workdps(dps + 10):
+        q = mpmath.mpf(q)
+        z = mpmath.sqrt(2) * mpmath.erfinv(2 * q - 1)
+        return mpmath.findroot(
+            lambda u: mpmath.ncdf(u) + u * mpmath.npdf(u) / (1 + u * u) - q,
+            (mpmath.mpf(0), z) if q > 0.5 else (z, mpmath.mpf(0)),
+            solver="anderson", tol=mpmath.mpf(10) ** (-2 * dps),
+        )
+
+
+def bayes_flat_tail_mp(scale, tau, sd, threshold, dps=40):
+    """P(Reg > threshold) for the flat-prior Bayes rule cdf(u) + u phi(u) /
+    (1 + u^2), u = y / scale, with Y ~ N(tau, sd^2), at dps digits: regret
+    exceeds the threshold below the crossing of q = 1 - threshold/tau for
+    tau > 0 and above that of q = threshold/|tau| for tau < 0, with q
+    formed exactly from the float inputs."""
+    with mpmath.workdps(dps + 10):
+        tau = mpmath.mpf(tau)
+        q = 1 - threshold / tau if tau > 0 else threshold / -tau
+        if not 0 < q < 1:
+            return mpmath.mpf(0 if (q <= 0) == (tau > 0) else 1)
+        z = (scale * bayes_flat_cut_mp(q, dps) - tau) / sd
+        return mpmath.ncdf(z if tau > 0 else -z)
 
 
 def crossing_tail(cut, rising, tau, sd):

@@ -106,6 +106,35 @@ class TestExitCodes:
         assert code == 2
         assert "lo:hi:step" in err
 
+    @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:inf:0.1", "-inf:0:1", "0:1:nan",
+                                      "0:1e12:1e-9", "0:1:1e-300"])
+    def test_grid_numpy_would_refuse(self, capsys, grid):
+        # non-finite ends or steps, and grids too long for numpy to allocate,
+        # which it refuses before allocating anything
+        code, _, err = run_cli(capsys, ["risk-curve", f"--grid={grid}"])
+        assert code == 2
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1].startswith("error: --grid")
+
+    def test_grid_too_large_to_allocate(self, capsys, monkeypatch):
+        # what numpy raises when the allocator refuses a grid, faked so that
+        # no grid is built
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        code, _, err = run_cli(capsys, ["risk-curve", "--grid=0:1e12:1"])
+        assert code == 2
+        assert err.splitlines()[-1] == "error: --grid '0:1e12:1': Unable to allocate 7.28 TiB"
+
+    @pytest.mark.parametrize("argv", [["dominate", "--n", "0"], ["dominate", "--n", "-4"],
+                                      ["risk-curve", "--n", "0"], ["risk", "--tau", "1", "--n", "0"]])
+    def test_sample_size_below_one(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1] == f"error: n must be an integer >= 1, got {argv[-1]}"
+
     def test_malformed_prior(self, capsys):
         code, _, err = run_cli(
             capsys,

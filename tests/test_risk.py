@@ -40,6 +40,7 @@ from msregret import (
     worst_case_msr,
 )
 from msregret import risk
+from msregret import rules as rules_module
 from msregret.risk import _normal_draws, _unit_curve, _unit_worst
 
 TAU_STAR = 1.22814
@@ -282,7 +283,7 @@ FROZEN_SMOOTH_REPORTS = [
     (BayesFlatMSR(), GaussianExperiment(1.3, 1.0, 1), DEFAULT, 0.3, {
         "mean_regret": 0.16552614568476107, "regret_variance": 0.09287419588537177,
         "mean_square_regret": 0.1202731007906245, "welfare_mean": 1.1344738543152388,
-        "welfare_sd": 0.30475267986577537, "tail": [[0.3, 0.17785092944654113]]}),
+        "welfare_sd": 0.30475267986577537, "tail": [[0.3, 0.17785092944654102]]}),
     (BayesFlatMSR(20.0), GaussianExperiment(-30.0, 1.0, 1), DEFAULT, 0.0, {
         "mean_regret": 0.21399116586423336, "regret_variance": 0.0014092962159623667,
         "mean_square_regret": 0.04720151528389621, "welfare_mean": -0.21399116586423333,
@@ -290,7 +291,7 @@ FROZEN_SMOOTH_REPORTS = [
     (BayesFlatMSR(3.0), GaussianExperiment(-0.4, 1.5, 9), DEFAULT, 0.1, {
         "mean_regret": 0.16054723073859883, "regret_variance": 0.0023289239463813033,
         "mean_square_regret": 0.02810433724421419, "welfare_mean": -0.16054723073859878,
-        "welfare_sd": 0.048258926079859085, "tail": [[0.1, 0.8964523674107843]]}),
+        "welfare_sd": 0.048258926079859085, "tail": [[0.1, 0.8964523674108025]]}),
     (PosteriorMatchFlat(), GaussianExperiment(2.0, 1.0, 1), DEFAULT, 0.5, {
         "mean_regret": 0.1572992070502851, "regret_variance": 0.0675224902018218,
         "mean_square_regret": 0.09226553074047024, "welfare_mean": 1.842700792949715,
@@ -314,7 +315,7 @@ FROZEN_SMOOTH_REPORTS = [
     (BayesFlatMSR(), GaussianExperiment(-4.0, 1.0, 1), NODES_17, 0.5, {
         "mean_regret": 0.0012155077089777953, "regret_variance": 0.0006207496608928352,
         "mean_square_regret": 0.0006222271198834198, "welfare_mean": -0.0012155077089777953,
-        "welfare_sd": 0.0249148482012802, "tail": [[0.5, 0.00034473729344382617]]}),
+        "welfare_sd": 0.0249148482012802, "tail": [[0.5, 0.00034473729344351245]]}),
     (PosteriorMatchFlat(), GaussianExperiment(20.0, 2.0, 1), NODES_17, 1.0, {
         "mean_regret": 3.743968508584524e-18, "regret_variance": 1.9042479734411278e-19,
         "mean_square_regret": 1.904247973638343e-19, "welfare_mean": 20.000000000000004,
@@ -328,6 +329,20 @@ def test_smooth_reports_are_frozen_bit_for_bit(rule, exp, spec, threshold, paylo
     got = exact_risk(rule, exp, spec, (threshold,)).to_dict()
     # json.dumps spells -0.0 and every float's repr, so equal text is equal bits
     assert json.dumps(got) == json.dumps(payload)
+
+
+def test_frozen_flat_rule_tails_match_mpmath():
+    # the pins from the 481-node grid and Brent were 7.3e-16, 2.0e-14 and
+    # 9.1e-13 (relative) from these references; the rule's own inverse gives
+    # 1.1e-16, 2.2e-17 and 2.2e-15
+    checked = 0
+    for rule, exp, spec, threshold, payload in FROZEN_SMOOTH_REPORTS:
+        (c, got), = payload["tail"]
+        if type(rule) is BayesFlatMSR and 0.0 < got < 1.0:
+            want = oracles.bayes_flat_tail_mp(rule.scale, exp.tau, exp.stat_sd, c)
+            assert abs(got - want) <= 3e-15 * want, (rule, exp, got)
+            checked += 1
+    assert checked == 3
 
 
 class TestTailProbability:
@@ -454,6 +469,25 @@ class TestTailProbability:
             for tau, c in ((1.0, 0.3), (-1.0, 0.3), (1.0, 0.0), (-1.0, 0.0)):
                 tail_probability(rule, GaussianExperiment(tau, 1.0, 1), c)
 
+    def test_flat_rule_tails_make_no_array_evaluation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the flat rule's own inverse expected")
+
+        monkeypatch.setattr(risk, "find_root", refuse)
+        monkeypatch.setattr(BayesFlatMSR, "evaluate", refuse)
+        args = []
+        real = rules_module._bayes_flat_fraction
+
+        def spy(u):
+            args.append(u)
+            return real(u)
+
+        monkeypatch.setattr(rules_module, "_bayes_flat_fraction", spy)
+        for rule in (BayesFlatMSR(), BayesFlatMSR(0.4), ComplementMix(BayesFlatMSR(), 0.7)):
+            for tau, c in ((1.0, 0.3), (-1.0, 0.3), (1.3, 0.9), (-0.4, 0.1), (1.0, 0.0)):
+                tail_probability(rule, GaussianExperiment(tau, 1.0, 1), c)
+        assert args and all(type(u) is float for u in args)
+
     def test_bracketed_rules_evaluate_once_before_brent(self, monkeypatch):
         events = []
         real_root = risk.find_root
@@ -463,13 +497,14 @@ class TestTailProbability:
             return real_root(*args, **kwargs)
 
         monkeypatch.setattr(risk, "find_root", spy_root)
-        for cls in (BayesFlatMSR, DiscretePriorBayes):
-            def spy_evaluate(self, stat, real=cls.evaluate):
-                events.append(np.shape(stat))
-                return real(self, stat)
+        real = DiscretePriorBayes.evaluate
 
-            monkeypatch.setattr(cls, "evaluate", spy_evaluate)
-        for rule in (BayesFlatMSR(), prior3_rule(), ComplementMix(BayesFlatMSR(), 0.7)):
+        def spy_evaluate(self, stat):
+            events.append(np.shape(stat))
+            return real(self, stat)
+
+        monkeypatch.setattr(DiscretePriorBayes, "evaluate", spy_evaluate)
+        for rule in (prior3_rule(), ComplementMix(prior3_rule(), 0.7)):
             events.clear()
             tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 0.5)
             assert events[:2] == [(481,), "find_root"], rule
@@ -477,16 +512,16 @@ class TestTailProbability:
 
     def test_brent_reuses_the_grid_values_at_the_cell_ends(self, monkeypatch):
         points = []
-        real = BayesFlatMSR.evaluate
+        real = DiscretePriorBayes.evaluate
 
         def spy(self, stat):
             if np.ndim(stat) == 0:
                 points.append(float(stat))
             return real(self, stat)
 
-        monkeypatch.setattr(BayesFlatMSR, "evaluate", spy)
+        monkeypatch.setattr(DiscretePriorBayes, "evaluate", spy)
         exp = GaussianExperiment(0.7, 1.0, 1)
-        tail_probability(BayesFlatMSR(), exp, 0.2)
+        tail_probability(prior3_rule(), exp, 0.2)
         assert points
         # no scalar evaluation repeats a grid node
         assert not np.isin(points, exp.tau + exp.stat_sd * risk._TAIL_GRID).any()

@@ -225,6 +225,73 @@ class TestReferenceForms:
         assert type(rule.evaluate(2)) is float
 
 
+def _assert_float_is_array(u):
+    got = rules_module._bayes_flat_fraction(u)
+    want = BayesFlatMSR().evaluate(np.array([u]))[0]
+    assert np.float64(got).tobytes() == want.tobytes(), u
+
+
+def _assert_certified(rule, q):
+    # the computed fraction is below q one float before the crossing and not
+    # below it at the crossing
+    y = rule.stat_at(q)
+    f = rules_module._bayes_flat_fraction
+    assert type(y) is float and math.isfinite(y), (rule, q, y)
+    assert f(math.nextafter(y, -math.inf) / rule.scale) < q <= f(y / rule.scale), (rule, q, y)
+
+
+class TestBayesFlatInverse:
+    # the one formula on a Python float gives the bits of a 1-element array
+    @settings(max_examples=300)
+    @given(st.floats(allow_nan=False))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fraction_of_a_float_is_the_arrays_bits(self, u):
+        _assert_float_is_array(u)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fraction_of_a_float_is_the_arrays_bits_at_the_edges(self):
+        for u in (0.0, 5e-324, 2.0e-308, 1e-300, 1e154, 1.5e154, 1e308, math.inf):
+            _assert_float_is_array(u)
+            _assert_float_is_array(-u)
+
+    def test_crossing_is_certified(self):
+        rng = np.random.default_rng(20261019)
+        qs = [0.5 - 2.0**-54, 0.5 + 2.0**-53, 1e-15, 1.0 - 1e-15, 5e-324, 1e-300,
+              2.0**-53, 1.0 - 2.0**-53, 0.3, 0.9]
+        qs += [float(q) for q in rng.uniform(0.0, 1.0, 40)]
+        qs += [float(q) for q in 10.0 ** rng.uniform(-15.5, -1.0, 20)]
+        qs += [1.0 - float(d) for d in 10.0 ** rng.uniform(-15.5, -1.0, 20)]
+        scales = [1.0, 0.2, 5.0, 1e-300, 1e300] + [float(s) for s in rng.uniform(0.2, 5.0, 3)]
+        for scale in scales:
+            for q in qs:
+                _assert_certified(BayesFlatMSR(scale), q)
+
+    def test_half_the_edges_and_the_unreachable(self):
+        for scale in (1.0, 3.0, 5e-324):
+            rule = BayesFlatMSR(scale)
+            # the symmetry f(-u) = 1 - f(u) puts the crossing of 1/2 at 0
+            assert rule.stat_at(0.5) == 0.0
+            assert rule.stat_at(0.0) == rule.stat_at(-0.1) == -math.inf
+            assert rule.stat_at(1.0) == rule.stat_at(1.5) == math.inf
+        # on the subnormal scale, statistics step by whole multiples of it
+        _assert_certified(BayesFlatMSR(5e-324), 0.9)
+        # u = y / scale stays within +-1.06 on the finite floats, where f
+        # runs from 0.031 to 0.969
+        rule = BayesFlatMSR(1.7e308)
+        assert rule.stat_at(0.99) == math.inf and rule.stat_at(0.01) == -math.inf
+        _assert_certified(rule, 0.6)
+        _assert_certified(rule, 0.2)
+
+    def test_matches_the_mpmath_crossing(self):
+        # within the old Brent tolerance wherever the computed fraction is
+        # well conditioned; nearer 0 and 1 only the certification holds
+        rng = np.random.default_rng(14)
+        for q, scale in zip(rng.uniform(1e-3, 1.0 - 1e-3, 60), rng.uniform(0.2, 5.0, 60)):
+            y = BayesFlatMSR(float(scale)).stat_at(float(q))
+            want = float(scale * oracles.bayes_flat_cut_mp(float(q)))
+            assert abs(y - want) <= 1e-12 * max(1.0, abs(want)), (q, scale, y, want)
+
+
 class TestPsi:
     def test_positive_everywhere(self):
         xs = np.linspace(-30.0, 30.0, 301)
