@@ -9,14 +9,17 @@ on {-a, +a}.  Define
 
 The first is the Bayes mean square regret of delta_a against its own prior;
 the second is the frequentist mean square regret of delta_a at effect a (and
-by symmetry at -a).  Both are maximized at the same calibration a = tau_star,
-and at that point the two-point prior on {-tau_star, +tau_star} is least
-favorable: the Bayes risk of the prior equals the worst-case risk of the
-rule, which certifies minimaxity of delta_{tau_star} among all rules.
+by symmetry at -a).  They are one function.  With p = expit(2 a s) and
+q = 1 - p, phi(s + a) = phi(s - a) q / p and q(-s) = p(s), so
+E_a[h q / p] = E_{-a}[h] = E_a[h(-s)]; h = p^2 gives E_a[p q] = E_a[q^2],
+hence E_a[q] = 2 E_a[q^2].  Their common argmax a = tau_star makes the
+two-point prior on {-tau_star, +tau_star} least favorable: the Bayes risk of
+the prior equals the worst-case risk of the rule, which certifies minimaxity
+of delta_{tau_star} among all rules.
 
-solve_tau_star locates the common argmax from a certified 41-point scan of
-[0.5, 2.5], one stacked Gaussian-expectation call for both objectives, and a
-Brent refinement of every scan peak that could hold the maximum.
+solve_tau_star maximizes bayes_objective alone: a certified 41-point scan of
+[0.5, 2.5] in one Gaussian-expectation call, then a Brent refinement of every
+scan peak that could hold the maximum.
 verify_saddle checks the saddle-point equalities numerically and samples the
 two curves on a grid for plotting.  The shipped constant lives in _constants.py, written by
 write_constants from a fresh solve.
@@ -33,7 +36,6 @@ from scipy.special import expit
 from ._codec import csv_text, record
 from .numerics import (
     DEFAULT_QUADRATURE,
-    ConvergenceError,
     DomainError,
     QuadratureSpec,
     gaussian_expectation,
@@ -59,7 +61,6 @@ __all__ = [
 _SCAN_LO = 0.5
 _SCAN_HI = 2.5
 _SCAN_DIV = 20
-_GRID_BLOCK = 512
 
 
 class SaddleViolation(RuntimeError):
@@ -82,66 +83,45 @@ def frequentist_objective(a: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -
     return a * a * val
 
 
-def _objective_grids(
+def _objective_scan(
     grid: np.ndarray, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both objectives over a calibration grid from one stacked kernel call.
+) -> np.ndarray:
+    """bayes_objective over a calibration grid from one kernel call.
 
-    Each calibration a contributes the row expit(-2 a (a + z)) and its square,
-    the integrands of bayes_objective and frequentist_objective at s = a + z,
-    so every value is certified to spec's tolerance.
+    Each calibration a contributes the row expit(-2 a (a + z)), the integrand
+    of bayes_objective at s = a + z, so every value is certified to within
+    a^2 / 2 spec.fallback_abs_tol.
     """
     a = np.asarray(grid, dtype=float)
     col = a[:, None]
-
-    def rows(z: np.ndarray) -> np.ndarray:
-        t = expit(-2.0 * col * (col + z))
-        return np.concatenate([t, t * t])
-
-    vals = gaussian_expectation(rows, 0.0, 1.0, spec)
-    return 0.5 * a * a * vals[: a.size], a * a * vals[a.size :]
-
-
-def _objective_grid(kind: str, grid: np.ndarray) -> np.ndarray:
-    """One objective over a grid of any length, _GRID_BLOCK calibrations per
-    kernel call so that the node matrix stays small."""
-    which = 0 if kind == "bayes" else 1
-    return np.concatenate([
-        _objective_grids(grid[i : i + _GRID_BLOCK])[which]
-        for i in range(0, len(grid), _GRID_BLOCK)
-    ])
+    return 0.5 * a * a * gaussian_expectation(
+        lambda z: expit(-2.0 * col * (col + z)), 0.0, 1.0, spec
+    )
 
 
 def solve_tau_star(
     spec: QuadratureSpec = DEFAULT_QUADRATURE, tol: float = 1e-7
 ) -> float:
-    """Common argmax of the Bayes and frequentist objectives.
+    """Argmax of bayes_objective, which is also frequentist_objective's.
 
-    Both objectives are scanned at the 41 points a = 0.5, 0.55, ..., 2.5 by
-    one stacked gaussian_expectation call with spec, so each scan value is
-    certified to within a^2 spec.fallback_abs_tol.  Every scan local maximum
-    within that error of the best one is refined by Brent's bounded search
-    between its grid neighbours, and the largest refined value is each
-    objective's argmax.  The two argmaxes must land within 10 * tol of each
-    other, otherwise the saddle structure is broken and ConvergenceError is
-    raised instead of a value.
+    The two objectives are one function: with q = expit(-2 a s) and p = 1 - q,
+    the tilt phi(s + a) = phi(s - a) q / p and q(-s) = p(s) give
+    E_a[p q] = E_a[q^2], so E_a[q] = E_a[q^2] + E_a[p q] = 2 E_a[q^2].  Only
+    the Bayes one is searched.  It is scanned at the 41 points
+    a = 0.5, 0.55, ..., 2.5 by one gaussian_expectation call with spec, so
+    each scan value is certified to within a^2 / 2 spec.fallback_abs_tol.
+    Every scan local maximum within the error of two such values of the best
+    one is refined by Brent's bounded search to tol between its grid
+    neighbours, and the largest refined value's calibration is returned.
     """
     grid = np.arange(_SCAN_LO * _SCAN_DIV, _SCAN_HI * _SCAN_DIV + 1) / _SCAN_DIV
-    # two scan values, each within a^2 tol of its objective
-    err = 2.0 * _SCAN_HI**2 * spec.fallback_abs_tol
-    args = []
-    for vals, f in zip(_objective_grids(grid, spec), (bayes_objective, frequentist_objective)):
-        refined = [
-            maximize_scalar(lambda a: f(a, spec), lo, hi, tol=tol)
-            for lo, hi in scan_brackets(grid, vals, err)
-        ]
-        args.append(max(refined, key=lambda r: r[1])[0])
-    if abs(args[0] - args[1]) > 10.0 * tol:
-        raise ConvergenceError(
-            "bayes and frequentist calibrations disagree: "
-            f"{args[0]!r} vs {args[1]!r}"
-        )
-    return args[0]
+    # two scan values, each within a^2 / 2 tol of the objective
+    err = _SCAN_HI**2 * spec.fallback_abs_tol
+    refined = [
+        maximize_scalar(lambda a: bayes_objective(a, spec), lo, hi, tol=tol)
+        for lo, hi in scan_brackets(grid, _objective_scan(grid, spec), err)
+    ]
+    return max(refined, key=lambda r: r[1])[0]
 
 
 @record

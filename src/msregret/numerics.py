@@ -120,7 +120,7 @@ def std_normal_cdf(x):
 def std_normal_pdf(x):
     """Standard normal density."""
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    out = np.exp(-0.5 * x * x) / _SQRT2PI
     return float(out) if out.ndim == 0 else out
 
 
@@ -216,6 +216,15 @@ def _finite(f: Callable[[float], float], x: float, known: Optional[float] = None
     return fx
 
 
+def _check_search(lo: float, hi: float, tol: float) -> None:
+    # a NaN or infinite tol would end Brent's loops at once, a negative one
+    # never; tol = 0 asks for the ports' relative floors alone
+    if not lo < hi:
+        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def find_root(
     f: Callable[[float], float],
     lo: float,
@@ -230,11 +239,10 @@ def find_root(
     Returns x with bracket width below tol + 4 eps |x|.  f_lo and f_hi, when
     given, are taken as f(lo) and f(hi) instead of evaluating f there.
     Raises BracketError when the endpoint values share a sign, DomainError
-    for a non-finite value of f, and ConvergenceError when 200 iterations do
-    not close the bracket.
+    for a non-finite value of f or a tol that is NaN, infinite or negative,
+    and ConvergenceError when 200 iterations do not close the bracket.
     """
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+    _check_search(lo, hi, tol)
     xpre, xcur = float(lo), float(hi)
     fpre = _finite(f, xpre, f_lo)
     fcur = _finite(f, xcur, f_hi)
@@ -302,11 +310,10 @@ def maximize_scalar(
     stops when both bracket ends lie within 2 tol / 3 + 3e-8 |x| of the best
     point x; the endpoints are then checked, since the iteration never
     evaluates them.
-    Raises DomainError for a non-finite value of f and ConvergenceError after
-    500 evaluations.
+    Raises DomainError for a non-finite value of f or a tol that is NaN,
+    infinite or negative, and ConvergenceError after 500 evaluations.
     """
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+    _check_search(lo, hi, tol)
     # minimize g = -f; v, w, x are the third-best, second-best and best points
     a, b = float(lo), float(hi)
     v = w = x = a + _GOLDEN * (b - a)

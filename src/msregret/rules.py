@@ -37,7 +37,7 @@ import numpy as np
 from scipy import special
 
 from ._codec import from_dict, register, to_dict
-from .numerics import DomainError, std_normal_quantile
+from .numerics import _SQRT2PI, DomainError, std_normal_quantile
 
 __all__ = [
     "PriorSupportError",
@@ -61,7 +61,6 @@ __all__ = [
 
 Stat = Union[float, np.ndarray]
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _FLOAT_MAX = sys.float_info.max
 _FLOAT_TINY = math.ulp(0.0)
 

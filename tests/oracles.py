@@ -3,8 +3,8 @@
 Everything here is deliberately written against scipy, mpmath and the
 stdlib only, with no imports from the package under test, so the numbers
 below constitute an independent route to the same quantities.  The *_mp
-functions work at 40 digits by default and share no special function with
-the package.  Run as a script to print the frozen table:
+functions work at 30 or 40 digits by default and share no special function
+with the package.  Run as a script to print the frozen table:
 
     python tests/oracles.py
 
@@ -155,6 +155,20 @@ def bayes_flat_cut_mp(q, dps=40):
             (mpmath.mpf(0), z) if q > 0.5 else (z, mpmath.mpf(0)),
             solver="anderson", tol=mpmath.mpf(10) ** (-2 * dps),
         )
+
+
+def lfp_objective_mp(a, power, dps=30):
+    """The lfp objective at calibration a > 0, an mpmath number at dps digits:
+    a^2 / 2 E[q] for power 1 (Bayes), a^2 E[q^2] for power 2 (frequentist),
+    with q = expit(-2 a s), s = a + z, z ~ N(0, 1).  The quadrature breaks at
+    z = -a, where q = 1/2, and at the density's peak z = 0."""
+    with mpmath.workdps(dps + 10):
+        a = mpmath.mpf(a)
+        val = mpmath.quad(
+            lambda z: mpmath.npdf(z) / (1 + mpmath.exp(2 * a * (a + z))) ** power,
+            [-mpmath.inf, -a, 0, mpmath.inf],
+        )
+        return a * a * val / (2 if power == 1 else 1)
 
 
 def bayes_flat_tail_mp(scale, tau, sd, threshold, dps=40):

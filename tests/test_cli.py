@@ -135,6 +135,15 @@ class TestExitCodes:
         assert err.count("error:") == 1
         assert err.splitlines()[-1] == f"error: n must be an integer >= 1, got {argv[-1]}"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_solver_tolerance(self, capsys, tol):
+        # a NaN tol would end Brent's search at its first point, a negative one never
+        code, out, err = run_cli(capsys, ["solve-tau-star", f"--tol={tol}"])
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1].startswith("error: tol must be finite and nonnegative")
+
     def test_malformed_prior(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -23,7 +23,6 @@ from msregret import (
     write_constants,
 )
 from msregret import _constants, lfp, numerics
-from msregret.lfp import _objective_grid
 
 # frozen from oracles.py: independent refinement of both programs
 ORACLE_ARGMAX = 1.228141128368002
@@ -60,6 +59,16 @@ class TestObjectives:
         assert frequentist_objective(8.0) < 1e-10
         assert frequentist_objective(0.01) < 1e-3
 
+    @pytest.mark.parametrize("a", [0.5, 1.228141114282924, 3.0, 6.0])
+    def test_match_the_30_digit_oracle(self, a):
+        # the identity solve_tau_star rests on, then each function within
+        # its kernel tolerance of its own exact value
+        bayes = oracles.lfp_objective_mp(a, 1)
+        freq = oracles.lfp_objective_mp(a, 2)
+        assert abs(bayes - freq) < 1e-25
+        assert abs(bayes_objective(a) - float(bayes)) <= 0.5 * a * a * 1e-10
+        assert abs(frequentist_objective(a) - float(freq)) <= a * a * 1e-10
+
 
 class TestSolve:
     def test_value_and_location(self, tau_star_solved):
@@ -69,8 +78,16 @@ class TestSolve:
 
     def test_dense_grid_confirmation(self, tau_star_solved):
         # a 1e-4-spaced sweep of the whole bracket cannot find a better point
+        # on the frequentist objective, which the solver never reads
         grid = np.arange(0.5, 2.5 + 5e-5, 1e-4)
-        vals = _objective_grid("freq", grid)
+        vals = []
+        for i in range(0, grid.size, 512):
+            col = grid[i : i + 512, None]
+            e = numerics.gaussian_expectation(
+                lambda z: expit(-2.0 * col * (col + z)) ** 2, 0.0, 1.0
+            )
+            vals.append(col[:, 0] ** 2 * e)
+        vals = np.concatenate(vals)
         best = float(grid[int(np.argmax(vals))])
         assert abs(best - tau_star_solved) < 2e-4
         assert vals.max() <= frequentist_objective(tau_star_solved) + 1e-9
@@ -80,6 +97,11 @@ class TestSolve:
         fine = solve_tau_star(QuadratureSpec(node_count=128))
         assert abs(coarse - fine) < 1e-6
         assert abs(coarse - tau_star_solved) < 1e-6
+
+    def test_zero_tolerance_gives_the_bayes_argmax(self):
+        # Brent to its relative floor alone; the two objectives' argmaxes
+        # then differ by quadrature noise (3.1e-12), which is no error
+        assert abs(solve_tau_star(tol=0.0) - ORACLE_ARGMAX) < 1e-6
 
     def test_objective_agreement_at_the_optimum(self, tau_star_solved):
         assert abs(
@@ -104,8 +126,8 @@ class TestSolve:
         spec = QuadratureSpec(node_count=32, fallback_abs_tol=1e-11)
         monkeypatch.setattr(lfp, "gaussian_expectation", spy)
         got = solve_tau_star(spec)
-        # both objectives at the 41 scan points, then scalar refinement calls
-        assert calls[0] == (spec, 82)
+        # the Bayes objective at the 41 scan points, then scalar refinement calls
+        assert calls[0] == (spec, 41)
         assert len(calls) > 1 and all(c == (spec, 1) for c in calls[1:])
         assert abs(got - ORACLE_ARGMAX) < 1e-6
 
@@ -123,24 +145,20 @@ class TestSolve:
             seen.append((lo, hi))
             return numerics.maximize_scalar(f, lo, hi, tol)
 
-        def grids(grid, spec):
-            vals = np.array([two_peaks(a) for a in grid])
-            return vals, vals
+        def scan(grid, spec):
+            return np.array([two_peaks(a) for a in grid])
 
-        monkeypatch.setattr(lfp, "_objective_grids", grids)
+        monkeypatch.setattr(lfp, "_objective_scan", scan)
         monkeypatch.setattr(lfp, "bayes_objective", two_peaks)
-        monkeypatch.setattr(lfp, "frequentist_objective", two_peaks)
         monkeypatch.setattr(lfp, "maximize_scalar", recording)
         got = solve_tau_star()
-        assert seen == brackets + brackets
+        assert seen == brackets
         assert abs(got - 2.0) < 1e-3
 
     def test_scan_matches_the_pointwise_objectives(self):
         grid = np.arange(10, 51) / 20
-        bayes, freq = lfp._objective_grids(grid)
-        for a, b, f in zip(grid, bayes, freq):
+        for a, b in zip(grid, lfp._objective_scan(grid)):
             assert abs(b - bayes_objective(a)) < 1e-12
-            assert abs(f - frequentist_objective(a)) < 1e-12
 
 
 class TestVerifySaddle:

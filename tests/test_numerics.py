@@ -380,6 +380,14 @@ class TestFindRoot:
         with pytest.raises(DomainError):
             find_root(lambda x: x, -1.0, 1.0, f_lo=math.nan)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+    def test_bad_tolerance_is_refused(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            find_root(lambda x: x - 0.3, 0.0, 1.0, tol=tol)
+
+    def test_zero_tolerance_is_legal(self):
+        assert abs(find_root(lambda x: x - 0.3, 0.0, 1.0, tol=0.0) - 0.3) < 1e-15
+
 
 class TestScanBrackets:
     GRID = np.arange(11) / 10
@@ -434,6 +442,15 @@ class TestMaximizeScalar:
     def test_nan_value_is_refused(self):
         with pytest.raises(DomainError):
             maximize_scalar(lambda x: math.nan if x > 0.5 else x, 0.0, 2.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+    def test_bad_tolerance_is_refused(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            maximize_scalar(lambda x: -(x - 1.3) ** 2, 0.0, 3.0, tol=tol)
+
+    def test_zero_tolerance_is_legal(self):
+        arg, _ = maximize_scalar(lambda x: -(x - 1.3) ** 2, 0.0, 3.0, tol=0.0)
+        assert abs(arg - 1.3) < 1e-7
 
 
 def _seeded_cases(seed: int, names, count: int = 12):
