@@ -110,7 +110,7 @@ def solve_tau_star(
     the Bayes one is searched.  It is scanned at the 41 points
     a = 0.5, 0.55, ..., 2.5 by one gaussian_expectation call with spec, so
     each scan value is certified to within a^2 / 2 spec.fallback_abs_tol.
-    Every scan local maximum within the error of two such values of the best
+    Every scan local maximum within two such errors at a = 2.5 of the best
     one is refined by Brent's bounded search to tol between its grid
     neighbours, and the largest refined value's calibration is returned.
     """
