@@ -18,12 +18,11 @@ varies with the design.
 
 tail_probability inverts the regret event: on a monotone rule, regret exceeds
 a threshold on one side of the statistic where the fraction crosses a level
-q.  Rules that invert themselves (stat_at) give that point: the logistic
-and posterior-matching rules in closed form, the flat-prior Bayes rule by
-its own certified Newton search, and complement mixtures of them through
-their base.  The rest, the discrete-prior Bayes rule and its mixtures, are
-evaluated once, vectorized, on a fixed grid of the standardized statistic,
-and a Brent root runs inside the one grid cell where the crossing lies.
+q.  The rule gives that point itself (stat_at): the logistic and
+posterior-matching rules in closed form, the flat-prior and discrete-prior
+Bayes rules by their own Newton searches, each certified against the rule's
+computed fraction, and complement mixtures through their base.  A rule with
+a direction but no inverse of its own is refused.
 
 The unit-problem supremum comes from one certified scan and a refinement.
 The scan evaluates the rule once on a uniform grid of the statistic and takes
@@ -52,7 +51,6 @@ from .numerics import (
     DomainError,
     QuadratureSpec,
     RngSeed,
-    find_root,
     gaussian_expectation,
     maximize_scalar,
     scan_brackets,
@@ -86,9 +84,6 @@ _SCAN_STEP = 1.0 / _SCAN_DIV
 _SCAN_MAX_LEVEL = 64  # finest s-grid step is _SCAN_STEP / 64
 # FFT rounding on the unit curves; measured at most 5e-14 with the b^2 factor
 _SCAN_ROUNDING = 1e-12
-# tail_probability's crossing search: the standardized statistic in [-60, 60]
-# at step 1/4; one vectorized rule evaluation, then Brent inside one cell
-_TAIL_GRID = np.arange(-240, 241) / 4.0
 _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
 _SIM_BLOCK = 8192  # simulate's draw and evaluation block, 64 KB of floats
 
@@ -252,16 +247,15 @@ def tail_probability(
     regret exceeds the threshold exactly where the fraction falls below
     q = 1 - threshold/tau (tau > 0) or rises above q = threshold/|tau|
     (tau < 0), which is one side of the point where the fraction crosses q,
-    so the result is a single normal CDF value.  A rule that inverts itself
-    (rule.stat_at: the logistic, posterior-matching and flat-prior Bayes
-    rules and their complement mixtures) gives that point directly.  Any
-    other rule, today the discrete-prior Bayes rule and its mixtures, is
-    evaluated once, vectorized, on the standardized statistic at the 481
-    nodes k/4 of [-60, 60], and a Brent root runs only inside the first cell
-    where the sign flips.  A crossing outside [-60, 60] gives 0 or 1.
-    Raises DomainError for a negative or NaN threshold, for a non-finite
-    rule value, and for a rule that declares neither a step form nor a
-    direction.
+    so the result is a single normal CDF value.  The rule gives that point
+    (rule.stat_at: the logistic, posterior-matching, flat-prior and
+    discrete-prior Bayes rules and their complement mixtures), so the rule
+    is never evaluated on a grid here; a q the fraction never crosses gives
+    0 or 1.  Raises DomainError for a negative or NaN threshold, for a rule
+    that declares neither a step form nor a direction, and for one that
+    declares a direction but no inverse of its own (stat_at returns None);
+    the inverse raises its own errors, DomainError where it cannot certify
+    a crossing.
     """
     if not threshold >= 0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
@@ -300,27 +294,12 @@ def tail_probability(
     # sign, else {direction * (f - q) > 0}
     sign = direction if tau > 0 else -direction
     y_cross = rule.stat_at(q)
-    if y_cross is not None:
-        return float(std_normal_cdf(sign * (y_cross - tau) / sd))
-
-    rising = direction * (np.asarray(rule.evaluate(tau + sd * _TAIL_GRID), dtype=float) - q)
-    if not np.all(np.isfinite(rising)):
-        raise DomainError(f"{rule!r} is not finite on [tau - 60 sd, tau + 60 sd]")
-    if rising[0] >= 0.0:
-        z_cross = -math.inf
-    elif rising[-1] <= 0.0:
-        z_cross = math.inf
-    else:
-        i = int(np.argmax(rising >= 0.0))
-        # the grid already holds f at both ends of the cell
-        z_cross = find_root(
-            lambda z: direction * (float(rule.evaluate(tau + sd * z)) - q),
-            _TAIL_GRID[i - 1],
-            _TAIL_GRID[i],
-            f_lo=rising[i - 1],
-            f_hi=rising[i],
+    if y_cross is None:
+        raise DomainError(
+            f"{rule!r} declares a direction but no inverse of its own (stat_at), "
+            "so its tail probability has no exact inversion"
         )
-    return float(std_normal_cdf(sign * z_cross))
+    return float(std_normal_cdf(sign * (y_cross - tau) / sd))
 
 
 def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray, float]:

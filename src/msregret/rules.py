@@ -11,15 +11,15 @@ probability matching rule).
 
 Each rule declares the facts the risk functionals need: step is
 (cutoff, low, high) for a rule piecewise constant in the statistic and None
-otherwise, and direction is +1 (nondecreasing) or -1 (nonincreasing).  A rule
-that declares neither has no exact tail probability, and the risk module
-refuses it.  A directional rule that can invert itself gives stat_at(q), the
-statistic where the fraction crosses q: the logistic rule by logit, posterior
-probability matching by the normal quantile, the flat-prior Bayes rule by a
-safeguarded Newton search on Python floats whose result is certified against
-its own computed fraction, and a complement mixture through its base; the
-discrete-prior Bayes rule returns None.  Rules
-serialize through one kind registry (rule_to_dict, rule_from_dict); their
+otherwise; direction is +1 (nondecreasing) or -1 (nonincreasing); and
+stat_at(q) gives the statistic where the fraction crosses q: the logistic
+rule by logit, posterior probability matching by the normal quantile, the
+flat-prior and discrete-prior Bayes rules by safeguarded Newton searches on
+Python floats whose results are certified against their own computed
+fractions, and a complement mixture through its base.  A rule that declares
+no step form and lacks either a direction or an inverse of its own has no
+exact tail probability, and the risk module refuses it.  Rules serialize
+through one kind registry (rule_to_dict, rule_from_dict); their
 fields go through the payload codec the report classes share, to which this
 module adds the TreatmentRule and DiscretePrior entries.
 
@@ -63,6 +63,12 @@ Stat = Union[float, np.ndarray]
 
 _FLOAT_MAX = sys.float_info.max
 _FLOAT_TINY = math.ulp(0.0)
+_EPS = sys.float_info.epsilon
+# Newton iterations DiscretePriorBayes.stat_at takes before it brackets
+_NEWTON_STEPS = 8
+# and the relative margin it puts beyond the farthest crossing the least slope
+# of the log-odds allows, so a two-point prior's Newton step lands inside
+_WIDEN = 1.0 + 2.0**-20
 
 
 class PriorSupportError(ValueError):
@@ -104,6 +110,9 @@ class TreatmentRule:
 
         A q the fraction never crosses gives -inf when direction * (fraction
         - q) is positive everywhere and +inf when it is negative everywhere.
+        Every shipped rule with a direction and no step form overrides this;
+        tail_probability raises DomainError for a rule that declares a
+        direction but returns None here.
         """
         return None
 
@@ -197,6 +206,13 @@ class MinimaxMSR(TreatmentRule):
 def _finite_toward(y: float, z: float) -> float:
     # |y| clamped to the finite nonzero floats, with the sign of z
     return math.copysign(min(max(abs(y), _FLOAT_TINY), _FLOAT_MAX), z)
+
+
+def _beyond(x: float, y: float) -> float:
+    # x + y clamped to the finite floats, and at least one float past x in
+    # the direction of y
+    out = min(max(x + y, -_FLOAT_MAX), _FLOAT_MAX)
+    return out if out != x else math.nextafter(x, math.copysign(math.inf, y))
 
 
 def _bayes_flat_fraction(u):
@@ -393,8 +409,9 @@ class DiscretePrior:
             raise DomainError(f"prior weights must sum to 1, got {total}")
         # derived once, since tilted_posterior_match_msr reads them on every
         # call, and solve_bayes_foc's scalar calls keep their per-alpha_g terms
-        # in _foc_terms, which a Brent root over one rule reuses on each call;
-        # none is a field, so equality, hashing and to_dict see support alone
+        # in _foc_terms, which DiscretePriorBayes.stat_at reuses on each of
+        # its evaluations; none is a field, so equality, hashing and to_dict
+        # see support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
         weights.setflags(write=False)
@@ -430,7 +447,28 @@ class DiscretePrior:
 class DiscretePriorBayes(TreatmentRule):
     """Bayes rule for a finitely supported prior under power regret r^alpha_g:
     the closed-form solution of the posterior first-order condition at each
-    statistic value (solve_bayes_foc)."""
+    statistic value (solve_bayes_foc).
+
+    stat_at(q) inverts the computed fraction by safeguarded Newton on Python
+    floats.  The fraction is clamp(expit(L)) with the log-odds
+    L(y) = (log A - log B) / e, e = alpha_g - 1, whose slope is
+    (E_A tau - E_B tau) / (sd^2 e), the means of tau under A's and B's
+    weights.  That slope is at least (min positive tau - max negative tau)
+    / (sd^2 e), which bounds how far from 0 the crossing can lie; that far
+    end is checked with the computed fraction when the search ends beside it,
+    and pushed outward while it fails.  Newton aims L at the logit of the
+    lower edge of the floats that round to q, exact in one step for a
+    two-point prior, whose L is linear.  Within the rounding scale of L,
+    where Newton cannot tell the floats apart, steps from the last iterate
+    double until they cross, and bisection closes the bracket.  Every
+    fraction comes from solve_bayes_foc's scalar path, so the search stops at
+    adjacent floats y- < y+ with f(y-) < q <= f(y+) of the rule's own values,
+    and returns y+.  The clamp to [1e-12, 1 - 1e-12] gives -inf for
+    q <= 1e-12 and +inf for q > 1 - 1e-12, and a crossing beyond the finite
+    floats gives +-inf.  Raises PriorSupportError for a one-sided prior, and
+    DomainError when noise_sd**2 is 0 or not finite or a fraction is NaN,
+    where a crossing cannot be certified.
+    """
 
     prior: DiscretePrior
     alpha_g: float
@@ -446,6 +484,97 @@ class DiscretePriorBayes(TreatmentRule):
 
     def evaluate(self, stat: Stat) -> Stat:
         return solve_bayes_foc(self.prior, self.alpha_g, self.noise_sd, stat)
+
+    def stat_at(self, q: float) -> float:
+        if not 1e-12 < q <= 1.0 - 1e-12:
+            return -math.inf if q <= 1e-12 else math.inf
+        prior = self.prior
+        _require_two_sided(prior)
+        try:
+            var = self.noise_sd**2
+        except OverflowError:
+            var = math.inf
+        if not 0.0 < var < math.inf:
+            raise DomainError(f"{self!r}: noise_sd**2 is {var!r}, so no crossing can be certified")
+        e = self.alpha_g - 1.0
+        m, pairs = _scalar_foc_terms(prior, self.alpha_g)
+        taus = [t for t, _ in pairs]
+        gap = min(taus[m:]) - max(taus[:m])
+        # sd^2 z_i = tau_i (y - tau_i / 2) + sd^2 log_term_i is at most this
+        # plus |y| top in size, which sets the rounding scale of z
+        top = max(map(abs, taus))
+        z_floor = 0.5 * top * top + var * max(abs(lt) for _, lt in pairs)
+        # Newton aims at the lower edge of the floats that round to q; width
+        # is the log-odds between two floats there
+        width = q - math.nextafter(q, 0.0)
+        target = math.log(q / (1.0 - q)) - 0.5 * width / (q * (1.0 - q))
+        width /= q * (1.0 - q)
+
+        def at(y: float, newton: bool = True) -> tuple:
+            # solve_bayes_foc's scalar fraction at y and, for Newton, the step
+            # to the target, the rounding scale of L on the statistic, and
+            # E_A tau - E_B tau; sd^2 multiplies rather than divides, so
+            # neither overflows where z does
+            z = _scalar_z(pairs, var, y)
+            log_a, log_b = _logaddexp_fold(z[m:]), _logaddexp_fold(z[:m])
+            log_odds = (log_a - log_b) / e
+            f = _clamped_expit(log_odds)
+            if f != f:
+                raise DomainError(f"{self!r} is NaN at {y!r}, so no crossing of {q!r} "
+                                  "can be certified")
+            if not newton:
+                return f, math.nan, math.nan, math.nan
+            spread = sum(t * math.exp(zi - log_a) for t, zi in zip(taus[m:], z[m:]))
+            spread -= sum(t * math.exp(zi - log_b) for t, zi in zip(taus[:m], z[:m]))
+            per = e * var / spread  # statistic per unit of log-odds
+            scale = (_EPS * (abs(y) * top + z_floor) + e * width * var) / spread
+            return f, float(log_odds - target) * per, scale, spread
+
+        x = 0.0
+        f, step, scale, spread = at(x)
+        # the crossing lies below 0 where f(0) >= q, else above; far is the
+        # farthest crossing the least slope allows, a few rounding scales out
+        down = f >= q
+        side = -1.0 if down else 1.0
+        reach = max(0.0, -side * step * spread / gap) * _WIDEN + max(0.0, 4.0 * scale)
+        far = _beyond(x, side * reach)
+        lo, hi = (far, x) if down else (x, far)
+        newton = _NEWTON_STEPS
+        jump = 0.0
+        while True:
+            if hi == math.nextafter(lo, math.inf):
+                if (lo if down else hi) != far:
+                    return hi
+                # the search ends beside the unchecked end: check it, and push
+                # it outward while it fails
+                f, step, scale, _ = at(far)
+                if (f >= q) != down:
+                    return hi
+                if abs(far) == _FLOAT_MAX:
+                    return far * math.inf
+                x, far = far, _beyond(far, side * max(abs(far), scale))
+                lo, hi = (far, x) if down else (x, far)
+                newton = _NEWTON_STEPS
+                jump = 0.0
+                continue
+            nxt = x - step
+            if jump or abs(step) <= scale:
+                # within the rounding scale Newton cannot tell the floats
+                # apart: step from x toward the crossing, doubling the step
+                jump = 2.0 * jump if jump else max(scale, math.ulp(x))
+                nxt = x - jump if f >= q else x + jump
+            elif newton:
+                newton -= 1
+            if not lo < nxt < hi or not (newton or jump):
+                nxt = 0.5 * lo + 0.5 * hi
+                if not lo < nxt < hi:
+                    nxt = math.nextafter(lo, math.inf)
+            x = nxt
+            f, step, scale, _ = at(x, not jump)
+            if f >= q:
+                hi = x
+            else:
+                lo = x
 
 
 def evaluate(rule: TreatmentRule, stat: Stat) -> Stat:
@@ -467,6 +596,30 @@ def _foc_terms(prior: DiscretePrior, alpha_g: float) -> tuple:
     support += [p for p in prior.support if p[0] > 0]
     taus = np.array([t for t, _ in support])
     return m, taus, np.log(np.array([w for _, w in support])) + alpha_g * np.log(np.abs(taus))
+
+
+def _scalar_foc_terms(prior: DiscretePrior, alpha_g) -> tuple:
+    # _foc_terms as m and (tau_i, log term) pairs of Python floats, kept on the
+    # prior: float(alpha_g) is the key, so an int, a numpy float and a 0-d
+    # array share one entry, and each multiplies log|tau| to the same bits
+    key = float(alpha_g)
+    scalar = prior._foc_terms.get(key)
+    if scalar is None:
+        m, taus, log_terms = _foc_terms(prior, key)
+        scalar = prior._foc_terms[key] = (m, list(zip(taus.tolist(), log_terms.tolist())))
+    return scalar
+
+
+def _scalar_z(pairs: list, var: float, stat: float) -> list:
+    # z_i = log w_i + alpha_g log|tau_i| + tau_i (y - tau_i / 2) / sd^2, in the
+    # array path's operation order
+    return [(stat - 0.5 * t) * t / var + lt for t, lt in pairs]
+
+
+def _clamped_expit(log_odds) -> float:
+    # max and min return their first argument unless the second is strictly
+    # beyond it, so a NaN passes through as np.maximum's would
+    return float(min(max(special.expit(log_odds), 1e-12), 1.0 - 1e-12))
 
 
 def _logaddexp_fold(z: list):
@@ -527,21 +680,12 @@ def solve_bayes_foc(
     # a variance that underflows to 0 takes the array path, where z / 0 is
     # numpy's inf or nan, not Python's ZeroDivisionError
     if type(stat) is float and var:
-        # a root search calls once per iterate on one rule, so the terms are
-        # kept per prior and alpha_g as Python floats; float(alpha_g) is the
-        # key, so an int, a numpy float and a 0-d array share one entry, and
-        # each multiplies log|tau| to the same bits
-        key = float(alpha_g)
-        scalar = prior._foc_terms.get(key)
-        if scalar is None:
-            m, taus, log_terms = _foc_terms(prior, key)
-            scalar = prior._foc_terms[key] = (m, list(zip(taus.tolist(), log_terms.tolist())))
-        m, pairs = scalar
-        z = [(stat - 0.5 * t) * t / var + lt for t, lt in pairs]
+        # the inverse calls once per iterate on one rule, so the terms are
+        # kept per prior and alpha_g as Python floats
+        m, pairs = _scalar_foc_terms(prior, alpha_g)
+        z = _scalar_z(pairs, var, stat)
         log_odds = (_logaddexp_fold(z[m:]) - _logaddexp_fold(z[:m])) / (alpha_g - 1.0)
-        # max and min return their first argument unless the second is
-        # strictly beyond it, so a NaN passes through as np.maximum's would
-        return float(min(max(special.expit(log_odds), 1e-12), 1.0 - 1e-12))
+        return _clamped_expit(log_odds)
     # an array call stores nothing: a table or a simulate block on a fresh
     # rule would pay for storing the terms
     m, taus, log_terms = _foc_terms(prior, alpha_g)

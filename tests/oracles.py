@@ -186,6 +186,50 @@ def bayes_flat_tail_mp(scale, tau, sd, threshold, dps=40):
         return mpmath.ncdf(z if tau > 0 else -z)
 
 
+def prior_bayes_cut_mp(pairs, alpha_g, sd, q, dps=30):
+    """Statistic where the Bayes fraction of a discrete prior under regret
+    power alpha_g equals q in (0, 1), an mpmath number at dps digits: the
+    root of log A - log B = (alpha_g - 1) logit(q), where A(y) sums
+    w_i tau_i^alpha_g exp(tau_i (y - tau_i / 2) / sd^2) over tau_i > 0 and B
+    the same over tau_i < 0 with |tau_i|; the left side rises in y.  The
+    bracket starts at +-20 sd and doubles until it holds a sign change, and
+    Anderson's bracketed solve closes it to |residual| <= 10^-dps."""
+    with mpmath.workdps(dps + 10):
+        q, sd2, a = mpmath.mpf(q), mpmath.mpf(sd) ** 2, mpmath.mpf(alpha_g)
+        terms = [(mpmath.mpf(t), mpmath.log(w) + a * mpmath.log(abs(mpmath.mpf(t))))
+                 for t, w in pairs if t != 0]
+        goal = (a - 1) * mpmath.log(q / (1 - q))
+
+        def gap(y):
+            side = lambda pos: [lt + t * (y - t / 2) / sd2 for t, lt in terms if (t > 0) == pos]
+            return mpmath.log(mpmath.fsum(mpmath.exp(z) for z in side(True))) \
+                - mpmath.log(mpmath.fsum(mpmath.exp(z) for z in side(False))) - goal
+
+        half = 20 * mpmath.mpf(sd)
+        while gap(-half) > 0 or gap(half) < 0:
+            half *= 2
+        return mpmath.findroot(gap, (-half, half), solver="anderson",
+                               tol=mpmath.mpf(10) ** (-2 * dps))
+
+
+def prior_bayes_tail_mp(pairs, alpha_g, sd, tau, threshold, stat_sd=None, dps=30):
+    """prior_bayes_tail at dps digits, an mpmath number, with q formed exactly
+    from the float inputs.  The fraction is clamped to [1e-12, 1 - 1e-12] (the
+    floats), so a q at or below the lower clamp is reached everywhere and one
+    above the upper clamp nowhere."""
+    with mpmath.workdps(dps + 10):
+        tau = mpmath.mpf(tau)
+        q = 1 - threshold / tau if tau > 0 else threshold / -tau
+        if q <= mpmath.mpf(1e-12):
+            cut = -mpmath.inf
+        elif q > mpmath.mpf(1.0 - 1e-12):
+            cut = mpmath.inf
+        else:
+            cut = prior_bayes_cut_mp(pairs, alpha_g, sd, q, dps)
+        z = (cut - tau) / (sd if stat_sd is None else stat_sd)
+        return mpmath.ncdf(z if tau > 0 else -z)
+
+
 def crossing_tail(cut, rising, tau, sd):
     """P(Reg > c), Y ~ N(tau, sd^2), for a rule monotone in the statistic
     (rising or falling) that crosses q, the fraction where regret is c, at

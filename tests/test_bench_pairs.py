@@ -1,6 +1,7 @@
 """The summary functions and checkout helpers of tools/bench_pairs.py; no
 benchmark run starts."""
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -101,6 +102,51 @@ def test_summarize_kinds_takes_each_sides_median():
         "regress": {"parent_median": 4.0, "change_median": 2.0},
         "cli": {"parent_median": 1.0, "change_median": 2.0},
     }
+
+
+def test_by_kind_sums_and_ranges_each_kinds_operations():
+    kind_s, kind_range = bench_pairs.by_kind(["table", "tail", "table", "table"],
+                                             [0.5, 2.0, 0.25, 1.0])
+    assert kind_s == {"table": 1.75, "tail": 2.0}
+    assert kind_range == {"table": [0.25, 1.0], "tail": [2.0, 2.0]}
+
+
+def test_summarize_kind_ranges_takes_each_sides_median():
+    pairs = [
+        {"parent": {"kind_range": {"tail": [p, p + 1.0]}},
+         "change": {"kind_range": {"tail": [c, c + 2.0]}}}
+        for p, c in [(3.0, 1.0), (5.0, 2.0), (4.0, 9.0)]
+    ]
+    assert bench_pairs.summarize_kind_ranges(pairs) == {
+        "tail": {"parent_fastest_median": 4.0, "parent_slowest_median": 5.0,
+                 "change_fastest_median": 2.0, "change_slowest_median": 4.0},
+    }
+
+
+def test_run_reads_the_kinds_from_the_run_record(tmp_path, monkeypatch):
+    # bench/run.py is not started: a stand-in prints its last line and the
+    # record it would have written is already in place
+    (tmp_path / "bench-out").mkdir()
+    record = {"record": {"kinds": ["table", "tail", "table"], "op_s": [0.5, 3.0, 0.25]}}
+    (tmp_path / "bench-out" / "prior-bayes-seed7.json").write_text(json.dumps(record))
+    last = {"correct": 3, "attempted": 3, "failed": 0,
+            "metrics": {"pass_s": {"value": 3.75}, "op_ms_p90": {"value": 3.0}}}
+    seen = []
+
+    def fake_run(argv, **kwargs):
+        seen.append((argv, kwargs["cwd"]))
+        return subprocess.CompletedProcess(argv, 0, stdout="log\n" + json.dumps(last) + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got = bench_pairs.run(tmp_path, "prior-bayes", 7, 24)
+    assert got == {"correct": 3, "attempted": 3, "failed": 0,
+                   "metrics": {"pass_s": 3.75, "op_ms_p90": 3.0},
+                   "kind_s": {"table": 0.75, "tail": 3.0},
+                   "kind_range": {"table": [0.25, 0.5], "tail": [3.0, 3.0]}}
+    (argv, cwd), = seen
+    assert argv[1:] == ["bench/run.py", "--workload", "prior-bayes", "--seed", "7",
+                        "--seconds", "24", "--trace", "0"] and cwd == tmp_path
 
 
 def test_one_pair_is_refused_before_any_run(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact risk functionals, worst cases, tails, and the seeded simulator."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ PRIOR3_ARGSUP = -1.30056154243124
 # and refine_max
 MM200_WORST_MSR = 0.16502423558998242  # at +-1.18969
 PRIOR3_SHARP_WORST_MSR = 0.16433894501144464  # noise sd 0.1, at 1.18880
+
+
+def _refuse_find_root(monkeypatch) -> None:
+    # every msregret module that binds Brent's root finder gets one that fails
+    def refuse(*args, **kwargs):
+        raise AssertionError("no Brent root expected")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "msregret" and hasattr(module, "find_root"):
+            monkeypatch.setattr(module, "find_root", refuse)
 
 
 def mm_rule() -> MinimaxMSR:
@@ -420,14 +431,14 @@ class TestTailProbability:
             exact_risk(Wave(), exp, tail_thresholds=[0.3])
 
     def test_non_monotone_fallback_close_to_analytic(self):
-        # lam > 1/2 flips the direction; the fixed-order indicator quadrature
-        # is only approximate, so the tolerance here is loose by design
+        # lam > 1/2 flips the direction, and the mixture inverts through its
+        # base: the crossing is the base's exact 0, so the tail is one CDF
         rule = ComplementMix(base=BayesFlatMSR(), lam=0.7)
         exp = GaussianExperiment(1.0, 1.0, 1)
         got = tail_probability(rule, exp, 0.5)
         # Reg = 0.3 + 0.4 * base(y) > 0.5 iff base(y) > 0.5 iff y > 0
         want = 1.0 - float(oracles.cdf(-1.0))
-        assert abs(got - want) < 2e-2
+        assert abs(got - want) < 1e-12
 
 
     def test_rejects_nan_threshold(self):
@@ -460,7 +471,7 @@ class TestTailProbability:
         def refuse(*args, **kwargs):
             raise AssertionError("closed-form inverse expected")
 
-        monkeypatch.setattr(risk, "find_root", refuse)
+        _refuse_find_root(monkeypatch)
         for cls in (MinimaxMSR, PosteriorMatchFlat):
             monkeypatch.setattr(cls, "evaluate", refuse)
         rules = [mm_rule(), PosteriorMatchFlat(0.7), ComplementMix(mm_rule(), 0.3),
@@ -473,7 +484,7 @@ class TestTailProbability:
         def refuse(*args, **kwargs):
             raise AssertionError("the flat rule's own inverse expected")
 
-        monkeypatch.setattr(risk, "find_root", refuse)
+        _refuse_find_root(monkeypatch)
         monkeypatch.setattr(BayesFlatMSR, "evaluate", refuse)
         args = []
         real = rules_module._bayes_flat_fraction
@@ -488,43 +499,63 @@ class TestTailProbability:
                 tail_probability(rule, GaussianExperiment(tau, 1.0, 1), c)
         assert args and all(type(u) is float for u in args)
 
-    def test_bracketed_rules_evaluate_once_before_brent(self, monkeypatch):
-        events = []
-        real_root = risk.find_root
+    def test_prior_rule_tails_make_no_array_evaluation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the discrete-prior rule's own inverse expected")
 
-        def spy_root(*args, **kwargs):
-            events.append("find_root")
-            return real_root(*args, **kwargs)
+        _refuse_find_root(monkeypatch)
+        monkeypatch.setattr(DiscretePriorBayes, "evaluate", refuse)
+        monkeypatch.setattr(rules_module, "solve_bayes_foc", refuse)
+        stats = []
+        real = rules_module._scalar_z
 
-        monkeypatch.setattr(risk, "find_root", spy_root)
-        real = DiscretePriorBayes.evaluate
+        def spy(pairs, var, stat):
+            stats.append(stat)
+            return real(pairs, var, stat)
 
-        def spy_evaluate(self, stat):
-            events.append(np.shape(stat))
-            return real(self, stat)
+        monkeypatch.setattr(rules_module, "_scalar_z", spy)
+        for rule in (prior3_rule(), prior3_rule(3.0), ComplementMix(prior3_rule(), 0.7)):
+            for tau, c in ((1.0, 0.1), (-1.0, 0.3), (1.3, 0.9), (-0.4, 0.1), (1.0, 0.0)):
+                tail_probability(rule, GaussianExperiment(tau, 1.0, 1), c)
+        assert stats and all(type(y) is float for y in stats)
 
-        monkeypatch.setattr(DiscretePriorBayes, "evaluate", spy_evaluate)
-        for rule in (prior3_rule(), ComplementMix(prior3_rule(), 0.7)):
-            events.clear()
-            tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 0.5)
-            assert events[:2] == [(481,), "find_root"], rule
-            assert all(e == () for e in events[2:]), rule
+    def test_a_direction_without_an_inverse_is_refused(self):
+        class Ramp(TreatmentRule):
+            direction = 1
 
-    def test_brent_reuses_the_grid_values_at_the_cell_ends(self, monkeypatch):
-        points = []
-        real = DiscretePriorBayes.evaluate
+            def evaluate(self, stat):
+                return expit(stat)
 
-        def spy(self, stat):
-            if np.ndim(stat) == 0:
-                points.append(float(stat))
-            return real(self, stat)
+        exp = GaussianExperiment(1.0, 1.0, 1)
+        with pytest.raises(DomainError, match="Ramp"):
+            tail_probability(Ramp(), exp, 0.3)
+        with pytest.raises(DomainError, match="Ramp"):
+            tail_probability(ComplementMix(Ramp(), 0.2), exp, 0.3)
+        with pytest.raises(DomainError):
+            exact_risk(Ramp(), exp, tail_thresholds=[0.3])
+        # the edges need no inverse
+        assert tail_probability(Ramp(), exp, 1.0) == 0.0
+        assert not hasattr(risk, "find_root") and not hasattr(risk, "_TAIL_GRID")
 
-        monkeypatch.setattr(DiscretePriorBayes, "evaluate", spy)
-        exp = GaussianExperiment(0.7, 1.0, 1)
-        tail_probability(prior3_rule(), exp, 0.2)
-        assert points
-        # no scalar evaluation repeats a grid node
-        assert not np.isin(points, exp.tau + exp.stat_sd * risk._TAIL_GRID).any()
+    def test_prior_oracles_agree(self):
+        # the scipy brentq references and the 30-digit mpmath ones
+        rng = np.random.default_rng(16)
+        for _ in range(12):
+            pairs = [(-float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.2, 1.0))),
+                     (float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.2, 1.0))),
+                     (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.2, 1.0)))]
+            total = sum(w for _, w in pairs)
+            pairs = [(t, w / total) for t, w in pairs]
+            alpha_g = float(rng.choice([1.5, 2.0, 3.0]))
+            sd, q = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.95))
+            cut = oracles.prior_bayes_cut(pairs, alpha_g, sd, q)
+            cut_mp = float(oracles.prior_bayes_cut_mp(pairs, alpha_g, sd, q))
+            assert abs(cut - cut_mp) <= 1e-12 * max(1.0, abs(cut_mp)), (pairs, q)
+            tau = float(rng.uniform(-2.0, 2.0))
+            c = abs(tau) * float(rng.uniform(0.05, 0.95))
+            tail = oracles.prior_bayes_tail(pairs, alpha_g, sd, tau, c)
+            tail_mp = float(oracles.prior_bayes_tail_mp(pairs, alpha_g, sd, tau, c))
+            assert abs(tail - tail_mp) <= 1e-12, (pairs, tau, c)
 
     def test_prior_crossing_beyond_twenty_noise_sd(self):
         # the fraction is still 0.0193 at y = -40 (20 noise sd below 0) and

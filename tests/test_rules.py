@@ -1,6 +1,7 @@
 """Rule evaluation: reference grid values, invariants, and the Bayes solver."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -793,14 +794,16 @@ class TestBayesFocFrozen:
         assert list(prior._foc_terms) == [alpha_g]
 
     # the six fixed tail cases of the prior-bayes benchmark workload:
-    # (prior, alpha_g, noise_sd, tau, threshold) and P(Reg > threshold)
+    # (prior, alpha_g, noise_sd, tau, threshold) and P(Reg > threshold), from
+    # the rule's own certified inverse; each is within 1e-16 of the 30-digit
+    # oracle (test_tail_pins_match_mpmath)
     FROZEN_TAILS = [
-        ([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)], 2.0, 1.0, 1.0, 0.1, 0.4062915299574522),
-        ([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)], 3.0, 1.0, 1.0, 0.3, 0.28051501385958133),
+        ([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)], 2.0, 1.0, 1.0, 0.1, 0.406291529957419),
+        ([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)], 3.0, 1.0, 1.0, 0.3, 0.2805150138595794),
         ([(-2.0, 0.5), (1.0, 0.5)], 1.5, 1.0, 0.5, 0.2, 0.27898853244228833),
         ([(-1.5, 0.3), (-0.5, 0.2), (0.5, 0.2), (1.5, 0.3)], 2.0, 0.5, -0.8, 0.3,
-         0.07814572622654883),
-        ([(-1.0, 0.6), (2.5, 0.4)], 3.0, 2.0, 1.5, 0.5, 0.1782847466888604),
+         0.07814572622654888),
+        ([(-1.0, 0.6), (2.5, 0.4)], 3.0, 2.0, 1.5, 0.5, 0.17828474668886013),
         ([(-0.7, 0.5), (0.4, 0.3), (1.8, 0.2)], 1.5, 1.0, -1.2, 0.4, 0.11730820341721387),
     ]
     FROZEN_SIMULATE = (
@@ -824,6 +827,14 @@ class TestBayesFocFrozen:
         pairs, alpha_g, sd, tau, threshold, want = self.FROZEN_TAILS[case]
         rule = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), alpha_g, sd)
         assert tail_probability(rule, GaussianExperiment(tau, sd, 1), threshold) == want
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_tail_pins_match_mpmath(self, case):
+        # the grid-and-Brent pins were up to 3.3e-14 from these references
+        pairs, alpha_g, sd, tau, threshold, want = self.FROZEN_TAILS[case]
+        prior = DiscretePrior.from_pairs(pairs)
+        mp = oracles.prior_bayes_tail_mp(prior.support, alpha_g, sd, tau, threshold)
+        assert abs(want - mp) <= 1e-16, (case, want, mp)
 
     def test_simulate(self):
         rule = DiscretePriorBayes(DiscretePrior.from_pairs(self.PIN_PAIRS), 3.0, 0.8)
@@ -863,31 +874,25 @@ class TestFocTermsMemo:
         return prior
 
     def test_one_tail_stores_the_terms_once(self, monkeypatch):
-        solves, builds = [], []
-        solve, build = rules_module.solve_bayes_foc, rules_module._foc_terms
-
-        def counted_solve(*args):
-            solves.append(type(args[3]))
-            return solve(*args)
+        builds = []
+        build = rules_module._foc_terms
 
         def counted_build(*args):
             builds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(rules_module, "solve_bayes_foc", counted_solve)
         monkeypatch.setattr(rules_module, "_foc_terms", counted_build)
         prior = self.fresh()
         rule = DiscretePriorBayes(prior, 2.0, 1.0)
         exp = GaussianExperiment(1.0, 1.0, 1)
-        assert tail_probability(rule, exp, 0.1) == 0.4062915299574522
-        # the grid's array call, then Brent's scalar calls on one stored entry
-        assert solves[0] is np.ndarray and solves.count(float) == len(solves) - 1 > 1
-        assert len(builds) == 2 and prior._foc_terms.sets == 1
+        assert tail_probability(rule, exp, 0.1) == TestBayesFocFrozen.FROZEN_TAILS[0][-1]
+        # every evaluation of the inverse reads one stored entry
+        assert len(builds) == 1 and prior._foc_terms.sets == 1
         entry = prior._foc_terms[2.0]
         tail_probability(rule, exp, 0.3)
         tail_probability(DiscretePriorBayes(prior, 2, 0.5), exp, 0.1)
-        # each later tail builds for its grid only
-        assert len(builds) == 4 and prior._foc_terms.sets == 1
+        # later tails at that alpha_g build nothing
+        assert len(builds) == 1 and prior._foc_terms.sets == 1
         assert prior._foc_terms == {2.0: entry} and prior._foc_terms[2.0] is entry
 
     def test_array_calls_store_nothing(self):
@@ -914,6 +919,121 @@ class TestFocTermsMemo:
         twin = pickle.loads(pickle.dumps(rule_w))
         assert twin == rule_w == rule_c and hash(twin) == hash(rule_c)
         assert twin.evaluate(0.25) == rule_w.evaluate(0.25)
+
+
+def _assert_prior_certified(rule, q):
+    # the computed fraction is below q one float before the crossing and not
+    # below it at the crossing, in the scalar path and the array path alike
+    y = rule.stat_at(q)
+    if q <= 1e-12 or q > 1.0 - 1e-12:
+        assert y == (-math.inf if q <= 1e-12 else math.inf), (rule, q, y)
+        return
+    below = math.nextafter(y, -math.inf)
+    assert type(y) is float and math.isfinite(y), (rule, q, y)
+    assert rule.evaluate(below) < q <= rule.evaluate(y), (rule, q, y)
+    assert rule.evaluate(np.array([below, y])).tolist() == [rule.evaluate(below),
+                                                            rule.evaluate(y)]
+
+
+class TestDiscretePriorInverse:
+    EDGES = [1e-12, math.nextafter(1e-12, 0.0), math.nextafter(1e-12, 1.0),
+             1.0 - 1e-12, math.nextafter(1.0 - 1e-12, 0.0), math.nextafter(1.0 - 1e-12, 1.0),
+             0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
+
+    @staticmethod
+    def priors(rng):
+        # two-sided supports of 2 to 5 points, and two symmetric ones, whose
+        # crossing of 1/2 lies at 0
+        out = [[(-1.0, 0.5), (1.0, 0.5)], [(-2.0, 0.25), (-0.5, 0.25), (0.5, 0.25), (2.0, 0.25)]]
+        for size in (2, 3, 4, 5, 2, 3, 4, 5):
+            taus = [-float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0))]
+            taus += [float(t) for t in rng.uniform(-3.0, 3.0, size - 2)]
+            out.append([(t, float(w)) for t, w in zip(taus, rng.uniform(0.2, 1.0, size))])
+        return out
+
+    def test_crossing_is_certified(self):
+        rng = np.random.default_rng(16001)
+        for pairs in self.priors(rng):
+            prior = DiscretePrior.from_pairs(pairs)
+            for alpha_g in (1.5, 2.0, 3.0):
+                for sd in (1e-3, 0.5, 1.0, 2.0, 1e3):
+                    rule = DiscretePriorBayes(prior, alpha_g, sd)
+                    qs = self.EDGES + [float(q) for q in rng.uniform(0.0, 1.0, 3)]
+                    qs += [1e-6, 1.0 - 1e-6, float(10.0 ** rng.uniform(-11.9, -1.0))]
+                    for q in qs:
+                        _assert_prior_certified(rule, q)
+
+    def test_the_clamp_bounds_the_crossings(self):
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs([(-1.0, 1.0), (2.0, 1.0)]), 2.0, 1.0)
+        for q in (-0.5, 0.0, 5e-324, 1e-13, 1e-12):
+            assert rule.stat_at(q) == -math.inf
+        for q in (math.nextafter(1.0 - 1e-12, 1.0), 1.0, 2.0):
+            assert rule.stat_at(q) == math.inf
+        # the fraction reaches the top of the clamp, so that q has a crossing
+        y = rule.stat_at(1.0 - 1e-12)
+        assert math.isfinite(y) and rule.evaluate(y) == 1.0 - 1e-12
+
+    def test_a_two_point_log_odds_is_linear(self):
+        # L(y) = (log(w+ t+^a / (w- |t-|^a)) + (t+ - t-)(y - (t+ + t-)/2) / sd^2) / e
+        # crosses logit(q) where the closed form puts it, up to rounding
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs([(-2.0, 0.5), (1.0, 0.5)]), 1.5, 0.8)
+        for q in (0.1, 0.5, 0.9):
+            want = 0.8**2 * (0.5 * math.log(q / (1 - q)) - 1.5 * math.log(0.5)) / 3.0 - 0.5
+            assert abs(rule.stat_at(q) - want) <= 1e-14
+
+    def test_matches_the_mpmath_crossing(self):
+        rng = np.random.default_rng(16)
+        for pairs in self.priors(rng):
+            prior = DiscretePrior.from_pairs(pairs)
+            alpha_g, sd = float(rng.choice([1.5, 2.0, 3.0])), float(rng.uniform(0.5, 2.0))
+            for q in rng.uniform(1e-3, 1.0 - 1e-3, 3):
+                y = DiscretePriorBayes(prior, alpha_g, sd).stat_at(float(q))
+                want = float(oracles.prior_bayes_cut_mp(prior.support, alpha_g, sd, float(q)))
+                assert abs(y - want) <= 1e-12 * max(1.0, abs(want)), (pairs, q, y, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_variance_that_underflows_certifies_or_is_refused(self):
+        # noise_sd**2 is 0 below about 1.5e-162 and subnormal a little above;
+        # where it is too small for the fraction to stay a number, or
+        # overflows, the inverse raises DomainError rather than a crossing
+        refused = 0
+        for pairs in ([(-1.0, 0.5), (1.0, 0.5)], [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)],
+                      [(-0.7, 0.5), (0.4, 0.3), (1.8, 0.2)]):
+            for sd in (1e-170, 1e-162, 1e-160, 1e-155, 1e-154, 1e-150, 1e155):
+                rule = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), 2.0, sd)
+                for q in (0.3, 0.5, 1.0 - 1e-12):
+                    try:
+                        _assert_prior_certified(rule, q)
+                    except DomainError:
+                        refused += 1
+                        with pytest.raises(DomainError):
+                            tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 0.5)
+        assert refused == 3 * 5 * 3
+        with pytest.raises(DomainError, match="noise_sd"):
+            DiscretePriorBayes(DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0)]), 2.0,
+                               1e-170).stat_at(0.5)
+
+    def test_a_far_end_short_of_the_crossing_is_pushed(self, monkeypatch):
+        # a margin below 1 puts the first far end of a two-point prior inside
+        # its crossing, so the search checks that end and pushes it out
+        monkeypatch.setattr(rules_module, "_WIDEN", 0.5)
+        for pairs in ([(-2.0, 0.5), (1.0, 0.5)], [(-1.0, 0.6), (2.5, 0.4)]):
+            for sd in (0.5, 1.0, 1e3):
+                rule = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), 2.0, sd)
+                for q in (1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9):
+                    _assert_prior_certified(rule, q)
+
+    def test_a_crossing_beyond_the_floats_is_infinite(self):
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)]), 2.0, 1e154)
+        q = 1.0 - 1e-12
+        assert rule.stat_at(q) == math.inf
+        assert rule.evaluate(sys.float_info.max) < q
+        _assert_prior_certified(rule, 0.9)
+
+    def test_a_one_sided_prior_is_refused(self):
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs([(1.0, 1.0), (2.0, 1.0)]), 2.0, 1.0)
+        with pytest.raises(PriorSupportError):
+            rule.stat_at(0.5)
 
 
 class TestJsonMapping:

@@ -15,8 +15,10 @@ change's win count, and whether it stays within the bound BENCHMARK.json
 fixes are written under workloads[W] of --out, with each side's median over
 the pairs of the per-kind sums of operation times (kind_s: the operation
 medians that bench-out/W-seedS.json records for a run, summed by kind, in
-seconds at the reference speed).  An existing file keeps its other
-workloads, so several invocations fill one file.  A gain is claimed
+seconds at the reference speed) and of each kind's fastest and slowest
+operation median (kind_range), which places a kind at the rank a percentile
+metric reads.  An existing file keeps its other workloads, so several
+invocations fill one file.  A gain is claimed
 for a metric when the change wins at least nine tenths of the pairs and the
 medians differ by more than the distance between the parent's quartiles.
 
@@ -94,16 +96,26 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         raise SystemExit(f"bench/run.py failed in {checkout}:\n{proc.stderr[-2000:]}")
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads((checkout / "bench-out" / f"{workload}-seed{seed}.json").read_text())
-    kind_s: dict = {}
-    for kind, op_s in zip(record["record"]["kinds"], record["record"]["op_s"]):
-        kind_s[kind] = kind_s.get(kind, 0.0) + op_s
+    kind_s, kind_range = by_kind(record["record"]["kinds"], record["record"]["op_s"])
     return {
         "correct": out["correct"],
         "attempted": out["attempted"],
         "failed": out["failed"],
         "metrics": {name: m["value"] for name, m in out["metrics"].items()},
         "kind_s": kind_s,
+        "kind_range": kind_range,
     }
+
+
+def by_kind(kinds: list, op_s: list) -> tuple:
+    """Per kind, the sum of its operations' medians and [fastest, slowest] of them."""
+    kind_s: dict = {}
+    kind_range: dict = {}
+    for kind, t in zip(kinds, op_s):
+        kind_s[kind] = kind_s.get(kind, 0.0) + t
+        lo, hi = kind_range.get(kind, (t, t))
+        kind_range[kind] = [min(lo, t), max(hi, t)]
+    return kind_s, kind_range
 
 
 def digests(checkout: Path, workload: str, seed: int) -> list:
@@ -133,6 +145,16 @@ def summarize_kinds(pairs: list) -> dict:
         kind: {side + "_median": statistics.median(p[side]["kind_s"][kind] for p in pairs)
                for side in ("parent", "change")}
         for kind in pairs[0]["parent"]["kind_s"]
+    }
+
+
+def summarize_kind_ranges(pairs: list) -> dict:
+    """Median over the pairs of each side's fastest and slowest operation of each kind."""
+    return {
+        kind: {f"{side}_{end}_median": statistics.median(p[side]["kind_range"][kind][i]
+                                                         for p in pairs)
+               for side in ("parent", "change") for i, end in enumerate(("fastest", "slowest"))}
+        for kind in pairs[0]["parent"]["kind_range"]
     }
 
 
@@ -213,6 +235,7 @@ def main(argv=None) -> int:
         "summary": summarize(pairs, bench["end_to_end"]),
         "outputs_identical": all(p["outputs_identical"] for p in pairs),
         "kind_s": summarize_kinds(pairs),
+        "kind_range": summarize_kind_ranges(pairs),
         "runs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
