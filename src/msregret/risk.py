@@ -249,9 +249,8 @@ def tail_probability(
     (tau < 0), which is one side of the point where the fraction crosses q,
     so the result is a single normal CDF value.  The rule gives that point
     (rule.stat_at: the logistic, posterior-matching, flat-prior and
-    discrete-prior Bayes rules and their complement mixtures), so the rule
-    is never evaluated on a grid here; a q the fraction never crosses gives
-    0 or 1.  Raises DomainError for a negative or NaN threshold, for a rule
+    discrete-prior Bayes rules and their complement mixtures); a q the
+    fraction never crosses gives 0 or 1.  Raises DomainError for a negative or NaN threshold, for a rule
     that declares neither a step form nor a direction, and for one that
     declares a direction but no inverse of its own (stat_at returns None);
     the inverse raises its own errors, DomainError where it cannot certify

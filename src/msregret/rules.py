@@ -208,13 +208,6 @@ def _finite_toward(y: float, z: float) -> float:
     return math.copysign(min(max(abs(y), _FLOAT_TINY), _FLOAT_MAX), z)
 
 
-def _beyond(x: float, y: float) -> float:
-    # x + y clamped to the finite floats, and at least one float past x in
-    # the direction of y
-    out = min(max(x + y, -_FLOAT_MAX), _FLOAT_MAX)
-    return out if out != x else math.nextafter(x, math.copysign(math.inf, y))
-
-
 def _bayes_flat_fraction(u):
     """The flat-prior Bayes fraction cdf(u) + u * pdf(u) / (1 + u^2), clipped
     to [0, 1], at a float or an array u; a float u goes through the same
@@ -537,7 +530,7 @@ class DiscretePriorBayes(TreatmentRule):
         down = f >= q
         side = -1.0 if down else 1.0
         reach = max(0.0, -side * step * spread / gap) * _WIDEN + max(0.0, 4.0 * scale)
-        far = _beyond(x, side * reach)
+        far = _finite_toward(reach, side)
         lo, hi = (far, x) if down else (x, far)
         newton = _NEWTON_STEPS
         jump = 0.0
@@ -552,7 +545,7 @@ class DiscretePriorBayes(TreatmentRule):
                     return hi
                 if abs(far) == _FLOAT_MAX:
                     return far * math.inf
-                x, far = far, _beyond(far, side * max(abs(far), scale))
+                x, far = far, _finite_toward(abs(far) + max(abs(far), scale), side)
                 lo, hi = (far, x) if down else (x, far)
                 newton = _NEWTON_STEPS
                 jump = 0.0
