@@ -401,16 +401,17 @@ class DiscretePrior:
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
         # derived once, since tilted_posterior_match_msr reads them on every
-        # call, and solve_bayes_foc's scalar calls keep their per-alpha_g terms
-        # in _foc_terms, which DiscretePriorBayes.stat_at reuses on each of
-        # its evaluations; none is a field, so equality, hashing and to_dict
-        # see support alone
+        # call, solve_bayes_foc reads max|tau| on every call, and its scalar
+        # calls keep their per-alpha_g terms in _foc_terms, which
+        # DiscretePriorBayes.stat_at reuses on each of its evaluations; none
+        # is a field, so equality, hashing and to_dict see support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "_taus", taus)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_two_sided", bool((taus > 0).any() and (taus < 0).any()))
+        object.__setattr__(self, "_max_abs_tau", float(np.abs(taus).max()))
         object.__setattr__(self, "_foc_terms", {})
 
     @classmethod
@@ -483,19 +484,14 @@ class DiscretePriorBayes(TreatmentRule):
             return -math.inf if q <= 1e-12 else math.inf
         prior = self.prior
         _require_two_sided(prior)
-        try:
-            var = self.noise_sd**2
-        except OverflowError:
-            var = math.inf
-        if not 0.0 < var < math.inf:
-            raise DomainError(f"{self!r}: noise_sd**2 is {var!r}, so no crossing can be certified")
+        var = _variance(self.noise_sd)
         e = self.alpha_g - 1.0
         m, pairs = _scalar_foc_terms(prior, self.alpha_g)
         taus = [t for t, _ in pairs]
         gap = min(taus[m:]) - max(taus[:m])
         # sd^2 z_i = tau_i (y - tau_i / 2) + sd^2 log_term_i is at most this
         # plus |y| top in size, which sets the rounding scale of z
-        top = max(map(abs, taus))
+        top = prior._max_abs_tau
         z_floor = 0.5 * top * top + var * max(abs(lt) for _, lt in pairs)
         # Newton aims at the lower edge of the floats that round to q; width
         # is the log-odds between two floats there
@@ -581,6 +577,24 @@ def _require_two_sided(prior: DiscretePrior) -> None:
         raise PriorSupportError("prior mass must be positive on both {tau > 0} and {tau < 0}")
 
 
+def _variance(noise_sd: float) -> float:
+    # noise_sd**2, which the log-odds divide by, refused where it is 0 or
+    # overflows, rather than giving a NaN fraction or Python's OverflowError
+    try:
+        var = noise_sd**2
+    except OverflowError:
+        var = math.inf
+    if not 0.0 < var < math.inf:
+        raise DomainError(f"noise_sd**2 is {var!r} at noise_sd {noise_sd!r}; the Bayes "
+                          "fraction needs a positive, finite variance")
+    return var
+
+
+def _nan_fraction(var: float) -> DomainError:
+    return DomainError(f"the Bayes fraction is NaN at a statistic that is a number: at "
+                       f"noise_sd**2 = {var!r} both of its log sums are -inf")
+
+
 def _foc_terms(prior: DiscretePrior, alpha_g: float) -> tuple:
     # the m negative support points, then the positive ones, each in support
     # order, with log w_i + alpha_g log|tau_i|
@@ -661,24 +675,30 @@ def solve_bayes_foc(
     terms afresh and stores nothing.
 
     Accepts a float or an ndarray statistic and returns the matching type.
-    Raises PriorSupportError when the prior mass is one-sided and DomainError
-    for alpha_g <= 1 or noise_sd <= 0.
+    Raises PriorSupportError when the prior mass is one-sided, and
+    DomainError for alpha_g <= 1, for noise_sd <= 0, for noise_sd**2 that is
+    0 or overflows, and for a NaN fraction at a statistic that is not NaN.
+    That takes log A = log B = -inf, every z_i overflowed to -inf, which
+    needs max|tau|^2 of at least 2 sd^2 times the largest float up to
+    rounding; the array path looks for NaNs only from sd^2 times the largest
+    float on, so the common case pays one comparison.
     """
     if not alpha_g > 1:
         raise DomainError(f"alpha_g must exceed 1, got {alpha_g}")
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
-    var = noise_sd**2
-    # a variance that underflows to 0 takes the array path, where z / 0 is
-    # numpy's inf or nan, not Python's ZeroDivisionError
-    if type(stat) is float and var:
+    var = _variance(noise_sd)
+    if type(stat) is float:
         # the inverse calls once per iterate on one rule, so the terms are
         # kept per prior and alpha_g as Python floats
         m, pairs = _scalar_foc_terms(prior, alpha_g)
         z = _scalar_z(pairs, var, stat)
         log_odds = (_logaddexp_fold(z[m:]) - _logaddexp_fold(z[:m])) / (alpha_g - 1.0)
-        return _clamped_expit(log_odds)
+        out = _clamped_expit(log_odds)
+        if out != out and stat == stat:
+            raise _nan_fraction(var)
+        return out
     # an array call stores nothing: a table or a simulate block on a fresh
     # rule would pay for storing the terms
     m, taus, log_terms = _foc_terms(prior, alpha_g)
@@ -692,6 +712,10 @@ def solve_bayes_foc(
     log_a = np.logaddexp.reduce(z[m:], axis=0)
     log_b = np.logaddexp.reduce(z[:m], axis=0)
     delta = special.expit((log_a - log_b) / (alpha_g - 1.0))
+    if prior._max_abs_tau**2 >= var * _FLOAT_MAX:
+        nan = np.isnan(delta)
+        if nan.any() and not np.isnan(y[nan]).all():
+            raise _nan_fraction(var)
     return _match(np.minimum(np.maximum(delta, 1e-12), 1.0 - 1e-12), stat)
 
 

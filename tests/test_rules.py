@@ -27,6 +27,7 @@ from msregret import (
     Threshold,
     TreatmentRule,
     evaluate,
+    exact_risk,
     psi,
     rule_from_dict,
     rule_to_dict,
@@ -475,6 +476,58 @@ class TestBayesFoc:
         prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
         assert solve_bayes_foc(prior, 2.0, 0.05, 1.0) == 1.0 - 1e-12
         assert solve_bayes_foc(prior, 2.0, 0.05, -1.0) == 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sd, match", [
+        (1e-170, "noise_sd"),  # noise_sd**2 underflows to 0
+        (1e-162, "noise_sd"),
+        (1e155, "noise_sd"),  # noise_sd**2 overflows
+        (1e-160, "NaN"),  # subnormal: at 0 both log sums are -inf
+    ])
+    def test_an_unusable_variance_is_refused(self, sd, match):
+        prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+        rule = DiscretePriorBayes(prior, 2.0, sd)
+        exp = GaussianExperiment(0.1, 0.1, 1)
+        calls = [
+            lambda: solve_bayes_foc(prior, 2.0, sd, 0.0),
+            lambda: solve_bayes_foc(prior, 2.0, sd, np.array([0.0, 1.0])),
+            lambda: rule.evaluate(0.0),
+            lambda: exact_risk(rule, exp),
+            lambda: simulate(rule, exp, 10, RngSeed(1)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=match):
+                call()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_statistic_is_not_refused(self):
+        # where the fraction can be NaN, a NaN statistic still gives NaN
+        prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+        assert math.isnan(solve_bayes_foc(prior, 2.0, 1e-160, math.nan))
+        got = solve_bayes_foc(prior, 2.0, 1e-154, np.array([math.nan, 0.0, 1.0]))
+        assert json.dumps(got.tolist()) == json.dumps([math.nan, 0.5, 1.0 - 1e-12])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_fraction_needs_max_tau_squared_near_the_float_range(self):
+        # log A = log B = -inf needs max|tau|^2 >= 2 sd^2 float_max up to
+        # rounding; the array path looks from sd^2 float_max on, so a variance
+        # just past that, where it does not look, gives no NaN, and half of
+        # that bound already does at the statistic between the support points
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            taus = [-float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0))]
+            taus += [float(t) for t in rng.uniform(-3.0, 3.0, 2)]
+            prior = DiscretePrior.from_pairs(zip(taus, rng.uniform(0.2, 1.0, 4)))
+            top = max(map(abs, taus))
+            stats = np.concatenate([rng.uniform(-4.0, 4.0, 64), 0.5 * np.array(taus), [0.0]])
+            sd = math.sqrt(top * top / sys.float_info.max * (1.0 + 1e-9))
+            vals = solve_bayes_foc(prior, 2.0, sd, stats)
+            assert not np.isnan(vals).any()
+            assert [solve_bayes_foc(prior, 2.0, sd, float(y)) for y in stats] == vals.tolist()
+        prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+        sd = math.sqrt(0.25 / sys.float_info.max)
+        with pytest.raises(DomainError, match="NaN"):
+            solve_bayes_foc(prior, 2.0, sd, np.array([0.0]))
 
     def test_matches_unseparated_oracle_randomized(self):
         rng = np.random.default_rng(20261018)
