@@ -35,12 +35,11 @@ from scipy.special import expit
 
 from ._codec import csv_text, record
 from .numerics import (
-    DEFAULT_QUADRATURE,
     DomainError,
-    QuadratureSpec,
     gaussian_expectation,
     maximize_scalar,
     scan_brackets,
+    _LEVEL_GAP,
 )
 from .risk import worst_case_msr
 from .rules import MinimaxMSR
@@ -61,65 +60,64 @@ __all__ = [
 _SCAN_LO = 0.5
 _SCAN_HI = 2.5
 _SCAN_DIV = 20
+# verify_saddle's curve samples tau = k * _CURVE_STEP on [0, _CURVE_HI]: 201 rows
+_CURVE_HI = 4.0
+_CURVE_STEP = 0.02
 
 
 class SaddleViolation(RuntimeError):
     """Numerical saddle-point check failed."""
 
 
-def bayes_objective(a: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def bayes_objective(a: float) -> float:
     """Bayes MSR of expit(2 a s) against the symmetric two-point prior at +-a."""
     if a == 0.0:
         return 0.0
-    val = gaussian_expectation(lambda s: expit(-2.0 * a * s), a, 1.0, spec)
+    val = gaussian_expectation(lambda s: expit(-2.0 * a * s), a, 1.0)
     return 0.5 * a * a * val
 
 
-def frequentist_objective(a: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def frequentist_objective(a: float) -> float:
     """MSR of the rule expit(2 a s) at effect tau = a (equals the value at -a)."""
     if a == 0.0:
         return 0.0
-    val = gaussian_expectation(lambda s: expit(-2.0 * a * s) ** 2, a, 1.0, spec)
+    val = gaussian_expectation(lambda s: expit(-2.0 * a * s) ** 2, a, 1.0)
     return a * a * val
 
 
-def _objective_scan(
-    grid: np.ndarray, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> np.ndarray:
+def _objective_scan(grid: np.ndarray) -> np.ndarray:
     """bayes_objective over a calibration grid from one kernel call.
 
     Each calibration a contributes the row expit(-2 a (a + z)), the integrand
     of bayes_objective at s = a + z, so every value is certified to within
-    a^2 / 2 spec.fallback_abs_tol.
+    a^2 / 2 times the kernel's level gap, 1e-10.
     """
     a = np.asarray(grid, dtype=float)
     col = a[:, None]
     return 0.5 * a * a * gaussian_expectation(
-        lambda z: expit(-2.0 * col * (col + z)), 0.0, 1.0, spec
+        lambda z: expit(-2.0 * col * (col + z)), 0.0, 1.0
     )
 
 
-def solve_tau_star(
-    spec: QuadratureSpec = DEFAULT_QUADRATURE, tol: float = 1e-7
-) -> float:
+def solve_tau_star(tol: float = 1e-7) -> float:
     """Argmax of bayes_objective, which is also frequentist_objective's.
 
     The two objectives are one function: with q = expit(-2 a s) and p = 1 - q,
     the tilt phi(s + a) = phi(s - a) q / p and q(-s) = p(s) give
     E_a[p q] = E_a[q^2], so E_a[q] = E_a[q^2] + E_a[p q] = 2 E_a[q^2].  Only
     the Bayes one is searched.  It is scanned at the 41 points
-    a = 0.5, 0.55, ..., 2.5 by one gaussian_expectation call with spec, so
-    each scan value is certified to within a^2 / 2 spec.fallback_abs_tol.
+    a = 0.5, 0.55, ..., 2.5 by one gaussian_expectation call, so each scan
+    value is certified to within a^2 / 2 times the kernel's level gap, 1e-10.
     Every scan local maximum within two such errors at a = 2.5 of the best
     one is refined by Brent's bounded search to tol between its grid
     neighbours, and the largest refined value's calibration is returned.
     """
     grid = np.arange(_SCAN_LO * _SCAN_DIV, _SCAN_HI * _SCAN_DIV + 1) / _SCAN_DIV
     # two scan values, each within a^2 / 2 tol of the objective
-    err = _SCAN_HI**2 * spec.fallback_abs_tol
+    err = _SCAN_HI**2 * _LEVEL_GAP
     refined = [
-        maximize_scalar(lambda a: bayes_objective(a, spec), lo, hi, tol=tol)
-        for lo, hi in scan_brackets(grid, _objective_scan(grid, spec), err)
+        maximize_scalar(bayes_objective, lo, hi, tol=tol)
+        for lo, hi in scan_brackets(grid, _objective_scan(grid), err)
     ]
     return max(refined, key=lambda r: r[1])[0]
 
@@ -165,34 +163,29 @@ class SaddleCertificate:
         return csv_text("tau,bayes_objective,frequentist_risk", self.curve_samples)
 
 
-def verify_saddle(
-    tau_star: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    grid_hi: float = 4.0,
-    grid_step: float = 0.02,
-) -> SaddleCertificate:
+def verify_saddle(tau_star: float) -> SaddleCertificate:
     """Check the saddle-point equalities for the rule expit(2 tau_star s).
 
     Bayes risk against the two-point prior must match the worst-case risk of
     the rule within 1e-6, the worst case must be attained at +-tau_star
-    within 1e-4, and the frequentist risk curve sampled on [0, grid_hi] must
-    never exceed the worst case by more than 1e-8.  Any failure raises
-    SaddleViolation.
+    within 1e-4, and the frequentist risk curve sampled at tau = 0, 0.02,
+    ..., 4 must never exceed the worst case by more than 1e-8.  Any failure
+    raises SaddleViolation.
 
-    Both curve columns come from one stacked gaussian_expectation call with
-    spec: a Bayes row expit(-2 a (a + z)) and a frequentist row
-    (a (1 - f(a + z)))^2 for each nonzero grid tau = a, so every row is
-    certified to spec's tolerance, since the kernel stops only when all rows
-    have converged.  The tau = 0 row is exactly zero.
+    Both curve columns come from one stacked gaussian_expectation call: a
+    Bayes row expit(-2 a (a + z)) and a frequentist row (a (1 - f(a + z)))^2
+    for each nonzero grid tau = a, so every row is certified to the kernel's
+    level gap, since the kernel stops only when all rows have converged.
+    The tau = 0 row is exactly zero.
     """
     if not tau_star > 0:
         raise DomainError(f"tau_star must be positive, got {tau_star}")
     rule = MinimaxMSR(tau_star=tau_star)
 
-    bayes = bayes_objective(tau_star, spec)
+    bayes = bayes_objective(tau_star)
     worst = worst_case_msr(rule, 1.0, 1)
 
-    taus = np.arange(0.0, grid_hi + grid_step / 2, grid_step)
+    taus = np.arange(0.0, _CURVE_HI + _CURVE_STEP / 2, _CURVE_STEP)
     nonzero = taus != 0.0
     a = taus[nonzero]
     col = a[:, None]
@@ -211,7 +204,7 @@ def verify_saddle(
         np.multiply(freq, freq, out=freq)
         return out
 
-    curve = gaussian_expectation(rows, 0.0, 1.0, spec)
+    curve = gaussian_expectation(rows, 0.0, 1.0)
     bayes_col = np.zeros(taus.size)
     freq_col = np.zeros(taus.size)
     bayes_col[nonzero] = 0.5 * a * a * curve[: a.size]

@@ -4,9 +4,10 @@ bracketed root finding, and scalar maximization.
 Every expectation in this package is E[f(X)] with X ~ N(mean, sd^2), the
 integral of phi(z) f(mean + sd*z) over z.  gaussian_expectation applies the
 trapezoid rule on z in [-10, 10], which converges geometrically on integrands
-analytic in a strip (Trefethen & Weideman, SIAM Review 56(3), 2014).  Each
-halving of the step reuses every node, and the change between two levels is
-the error estimate.  Since the estimate needs two levels, the integrand's
+analytic in a strip (Trefethen & Weideman, SIAM Review 56(3), 2014).  The
+grid is fixed: 64 intervals at the first level, and each halving of the step
+reuses every node.  The change between two levels is the error estimate,
+accepted at 1e-10 on every component.  Since the estimate needs two levels, the integrand's
 first call covers levels 0 and 1 together, and each later level is one call;
 the sums still run level by level, in the order of one call per level.  An
 integrand that does not settle within ten halvings (a jump, for instance), is
@@ -39,9 +40,7 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "BracketError",
-    "QuadratureSpec",
     "RngSeed",
-    "DEFAULT_QUADRATURE",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
@@ -52,6 +51,8 @@ __all__ = [
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _HALF_WIDTH = 10.0  # trapezoid window half-width in sd units
+_INTERVALS = 64  # trapezoid intervals of the first level
+_LEVEL_GAP = 1e-10  # two levels this close on every component are accepted
 _EDGE_DENSITY = math.exp(-0.5 * _HALF_WIDTH**2) / _SQRT2PI
 _MAX_HALVINGS = 10
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
@@ -74,27 +75,6 @@ class BracketError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Trapezoid intervals of the first level and the halving tolerance.
-
-    gaussian_expectation starts with node_count intervals on the standardized
-    window and halves the step until two successive levels differ by at most
-    fallback_abs_tol in absolute value on every component.
-    """
-
-    node_count: int = 64
-    fallback_abs_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.node_count < 16:
-            raise DomainError(f"node_count must be >= 16, got {self.node_count}")
-        if not self.fallback_abs_tol > 0:
-            raise DomainError(
-                f"fallback_abs_tol must be positive, got {self.fallback_abs_tol}"
-            )
-
-
-@dataclass(frozen=True)
 class RngSeed:
     """A 64-bit unsigned seed; equal seeds produce bit-identical streams."""
 
@@ -103,9 +83,6 @@ class RngSeed:
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def std_normal_cdf(x):
@@ -134,15 +111,15 @@ def std_normal_quantile(p: float) -> float:
     return float(special.ndtri(p))
 
 
-@lru_cache(maxsize=64)
-def _trapezoid_level(intervals: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _trapezoid_level(level: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes added at one halving level, with their weights phi(z).
 
     Level 0 is the whole grid, endpoint weights halved; level m adds the
     midpoints of level m - 1.  Nodes are exact multiples L * k / M, so the
-    grid is symmetric and holds z = 0 when it has a middle node.
+    grid is symmetric and level 0's middle node is z = 0.
     """
-    count = intervals << level
+    count = _INTERVALS << level
     k = np.arange(-count, count + 1, 2) if level == 0 else np.arange(2 - count, count, 4)
     z = _HALF_WIDTH * (k / count)
     w = np.exp(-0.5 * z * z) / _SQRT2PI
@@ -151,40 +128,34 @@ def _trapezoid_level(intervals: int, level: int) -> Tuple[np.ndarray, np.ndarray
     return z, w
 
 
-@lru_cache(maxsize=64)
-def _first_levels(intervals: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _first_levels() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Level 0's nodes followed by level 1's, and each level's weights."""
-    z0, w0 = _trapezoid_level(intervals, 0)
-    z1, w1 = _trapezoid_level(intervals, 1)
+    z0, w0 = _trapezoid_level(0)
+    z1, w1 = _trapezoid_level(1)
     return np.concatenate((z0, z1)), w0, w1
 
 
-def gaussian_expectation(
-    f: Callable,
-    mean: float,
-    sd: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float | np.ndarray:
+def gaussian_expectation(f: Callable, mean: float, sd: float) -> float | np.ndarray:
     """E[f(X)] with X ~ N(mean, sd^2) for a smooth, normal-integrable f.
 
     f maps an ndarray of points to values of shape (n,), or (k, n) for k
     stacked integrands; the result is a float or a length-k array.  The
-    trapezoid rule starts at spec.node_count intervals and halves its step,
-    evaluating f at the new midpoints only, until two levels agree within
-    spec.fallback_abs_tol on every component.  Since that takes two levels at
-    least, the first call of f gets level 0's spec.node_count + 1 nodes and
-    level 1's spec.node_count midpoints together, in that order; each later
-    level is one call.  Raises ConvergenceError as the module docstring
-    describes, DomainError for sd <= 0.
+    trapezoid rule starts at 64 intervals and halves its step, evaluating f
+    at the new midpoints only, until two levels agree within 1e-10 on every
+    component.  Since that takes two levels at least, the first call of f
+    gets level 0's 65 nodes, whose middle one (index 32) is the mean, and
+    level 1's 64 midpoints together, in that order; each later level is one
+    call.  Raises ConvergenceError as the module docstring describes,
+    DomainError for sd <= 0.
     """
     if not sd > 0:
         raise DomainError(f"sd must be positive, got {sd}")
-    tol = spec.fallback_abs_tol
-    n0 = spec.node_count + 1
-    z, w0, w1 = _first_levels(spec.node_count)
+    n0 = _INTERVALS + 1
+    z, w0, w1 = _first_levels()
     vals = np.asarray(f(mean + sd * z), dtype=float)
     # level 0's end columns are its first and last nodes
-    if np.abs(vals[..., 0:n0:n0 - 1]).max() * _EDGE_DENSITY > tol:
+    if np.abs(vals[..., 0:n0:n0 - 1]).max() * _EDGE_DENSITY > _LEVEL_GAP:
         raise ConvergenceError(f"integrand not negligible at z = +-{_HALF_WIDTH}")
     first = (vals[..., :n0] @ w0, vals[..., n0:] @ w1)
     total, previous = 0.0, None
@@ -192,15 +163,15 @@ def gaussian_expectation(
         if level < 2:
             part = first[level]
         else:
-            z, w = _trapezoid_level(spec.node_count, level)
+            z, w = _trapezoid_level(level)
             part = np.asarray(f(mean + sd * z), dtype=float) @ w
         total = total + part
-        value = total * (2.0 * _HALF_WIDTH / (spec.node_count << level))
+        value = total * (2.0 * _HALF_WIDTH / (_INTERVALS << level))
         if not np.isfinite(value).all():
             raise ConvergenceError("trapezoid rule produced a non-finite value")
         if previous is not None:
             gap = float(np.abs(value - previous).max())
-            if gap <= tol:
+            if gap <= _LEVEL_GAP:
                 return float(value) if value.ndim == 0 else value
         previous = value
     raise ConvergenceError(

@@ -46,16 +46,16 @@ from scipy.special import ndtri
 
 from ._codec import csv_text, record
 from .numerics import (
-    DEFAULT_QUADRATURE,
     ConvergenceError,
     DomainError,
-    QuadratureSpec,
     RngSeed,
     gaussian_expectation,
     maximize_scalar,
     scan_brackets,
     std_normal_cdf,
     _HALF_WIDTH,
+    _INTERVALS,
+    _LEVEL_GAP,
     _SQRT2PI,
 )
 from .rules import DiscretePrior, TreatmentRule
@@ -165,10 +165,7 @@ def regret(rule_output: float, tau: float) -> float:
 
 
 def exact_risk(
-    rule: TreatmentRule,
-    exp: GaussianExperiment,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    tail_thresholds: Sequence[float] = (),
+    rule: TreatmentRule, exp: GaussianExperiment, tail_thresholds: Sequence[float] = ()
 ) -> RiskReport:
     """Risk report for one rule at one state.
 
@@ -177,8 +174,7 @@ def exact_risk(
     E[(f-c)^2] - (E f - c)^2 does not cancel when the statistic is sharp.  The
     four integrands share one quadrature, evaluating the rule once per node
     and writing f, (f - c)^2, Reg and Reg^2 into one (4, n) buffer; c is the
-    rule's value at the level-0 node nearest tau, which is tau itself for an
-    even spec.node_count.
+    rule's value at level 0's middle node, which is tau itself.
     Piecewise-constant rules skip quadrature in favor of the exact two-outcome
     sums.  Tail entries are computed by tail_probability for each threshold.
     """
@@ -202,17 +198,15 @@ def exact_risk(
         w_var = tau * tau * p_lo * p_hi * (vhi - vlo) ** 2
     else:
         center = []
-        n0 = spec.node_count + 1
 
         def moments(y: np.ndarray) -> np.ndarray:
             out = np.empty((4, y.size))
             frac, dev2, reg, reg2 = out
             frac[...] = rule.evaluate(y)
             if not center:
-                # c = f(tau) off level 0, the first n0 points, whose middle
-                # node is tau for an even node_count; any constant c keeps the
-                # identity exact
-                center.append(float(frac[np.argmin(np.abs(y[:n0] - tau))]))
+                # c = f(tau) at level 0's middle node, the first call's
+                # point tau + sd * 0; any constant c keeps the identity exact
+                center.append(float(frac[_INTERVALS // 2]))
             np.subtract(frac, center[0], out=dev2)
             np.multiply(dev2, dev2, out=dev2)
             np.subtract(ind, frac, out=reg)
@@ -220,7 +214,7 @@ def exact_risk(
             np.multiply(reg, reg, out=reg2)
             return out
 
-        e_frac, e_dev2, m1, m2 = gaussian_expectation(moments, tau, sd, spec).tolist()
+        e_frac, e_dev2, m1, m2 = gaussian_expectation(moments, tau, sd).tolist()
         shift = e_frac - center[0]
         w_mean = tau * e_frac
         w_var = max(tau * tau * (e_dev2 - shift * shift), 0.0)
@@ -312,7 +306,7 @@ def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray
     [-10, 10]: a discrete Gaussian correlation, taken for the whole grid by
     one FFT of the b >= 0 integrand (1 - frac)^power and one of the b < 0
     integrand frac^power.  m doubles, reusing every node, until two levels
-    agree within DEFAULT_QUADRATURE.fallback_abs_tol; that gap is the error.
+    agree within the kernel's level gap, 1e-10; that gap is the error.
     Raises ConvergenceError on a non-finite value and when the levels still
     differ at m = 64.
     """
@@ -332,7 +326,6 @@ def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray
 
     n_z = round(_HALF_WIDTH * _SCAN_DIV)
     scale = np.abs(b) ** power
-    tol = DEFAULT_QUADRATURE.fallback_abs_tol
     frac = previous = None
     m = 1
     while True:
@@ -357,7 +350,7 @@ def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray
             raise ConvergenceError(f"worst-case scan of {rule!r} is not finite")
         if previous is not None:
             gap = float(np.max(np.abs(vals - previous)))
-            if gap <= tol:
+            if gap <= _LEVEL_GAP:
                 return b, vals, gap
             if m == _SCAN_MAX_LEVEL:
                 raise ConvergenceError(
@@ -368,9 +361,9 @@ def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray
         m *= 2
 
 
-def _unit_objective(rule: TreatmentRule, power: int, spec: QuadratureSpec):
+def _unit_objective(rule: TreatmentRule, power: int):
     def obj(b: float) -> float:
-        report = exact_risk(rule, GaussianExperiment(float(b), 1.0, 1), spec)
+        report = exact_risk(rule, GaussianExperiment(float(b), 1.0, 1))
         return report.mean_regret if power == 1 else report.mean_square_regret
 
     return obj
@@ -389,7 +382,7 @@ def _unit_worst(rule: TreatmentRule, power: int) -> Tuple[float, float, bool]:
     an argsup within two grid steps of the scan edge.
     """
     grid, vals, err = _unit_curve(rule, power)
-    obj = _unit_objective(rule, power, DEFAULT_QUADRATURE)
+    obj = _unit_objective(rule, power)
     refined = [
         maximize_scalar(obj, lo, hi, tol=1e-10)
         for lo, hi in scan_brackets(grid, vals, err + _SCAN_ROUNDING)
@@ -423,17 +416,11 @@ def worst_case_mean_regret(rule: TreatmentRule, sigma: float, n: int) -> WorstCa
     return WorstCase(sup=val * scale, argsup_tau=arg * scale, saturated=saturated)
 
 
-def bayes_msr(
-    rule: TreatmentRule,
-    prior: DiscretePrior,
-    sigma: float,
-    n: int,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def bayes_msr(rule: TreatmentRule, prior: DiscretePrior, sigma: float, n: int) -> float:
     """Prior-weighted mean square regret, sum_i w_i * MSR(rule, tau_i)."""
     total = 0.0
     for tau, w in prior.support:
-        report = exact_risk(rule, GaussianExperiment(tau, sigma, n), spec)
+        report = exact_risk(rule, GaussianExperiment(tau, sigma, n))
         total += w * report.mean_square_regret
     return total
 
@@ -565,15 +552,11 @@ def simulate(
 
 
 def risk_curve(
-    rule: TreatmentRule,
-    tau_grid: Sequence[float],
-    sigma: float,
-    n: int,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    rule: TreatmentRule, tau_grid: Sequence[float], sigma: float, n: int
 ) -> List[Tuple[float, RiskReport]]:
     """exact_risk along a grid of effects, for the curve emitters."""
     return [
-        (float(tau), exact_risk(rule, GaussianExperiment(float(tau), sigma, n), spec))
+        (float(tau), exact_risk(rule, GaussianExperiment(float(tau), sigma, n)))
         for tau in tau_grid
     ]
 

@@ -18,6 +18,7 @@ from msregret import (
     tail_bounds,
     verify_dominance,
 )
+from msregret.dominance import _wrong_probability
 
 CDF_MINUS_1 = 0.15865525393145707
 CDF_MINUS_2 = 0.022750131948179216
@@ -43,8 +44,13 @@ class TestTailBounds:
         assert abs(p_plus - oracles.cdf(-2.0)) < 1e-14
 
     def test_check_flag_passes(self):
+        # each branch is monotone in tau, so on a 100-point grid of
+        # (0, tau_bar] no wrong-side probability falls below the endpoint's
+        pos = np.linspace(1.5 / 100.0, 1.5, 100)
         for t in (-0.7, 0.0, 1.3):
-            tail_bounds(t, 1.5, 0.8, check=True)
+            p_plus, p_minus = tail_bounds(t, 1.5, 0.8)
+            assert _wrong_probability(t, pos, 0.8).min() >= p_plus - 1e-10
+            assert _wrong_probability(t, -pos, 0.8).min() >= p_minus - 1e-10
 
     def test_shrinking_range_raises_the_floor(self):
         wide = tail_bounds(0.0, 2.0, 1.0)

@@ -10,7 +10,6 @@ from msregret import (
     DomainError,
     GaussianExperiment,
     MinimaxMSR,
-    QuadratureSpec,
     SaddleCertificate,
     SaddleViolation,
     bayes_objective,
@@ -92,12 +91,6 @@ class TestSolve:
         assert abs(best - tau_star_solved) < 2e-4
         assert vals.max() <= frequentist_objective(tau_star_solved) + 1e-9
 
-    def test_node_count_stability(self, tau_star_solved):
-        coarse = solve_tau_star(QuadratureSpec(node_count=64))
-        fine = solve_tau_star(QuadratureSpec(node_count=128))
-        assert abs(coarse - fine) < 1e-6
-        assert abs(coarse - tau_star_solved) < 1e-6
-
     def test_zero_tolerance_gives_the_bayes_argmax(self):
         # Brent to its relative floor alone; the two objectives' argmaxes
         # then differ by quadrature noise (3.1e-12), which is no error
@@ -118,17 +111,16 @@ class TestSolve:
         assert not hasattr(numerics, "_gh_nodes")
         calls = []
 
-        def spy(f, mean, sd, spec=lfp.DEFAULT_QUADRATURE):
-            out = numerics.gaussian_expectation(f, mean, sd, spec)
-            calls.append((spec, np.size(out)))
+        def spy(f, mean, sd):
+            out = numerics.gaussian_expectation(f, mean, sd)
+            calls.append(np.size(out))
             return out
 
-        spec = QuadratureSpec(node_count=32, fallback_abs_tol=1e-11)
         monkeypatch.setattr(lfp, "gaussian_expectation", spy)
-        got = solve_tau_star(spec)
+        got = solve_tau_star()
         # the Bayes objective at the 41 scan points, then scalar refinement calls
-        assert calls[0] == (spec, 41)
-        assert len(calls) > 1 and all(c == (spec, 1) for c in calls[1:])
+        assert calls[0] == 41
+        assert len(calls) > 1 and all(c == 1 for c in calls[1:])
         assert abs(got - ORACLE_ARGMAX) < 1e-6
 
     @pytest.mark.parametrize("lift, brackets", [
@@ -136,7 +128,7 @@ class TestSolve:
         (1e-6, [(1.95, 2.05)]),  # the lower peak is out of the running
     ])
     def test_every_near_best_scan_peak_is_refined(self, monkeypatch, lift, brackets):
-        def two_peaks(a, spec=lfp.DEFAULT_QUADRATURE):
+        def two_peaks(a):
             return -(((a - 1.0) * (a - 2.0)) ** 2) + lift * a
 
         seen = []
@@ -145,7 +137,7 @@ class TestSolve:
             seen.append((lo, hi))
             return numerics.maximize_scalar(f, lo, hi, tol)
 
-        def scan(grid, spec):
+        def scan(grid):
             return np.array([two_peaks(a) for a in grid])
 
         monkeypatch.setattr(lfp, "_objective_scan", scan)
@@ -220,26 +212,25 @@ class TestVerifySaddle:
         assert [b for _, b, _ in samples] == (0.5 * a * a * curve[: a.size]).tolist()
         assert [f for _, _, f in samples] == curve[a.size :].tolist()
 
-    def test_curve_is_one_kernel_call_with_the_given_spec(self, monkeypatch):
+    def test_curve_is_one_kernel_call(self, monkeypatch):
         calls = []
 
-        def spy(f, mean, sd, spec=lfp.DEFAULT_QUADRATURE):
-            out = numerics.gaussian_expectation(f, mean, sd, spec)
-            calls.append((spec, np.size(out)))
+        def spy(f, mean, sd):
+            out = numerics.gaussian_expectation(f, mean, sd)
+            calls.append(np.size(out))
             return out
 
-        spec = QuadratureSpec(node_count=16, fallback_abs_tol=1e-3)
         monkeypatch.setattr(lfp, "gaussian_expectation", spy)
-        loose = verify_saddle(default_tau_star(), spec=spec)
+        cert = verify_saddle(default_tau_star())
         # bayes_objective at tau_star, then the 200 nonzero rows of each column
-        assert calls == [(spec, 1), (spec, 400)]
-        assert loose.is_valid
+        assert calls == [1, 400]
+        assert cert.is_valid
 
     def test_csv_and_dict_round_trip(self, tau_star_solved):
-        cert = verify_saddle(tau_star_solved, grid_hi=1.0, grid_step=0.5)
+        cert = verify_saddle(tau_star_solved)
         lines = cert.to_csv().strip().split("\n")
         assert lines[0] == "tau,bayes_objective,frequentist_risk"
-        assert len(lines) == 4
+        assert len(lines) == 1 + 201
         back = SaddleCertificate.from_dict(cert.to_dict())
         assert back == cert
 

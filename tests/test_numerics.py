@@ -15,7 +15,6 @@ from msregret import (
     DomainError,
     GaussianExperiment,
     MinimaxMSR,
-    QuadratureSpec,
     RngSeed,
     exact_risk,
     find_root,
@@ -94,24 +93,6 @@ class TestStdNormalQuantile:
         assert abs(std_normal_cdf(std_normal_quantile(p)) - p) < 1e-10
 
 
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.node_count == 64
-        assert spec.fallback_abs_tol == 1e-10
-
-    def test_rejects_tiny_order(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(node_count=15)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(fallback_abs_tol=0.0)
-
-    def test_hashable(self):
-        assert len({QuadratureSpec(), QuadratureSpec(node_count=128)}) == 2
-
-
 class TestRngSeed:
     def test_bounds(self):
         RngSeed(0)
@@ -138,11 +119,6 @@ class TestGaussianExpectation:
         got = gaussian_expectation(f, 0.4, 0.9)
         want = oracles.normal_expectation(lambda x: 1.0 / (1.0 + math.exp(-x)), 0.4, 0.9)
         assert abs(got - want) < 1e-10
-
-    def test_custom_node_count(self):
-        spec = QuadratureSpec(node_count=128)
-        got = gaussian_expectation(lambda x: np.cos(x), 0.0, 1.0, spec)
-        assert abs(got - math.exp(-0.5)) < 1e-12
 
     def test_rejects_nonpositive_sd(self):
         with pytest.raises(DomainError):
@@ -177,21 +153,23 @@ class TestGaussianExpectation:
         with pytest.raises(ConvergenceError):
             gaussian_expectation(lambda x: np.where(x > 0.0, np.nan, 1.0), 0.0, 1.0)
 
-    @pytest.mark.parametrize("node_count", [16, 17, 64])
-    def test_first_call_holds_the_first_two_levels(self, node_count):
+    def test_first_call_holds_the_first_two_levels(self):
         sizes = []
+        points = []
 
         def f(x):
             sizes.append(x.size)
+            points.append(x)
             return 1.0 / (1.0 + np.exp(-8.0 * x))
 
-        spec = QuadratureSpec(node_count=node_count)
-        got = gaussian_expectation(f, 0.3, 1.0, spec)
+        got = gaussian_expectation(f, 0.3, 1.0)
         want = oracles.normal_expectation(lambda x: _logistic(8.0 * x), 0.3, 1.0)
         assert abs(got - want) < 1e-10
-        n = node_count
-        # level 0's n + 1 nodes and level 1's n midpoints, then one call per
-        # level; every node of the finest level, level len(sizes), once
+        n = 64
+        # level 0's n + 1 nodes, whose middle one is the mean itself, and
+        # level 1's n midpoints, then one call per level; every node of the
+        # finest level, level len(sizes), once
+        assert points[0][n // 2] == 0.3
         assert len(sizes) >= 3
         assert sizes == [2 * n + 1] + [n << level for level in range(1, len(sizes))]
         assert sum(sizes) == (n << len(sizes)) + 1
@@ -322,10 +300,8 @@ class TestExactRiskKernel:
             return evaluate(rule, stat)
 
         monkeypatch.setattr(BayesFlatMSR, "evaluate", counting)
-        for n in (64, 17):
-            sizes.clear()
-            exact_risk(BayesFlatMSR(), GaussianExperiment(1.3, 1.0, 1), QuadratureSpec(n))
-            assert sizes == [2 * n + 1] + [n << level for level in range(1, len(sizes))]
+        exact_risk(BayesFlatMSR(), GaussianExperiment(1.3, 1.0, 1))
+        assert sizes == [2 * 64 + 1] + [64 << level for level in range(1, len(sizes))]
 
     def test_welfare_sd_of_a_sharp_statistic(self):
         # sd = 1e-8: the variance is tau^2 f'(tau)^2 sd^2 to first order,

@@ -24,7 +24,6 @@ from msregret import (
     HypothesisTest,
     MinimaxMSR,
     PosteriorMatchFlat,
-    QuadratureSpec,
     RiskReport,
     RngSeed,
     Threshold,
@@ -264,80 +263,82 @@ class TestExactRisk:
         assert back == report
 
 
-# exact_risk(rule, exp, spec, (threshold,)).to_dict() of smooth rules, frozen
-# bit for bit: every float of the moment kernel's path, from rule evaluation
-# to the last trapezoid level, is pinned, at |tau| / sd up to 30 and for an
-# odd node count, whose first level has no node at tau
-DEFAULT = QuadratureSpec()
-NODES_17 = QuadratureSpec(node_count=17)
+# exact_risk(rule, exp, (threshold,)).to_dict() of smooth rules, frozen bit
+# for bit: every float of the moment kernel's path, from rule evaluation to
+# the last trapezoid level, is pinned, at |tau| / sd up to 30
 FROZEN_SMOOTH_REPORTS = [
-    (MinimaxMSR(1.22814), GaussianExperiment(0.7, 1.0, 1), DEFAULT, 0.2, {
+    (MinimaxMSR(1.22814), GaussianExperiment(0.7, 1.0, 1), 0.2, {
         "mean_regret": 0.19880048984696586, "regret_variance": 0.04464589321289996,
         "mean_square_regret": 0.08416752797629351, "welfare_mean": 0.5011995101530342,
         "welfare_sd": 0.21129574821302005, "tail": [[0.2, 0.3718490758953447]]}),
-    (MinimaxMSR(1.22814, 0.25), GaussianExperiment(-7.5, 1.0, 16), DEFAULT, 0.5, {
+    (MinimaxMSR(1.22814, 0.25), GaussianExperiment(-7.5, 1.0, 16), 0.5, {
         "mean_regret": 1.5230448616165499e-30, "regret_variance": 9.651986022276187e-58,
         "mean_square_regret": 9.675182678781153e-58, "welfare_mean": -1.5230448616165499e-30,
         "welfare_sd": 3.1067645585522225e-29, "tail": [[0.5, 2.8462066395372286e-184]]}),
-    (MinimaxMSR(5.0), GaussianExperiment(-2.3, 2.0, 4), DEFAULT, 0.1, {
+    (MinimaxMSR(5.0), GaussianExperiment(-2.3, 2.0, 4), 0.1, {
         "mean_regret": 0.02719249475632964, "regret_variance": 0.045764316650452296,
         "mean_square_regret": 0.046503748421525326, "welfare_mean": -0.02719249475632964,
         "welfare_sd": 0.21392596067437045, "tail": [[0.1, 0.02324617452002965]]}),
-    (MinimaxMSR(50.0), GaussianExperiment(0.03, 1.0, 1), DEFAULT, 0.01, {
+    (MinimaxMSR(50.0), GaussianExperiment(0.03, 1.0, 1), 0.01, {
         "mean_regret": 0.014641064811666505, "regret_variance": 0.00022128288996961135,
         "mean_square_regret": 0.0004356436687890305, "welfare_mean": 0.015358935188333494,
         "welfare_sd": 0.014875580323792796, "tail": [[0.01, 0.49079780493260167]]}),
-    (MinimaxMSR(50.0, 200.0), GaussianExperiment(30.0, 1.0, 1), DEFAULT, 1.0, {
+    (MinimaxMSR(50.0, 200.0), GaussianExperiment(30.0, 1.0, 1), 1.0, {
         "mean_regret": 1.0398977609949794e-05, "regret_variance": 3.0714114252914705e-11,
         "mean_square_regret": 1.3885284959101013e-10, "welfare_mean": 29.99998960102239,
         "welfare_sd": 5.542031599775907e-06, "tail": [[1.0, 4.967185371280016e-120]]}),
-    (BayesFlatMSR(), GaussianExperiment(1.3, 1.0, 1), DEFAULT, 0.3, {
+    (BayesFlatMSR(), GaussianExperiment(1.3, 1.0, 1), 0.3, {
         "mean_regret": 0.16552614568476107, "regret_variance": 0.09287419588537177,
         "mean_square_regret": 0.1202731007906245, "welfare_mean": 1.1344738543152388,
         "welfare_sd": 0.30475267986577537, "tail": [[0.3, 0.17785092944654102]]}),
-    (BayesFlatMSR(20.0), GaussianExperiment(-30.0, 1.0, 1), DEFAULT, 0.0, {
+    (BayesFlatMSR(20.0), GaussianExperiment(-30.0, 1.0, 1), 0.0, {
         "mean_regret": 0.21399116586423336, "regret_variance": 0.0014092962159623667,
         "mean_square_regret": 0.04720151528389621, "welfare_mean": -0.21399116586423333,
         "welfare_sd": 0.03754059424093293, "tail": [[0.0, 1.0]]}),
-    (BayesFlatMSR(3.0), GaussianExperiment(-0.4, 1.5, 9), DEFAULT, 0.1, {
+    (BayesFlatMSR(3.0), GaussianExperiment(-0.4, 1.5, 9), 0.1, {
         "mean_regret": 0.16054723073859883, "regret_variance": 0.0023289239463813033,
         "mean_square_regret": 0.02810433724421419, "welfare_mean": -0.16054723073859878,
         "welfare_sd": 0.048258926079859085, "tail": [[0.1, 0.8964523674108025]]}),
-    (PosteriorMatchFlat(), GaussianExperiment(2.0, 1.0, 1), DEFAULT, 0.5, {
+    (PosteriorMatchFlat(), GaussianExperiment(2.0, 1.0, 1), 0.5, {
         "mean_regret": 0.1572992070502851, "regret_variance": 0.0675224902018218,
         "mean_square_regret": 0.09226553074047024, "welfare_mean": 1.842700792949715,
         "welfare_sd": 0.25985089994422145, "tail": [[0.5, 0.09250098605749268]]}),
-    (PosteriorMatchFlat(0.2), GaussianExperiment(-12.0, 1.0, 1), DEFAULT, 3.0, {
+    (PosteriorMatchFlat(0.2), GaussianExperiment(-12.0, 1.0, 1), 3.0, {
         "mean_regret": 5.511083345119459e-46, "regret_variance": 5.026110080744896e-68,
         "mean_square_regret": 5.026110080744896e-68, "welfare_mean": -5.511083345119461e-46,
         "welfare_sd": 2.2418987668369186e-34, "tail": [[3.0, 8.98416334290311e-33]]}),
-    (ComplementMix(MinimaxMSR(1.22814), 0.3), GaussianExperiment(0.9, 1.0, 1), DEFAULT, 0.4, {
+    (ComplementMix(MinimaxMSR(1.22814), 0.3), GaussianExperiment(0.9, 1.0, 1), 0.4, {
         "mean_regret": 0.3533919420867663, "regret_variance": 0.01002178528800482,
         "mean_square_regret": 0.13490765001986119, "welfare_mean": 0.5466080579132339,
         "welfare_sd": 0.10010886717971001, "tail": [[0.4, 0.2521561886961805]]}),
-    (ComplementMix(BayesFlatMSR(10.0), 0.8), GaussianExperiment(-25.0, 1.0, 1), DEFAULT, 5.0, {
+    (ComplementMix(BayesFlatMSR(10.0), 0.8), GaussianExperiment(-25.0, 1.0, 1), 5.0, {
         "mean_regret": 19.99731802617112, "regret_variance": 1.2455039919006977e-06,
         "mean_square_regret": 399.89272948533227, "welfare_mean": -19.99731802617111,
         "welfare_sd": 0.0011160215015404934, "tail": [[5.0, 1.0]]}),
-    (MinimaxMSR(1.22814), GaussianExperiment(0.7, 1.0, 1), NODES_17, 0.2, {
-        "mean_regret": 0.19880048984696586, "regret_variance": 0.04464589321289993,
-        "mean_square_regret": 0.08416752797629352, "welfare_mean": 0.5011995101530341,
-        "welfare_sd": 0.21129574821301997, "tail": [[0.2, 0.3718490758953447]]}),
-    (BayesFlatMSR(), GaussianExperiment(-4.0, 1.0, 1), NODES_17, 0.5, {
-        "mean_regret": 0.0012155077089777953, "regret_variance": 0.0006207496608928352,
-        "mean_square_regret": 0.0006222271198834198, "welfare_mean": -0.0012155077089777953,
-        "welfare_sd": 0.0249148482012802, "tail": [[0.5, 0.00034473729344351245]]}),
-    (PosteriorMatchFlat(), GaussianExperiment(20.0, 2.0, 1), NODES_17, 1.0, {
-        "mean_regret": 3.743968508584524e-18, "regret_variance": 1.9042479734411278e-19,
-        "mean_square_regret": 1.904247973638343e-19, "welfare_mean": 20.000000000000004,
-        "welfare_sd": 4.3637689827042034e-10, "tail": [[1.0, 2.2045788616817652e-20]]}),
-
+    (MinimaxMSR(1.22814), GaussianExperiment(0.7, 1.0, 1), 0.2, {
+        "mean_regret": 0.19880048984696586, "regret_variance": 0.04464589321289996,
+        "mean_square_regret": 0.08416752797629351, "welfare_mean": 0.5011995101530342,
+        "welfare_sd": 0.21129574821302005, "tail": [[0.2, 0.3718490758953447]]}),
+    (BayesFlatMSR(), GaussianExperiment(-4.0, 1.0, 1), 0.5, {
+        "mean_regret": 0.0012155077089777947, "regret_variance": 0.0006207496608928346,
+        "mean_square_regret": 0.0006222271198834189, "welfare_mean": -0.0012155077089777947,
+        "welfare_sd": 0.024914848201280187, "tail": [[0.5, 0.00034473729344351245]]}),
+    (PosteriorMatchFlat(), GaussianExperiment(20.0, 2.0, 1), 1.0, {
+        "mean_regret": 3.743995003583278e-18, "regret_variance": 1.9068178966041852e-19,
+        "mean_square_regret": 1.906817896604185e-19, "welfare_mean": 20.0,
+        "welfare_sd": 4.366712604012526e-10, "tail": [[1.0, 2.2045788616817652e-20]]}),
+]
+# the ids the suite has always listed these cases under
+FROZEN_SMOOTH_IDS = [
+    f"rule{i}-exp{i}-spec{i}-{threshold}-payload{i}"
+    for i, (_, _, threshold, _) in enumerate(FROZEN_SMOOTH_REPORTS)
 ]
 
 
-@pytest.mark.parametrize("rule, exp, spec, threshold, payload", FROZEN_SMOOTH_REPORTS)
-def test_smooth_reports_are_frozen_bit_for_bit(rule, exp, spec, threshold, payload):
-    got = exact_risk(rule, exp, spec, (threshold,)).to_dict()
+@pytest.mark.parametrize("rule, exp, threshold, payload", FROZEN_SMOOTH_REPORTS,
+                         ids=FROZEN_SMOOTH_IDS)
+def test_smooth_reports_are_frozen_bit_for_bit(rule, exp, threshold, payload):
+    got = exact_risk(rule, exp, (threshold,)).to_dict()
     # json.dumps spells -0.0 and every float's repr, so equal text is equal bits
     assert json.dumps(got) == json.dumps(payload)
 
@@ -347,7 +348,7 @@ def test_frozen_flat_rule_tails_match_mpmath():
     # 9.1e-13 (relative) from these references; the rule's own inverse gives
     # 1.1e-16, 2.2e-17 and 2.2e-15
     checked = 0
-    for rule, exp, spec, threshold, payload in FROZEN_SMOOTH_REPORTS:
+    for rule, exp, threshold, payload in FROZEN_SMOOTH_REPORTS:
         (c, got), = payload["tail"]
         if type(rule) is BayesFlatMSR and 0.0 < got < 1.0:
             want = oracles.bayes_flat_tail_mp(rule.scale, exp.tau, exp.stat_sd, c)
