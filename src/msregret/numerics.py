@@ -7,12 +7,12 @@ trapezoid rule on z in [-10, 10], which converges geometrically on integrands
 analytic in a strip (Trefethen & Weideman, SIAM Review 56(3), 2014).  The
 grid is fixed: 64 intervals at the first level, and each halving of the step
 reuses every node.  The change between two levels is the error estimate,
-accepted at 1e-10 on every component.  Since the estimate needs two levels, the integrand's
-first call covers levels 0 and 1 together, and each later level is one call;
-the sums still run level by level, in the order of one call per level.  An
-integrand that does not settle within ten halvings (a jump, for instance), is
-not negligible at the window edges, or is non-finite raises ConvergenceError
-instead of returning a doubtful number.
+accepted at 1e-10 on every component.  Since the estimate needs two levels,
+the integrand's first call covers levels 0 and 1 together, and each later
+level is one call; the sums still run level by level, in the order of one
+call per level.  An integrand that does not settle within ten halvings (a
+jump, for instance), is not negligible at the window edges, or is non-finite
+raises ConvergenceError instead of returning a doubtful number.
 
 find_root and maximize_scalar are Brent's root finder and his bounded
 minimizer (R. P. Brent, Algorithms for Minimization without Derivatives,
