@@ -14,9 +14,10 @@ Each rule declares the facts the risk functionals need: step is
 otherwise; direction is +1 (nondecreasing) or -1 (nonincreasing); and
 stat_at(q) gives the statistic where the fraction crosses q: the logistic
 rule by logit, posterior probability matching by the normal quantile, the
-flat-prior and discrete-prior Bayes rules by safeguarded Newton searches on
-Python floats whose results are certified against their own computed
-fractions, and a complement mixture through its base.  A rule that declares
+flat-prior and discrete-prior Bayes rules by one search on Python floats
+(_crossing), driven by each rule's Newton proposals and certified against
+the rule's own computed fractions, and a complement mixture through its
+base.  A rule that declares
 no step form and lacks either a direction or an inverse of its own has no
 exact tail probability, and the risk module refuses it.  Rules serialize
 through one kind registry (rule_to_dict, rule_from_dict); their
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -64,7 +66,7 @@ Stat = Union[float, np.ndarray]
 _FLOAT_MAX = sys.float_info.max
 _FLOAT_TINY = math.ulp(0.0)
 _EPS = sys.float_info.epsilon
-# Newton iterations DiscretePriorBayes.stat_at takes before it brackets
+# Newton iterations DiscretePriorBayes.stat_at takes before it bisects
 _NEWTON_STEPS = 8
 # and the relative margin it puts beyond the farthest crossing the least slope
 # of the log-odds allows, so a two-point prior's Newton step lands inside
@@ -208,6 +210,46 @@ def _finite_toward(y: float, z: float) -> float:
     return math.copysign(min(max(abs(y), _FLOAT_TINY), _FLOAT_MAX), z)
 
 
+def _crossing(q: float, probe, lo: float, hi: float, far: float, x: float) -> float:
+    """Statistic y+ where a nondecreasing computed fraction f crosses q.
+
+    The crossing lies in (lo, hi), one end of which, far, f has not been
+    evaluated at; x is the first point to try.  probe(y, restart) returns
+    f(y); the next point to try, which the search takes when it lies inside
+    the bracket and otherwise replaces by the midpoint; and the least
+    distance to push a far end at y by.  restart is True where y is a far
+    end being checked.  The search stops at adjacent floats y- < y+ with
+    f(y-) < q <= f(y+), and returns y+, so the crossing is certified against
+    f's own values, not a tolerance.  Where it ends beside far, it checks
+    far, and while the check fails pushes far outward to at least twice its
+    size; a crossing beyond the finite floats gives +-inf.
+    """
+    above = far == hi
+    while True:
+        if hi == math.nextafter(lo, math.inf):
+            if (hi if above else lo) != far:
+                return hi
+            f, x, least = probe(far, True)
+            if (f >= q) == above:
+                return hi
+            if abs(far) == _FLOAT_MAX:
+                return far * math.inf
+            pushed = _finite_toward(abs(far) + max(abs(far), least), far)
+            lo, hi = (far, pushed) if above else (pushed, far)
+            far = pushed
+            continue
+        if not lo < x < hi:
+            x = 0.5 * lo + 0.5 * hi
+            if not lo < x < hi:
+                x = math.nextafter(lo, math.inf)
+        f, nxt, _ = probe(x, False)
+        if f >= q:
+            hi = x
+        else:
+            lo = x
+        x = nxt
+
+
 def _bayes_flat_fraction(u):
     """The flat-prior Bayes fraction cdf(u) + u * pdf(u) / (1 + u^2), clipped
     to [0, 1], at a float or an array u; a float u goes through the same
@@ -229,16 +271,14 @@ class BayesFlatMSR(TreatmentRule):
     underflows; the classic Mills bound keeps the value inside [0, 1] for
     every finite u.
 
-    stat_at(q) inverts the computed f by safeguarded Newton on Python floats.
-    The slope is f'(u) = 2 pdf(u) / (1 + u^2)^2.  Since f - cdf has the sign
-    of u, the crossing lies between 0, where f is exactly 1/2, and
-    scale * ndtri(q); that end is checked with the computed f when the search
-    ends beside it, and pushed outward while it fails.  The search stops at
-    adjacent floats y- < y+ with f(y- / scale) < q <= f(y+ / scale), and
-    returns y+, so the result is certified against the rule's own values, not
-    a tolerance.  q = 1/2 gives 0.0, where the symmetry f(-u) = 1 - f(u)
-    puts the crossing; a q that no finite statistic reaches, which takes a
-    scale near the float maximum, gives +-inf.
+    stat_at(q) inverts the computed f with the certified crossing search
+    (_crossing).  Since f - cdf has the sign of u, the crossing lies between
+    0, where f is exactly 1/2, and the far end scale * ndtri(q).  Newton uses
+    the slope f'(u) = 2 pdf(u) / (1 + u^2)^2, on the log of the nearer tail's
+    mass far from q, and moves one float where its step is below one.
+    q = 1/2 gives 0.0, where the symmetry f(-u) = 1 - f(u) puts the
+    crossing; a q that no finite statistic reaches, which takes a scale near
+    the float maximum, gives +-inf.
     """
 
     scale: float = 1.0
@@ -261,38 +301,13 @@ class BayesFlatMSR(TreatmentRule):
         above = q > 0.5
         z = std_normal_quantile(q)
         far = _finite_toward(s * z, z)
-        lo, hi = (0.0, far) if above else (far, 0.0)
         # Newton aims half an ulp below q, at the edge of the floats that
-        # round to q; it starts from u = z/2 + z^3/48 + ... near 0, which
-        # tends to u = z far out
+        # round to q
         half = 0.5 * (q - math.nextafter(q, 0.0))
-        x = far * (12.0 + z * z) / (24.0 + z * z)
-        while True:
-            if hi == math.nextafter(lo, math.inf):
-                if (hi if above else lo) != far:
-                    return hi
-                # the search ends beside the unchecked end: check it
-                fx = float(_bayes_flat_fraction(far / s))
-                if (fx >= q) == above:
-                    return hi
-                if abs(far) == _FLOAT_MAX:
-                    return far * math.inf
-                if above:
-                    lo, hi = far, _finite_toward(2.0 * far, z)
-                else:
-                    lo, hi = _finite_toward(2.0 * far, z), far
-                far = hi if above else lo
-                continue
-            if not lo < x < hi:
-                x = lo + 0.5 * (hi - lo)
-                if not lo < x < hi:
-                    x = math.nextafter(lo, math.inf)
-            fx = float(_bayes_flat_fraction(x / s))
-            if fx >= q:
-                hi = x
-            else:
-                lo = x
+
+        def probe(x: float, restart: bool) -> tuple:
             u = x / s
+            fx = float(_bayes_flat_fraction(u))
             w = 1.0 + u * u
             slope = 2.0 * math.exp(-0.5 * u * u) / (_SQRT2PI * w * w) / s
             g = (fx - q) + half
@@ -306,7 +321,14 @@ class BayesFlatMSR(TreatmentRule):
                     g = -m * math.log(m / (1.0 - q)) if above else m * math.log(m / q)
             nxt = x - g / slope if slope > 0.0 else math.nan
             # a step below one float moves one float toward the other side
-            x = math.nextafter(x, math.inf if fx < q else -math.inf) if nxt == x else nxt
+            if nxt == x:
+                nxt = math.nextafter(x, math.inf if fx < q else -math.inf)
+            return fx, nxt, 0.0
+
+        # the first point is u = z/2 + z^3/48 + ... near 0, which tends to
+        # u = z far out
+        lo, hi = (0.0, far) if above else (far, 0.0)
+        return _crossing(q, probe, lo, hi, far, far * (12.0 + z * z) / (24.0 + z * z))
 
 
 @dataclass(frozen=True)
@@ -383,7 +405,7 @@ class DiscretePrior:
     """Finitely supported prior over the treatment effect.
 
     support is a tuple of (tau, weight) pairs with positive weights summing to
-    one and distinct locations.  Use from_pairs to normalize raw weights.
+    one and distinct, finite locations.  Use from_pairs to normalize raw weights.
     """
 
     support: Tuple[Tuple[float, float], ...]
@@ -393,6 +415,8 @@ class DiscretePrior:
             raise DomainError("prior support must be nonempty")
         taus = [t for t, _ in self.support]
         weights = [w for _, w in self.support]
+        if not all(math.isfinite(t) for t in taus):
+            raise DomainError("prior support points must be finite")
         if len(set(taus)) != len(taus):
             raise DomainError("prior support points must be distinct")
         if any(not w > 0 for w in weights):
@@ -401,10 +425,10 @@ class DiscretePrior:
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
         # derived once, since tilted_posterior_match_msr reads them on every
-        # call, solve_bayes_foc reads max|tau| on every call, and its scalar
-        # calls keep their per-alpha_g terms in _foc_terms, which
-        # DiscretePriorBayes.stat_at reuses on each of its evaluations; none
-        # is a field, so equality, hashing and to_dict see support alone
+        # call, solve_bayes_foc reads max|tau| on every call, and
+        # DiscretePriorBayes.stat_at keeps its per-alpha_g terms in
+        # _foc_terms; none is a field, so equality, hashing and to_dict see
+        # support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
         weights.setflags(write=False)
@@ -443,23 +467,22 @@ class DiscretePriorBayes(TreatmentRule):
     the closed-form solution of the posterior first-order condition at each
     statistic value (solve_bayes_foc).
 
-    stat_at(q) inverts the computed fraction by safeguarded Newton on Python
-    floats.  The fraction is clamp(expit(L)) with the log-odds
-    L(y) = (log A - log B) / e, e = alpha_g - 1, whose slope is
-    (E_A tau - E_B tau) / (sd^2 e), the means of tau under A's and B's
-    weights.  That slope is at least (min positive tau - max negative tau)
-    / (sd^2 e), which bounds how far from 0 the crossing can lie; that far
-    end is checked with the computed fraction when the search ends beside it,
-    and pushed outward while it fails.  Newton aims L at the logit of the
-    lower edge of the floats that round to q, exact in one step for a
+    stat_at(q) inverts the fraction with the certified crossing search
+    (_crossing), computing it on Python floats in solve_bayes_foc's
+    operation order, which gives the same bits.  The fraction is
+    clamp(expit(L)) with the log-odds L(y) = (log A - log B) / e,
+    e = alpha_g - 1, whose slope is (E_A tau - E_B tau) / (sd^2 e), the means
+    of tau under A's and B's weights.  That slope is at least
+    (min positive tau - max negative tau) / (sd^2 e), which bounds how far
+    from 0 the crossing can lie: the far end.  Newton aims L at the logit of
+    the lower edge of the floats that round to q, exact in one step for a
     two-point prior, whose L is linear.  Within the rounding scale of L,
     where Newton cannot tell the floats apart, steps from the last iterate
-    double until they cross, and bisection closes the bracket.  Every
-    fraction comes from solve_bayes_foc's scalar path, so the search stops at
-    adjacent floats y- < y+ with f(y-) < q <= f(y+) of the rule's own values,
-    and returns y+.  The clamp to [1e-12, 1 - 1e-12] gives -inf for
-    q <= 1e-12 and +inf for q > 1 - 1e-12, and a crossing beyond the finite
-    floats gives +-inf.  Raises PriorSupportError for a one-sided prior, and
+    double until they cross; past a budget of Newton steps, and once the
+    steps cross, bisection closes the bracket.  A pushed far end starts
+    both afresh.  The clamp to [1e-12, 1 - 1e-12] gives -inf for q <= 1e-12
+    and +inf for q > 1 - 1e-12, and a crossing beyond the finite floats
+    gives +-inf.  Raises PriorSupportError for a one-sided prior, and
     DomainError when noise_sd**2 is 0 or not finite or a fraction is NaN,
     where a crossing cannot be certified.
     """
@@ -486,7 +509,14 @@ class DiscretePriorBayes(TreatmentRule):
         _require_two_sided(prior)
         var = _variance(self.noise_sd)
         e = self.alpha_g - 1.0
-        m, pairs = _scalar_foc_terms(prior, self.alpha_g)
+        # float(alpha_g) keys the memo, so an int, a numpy float and a 0-d
+        # array share one entry, and each multiplies log|tau| to the same bits
+        key = float(self.alpha_g)
+        terms = prior._foc_terms.get(key)
+        if terms is None:
+            m, taus, log_terms = _foc_terms(prior, key)
+            terms = prior._foc_terms[key] = (m, list(zip(taus.tolist(), log_terms.tolist())))
+        m, pairs = terms
         taus = [t for t, _ in pairs]
         gap = min(taus[m:]) - max(taus[:m])
         # sd^2 z_i = tau_i (y - tau_i / 2) + sd^2 log_term_i is at most this
@@ -500,14 +530,15 @@ class DiscretePriorBayes(TreatmentRule):
         width /= q * (1.0 - q)
 
         def at(y: float, newton: bool = True) -> tuple:
-            # solve_bayes_foc's scalar fraction at y and, for Newton, the step
-            # to the target, the rounding scale of L on the statistic, and
-            # E_A tau - E_B tau; sd^2 multiplies rather than divides, so
-            # neither overflows where z does
-            z = _scalar_z(pairs, var, y)
-            log_a, log_b = _logaddexp_fold(z[m:]), _logaddexp_fold(z[:m])
+            # the fraction at y, in solve_bayes_foc's operation order with each
+            # sign folded one pair at a time as np.logaddexp.reduce does, and,
+            # for Newton, the step to the target, the rounding scale of L on
+            # the statistic, and E_A tau - E_B tau; sd^2 multiplies rather
+            # than divides, so neither overflows where z does
+            z = [(y - 0.5 * t) * t / var + lt for t, lt in pairs]
+            log_a, log_b = reduce(np.logaddexp, z[m:]), reduce(np.logaddexp, z[:m])
             log_odds = (log_a - log_b) / e
-            f = _clamped_expit(log_odds)
+            f = min(max(float(special.expit(log_odds)), 1e-12), 1.0 - 1e-12)
             if f != f:
                 raise DomainError(f"{self!r} is NaN at {y!r}, so no crossing of {q!r} "
                                   "can be certified")
@@ -519,51 +550,35 @@ class DiscretePriorBayes(TreatmentRule):
             scale = (_EPS * (abs(y) * top + z_floor) + e * width * var) / spread
             return f, float(log_odds - target) * per, scale, spread
 
-        x = 0.0
-        f, step, scale, spread = at(x)
+        newton, jump = _NEWTON_STEPS, 0.0
+
+        def step_from(y: float, f: float, step: float, scale: float) -> float:
+            # Newton for a few steps, then bisection; within the rounding
+            # scale Newton cannot tell the floats apart, so steps from y
+            # toward the crossing double until they cross
+            nonlocal newton, jump
+            if jump or abs(step) <= scale:
+                jump = 2.0 * jump if jump else max(scale, math.ulp(y))
+                return y - jump if f >= q else y + jump
+            newton -= 1
+            return y - step if newton > 0 else math.nan
+
+        def probe(y: float, restart: bool) -> tuple:
+            # a pushed far end starts the Newton steps afresh
+            nonlocal newton, jump
+            if restart:
+                newton, jump = _NEWTON_STEPS, 0.0
+            f, step, scale, _ = at(y, not jump)
+            return f, step_from(y, f, step, scale), scale
+
+        f, step, scale, spread = at(0.0)
         # the crossing lies below 0 where f(0) >= q, else above; far is the
         # farthest crossing the least slope allows, a few rounding scales out
-        down = f >= q
-        side = -1.0 if down else 1.0
+        side = -1.0 if f >= q else 1.0
         reach = max(0.0, -side * step * spread / gap) * _WIDEN + max(0.0, 4.0 * scale)
         far = _finite_toward(reach, side)
-        lo, hi = (far, x) if down else (x, far)
-        newton = _NEWTON_STEPS
-        jump = 0.0
-        while True:
-            if hi == math.nextafter(lo, math.inf):
-                if (lo if down else hi) != far:
-                    return hi
-                # the search ends beside the unchecked end: check it, and push
-                # it outward while it fails
-                f, step, scale, _ = at(far)
-                if (f >= q) != down:
-                    return hi
-                if abs(far) == _FLOAT_MAX:
-                    return far * math.inf
-                x, far = far, _finite_toward(abs(far) + max(abs(far), scale), side)
-                lo, hi = (far, x) if down else (x, far)
-                newton = _NEWTON_STEPS
-                jump = 0.0
-                continue
-            nxt = x - step
-            if jump or abs(step) <= scale:
-                # within the rounding scale Newton cannot tell the floats
-                # apart: step from x toward the crossing, doubling the step
-                jump = 2.0 * jump if jump else max(scale, math.ulp(x))
-                nxt = x - jump if f >= q else x + jump
-            elif newton:
-                newton -= 1
-            if not lo < nxt < hi or not (newton or jump):
-                nxt = 0.5 * lo + 0.5 * hi
-                if not lo < nxt < hi:
-                    nxt = math.nextafter(lo, math.inf)
-            x = nxt
-            f, step, scale, _ = at(x, not jump)
-            if f >= q:
-                hi = x
-            else:
-                lo = x
+        lo, hi = (far, 0.0) if f >= q else (0.0, far)
+        return _crossing(q, probe, lo, hi, far, step_from(0.0, f, step, scale))
 
 
 def evaluate(rule: TreatmentRule, stat: Stat) -> Stat:
@@ -590,11 +605,6 @@ def _variance(noise_sd: float) -> float:
     return var
 
 
-def _nan_fraction(var: float) -> DomainError:
-    return DomainError(f"the Bayes fraction is NaN at a statistic that is a number: at "
-                       f"noise_sd**2 = {var!r} both of its log sums are -inf")
-
-
 def _foc_terms(prior: DiscretePrior, alpha_g: float) -> tuple:
     # the m negative support points, then the positive ones, each in support
     # order, with log w_i + alpha_g log|tau_i|
@@ -603,38 +613,6 @@ def _foc_terms(prior: DiscretePrior, alpha_g: float) -> tuple:
     support += [p for p in prior.support if p[0] > 0]
     taus = np.array([t for t, _ in support])
     return m, taus, np.log(np.array([w for _, w in support])) + alpha_g * np.log(np.abs(taus))
-
-
-def _scalar_foc_terms(prior: DiscretePrior, alpha_g) -> tuple:
-    # _foc_terms as m and (tau_i, log term) pairs of Python floats, kept on the
-    # prior: float(alpha_g) is the key, so an int, a numpy float and a 0-d
-    # array share one entry, and each multiplies log|tau| to the same bits
-    key = float(alpha_g)
-    scalar = prior._foc_terms.get(key)
-    if scalar is None:
-        m, taus, log_terms = _foc_terms(prior, key)
-        scalar = prior._foc_terms[key] = (m, list(zip(taus.tolist(), log_terms.tolist())))
-    return scalar
-
-
-def _scalar_z(pairs: list, var: float, stat: float) -> list:
-    # z_i = log w_i + alpha_g log|tau_i| + tau_i (y - tau_i / 2) / sd^2, in the
-    # array path's operation order
-    return [(stat - 0.5 * t) * t / var + lt for t, lt in pairs]
-
-
-def _clamped_expit(log_odds) -> float:
-    # max and min return their first argument unless the second is strictly
-    # beyond it, so a NaN passes through as np.maximum's would
-    return float(min(max(special.expit(log_odds), 1e-12), 1.0 - 1e-12))
-
-
-def _logaddexp_fold(z: list):
-    # what np.logaddexp.reduce does along an axis: one pair at a time, in order
-    acc = z[0]
-    for x in z[1:]:
-        acc = np.logaddexp(acc, x)
-    return acc
 
 
 def solve_bayes_foc(
@@ -665,14 +643,9 @@ def solve_bayes_foc(
     the logaddexp reductions of the two slices along that axis, so each sums
     exactly the terms of its own sign in support order, as reducing the signs
     one at a time would, and the result is the same bit for bit, infinite and
-    NaN statistics included.  A Python float statistic takes a path on
-    Python floats: the partition and log w_i + alpha_g log|tau_i| are kept on
-    the prior per alpha_g, so the scalar calls of a root search over one rule
-    build them once; each z is formed in the same operation order, each sign
-    folded by successive np.logaddexp calls in support order, which is what
-    the reduction does, then the same expit and clamp, so it returns the
-    array path's bits at a scalar's cost.  An array statistic builds the
-    terms afresh and stores nothing.
+    NaN statistics included.  A Python float statistic goes through the same
+    array path; only DiscretePriorBayes.stat_at computes the fraction on
+    Python floats, in the same operation order.
 
     Accepts a float or an ndarray statistic and returns the matching type.
     Raises PriorSupportError when the prior mass is one-sided, and
@@ -689,18 +662,6 @@ def solve_bayes_foc(
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
     var = _variance(noise_sd)
-    if type(stat) is float:
-        # the inverse calls once per iterate on one rule, so the terms are
-        # kept per prior and alpha_g as Python floats
-        m, pairs = _scalar_foc_terms(prior, alpha_g)
-        z = _scalar_z(pairs, var, stat)
-        log_odds = (_logaddexp_fold(z[m:]) - _logaddexp_fold(z[:m])) / (alpha_g - 1.0)
-        out = _clamped_expit(log_odds)
-        if out != out and stat == stat:
-            raise _nan_fraction(var)
-        return out
-    # an array call stores nothing: a table or a simulate block on a fresh
-    # rule would pay for storing the terms
     m, taus, log_terms = _foc_terms(prior, alpha_g)
     y = np.asarray(stat, dtype=float)
     shape = (-1,) + (1,) * y.ndim
@@ -715,7 +676,8 @@ def solve_bayes_foc(
     if prior._max_abs_tau**2 >= var * _FLOAT_MAX:
         nan = np.isnan(delta)
         if nan.any() and not np.isnan(y[nan]).all():
-            raise _nan_fraction(var)
+            raise DomainError(f"the Bayes fraction is NaN at a statistic that is a number: "
+                              f"at noise_sd**2 = {var!r} both of its log sums are -inf")
     return _match(np.minimum(np.maximum(delta, 1e-12), 1.0 - 1e-12), stat)
 
 
@@ -727,16 +689,23 @@ def tilted_posterior_match_msr(
 
         sum_{tau_i >= 0} w_i(stat) tau_i^2 / sum_i w_i(stat) tau_i^2.
 
-    Agrees with solve_bayes_foc at alpha_g = 2 to 1e-10.
+    Agrees with solve_bayes_foc at alpha_g = 2 to 1e-10.  Raises DomainError
+    as solve_bayes_foc does for noise_sd**2 that is 0 or overflows, and for a
+    NaN at a statistic that is not NaN, where every tilted weight is 0.
     """
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
+    _variance(noise_sd)
     taus = prior.taus
     logw = np.log(prior.weights) - 0.5 * ((stat - taus) / noise_sd) ** 2
     w = np.exp(logw - logw.max())
     tilt = w * taus * taus
-    return float(tilt[taus >= 0].sum() / tilt.sum())
+    out = float(tilt[taus >= 0].sum() / tilt.sum())
+    if out != out and stat == stat:
+        raise DomainError(f"the tilted posterior probability is NaN at {stat!r}: at noise_sd "
+                          f"{noise_sd!r} every tau^2-tilted posterior weight is 0")
+    return out
 
 
 # --- JSON mapping ----------------------------------------------------------

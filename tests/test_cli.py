@@ -152,6 +152,16 @@ class TestExitCodes:
         assert code == 2
         assert "tau:weight" in err
 
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
+    def test_a_support_point_that_is_not_finite(self, capsys, point):
+        code, out, err = run_cli(
+            capsys,
+            ["rule-eval", "--rule", "prior-bayes", f"--prior=-1:0.5,{point}:0.2,1:0.3",
+             "--stat", "0.3"],
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: --prior: prior support points must be finite"
+
     def test_prior_bayes_without_prior(self, capsys):
         code, _, err = run_cli(capsys, ["rule-eval", "--rule", "prior-bayes", "--stat", "0"])
         assert code == 2

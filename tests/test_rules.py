@@ -2,6 +2,7 @@
 import json
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,6 +379,13 @@ class TestDiscretePrior:
         with pytest.raises(DomainError):
             DiscretePrior(())
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_support_point_that_is_not_finite(self, tau):
+        with pytest.raises(DomainError, match="finite"):
+            DiscretePrior.from_pairs([(-1.0, 0.5), (tau, 0.2), (1.0, 0.3)])
+        with pytest.raises(DomainError, match="finite"):
+            DiscretePrior(((-1.0, 0.5), (tau, 0.5)))
+
     def test_two_sided_flag(self):
         assert DiscretePrior.from_pairs([(1.0, 1.0), (-2.0, 1.0)]).two_sided
         assert not DiscretePrior.from_pairs([(1.0, 1.0), (2.0, 1.0)]).two_sided
@@ -392,6 +400,21 @@ class TestDiscretePrior:
         twin = DiscretePrior(((-1.0, 0.25), (2.0, 0.75)))
         assert twin == prior and hash(twin) == hash(prior)
         assert "taus" not in repr(prior)
+
+
+def _inverse_probe(rule, q=0.5):
+    # the probe that rule.stat_at(q) hands the shared crossing search: the
+    # rule's fraction on Python floats and its next point
+    probes = []
+    search = rules_module._crossing
+
+    def spy(q, probe, *args):
+        probes.append(probe)
+        return search(q, probe, *args)
+
+    with mock.patch.object(rules_module, "_crossing", spy):
+        rule.stat_at(q)
+    return probes[0]
 
 
 class TestBayesFoc:
@@ -430,6 +453,18 @@ class TestBayesFoc:
         prior = DiscretePrior.from_pairs([(2.0, 0.5), (-1.0, 0.5)])
         got = tilted_posterior_match_msr(prior, 1.0, 0.0)
         assert abs(got - 0.4716041777561374) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sd, match", [
+        (1e-170, "noise_sd"),  # noise_sd**2 underflows to 0
+        (1e-160, "NaN"),  # every ((stat - tau) / sd)^2 overflows
+    ])
+    def test_tilted_refuses_an_unusable_variance(self, sd, match):
+        prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+        with pytest.raises(DomainError, match=match):
+            tilted_posterior_match_msr(prior, sd, 0.0)
+        # a NaN statistic still gives NaN
+        assert math.isnan(tilted_posterior_match_msr(prior, 1e-160, math.nan))
 
     def test_higher_power_steers_toward_balance(self):
         # heavier regret powers penalize the large error harder, pulling the
@@ -613,7 +648,8 @@ class TestBayesFoc:
         stats = np.concatenate([rng.uniform(-4.0, 4.0, 20), rng.uniform(-60.0, 60.0, 4)])
         vals = rule.evaluate(stats)
         assert vals.shape == stats.shape
-        scalars = np.array([rule.evaluate(float(s)) for s in stats])
+        probe = _inverse_probe(rule)
+        scalars = np.array([probe(float(s), True)[0] for s in stats])
         assert scalars.tobytes() == vals.tobytes()
         assert rule.evaluate(stats.reshape(4, 6)).tobytes() == vals.tobytes()
 
@@ -833,12 +869,18 @@ class TestBayesFocFrozen:
     @pytest.mark.parametrize("alpha_g", [2.0, 3.0])
     @pytest.mark.parametrize("warm", [int, np.float64, np.array])
     def test_memo_warmed_through_another_alpha_g_type(self, alpha_g, warm):
-        # the terms and their float form are built by the first call, with
+        # the inverse's first call builds the terms and their float form with
         # alpha_g of another type; every later type must read the same pins
+        # and find the crossings a cold prior does
         want = self.FROZEN_BAYES[alpha_g]
+        qs = (0.1, 0.5, 0.7, 1.0 - 1e-9)
+        cold = DiscretePrior.from_pairs(self.PIN_PAIRS)
+        crossings = [DiscretePriorBayes(cold, alpha_g, 0.8).stat_at(q) for q in qs]
         prior = DiscretePrior.from_pairs(self.PIN_PAIRS)
-        solve_bayes_foc(prior, warm(alpha_g), 0.8, 0.7)
+        DiscretePriorBayes(prior, warm(alpha_g), 0.8).stat_at(0.7)
         for a in (alpha_g, int(alpha_g), np.float64(alpha_g), np.array(alpha_g)):
+            rule = DiscretePriorBayes(prior, a, 0.8)
+            assert [rule.stat_at(q) for q in qs] == crossings
             scalars = [solve_bayes_foc(prior, a, 0.8, s) for s in self.SCALARS]
             assert all(type(v) is float for v in scalars)
             assert self.same(scalars, want["scalars"])
@@ -906,8 +948,8 @@ class TestBayesFocFrozen:
 
 
 class TestFocTermsMemo:
-    """solve_bayes_foc keeps each prior's sign split and log terms per alpha_g
-    for its scalar calls."""
+    """DiscretePriorBayes.stat_at keeps each prior's sign split and log terms
+    per alpha_g."""
 
     PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
 
@@ -953,8 +995,10 @@ class TestFocTermsMemo:
         rule = DiscretePriorBayes(prior, 3.0, 1.0)
         rule.evaluate(np.linspace(-4.0, 4.0, 24))
         rule.evaluate(np.float64(0.5))
-        assert not prior._foc_terms and prior._foc_terms.sets == 0
         rule.evaluate(0.5)
+        assert not prior._foc_terms and prior._foc_terms.sets == 0
+        rule.stat_at(0.3)
+        rule.stat_at(0.8)
         assert list(prior._foc_terms) == [3.0] and prior._foc_terms.sets == 1
 
     def test_the_memo_is_invisible(self):
@@ -963,7 +1007,7 @@ class TestFocTermsMemo:
         cold = DiscretePrior.from_pairs(self.PAIRS)
         warm = DiscretePrior.from_pairs(self.PAIRS)
         for alpha_g in (1.5, 2.0, 3.0):
-            DiscretePriorBayes(warm, alpha_g, 1.0).evaluate(0.25)
+            DiscretePriorBayes(warm, alpha_g, 1.0).stat_at(0.25)
         assert len(warm._foc_terms) == 3 and not cold._foc_terms
         assert warm == cold and hash(warm) == hash(cold)
         rule_w, rule_c = (DiscretePriorBayes(p, 2.0, 1.0) for p in (warm, cold))
@@ -972,6 +1016,7 @@ class TestFocTermsMemo:
         twin = pickle.loads(pickle.dumps(rule_w))
         assert twin == rule_w == rule_c and hash(twin) == hash(rule_c)
         assert twin.evaluate(0.25) == rule_w.evaluate(0.25)
+        assert twin.stat_at(0.25) == rule_w.stat_at(0.25) == rule_c.stat_at(0.25)
 
 
 def _assert_prior_certified(rule, q):
@@ -1068,13 +1113,40 @@ class TestDiscretePriorInverse:
 
     def test_a_far_end_short_of_the_crossing_is_pushed(self, monkeypatch):
         # a margin below 1 puts the first far end of a two-point prior inside
-        # its crossing, so the search checks that end and pushes it out
+        # its crossing, and a normal quantile 2^-10 of its size puts the flat
+        # rule's there, so the shared search checks that end and pushes it out
+        pushed = []
+        search = rules_module._crossing
+
+        def spy(q, probe, *args):
+            # whether the crossing lies beyond a far end the search checked
+            ends = []
+
+            def counted(y, restart):
+                if restart:
+                    ends.append(y)
+                return probe(y, restart)
+
+            y = search(q, counted, *args)
+            pushed.append(any(abs(y) > abs(end) for end in ends))
+            return y
+
+        monkeypatch.setattr(rules_module, "_crossing", spy)
         monkeypatch.setattr(rules_module, "_WIDEN", 0.5)
         for pairs in ([(-2.0, 0.5), (1.0, 0.5)], [(-1.0, 0.6), (2.5, 0.4)]):
             for sd in (0.5, 1.0, 1e3):
                 rule = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), 2.0, sd)
                 for q in (1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9):
                     _assert_prior_certified(rule, q)
+        assert len(pushed) == 30 and all(pushed)
+        pushed.clear()
+        quantile = rules_module.std_normal_quantile
+        monkeypatch.setattr(rules_module, "std_normal_quantile",
+                            lambda q: quantile(q) * 2.0**-10)
+        for scale in (1.0, 0.2, 5.0, 1e-300, 1e300):
+            for q in (1e-300, 1e-9, 0.1, 0.4, 0.6, 0.9, 1.0 - 1e-9, 1.0 - 1e-15):
+                _assert_certified(BayesFlatMSR(scale), q)
+        assert len(pushed) == 40 and all(pushed)
 
     def test_a_crossing_beyond_the_floats_is_infinite(self):
         rule = DiscretePriorBayes(DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)]), 2.0, 1e154)
