@@ -7,12 +7,14 @@ trapezoid rule on z in [-10, 10], which converges geometrically on integrands
 analytic in a strip (Trefethen & Weideman, SIAM Review 56(3), 2014).  The
 grid is fixed: 64 intervals at the first level, and each halving of the step
 reuses every node.  The change between two levels is the error estimate,
-accepted at 1e-10 on every component.  Since the estimate needs two levels,
-the integrand's first call covers levels 0 and 1 together, and each later
-level is one call; the sums still run level by level, in the order of one
-call per level.  An integrand that does not settle within ten halvings (a
-jump, for instance), is not negligible at the window edges, or is non-finite
-raises ConvergenceError instead of returning a doubtful number.
+accepted at 1e-10 on every component.  The integrand's first call covers
+levels 0, 1 and 2, since a smooth rule's risk often needs the third, and
+each later level is one call.  The sums still run level by level, level 2's
+only once levels 0 and 1 disagree, so every value, refusal and stopping
+level is that of one call per level.  An integrand that does not settle
+within ten halvings (a jump, for instance), is not negligible at the window
+edges, or is non-finite raises ConvergenceError instead of returning a
+doubtful number.
 
 find_root and maximize_scalar are Brent's root finder and his bounded
 minimizer (R. P. Brent, Algorithms for Minimization without Derivatives,
@@ -55,6 +57,7 @@ _INTERVALS = 64  # trapezoid intervals of the first level
 _LEVEL_GAP = 1e-10  # two levels this close on every component are accepted
 _EDGE_DENSITY = math.exp(-0.5 * _HALF_WIDTH**2) / _SQRT2PI
 _MAX_HALVINGS = 10
+_FIRST_CALL_LEVELS = 3  # levels the integrand's first call covers
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 _ROOT_MAXITER = 200
 _MAX_EVALS = 500
@@ -129,11 +132,13 @@ def _trapezoid_level(level: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _first_levels() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level 0's nodes followed by level 1's, and each level's weights."""
-    z0, w0 = _trapezoid_level(0)
-    z1, w1 = _trapezoid_level(1)
-    return np.concatenate((z0, z1)), w0, w1
+def _first_levels() -> Tuple[np.ndarray, tuple]:
+    """Levels 0, 1 and 2's nodes in that order, and per level the (start,
+    stop) of its columns among them and its weights."""
+    levels = [_trapezoid_level(level) for level in range(_FIRST_CALL_LEVELS)]
+    ends = np.cumsum([0] + [z.size for z, _ in levels]).tolist()
+    return (np.concatenate([z for z, _ in levels]),
+            tuple((a, b, w) for a, b, (_, w) in zip(ends, ends[1:], levels)))
 
 
 def gaussian_expectation(f: Callable, mean: float, sd: float) -> float | np.ndarray:
@@ -143,25 +148,26 @@ def gaussian_expectation(f: Callable, mean: float, sd: float) -> float | np.ndar
     stacked integrands; the result is a float or a length-k array.  The
     trapezoid rule starts at 64 intervals and halves its step, evaluating f
     at the new midpoints only, until two levels agree within 1e-10 on every
-    component.  Since that takes two levels at least, the first call of f
-    gets level 0's 65 nodes, whose middle one (index 32) is the mean, and
-    level 1's 64 midpoints together, in that order; each later level is one
-    call.  Raises ConvergenceError as the module docstring describes,
-    DomainError for sd <= 0.
+    component.  The first call of f gets level 0's 65 nodes, whose middle one
+    (index 32) is the mean, level 1's 64 midpoints and level 2's 128, in
+    that order; each later level is one call.  Level 2's columns are summed
+    only when levels 0 and 1 disagree, so they do not matter, even as NaN,
+    to an integrand that settles at level 1.  Raises ConvergenceError as the
+    module docstring describes, DomainError for sd <= 0.
     """
     if not sd > 0:
         raise DomainError(f"sd must be positive, got {sd}")
-    n0 = _INTERVALS + 1
-    z, w0, w1 = _first_levels()
+    z, first = _first_levels()
     vals = np.asarray(f(mean + sd * z), dtype=float)
     # level 0's end columns are its first and last nodes
+    n0 = _INTERVALS + 1
     if np.abs(vals[..., 0:n0:n0 - 1]).max() * _EDGE_DENSITY > _LEVEL_GAP:
         raise ConvergenceError(f"integrand not negligible at z = +-{_HALF_WIDTH}")
-    first = (vals[..., :n0] @ w0, vals[..., n0:] @ w1)
     total, previous = 0.0, None
     for level in range(_MAX_HALVINGS + 1):
-        if level < 2:
-            part = first[level]
+        if level < _FIRST_CALL_LEVELS:
+            a, b, w = first[level]
+            part = vals[..., a:b] @ w
         else:
             z, w = _trapezoid_level(level)
             part = np.asarray(f(mean + sd * z), dtype=float) @ w

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy.special import expit
 
 import oracles
 from msregret import (
@@ -24,6 +25,7 @@ from msregret import (
     std_normal_pdf,
     std_normal_quantile,
 )
+from msregret import numerics
 from msregret.numerics import scan_brackets
 
 # frozen from oracles.py (erfc route)
@@ -153,7 +155,7 @@ class TestGaussianExpectation:
         with pytest.raises(ConvergenceError):
             gaussian_expectation(lambda x: np.where(x > 0.0, np.nan, 1.0), 0.0, 1.0)
 
-    def test_first_call_holds_the_first_two_levels(self):
+    def test_first_call_holds_the_first_three_levels(self):
         sizes = []
         points = []
 
@@ -166,16 +168,18 @@ class TestGaussianExpectation:
         want = oracles.normal_expectation(lambda x: _logistic(8.0 * x), 0.3, 1.0)
         assert abs(got - want) < 1e-10
         n = 64
-        # level 0's n + 1 nodes, whose middle one is the mean itself, and
-        # level 1's n midpoints, then one call per level; every node of the
-        # finest level, level len(sizes), once
+        # level 0's n + 1 nodes, whose middle one is the mean itself, level
+        # 1's n midpoints and level 2's 2n, then one call per level, level L
+        # adding n << (L - 1); every node of the finest level, level
+        # len(sizes) + 1, once
         assert points[0][n // 2] == 0.3
-        assert len(sizes) >= 3
-        assert sizes == [2 * n + 1] + [n << level for level in range(1, len(sizes))]
-        assert sum(sizes) == (n << len(sizes)) + 1
+        assert len(sizes) >= 2
+        assert sizes == [4 * n + 1] + [n << (level - 1) for level in range(3, len(sizes) + 2)]
+        assert sum(sizes) == (n << (len(sizes) + 1)) + 1
+        assert np.unique(np.concatenate(points)).size == sum(sizes)
 
     def test_edge_check_reads_level_zero_ends(self):
-        # the last column of the first call is level 1's outermost midpoint,
+        # the last column of the first call is level 2's outermost midpoint,
         # which the edge check does not read; level 0's ends are z = +-10
         with pytest.raises(ConvergenceError, match="not negligible"):
             gaussian_expectation(lambda x: np.where(x == -10.0, 1e20, 0.0), 0.0, 1.0)
@@ -232,6 +236,91 @@ class TestKernelRefusals:
             gaussian_expectation(wrap(lambda x: np.where(abs(x) < 0.5, 1e308, 0.0)), 0.0, 1.0)
         with pytest.raises(ConvergenceError, match=r"^integrand not negligible at z = \+-10.0$"):
             gaussian_expectation(wrap(lambda x: np.where(x == 10.0, 1e20, 0.0)), 0.0, 1.0)
+
+
+def _one_call_per_level(f, mean, sd):
+    """The kernel as one integrand call per level, each level's sum taken
+    from its own fresh array: (value, the level it stops at)."""
+    n0 = numerics._INTERVALS + 1
+    total, previous = 0.0, None
+    for level in range(numerics._MAX_HALVINGS + 1):
+        z, w = numerics._trapezoid_level(level)
+        vals = np.asarray(f(mean + sd * z), dtype=float)
+        if level == 0 and (np.abs(vals[..., 0:n0:n0 - 1]).max() * numerics._EDGE_DENSITY
+                           > numerics._LEVEL_GAP):
+            raise AssertionError("the reference's integrands are negligible at the edges")
+        total = total + vals @ w
+        value = total * (2.0 * numerics._HALF_WIDTH / (numerics._INTERVALS << level))
+        assert np.isfinite(value).all()
+        if previous is not None and float(np.abs(value - previous).max()) <= numerics._LEVEL_GAP:
+            return value, level
+        previous = value
+    raise AssertionError("the reference's integrands settle within the halving cap")
+
+
+def _same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestKernelMatchesOneCallPerLevel:
+    """Taking three levels in the first call changes no bit of any value,
+    nor the level the kernel stops at."""
+
+    @staticmethod
+    def _kernel(f, mean, sd):
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
+
+        value = gaussian_expectation(counted, mean, sd)
+        # the first call holds levels 0 to 2 and each later call one level,
+        # so one call is level 2 as far as the calls show
+        return value, len(sizes) + 1, sizes
+
+    def test_logistic_slopes_stopping_at_levels_one_to_six(self):
+        rng = np.random.default_rng(19)
+        levels = set()
+        for c, mean in zip(10 ** rng.uniform(-1.0, 2.0, 60), rng.uniform(0.1, 2.0, 60)):
+            f = lambda x, c=c: expit(c * x)
+            want, level = _one_call_per_level(f, mean, 1.0)
+            got, calls_level, _ = self._kernel(f, mean, 1.0)
+            assert isinstance(got, float)
+            assert _same_bits(got, want), (c, mean)
+            assert calls_level == max(level, 2), (c, mean)
+            levels.add(level)
+        assert levels == {1, 2, 3, 4, 5, 6}
+
+    def test_stacked_integrands(self):
+        rng = np.random.default_rng(1906)
+        for _ in range(10):
+            slopes = 10 ** rng.uniform(-1.0, 2.0, 5)
+            mean, sd = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+            f = lambda x, c=slopes[:, None]: expit(c * x)
+            want, level = _one_call_per_level(f, mean, sd)
+            got, calls_level, _ = self._kernel(f, mean, sd)
+            assert got.shape == (5,)
+            assert _same_bits(got, want)
+            assert calls_level == max(level, 2)
+
+    def test_nan_at_a_level_two_node_of_an_integrand_settled_at_level_one(self):
+        z2, _ = numerics._trapezoid_level(2)
+        mean, sd = 0.4, 1.3
+        bad = mean + sd * z2[5]
+
+        nans = []
+
+        def f(x):
+            out = np.where(x == bad, np.nan, np.cos(0.5 * x))
+            nans.append(int(np.isnan(out).sum()))
+            return out
+
+        want, level = _one_call_per_level(f, mean, sd)
+        assert level == 1 and nans == [0, 0]
+        got, _, sizes = self._kernel(f, mean, sd)
+        assert sizes == [4 * 64 + 1] and nans[2:] == [1]
+        assert _same_bits(got, want)
 
 
 def _logistic(x: float) -> float:
@@ -291,17 +380,21 @@ class TestExactRiskKernel:
         points = np.concatenate(seen)
         assert len(points) == len(np.unique(points))
 
-    def test_rule_sees_the_first_two_levels_in_one_call(self, monkeypatch):
-        sizes = []
+    def test_rule_sees_the_first_three_levels_in_one_call(self, monkeypatch):
+        seen = []
         evaluate = BayesFlatMSR.evaluate
 
         def counting(rule, stat):
-            sizes.append(np.size(stat))
+            seen.append(np.array(stat, dtype=float).ravel())
             return evaluate(rule, stat)
 
         monkeypatch.setattr(BayesFlatMSR, "evaluate", counting)
         exact_risk(BayesFlatMSR(), GaussianExperiment(1.3, 1.0, 1))
-        assert sizes == [2 * 64 + 1] + [64 << level for level in range(1, len(sizes))]
+        n = 64
+        sizes = [x.size for x in seen]
+        assert sizes == [4 * n + 1] + [n << (level - 1) for level in range(3, len(sizes) + 2)]
+        assert seen[0][n // 2] == 1.3
+        assert np.unique(np.concatenate(seen)).size == sum(sizes)
 
     def test_welfare_sd_of_a_sharp_statistic(self):
         # sd = 1e-8: the variance is tau^2 f'(tau)^2 sd^2 to first order,
