@@ -252,8 +252,16 @@ def _crossing(q: float, probe, lo: float, hi: float, far: float, x: float) -> fl
 
 def _bayes_flat_fraction(u):
     """The flat-prior Bayes fraction cdf(u) + u * pdf(u) / (1 + u^2), clipped
-    to [0, 1], at a float or an array u; a float u goes through the same
-    ufuncs as an array's elements and gives their bits as a numpy float."""
+    to [0, 1], at a Python float or an array u.
+
+    A float takes np.exp and ndtr as ufuncs, which give it an array
+    element's bits, and does the rest on floats in the array path's order,
+    at under a third of a 0-d array's cost; its clamp passes a NaN as
+    np.maximum and np.minimum do.
+    """
+    if type(u) is float:
+        pdf = float(np.exp(-0.5 * u * u)) / _SQRT2PI
+        return min(max(float(special.ndtr(u)) + u * pdf / (1.0 + u * u), 0.0), 1.0)
     # std_normal_cdf and std_normal_pdf written out, without their float
     # round trips; np.clip's wrapper costs more than the arithmetic
     pdf = np.exp(-0.5 * u * u) / _SQRT2PI
@@ -297,7 +305,7 @@ class BayesFlatMSR(TreatmentRule):
             return -math.inf if q <= 0.0 else math.inf
         if q == 0.5:
             return 0.0
-        s = self.scale
+        s = float(self.scale)  # so u = x / s takes the fraction's float path
         above = q > 0.5
         z = std_normal_quantile(q)
         far = _finite_toward(s * z, z)
@@ -307,7 +315,7 @@ class BayesFlatMSR(TreatmentRule):
 
         def probe(x: float, restart: bool) -> tuple:
             u = x / s
-            fx = float(_bayes_flat_fraction(u))
+            fx = _bayes_flat_fraction(u)
             w = 1.0 + u * u
             slope = 2.0 * math.exp(-0.5 * u * u) / (_SQRT2PI * w * w) / s
             g = (fx - q) + half
@@ -689,19 +697,24 @@ def tilted_posterior_match_msr(
 
         sum_{tau_i >= 0} w_i(stat) tau_i^2 / sum_i w_i(stat) tau_i^2.
 
-    Agrees with solve_bayes_foc at alpha_g = 2 to 1e-10.  Raises DomainError
-    as solve_bayes_foc does for noise_sd**2 that is 0 or overflows, and for a
+    Agrees with solve_bayes_foc at alpha_g = 2 to 1e-10, also where the
+    posterior piles on a support point at 0.  Raises DomainError as
+    solve_bayes_foc does for noise_sd**2 that is 0 or overflows, and for a
     NaN at a statistic that is not NaN, where every tilted weight is 0.
     """
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     _require_two_sided(prior)
     _variance(noise_sd)
-    taus = prior.taus
-    logw = np.log(prior.weights) - 0.5 * ((stat - taus) / noise_sd) ** 2
-    w = np.exp(logw - logw.max())
-    tilt = w * taus * taus
-    out = float(tilt[taus >= 0].sum() / tilt.sum())
+    # log w_i(stat) tau_i^2 over tau_i != 0, normalized by its own maximum,
+    # since the largest posterior weight may sit at tau = 0, where the tilt
+    # is 0
+    nonzero = prior.taus != 0.0
+    taus = prior.taus[nonzero]
+    log_tilt = (np.log(prior.weights[nonzero]) + 2.0 * np.log(np.abs(taus))
+                - 0.5 * ((stat - taus) / noise_sd) ** 2)
+    tilt = np.exp(log_tilt - log_tilt.max())
+    out = float(tilt[taus > 0].sum() / tilt.sum())
     if out != out and stat == stat:
         raise DomainError(f"the tilted posterior probability is NaN at {stat!r}: at noise_sd "
                           f"{noise_sd!r} every tau^2-tilted posterior weight is 0")

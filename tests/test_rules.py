@@ -2,6 +2,7 @@
 import json
 import math
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -257,6 +258,23 @@ class TestBayesFlatInverse:
             _assert_float_is_array(u)
             _assert_float_is_array(-u)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_float_branch_is_the_array_path_on_a_seeded_sweep(self):
+        # a Python float takes its own branch; it must give a one-element
+        # array's bits, NaN included (the fraction is NaN at +-inf)
+        rng = np.random.default_rng(19)
+        size = 10.0 ** rng.uniform(-300.0, math.log10(40.0), 2000)
+        us = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, math.inf, -math.inf, math.nan]
+        us += (size * rng.choice([-1.0, 1.0], size.size)).tolist()
+        f = rules_module._bayes_flat_fraction
+        nans = 0
+        for u in us:
+            got, want = f(u), f(np.array([u]))[0]
+            assert type(got) is float, u
+            assert np.float64(got).tobytes() == want.tobytes(), u
+            nans += math.isnan(got)
+        assert nans == 3
+
     def test_crossing_is_certified(self):
         rng = np.random.default_rng(20261019)
         qs = [0.5 - 2.0**-54, 0.5 + 2.0**-53, 1e-15, 1.0 - 1e-15, 5e-324, 1e-300,
@@ -465,6 +483,19 @@ class TestBayesFoc:
             tilted_posterior_match_msr(prior, sd, 0.0)
         # a NaN statistic still gives NaN
         assert math.isnan(tilted_posterior_match_msr(prior, 1e-160, math.nan))
+
+    @pytest.mark.parametrize("stat", [0.0, 0.004, -0.004])
+    def test_tilted_posterior_piled_on_a_zero_support_point(self, stat):
+        # at noise_sd 0.01 the posterior sits on tau = 0 by e^5000 against
+        # +-1, and the tau^2 tilt zeroes that point; the tilted weights are
+        # normalized among themselves, so no warning and no refusal
+        prior = DiscretePrior.from_pairs([(-1.0, 0.3), (0.0, 0.4), (1.0, 0.3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tilted_posterior_match_msr(prior, 0.01, stat)
+        assert abs(got - solve_bayes_foc(prior, 2.0, 0.01, stat)) < 1e-10
+        if stat == 0.0:
+            assert got == 0.5
 
     def test_higher_power_steers_toward_balance(self):
         # heavier regret powers penalize the large error harder, pulling the
