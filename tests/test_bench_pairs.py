@@ -205,3 +205,31 @@ def test_copy_worktree_takes_tracked_and_untracked_files_but_not_ignored_ones(tm
     got = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert got == [".gitignore", "new.py", "src/a.py"]
     assert (dest / "src" / "a.py").read_text() == "tracked, edited\nagain\n"
+
+
+def test_family_labels_name_each_risk_operations_rule_family(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "workloads.py").write_text(
+        "def build(workload, seed):\n"
+        "    assert (workload, seed) == ('risk-curves', 5)\n"
+        "    return [{'kind': 'risk', 'rule': {'name': 'bayes-flat'}},\n"
+        "            {'kind': 'cli', 'argv': ['saddle']},\n"
+        "            {'kind': 'risk', 'rule': {'name': 'logistic', 'c': 2.0}}]\n"
+    )
+    got = bench_pairs.family_labels(tmp_path, "risk-curves", 5, ["risk", "saddle", "risk"])
+    assert got == ["risk:bayes-flat", "saddle", "risk:logistic"]
+    with pytest.raises(SystemExit, match="2 timed operations, but bench/workloads.py builds 3"):
+        bench_pairs.family_labels(tmp_path, "risk-curves", 5, ["risk", "risk"])
+
+
+def test_family_labels_leave_a_list_without_risk_operations_as_it_is(tmp_path):
+    # no bench/workloads.py under tmp_path: nothing is loaded
+    kinds = ["table", "tail", "simulate"]
+    assert bench_pairs.family_labels(tmp_path, "prior-bayes", 1, kinds) is kinds
+
+
+def test_family_labels_of_the_risk_curves_workload():
+    ops = bench_pairs.family_labels(bench_pairs.ROOT, "risk-curves", 1, ["risk"] * 108)
+    kind_s, _ = bench_pairs.by_kind(ops, [1.0] * 108)
+    assert kind_s == {"risk:es": 12, "risk:ht": 12, "risk:minimax": 12, "risk:bayes-flat": 18,
+                      "risk:post-match": 12, "risk:logistic": 24, "risk:mix": 18}

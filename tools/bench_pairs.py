@@ -17,10 +17,12 @@ the pairs of the per-kind sums of operation times (kind_s: the operation
 medians that bench-out/W-seedS.json records for a run, summed by kind, in
 seconds at the reference speed) and of each kind's fastest and slowest
 operation median (kind_range), which places a kind at the rank a percentile
-metric reads.  An existing file keeps its other workloads, so several
-invocations fill one file.  A gain is claimed
-for a metric when the change wins at least nine tenths of the pairs and the
-medians differ by more than the distance between the parent's quartiles.
+metric reads.  A risk operation's kind carries its rule family, read from
+bench/workloads.py (risk:bayes-flat, risk:logistic, ...), so kind_s shows
+which family a change moved.  An existing file keeps its other workloads, so
+several invocations fill one file.  A gain is claimed for a metric when the
+change wins at least nine tenths of the pairs and the medians differ by more
+than the distance between the parent's quartiles.
 
 Each pair also runs the unmodified bench/worker.py of each side once more,
 with --check 0, and compares the two lists of output digests: the pair
@@ -31,6 +33,7 @@ outputs were identical.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import math
@@ -96,7 +99,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         raise SystemExit(f"bench/run.py failed in {checkout}:\n{proc.stderr[-2000:]}")
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads((checkout / "bench-out" / f"{workload}-seed{seed}.json").read_text())
-    kind_s, kind_range = by_kind(record["record"]["kinds"], record["record"]["op_s"])
+    kinds = family_labels(checkout, workload, seed, record["record"]["kinds"])
+    kind_s, kind_range = by_kind(kinds, record["record"]["op_s"])
     return {
         "correct": out["correct"],
         "attempted": out["attempted"],
@@ -105,6 +109,24 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "kind_s": kind_s,
         "kind_range": kind_range,
     }
+
+
+def family_labels(checkout: Path, workload: str, seed: int, kinds: list) -> list:
+    """kinds with each risk operation labelled by its rule family
+    (risk:bayes-flat), read from the operation list that checkout's
+    bench/workloads.py builds; a list without risk operations is returned
+    as it is."""
+    if "risk" not in kinds:
+        return kinds
+    spec = importlib.util.spec_from_file_location("workloads", checkout / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.build(workload, seed)
+    if len(ops) != len(kinds):
+        raise SystemExit(f"{workload} seed {seed}: {len(kinds)} timed operations, "
+                         f"but bench/workloads.py builds {len(ops)}")
+    return [f"risk:{op['rule']['name']}" if kind == "risk" else kind
+            for kind, op in zip(kinds, ops)]
 
 
 def by_kind(kinds: list, op_s: list) -> tuple:
