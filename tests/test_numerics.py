@@ -240,16 +240,12 @@ class TestKernelRefusals:
 
 def _one_call_per_level(f, mean, sd):
     """The kernel as one integrand call per level, each level's sum taken
-    from its own fresh array: (value, the level it stops at)."""
-    n0 = numerics._INTERVALS + 1
+    from its own fresh array: (value, the level it stops at).  Its callers'
+    integrands are negligible at the window edges and finite."""
     total, previous = 0.0, None
     for level in range(numerics._MAX_HALVINGS + 1):
         z, w = numerics._trapezoid_level(level)
-        vals = np.asarray(f(mean + sd * z), dtype=float)
-        if level == 0 and (np.abs(vals[..., 0:n0:n0 - 1]).max() * numerics._EDGE_DENSITY
-                           > numerics._LEVEL_GAP):
-            raise AssertionError("the reference's integrands are negligible at the edges")
-        total = total + vals @ w
+        total = total + np.asarray(f(mean + sd * z), dtype=float) @ w
         value = total * (2.0 * numerics._HALF_WIDTH / (numerics._INTERVALS << level))
         assert np.isfinite(value).all()
         if previous is not None and float(np.abs(value - previous).max()) <= numerics._LEVEL_GAP:
@@ -308,7 +304,6 @@ class TestKernelMatchesOneCallPerLevel:
         z2, _ = numerics._trapezoid_level(2)
         mean, sd = 0.4, 1.3
         bad = mean + sd * z2[5]
-
         nans = []
 
         def f(x):
