@@ -9,9 +9,9 @@ functional of the form E[Reg^alpha_g] reduces to exact normal-CDF arithmetic:
                                             + lam^alpha_g * P(right | tau))
 
 for the mixture (1-lam) * base + lam * (1-base).  The wrong-side probability
-P(wrong | tau) is Phi((t-tau)/sd) for tau > 0 and 1 - Phi((t-tau)/sd) for
-tau < 0; over tau in [-tau_bar, tau_bar] it is minimized at the endpoints,
-giving the two tail bounds p_plus and p_minus.  With m = min(p_plus, p_minus)
+P(wrong | tau) is Phi((t-tau)/sd) for tau > 0 and Phi((tau-t)/sd), its own
+tail, for tau < 0; over tau in [-tau_bar, tau_bar] it is minimized at the
+endpoints, giving the tail bounds p_plus and p_minus.  With m = min(p_plus, p_minus)
 and r = m / (1-m), the mixing weight
 
     lambda_star = r^(1/(alpha_g-1)) / (1 + r^(1/(alpha_g-1)))
@@ -54,9 +54,9 @@ class DominanceViolation(RuntimeError):
 
 
 def _wrong_probability(t: float, tau: np.ndarray, noise_sd: float) -> np.ndarray:
-    """P(threshold rule picks the regret-incurring side | tau), elementwise."""
-    below = std_normal_cdf((t - np.asarray(tau, dtype=float)) / noise_sd)
-    return np.where(np.asarray(tau) > 0, below, 1.0 - below)
+    """P(threshold rule picks the regret-incurring side | tau), from its own tail."""
+    tau = np.asarray(tau, dtype=float)
+    return std_normal_cdf(np.where(tau > 0, t - tau, tau - t) / noise_sd)
 
 
 def tail_bounds(t: float, tau_bar: float, noise_sd: float) -> Tuple[float, float]:
@@ -71,7 +71,7 @@ def tail_bounds(t: float, tau_bar: float, noise_sd: float) -> Tuple[float, float
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
     p_plus = float(std_normal_cdf((t - tau_bar) / noise_sd))
-    p_minus = float(1.0 - std_normal_cdf((t + tau_bar) / noise_sd))
+    p_minus = float(std_normal_cdf(-(t + tau_bar) / noise_sd))
     return p_plus, p_minus
 
 

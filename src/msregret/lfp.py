@@ -17,12 +17,13 @@ two-point prior on {-tau_star, +tau_star} least favorable: the Bayes risk of
 the prior equals the worst-case risk of the rule, which certifies minimaxity
 of delta_{tau_star} among all rules.
 
-solve_tau_star maximizes bayes_objective alone: a certified 41-point scan of
-[0.5, 2.5] in one Gaussian-expectation call, then a Brent refinement of every
-scan peak that could hold the maximum.
-verify_saddle checks the saddle-point equalities numerically and samples the
-two curves on a grid for plotting.  The shipped constant lives in _constants.py, written by
-write_constants from a fresh solve.
+bayes_objective also takes an array of calibrations.  solve_tau_star
+maximizes bayes_objective alone: a certified 41-point scan of [0.5, 2.5] in
+one Gaussian-expectation call, then a Brent refinement of every scan peak
+that could hold the maximum.  verify_saddle checks the saddle-point
+equalities numerically and samples the two curves on a grid for plotting,
+bit for bit bayes_objective and exact_risk.  The shipped constant lives in
+_constants.py, written by write_constants from a fresh solve.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .numerics import (
     scan_brackets,
     _LEVEL_GAP,
 )
-from .risk import worst_case_msr
+from .risk import _curve_moments, worst_case_msr
 from .rules import MinimaxMSR
 
 __all__ = [
@@ -69,11 +70,12 @@ class SaddleViolation(RuntimeError):
     """Numerical saddle-point check failed."""
 
 
-def bayes_objective(a: float) -> float:
-    """Bayes MSR of expit(2 a s) against the symmetric two-point prior at +-a."""
-    if a == 0.0:
-        return 0.0
-    val = gaussian_expectation(lambda s: expit(-2.0 * a * s), a, 1.0)
+def bayes_objective(a: float | np.ndarray) -> float | np.ndarray:
+    """Bayes MSR of expit(2 a s) against the symmetric two-point prior at +-a,
+    at a float a or at each of a 1-D array of them with the float's bits."""
+    slope = -2.0 * (a[:, None] if isinstance(a, np.ndarray) else a)
+    # the kernel's points are fresh on each call, so the integrand maps them in place
+    val = gaussian_expectation(lambda s: expit(np.multiply(slope, s, out=s), out=s), a, 1.0)
     return 0.5 * a * a * val
 
 
@@ -85,20 +87,6 @@ def frequentist_objective(a: float) -> float:
     return a * a * val
 
 
-def _objective_scan(grid: np.ndarray) -> np.ndarray:
-    """bayes_objective over a calibration grid from one kernel call.
-
-    Each calibration a contributes the row expit(-2 a (a + z)), the integrand
-    of bayes_objective at s = a + z, so every value is certified to within
-    a^2 / 2 times the kernel's level gap, 1e-10.
-    """
-    a = np.asarray(grid, dtype=float)
-    col = a[:, None]
-    return 0.5 * a * a * gaussian_expectation(
-        lambda z: expit(-2.0 * col * (col + z)), 0.0, 1.0
-    )
-
-
 def solve_tau_star(tol: float = 1e-7) -> float:
     """Argmax of bayes_objective, which is also frequentist_objective's.
 
@@ -106,8 +94,9 @@ def solve_tau_star(tol: float = 1e-7) -> float:
     the tilt phi(s + a) = phi(s - a) q / p and q(-s) = p(s) give
     E_a[p q] = E_a[q^2], so E_a[q] = E_a[q^2] + E_a[p q] = 2 E_a[q^2].  Only
     the Bayes one is searched.  It is scanned at the 41 points
-    a = 0.5, 0.55, ..., 2.5 by one gaussian_expectation call, so each scan
-    value is certified to within a^2 / 2 times the kernel's level gap, 1e-10.
+    a = 0.5, 0.55, ..., 2.5 by one bayes_objective call on the array, so each
+    scan value is bayes_objective(a), certified to within a^2 / 2 times the
+    kernel's level gap, 1e-10.
     Every scan local maximum within two such errors at a = 2.5 of the best
     one is refined by Brent's bounded search to tol between its grid
     neighbours, and the largest refined value's calibration is returned.
@@ -117,7 +106,7 @@ def solve_tau_star(tol: float = 1e-7) -> float:
     err = _SCAN_HI**2 * _LEVEL_GAP
     refined = [
         maximize_scalar(bayes_objective, lo, hi, tol=tol)
-        for lo, hi in scan_brackets(grid, _objective_scan(grid), err)
+        for lo, hi in scan_brackets(grid, bayes_objective(grid), err)
     ]
     return max(refined, key=lambda r: r[1])[0]
 
@@ -172,11 +161,10 @@ def verify_saddle(tau_star: float) -> SaddleCertificate:
     ..., 4 must never exceed the worst case by more than 1e-8.  Any failure
     raises SaddleViolation.
 
-    Both curve columns come from one stacked gaussian_expectation call: a
-    Bayes row expit(-2 a (a + z)) and a frequentist row (a (1 - f(a + z)))^2
-    for each nonzero grid tau = a, so every row is certified to the kernel's
-    level gap, since the kernel stops only when all rows have converged.
-    The tau = 0 row is exactly zero.
+    The Bayes column is bayes_objective at the grid taus, one kernel call,
+    and the frequentist column exact_risk's mean square regret from its
+    batched moments (risk._curve_moments); each value is the pointwise
+    call's, bit for bit, and the tau = 0 row is exactly zero.
     """
     if not tau_star > 0:
         raise DomainError(f"tau_star must be positive, got {tau_star}")
@@ -186,30 +174,8 @@ def verify_saddle(tau_star: float) -> SaddleCertificate:
     worst = worst_case_msr(rule, 1.0, 1)
 
     taus = np.arange(0.0, _CURVE_HI + _CURVE_STEP / 2, _CURVE_STEP)
-    nonzero = taus != 0.0
-    a = taus[nonzero]
-    col = a[:, None]
-
-    def rows(z: np.ndarray) -> np.ndarray:
-        # s = a + z is the statistic at effect a; the Bayes rows are
-        # bayes_objective's integrand, the frequentist rows exact_risk's
-        # squared regret.  Both halves are written into one buffer, s held in
-        # the frequentist half until the rule has read it.
-        out = np.empty((2 * a.size, z.size))
-        bayes, freq = out[: a.size], out[a.size :]
-        s = np.add(col, z, out=freq)
-        expit(np.multiply(-2.0 * col, s, out=bayes), out=bayes)
-        np.subtract(1.0, rule.evaluate(s), out=freq)
-        np.multiply(col, freq, out=freq)
-        np.multiply(freq, freq, out=freq)
-        return out
-
-    curve = gaussian_expectation(rows, 0.0, 1.0)
-    bayes_col = np.zeros(taus.size)
-    freq_col = np.zeros(taus.size)
-    bayes_col[nonzero] = 0.5 * a * a * curve[: a.size]
-    freq_col[nonzero] = curve[a.size :]
-    samples = tuple(zip(taus.tolist(), bayes_col.tolist(), freq_col.tolist()))
+    freq = _curve_moments(rule, taus, 1.0)[:, 1]
+    samples = tuple(zip(taus.tolist(), bayes_objective(taus).tolist(), freq.tolist()))
 
     cert = SaddleCertificate(
         tau_star=tau_star,

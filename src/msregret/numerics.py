@@ -14,7 +14,7 @@ only once levels 0 and 1 disagree, so every value, refusal and stopping
 level is that of one call per level.  An integrand that does not settle
 within ten halvings (a jump, for instance), is not negligible at the window
 edges, or is non-finite raises ConvergenceError instead of returning a
-doubtful number.
+doubtful number.  An array of means stops each effect at its own level.
 
 find_root and maximize_scalar are Brent's root finder and his bounded
 minimizer (R. P. Brent, Algorithms for Minimization without Derivatives,
@@ -142,44 +142,61 @@ def _first_levels() -> Tuple[np.ndarray, tuple]:
             tuple((a, b, w) for a, b, (_, w) in zip(ends, ends[1:], levels)))
 
 
-def gaussian_expectation(f: Callable, mean: float, sd: float) -> float | np.ndarray:
+def gaussian_expectation(f: Callable, mean: float | np.ndarray, sd: float) -> float | np.ndarray:
     """E[f(X)] with X ~ N(mean, sd^2) for a smooth, normal-integrable f.
 
-    f maps an ndarray of points to values of shape (n,), or (k, n) for k
-    stacked integrands; the result is a float or a length-k array.  The
-    trapezoid rule starts at 64 intervals and halves its step, evaluating f
-    at the new midpoints only, until two levels agree within 1e-10 on every
-    component.  The first call of f gets level 0's 65 nodes, whose middle one
-    (index 32) is the mean, level 1's 64 midpoints and level 2's 128, in
-    that order; each later level is one call.  Level 2's columns are summed
-    only when levels 0 and 1 disagree, so they do not matter, even as NaN,
-    to an integrand that settles at level 1.  Raises ConvergenceError as the
-    module docstring describes, DomainError for sd <= 0.
+    f maps an ndarray of points, fresh on each call and its own to overwrite,
+    to values of shape (n,), or (c, n) for c stacked integrands; the result
+    is a float or a length-c array.  The trapezoid rule starts at 64
+    intervals and halves its step, evaluating f at the new midpoints only,
+    until two levels agree within 1e-10 on every component.  The first call
+    of f gets level 0's 65 nodes, whose middle one (index 32) is the mean,
+    level 1's 64 midpoints and level 2's 128, in that order; each later
+    level is one call.  Level 2's columns are summed only when levels 0 and
+    1 disagree, so they do not matter, even as NaN, to an integrand that
+    settles at level 1.  A 1-D array of k means gives f (k, n) points, row i
+    at mean[i], for (k, n) or (k, c, n) values and a (k,) or (k, c) result;
+    each effect's rows are summed as one block, and it stops at the level of
+    a call with mean[i] alone, with its bits, never refused for values past
+    that level.  Raises ConvergenceError as the module docstring describes,
+    DomainError for sd <= 0.
     """
     if not sd > 0:
         raise DomainError(f"sd must be positive, got {sd}")
     z, first = _first_levels()
-    vals = np.asarray(f(mean + sd * z), dtype=float)
+    batched = isinstance(mean, np.ndarray)
+    center = mean[:, None] if batched else mean
+    vals = np.asarray(f(center + sd * z), dtype=float)
+    shape = vals.shape[:-1]
+    vals = vals.reshape(mean.size, -1, z.size) if batched else vals
     # level 0's end columns are its first and last nodes
     n0 = _INTERVALS + 1
     if np.abs(vals[..., 0:n0:n0 - 1]).max() * _EDGE_DENSITY > _LEVEL_GAP:
         raise ConvergenceError(f"integrand not negligible at z = +-{_HALF_WIDTH}")
-    total, previous = 0.0, None
+    total, previous, stopped = 0.0, None, None
     for level in range(_MAX_HALVINGS + 1):
         if level < _FIRST_CALL_LEVELS:
             a, b, w = first[level]
             part = vals[..., a:b] @ w
         else:
             z, w = _trapezoid_level(level)
-            part = np.asarray(f(mean + sd * z), dtype=float) @ w
+            vals = np.asarray(f(center + sd * z), dtype=float)
+            part = (vals.reshape(mean.size, -1, z.size) if batched else vals) @ w
         total = total + part
         value = total * (2.0 * _HALF_WIDTH / (_INTERVALS << level))
-        if not np.isfinite(value).all():
-            raise ConvergenceError("trapezoid rule produced a non-finite value")
+        if stopped is not None:
+            # an effect that has stopped keeps its value, whatever f gives it now
+            value[stopped] = previous[stopped]
         if previous is not None:
-            gap = float(np.abs(value - previous).max())
+            gaps = np.abs(value - previous)
+            gap = float(gaps.max())
             if gap <= _LEVEL_GAP:
-                return float(value) if value.ndim == 0 else value
+                return float(value) if value.ndim == 0 else value.reshape(shape)
+            if batched:
+                stopped = gaps.max(axis=1) <= _LEVEL_GAP
+        # past level 0, a non-finite level makes the gap NaN or inf: the sums carry it
+        if (previous is None or not gap < math.inf) and not np.isfinite(value).all():
+            raise ConvergenceError("trapezoid rule produced a non-finite value")
         previous = value
     raise ConvergenceError(
         f"trapezoid levels still differ by {gap!r} after {_MAX_HALVINGS} halvings"

@@ -16,6 +16,9 @@ sigma = n = 1 problem once, and scale the supremum by sigma^2/n (mean regret
 scales by sigma/sqrt(n)); that is exactly how the worst case of a fixed rule
 varies with the design.
 
+exact_risk's one moment body (_moments) also takes an array of effects, so
+risk_curve, bayes_msr and verify_saddle give exact_risk's bits; a moment
+that overflows (|tau| past about 1.3e154) is refused with DomainError.
 A step rule's moments, tails and scan curve come from its two outcomes
 (_step_outcomes), each probability from its own normal tail, never 1 - p.
 
@@ -89,6 +92,8 @@ _SCAN_MAX_LEVEL = 64  # finest s-grid step is _SCAN_STEP / 64
 _SCAN_ROUNDING = 1e-12
 _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
 _SIM_BLOCK = 8192  # simulate's draw and evaluation block, 64 KB of floats
+_RISK_BLOCK = 32  # effects per quadrature in _curve_moments
+_FIELDS = ("mean_regret", "regret_variance", "mean_square_regret", "welfare_mean")
 
 
 @dataclass(frozen=True)
@@ -180,70 +185,89 @@ def _step_outcomes(step: Tuple[float, float, float], tau, sd: float):
     )
 
 
+def _moments(rule: TreatmentRule, tau: float | np.ndarray, sd: float) -> tuple:
+    """Mean regret, mean square regret, welfare mean and welfare variance
+    (unclamped) at a float tau, exact zeros at 0, or at each of a 1-D array
+    of nonzero taus with the float's bits.
+
+    A step rule takes its two outcomes' sums.  Otherwise the quadrature
+    integrates Reg, Reg^2, f and (f - c)^2 with c = f(tau), so the variance
+    E[(f-c)^2] - (E f - c)^2 does not cancel when the statistic is sharp,
+    written into one (4, n) buffer per effect, the rule evaluated once per
+    node; c is the rule's value at level 0's middle node, tau itself.
+    """
+    batched = isinstance(tau, np.ndarray)
+    if not batched and tau == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    step = rule.step
+    if step is not None:
+        _, vlo, vhi = step
+        (r_lo, p_lo), (r_hi, p_hi) = _step_outcomes(step, tau, sd)
+        return (
+            r_lo * p_lo + r_hi * p_hi,
+            r_lo * r_lo * p_lo + r_hi * r_hi * p_hi,
+            tau * (vlo * p_lo + vhi * p_hi),
+            tau * tau * p_lo * p_hi * (vhi - vlo) ** 2,
+        )
+    t = tau[:, None] if batched else tau
+    ind = 1.0 * (t >= 0)
+    center = []
+
+    def moments(y: np.ndarray) -> np.ndarray:
+        # (4, n) at a float tau, (k, 4, n) at k taus
+        out = np.empty((y.shape[0], 4, y.shape[1]) if batched else (4, y.size))
+        frac, dev2, reg, reg2 = out.swapaxes(0, 1) if batched else out
+        frac[...] = rule.evaluate(y)
+        if not center:
+            # c = f(tau) at level 0's middle node, the first call's point
+            # tau + sd * 0; any constant c keeps the identity exact
+            mid = _INTERVALS // 2
+            center.append(frac[:, mid, None] if batched else float(frac[mid]))
+        np.subtract(frac, center[0], out=dev2)
+        np.multiply(dev2, dev2, out=dev2)
+        np.subtract(ind, frac, out=reg)
+        np.multiply(t, reg, out=reg)
+        np.multiply(reg, reg, out=reg2)
+        return out
+
+    sums = gaussian_expectation(moments, tau, sd)
+    e_frac, e_dev2, m1, m2 = sums.T if batched else sums.tolist()
+    shift = e_frac - (center[0][:, 0] if batched else center[0])
+    return m1, m2, tau * e_frac, tau * tau * (e_dev2 - shift * shift)
+
+
+def _curve_moments(rule: TreatmentRule, taus: np.ndarray, sd: float) -> np.ndarray:
+    """_moments at every tau of a 1-D array, as (k, 4) rows: exact zeros at
+    tau = 0, the other effects in blocks of 32, so the quadrature's memory
+    does not grow with the grid."""
+    rows = np.zeros((taus.size, 4))
+    nonzero = np.flatnonzero(taus)
+    for i in range(0, nonzero.size, _RISK_BLOCK):
+        block = nonzero[i : i + _RISK_BLOCK]
+        rows[block] = np.column_stack(_moments(rule, taus[block], sd))
+    return rows
+
+
+def _report(tau: float, m1: float, m2: float, w_mean: float, w_var: float, tail=()) -> RiskReport:
+    """One effect's RiskReport, refusing a moment that is not finite."""
+    w_var = max(w_var, 0.0)
+    fields = (m1, w_var, m2, w_mean)
+    if not all(map(math.isfinite, fields)):
+        name, value = next(p for p in zip(_FIELDS, fields) if not math.isfinite(p[1]))
+        raise DomainError(f"{name} is {value!r} at tau = {tau!r}: the moments overflow")
+    return RiskReport(m1, w_var, m2, w_mean, math.sqrt(w_var), tail)
+
+
 def exact_risk(
     rule: TreatmentRule, exp: GaussianExperiment, tail_thresholds: Sequence[float] = ()
 ) -> RiskReport:
-    """Risk report for one rule at one state.
-
-    Regret moments come from integrating Reg and Reg^2; welfare moments from
-    integrating the fraction f and (f - c)^2 with c = f(tau), so the variance
-    E[(f-c)^2] - (E f - c)^2 does not cancel when the statistic is sharp.  The
-    four integrands share one quadrature, evaluating the rule once per node
-    and writing f, (f - c)^2, Reg and Reg^2 into one (4, n) buffer; c is the
-    rule's value at level 0's middle node, which is tau itself.
-    Piecewise-constant rules skip quadrature in favor of the exact two-outcome
-    sums.  Tail entries are computed by tail_probability for each threshold.
-    """
-    tau = exp.tau
-    sd = exp.stat_sd
-    step = rule.step
-
-    if tau == 0.0:
-        m1 = m2 = 0.0
-        w_mean = 0.0
-        w_var = 0.0
-    elif step is not None:
-        _, vlo, vhi = step
-        (r_lo, p_lo), (r_hi, p_hi) = _step_outcomes(step, tau, sd)
-        m1 = r_lo * p_lo + r_hi * p_hi
-        m2 = r_lo**2 * p_lo + r_hi**2 * p_hi
-        w_mean = tau * (vlo * p_lo + vhi * p_hi)
-        w_var = tau * tau * p_lo * p_hi * (vhi - vlo) ** 2
-    else:
-        ind = 1.0 if tau >= 0 else 0.0
-        center = []
-
-        def moments(y: np.ndarray) -> np.ndarray:
-            out = np.empty((4, y.size))
-            frac, dev2, reg, reg2 = out
-            frac[...] = rule.evaluate(y)
-            if not center:
-                # c = f(tau) at level 0's middle node, the first call's
-                # point tau + sd * 0; any constant c keeps the identity exact
-                center.append(float(frac[_INTERVALS // 2]))
-            np.subtract(frac, center[0], out=dev2)
-            np.multiply(dev2, dev2, out=dev2)
-            np.subtract(ind, frac, out=reg)
-            np.multiply(tau, reg, out=reg)
-            np.multiply(reg, reg, out=reg2)
-            return out
-
-        e_frac, e_dev2, m1, m2 = gaussian_expectation(moments, tau, sd).tolist()
-        shift = e_frac - center[0]
-        w_mean = tau * e_frac
-        w_var = max(tau * tau * (e_dev2 - shift * shift), 0.0)
-
+    """Risk report for one rule at one state: _moments, and tail_probability at
+    each threshold; DomainError for a moment that is not finite."""
+    moments = _moments(rule, exp.tau, exp.stat_sd)
     tail = tuple(
         (float(c), tail_probability(rule, exp, float(c))) for c in tail_thresholds
     )
-    return RiskReport(
-        mean_regret=m1,
-        regret_variance=w_var,
-        mean_square_regret=m2,
-        welfare_mean=w_mean,
-        welfare_sd=math.sqrt(w_var),
-        tail=tail,
-    )
+    return _report(exp.tau, *moments, tail)
 
 
 def tail_probability(
@@ -319,14 +343,9 @@ def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray
     """
     n_b = round(_SCAN_LIMIT * _SCAN_DIV)
     b = np.arange(-n_b, n_b + 1) / _SCAN_DIV
-    step = rule.step
-    if step is not None:
-        # exact_risk's moments at sd 1, bit for bit: its squares are libm's pow,
-        # which rounds unlike numpy's r * r about once in a thousand
-        outcomes = _step_outcomes(step, b, 1.0)
-        if power == 1:
-            return b, sum(r * p for r, p in outcomes), 0.0
-        return b, sum((r.astype(object) ** 2).astype(float) * p for r, p in outcomes), 0.0
+    if rule.step is not None:
+        # exact_risk's moments at sd 1, bit for bit, and 0.0 at b = 0
+        return b, _moments(rule, b, 1.0)[power - 1], 0.0
 
     n_z = round(_HALF_WIDTH * _SCAN_DIV)
     upper = b >= 0.0
@@ -366,14 +385,6 @@ def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray
         m *= 2
 
 
-def _unit_objective(rule: TreatmentRule, power: int):
-    def obj(b: float) -> float:
-        report = exact_risk(rule, GaussianExperiment(float(b), 1.0, 1))
-        return report.mean_regret if power == 1 else report.mean_square_regret
-
-    return obj
-
-
 @lru_cache(maxsize=128)
 def _unit_worst(rule: TreatmentRule, power: int) -> Tuple[float, float, bool]:
     """Supremum of the unit-problem objective over b in [-8, 8].
@@ -381,15 +392,15 @@ def _unit_worst(rule: TreatmentRule, power: int) -> Tuple[float, float, bool]:
     The certified scan curve of _unit_curve picks the candidates: every grid
     local maximum within the curve's error plus the FFT rounding floor (1e-12)
     of the best grid value, so both peaks of a symmetric rule are kept.  Each
-    candidate is refined by the bounded Brent search of exact_risk between its
-    grid neighbours, and the largest refined value wins; candidates go in
-    increasing b, so an exact tie goes to the smaller argsup.  saturated flags
-    an argsup within two grid steps of the scan edge.
+    candidate is refined by the bounded Brent search of exact_risk's moment
+    (_moments at sd 1) between its grid neighbours, and the largest refined
+    value wins; candidates go in increasing b, so an exact tie goes to the
+    smaller argsup.  saturated flags an argsup within two grid steps of the
+    scan edge.
     """
     grid, vals, err = _unit_curve(rule, power)
-    obj = _unit_objective(rule, power)
     refined = [
-        maximize_scalar(obj, lo, hi, tol=1e-10)
+        maximize_scalar(lambda b: _moments(rule, b, 1.0)[power - 1], lo, hi, tol=1e-10)
         for lo, hi in scan_brackets(grid, vals, err + _SCAN_ROUNDING)
     ]
     arg, val = max(refined, key=lambda r: r[1])
@@ -406,26 +417,25 @@ def worst_case_msr(rule: TreatmentRule, sigma: float, n: int) -> WorstCase:
     rules whose risk grows along one tail).  Raises ConvergenceError when the
     scan cannot be certified (see _unit_curve).
     """
-    exp = GaussianExperiment(0.0, sigma, n)
+    scale = GaussianExperiment(0.0, sigma, n).stat_sd
     arg, val, saturated = _unit_worst(rule, 2)
-    scale = exp.stat_sd
     return WorstCase(sup=val * scale * scale, argsup_tau=arg * scale, saturated=saturated)
 
 
 def worst_case_mean_regret(rule: TreatmentRule, sigma: float, n: int) -> WorstCase:
     """sup over tau of mean regret on the standardized scale; scales by
     sigma/sqrt(n)."""
-    exp = GaussianExperiment(0.0, sigma, n)
+    scale = GaussianExperiment(0.0, sigma, n).stat_sd
     arg, val, saturated = _unit_worst(rule, 1)
-    scale = exp.stat_sd
     return WorstCase(sup=val * scale, argsup_tau=arg * scale, saturated=saturated)
 
 
 def bayes_msr(rule: TreatmentRule, prior: DiscretePrior, sigma: float, n: int) -> float:
-    """Prior-weighted mean square regret, sum_i w_i * MSR(rule, tau_i)."""
+    """Prior-weighted mean square regret, sum_i w_i * MSR(rule, tau_i), the
+    MSR taken along the support by risk_curve."""
+    curve = risk_curve(rule, [tau for tau, _ in prior.support], sigma, n)
     total = 0.0
-    for tau, w in prior.support:
-        report = exact_risk(rule, GaussianExperiment(tau, sigma, n))
+    for (_, w), (_, report) in zip(prior.support, curve):
         total += w * report.mean_square_regret
     return total
 
@@ -559,11 +569,15 @@ def simulate(
 def risk_curve(
     rule: TreatmentRule, tau_grid: Sequence[float], sigma: float, n: int
 ) -> List[Tuple[float, RiskReport]]:
-    """exact_risk along a grid of effects, for the curve emitters."""
-    return [
-        (float(tau), exact_risk(rule, GaussianExperiment(float(tau), sigma, n)))
-        for tau in tau_grid
-    ]
+    """exact_risk along a grid of effects, for the curve emitters, from the
+    batched moments (_curve_moments): each report and refusal is
+    exact_risk's."""
+    taus = np.asarray(tau_grid, dtype=float).ravel()
+    # exact_risk's refusals: a non-finite tau, then sigma and n
+    bad = taus[~np.isfinite(taus)]
+    sd = GaussianExperiment(bad[0] if bad.size else 0.0, sigma, n).stat_sd
+    columns = _curve_moments(rule, taus, sd).T.tolist()
+    return [(row[0], _report(*row)) for row in zip(taus.tolist(), *columns)]
 
 
 def risk_curve_csv(curve: Sequence[Tuple[float, RiskReport]]) -> str:

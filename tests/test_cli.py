@@ -152,6 +152,23 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith(("error: tau must be finite",
                                                 "error: sigma must be positive and finite"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["risk", "--rule", "minimax", "--tau", "1e200"],
+         ["risk", "--rule", "es", "--tau", "1e308"]],
+        ids=["minimax-1e200", "es-1e308"],
+    )
+    def test_moments_past_the_float_range(self, capsys, argv):
+        # the squares of the effect overflow; the report would hold a NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1] == (
+            f"error: regret_variance is nan at tau = {float(argv[-1])!r}: the moments overflow"
+        )
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_solver_tolerance(self, capsys, tol):
         # a NaN tol would end Brent's search at its first point, a negative one never

@@ -52,6 +52,17 @@ class TestTailBounds:
             assert _wrong_probability(t, pos, 0.8).min() >= p_plus - 1e-10
             assert _wrong_probability(t, -pos, 0.8).min() >= p_minus - 1e-10
 
+    def test_far_tails_come_from_their_own_side(self):
+        # 1 - Phi(9) rounds to 0.0; Phi(-9) keeps the wrong-side mass
+        p_plus, p_minus = tail_bounds(0.0, 9.0, 1.0)
+        assert p_plus == p_minus
+        assert abs(p_minus - oracles.cdf(-9.0)) <= 1e-13 * p_minus
+        tau = np.linspace(0.5, 9.0, 18)
+        assert _wrong_probability(0.0, -tau, 1.0).tolist() == _wrong_probability(
+            0.0, tau, 1.0
+        ).tolist()
+        assert 0.0 < dominating_rule(0.0, 9.0, 2.0, 1.0).lam < p_minus
+
     def test_shrinking_range_raises_the_floor(self):
         wide = tail_bounds(0.0, 2.0, 1.0)
         narrow = tail_bounds(0.0, 0.5, 1.0)

@@ -21,7 +21,7 @@ from msregret import (
     verify_saddle,
     write_constants,
 )
-from msregret import _constants, lfp, numerics
+from msregret import _constants, lfp, numerics, risk
 
 # frozen from oracles.py: independent refinement of both programs
 ORACLE_ARGMAX = 1.228141128368002
@@ -137,10 +137,6 @@ class TestSolve:
             seen.append((lo, hi))
             return numerics.maximize_scalar(f, lo, hi, tol)
 
-        def scan(grid):
-            return np.array([two_peaks(a) for a in grid])
-
-        monkeypatch.setattr(lfp, "_objective_scan", scan)
         monkeypatch.setattr(lfp, "bayes_objective", two_peaks)
         monkeypatch.setattr(lfp, "maximize_scalar", recording)
         got = solve_tau_star()
@@ -149,8 +145,7 @@ class TestSolve:
 
     def test_scan_matches_the_pointwise_objectives(self):
         grid = np.arange(10, 51) / 20
-        for a, b in zip(grid, lfp._objective_scan(grid)):
-            assert abs(b - bayes_objective(a)) < 1e-12
+        assert bayes_objective(grid).tolist() == [bayes_objective(a) for a in grid.tolist()]
 
 
 class TestVerifySaddle:
@@ -191,39 +186,26 @@ class TestVerifySaddle:
         assert len(cert.curve_samples) == 201
         assert cert.curve_samples[0] == (0.0, 0.0, 0.0)
         for tau, bayes, freq in cert.curve_samples[1:]:
-            assert abs(bayes - bayes_objective(tau)) < 1e-12
-            rep = exact_risk(rule, GaussianExperiment(tau, 1.0, 1))
-            assert abs(freq - rep.mean_square_regret) < 1e-12
-
-    def test_in_place_rows_give_the_concatenated_rows_bit_for_bit(self):
-        tau_star = default_tau_star()
-        rule = MinimaxMSR(tau_star=tau_star)
-        a = np.arange(0.0, 4.0 + 0.01, 0.02)[1:]
-        col = a[:, None]
-
-        def rows(z):
-            s = col + z
-            return np.concatenate(
-                [expit(-2.0 * col * s), (col * (1.0 - rule.evaluate(s))) ** 2]
-            )
-
-        curve = numerics.gaussian_expectation(rows, 0.0, 1.0)
-        samples = verify_saddle(tau_star).curve_samples[1:]
-        assert [b for _, b, _ in samples] == (0.5 * a * a * curve[: a.size]).tolist()
-        assert [f for _, _, f in samples] == curve[a.size :].tolist()
+            assert bayes == bayes_objective(tau)
+            assert freq == exact_risk(rule, GaussianExperiment(tau, 1.0, 1)).mean_square_regret
 
     def test_curve_is_one_kernel_call(self, monkeypatch):
-        calls = []
+        calls = {"lfp": [], "risk": []}
 
-        def spy(f, mean, sd):
-            out = numerics.gaussian_expectation(f, mean, sd)
-            calls.append(np.size(out))
-            return out
+        def spy(module):
+            def counted(f, mean, sd):
+                out = numerics.gaussian_expectation(f, mean, sd)
+                calls[module].append(np.size(out))
+                return out
+            return counted
 
-        monkeypatch.setattr(lfp, "gaussian_expectation", spy)
+        monkeypatch.setattr(lfp, "gaussian_expectation", spy("lfp"))
+        monkeypatch.setattr(risk, "gaussian_expectation", spy("risk"))
         cert = verify_saddle(default_tau_star())
-        # bayes_objective at tau_star, then the 200 nonzero rows of each column
-        assert calls == [1, 400]
+        # bayes_objective at tau_star and at the 201 grid taus; the frequentist
+        # column's 200 nonzero effects in blocks of 32, four moments each
+        assert calls["lfp"] == [1, 201]
+        assert calls["risk"] == [4 * 32] * 6 + [4 * 8]
         assert cert.is_valid
 
     def test_csv_and_dict_round_trip(self, tau_star_solved):

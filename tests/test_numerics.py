@@ -318,6 +318,86 @@ class TestKernelMatchesOneCallPerLevel:
         assert _same_bits(got, want)
 
 
+class TestKernelManyEffects:
+    """An array of means: each effect stops where a call with that mean
+    alone stops, with its bits, and only a live row is refused."""
+
+    def test_mixed_levels_equal_separate_calls(self):
+        rng = np.random.default_rng(21)
+        slopes = 10 ** rng.uniform(-1.0, 2.0, 40)
+        means = rng.uniform(-2.0, 2.0, 40)
+        one = lambda x: expit(slopes[:, None] * x)
+        # three components per effect, the slope's row between two others
+        three = lambda x: np.stack([np.cos(0.3 * x), expit(slopes[:, None] * x), x * x], axis=1)
+        got_one = gaussian_expectation(one, means, 0.7)
+        got_three = gaussian_expectation(three, means, 0.7)
+        assert got_one.shape == (40,) and got_three.shape == (40, 3)
+        levels = set()
+        for i, (c, mean) in enumerate(zip(slopes, means)):
+            want = gaussian_expectation(lambda x: expit(c * x), mean, 0.7)
+            assert _same_bits(got_one[i], want)
+            want = gaussian_expectation(
+                lambda x: np.stack([np.cos(0.3 * x), expit(c * x), x * x]), mean, 0.7
+            )
+            assert _same_bits(got_three[i], want)
+            levels.add(_one_call_per_level(lambda x: expit(c * x), mean, 0.7)[1])
+        assert len(levels) >= 4
+
+    def test_rows_see_their_own_mean(self):
+        means = np.array([-1.0, 0.5, 2.0])
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.exp(-((x - 1.0) ** 2))
+
+        gaussian_expectation(f, means, 1.0)
+        z, _ = numerics._first_levels()
+        assert seen[0].shape == (3, z.size)
+        assert _same_bits(seen[0], means[:, None] + 1.0 * z)
+        assert seen[0][:, numerics._INTERVALS // 2].tolist() == means.tolist()
+
+    def test_a_stopped_rows_later_nan_is_not_refused(self):
+        # row 0 settles at level 1; row 1, a steep logistic, runs on, and
+        # row 0 turns NaN from level 2's nodes on
+        means = np.array([0.4, 0.05])
+        n_first = 4 * numerics._INTERVALS + 1
+        calls = []
+
+        def f(x):
+            calls.append(x.shape[1])
+            out = np.stack([np.cos(0.5 * x[0]), expit(40.0 * x[1])])
+            if x.shape[1] == n_first:
+                out[0, 2 * numerics._INTERVALS + 1:] = np.nan
+            else:
+                out[0] = np.nan
+            return out
+
+        got = gaussian_expectation(f, means, 1.0)
+        assert len(calls) >= 3
+        assert _same_bits(got[0], gaussian_expectation(lambda x: np.cos(0.5 * x), 0.4, 1.0))
+        assert _same_bits(got[1], gaussian_expectation(lambda x: expit(40.0 * x), 0.05, 1.0))
+
+    def test_a_live_row_is_refused_with_the_one_effect_text(self):
+        means = np.array([0.0, 0.3, 1.0])
+        jump = r"^trapezoid levels still differ by 5\.819\d*e-05 after 10 halvings$"
+
+        def stepped(x):
+            return np.stack([np.cos(x[0]), (x[1] >= 0.0).astype(float), expit(x[2])])
+
+        with pytest.raises(ConvergenceError, match=jump):
+            gaussian_expectation(stepped, means, 1.0)
+
+        def nan_in_a_live_row(x):
+            out = expit(np.array([[1.0], [40.0], [1.0]]) * x)
+            if x.shape[1] != 4 * numerics._INTERVALS + 1:
+                out[1, 0] = np.nan
+            return out
+
+        with pytest.raises(ConvergenceError, match=TestKernelRefusals.NON_FINITE):
+            gaussian_expectation(nan_in_a_live_row, means, 1.0)
+
+
 def _logistic(x: float) -> float:
     # math-only logistic for the scalar oracle integrands
     if x >= 0:

@@ -1,7 +1,9 @@
 """Exact risk functionals, worst cases, tails, and the seeded simulator."""
 import json
 import math
+import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1042,3 +1044,118 @@ class TestRiskCurve:
         cells = lines[2].split(",")
         assert float(cells[0]) == 1.0
         assert abs(float(cells[3]) - CDF_MINUS_1) < 1e-12
+
+
+def _bits(report: RiskReport) -> tuple:
+    fields = (report.mean_regret, report.regret_variance, report.mean_square_regret,
+              report.welfare_mean, report.welfare_sd)
+    return tuple(float(x).hex() for x in fields)
+
+
+# a rule of every shipped kind; MinimaxMSR(20) is steep near tau = 0, where its
+# rows run to later levels than its rows far out
+EVERY_KIND = [mm_rule(), MinimaxMSR(20.0), BayesFlatMSR(0.7), PosteriorMatchFlat(),
+              ComplementMix(BayesFlatMSR(), 0.3), prior3_rule(), *STEP_RULES]
+EVERY_KIND_IDS = ["minimax", "steep", "bayes-flat", "post-match", "mix", "prior3",
+                  "es", "ht", "threshold", "step-mix", "step-mix-flip"]
+
+
+class TestBatchedRoute:
+    """risk_curve, bayes_msr and the saddle's column take every effect's
+    moments from exact_risk's one body, in blocks, bit for bit."""
+
+    @pytest.mark.parametrize("rule", EVERY_KIND, ids=EVERY_KIND_IDS)
+    def test_every_row_is_exact_risk_bit_for_bit(self, rule):
+        rng = np.random.default_rng(21)
+        # two zeros, both signs, and 74 nonzero effects: blocks of 32, 32, 10
+        grid = np.concatenate([[0.0, -0.0, 0.01, -0.01, 6.0, -6.0], rng.uniform(-4.0, 4.0, 70)])
+        for sigma, n in ((1.0, 1), (2.0, 9)):
+            curve = risk_curve(rule, grid, sigma, n)
+            assert [tau for tau, _ in curve] == grid.tolist()
+            for tau, report in curve:
+                want = exact_risk(rule, GaussianExperiment(tau, sigma, n))
+                assert _bits(report) == _bits(want), (rule, tau, sigma, n)
+
+    def test_a_steep_row_shares_a_block_with_rows_settled_at_level_one(self, monkeypatch):
+        rule = MinimaxMSR(20.0)
+        grid = [8.0, 0.02, -8.0, 9.0]
+        calls = []
+        kernel = risk.gaussian_expectation
+
+        def counted(f, mean, sd):
+            def g(y):
+                calls[-1] += 1
+                return f(y)
+
+            calls.append(0)
+            return kernel(g, mean, sd)
+
+        monkeypatch.setattr(risk, "gaussian_expectation", counted)
+        want = [exact_risk(rule, GaussianExperiment(tau, 1.0, 1)) for tau in grid]
+        # the far rows settle within the first call; the steep one does not
+        assert calls[0] == calls[2] == calls[3] == 1 and calls[1] > 2
+        got = risk_curve(rule, grid, 1.0, 1)
+        assert len(calls) == 5
+        assert [_bits(r) for _, r in got] == [_bits(r) for r in want]
+
+    def test_tau_zero_rows_take_no_quadrature(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(risk, "gaussian_expectation", refuse)
+        curve = risk_curve(mm_rule(), [0.0, -0.0], 1.0, 1)
+        assert [_bits(r) for _, r in curve] == [_bits(RiskReport(0.0, 0.0, 0.0, 0.0, 0.0))] * 2
+
+    def test_bayes_msr_sums_the_batched_rows(self):
+        rule = prior3_rule()
+        want = 0.0
+        for tau, w in rule.prior.support:
+            want += w * exact_risk(rule, GaussianExperiment(tau, 1.0, 1)).mean_square_regret
+        assert bayes_msr(rule, rule.prior, 1.0, 1) == want
+
+    def test_refusals_are_exact_risks(self):
+        with pytest.raises(DomainError, match="^tau must be finite, got nan$"):
+            risk_curve(mm_rule(), [0.5, math.nan], 1.0, 1)
+        with pytest.raises(DomainError, match="^n must be an integer >= 1, got 0$"):
+            risk_curve(mm_rule(), [0.5], 1.0, 0)
+
+    def test_memory_stays_within_a_block(self):
+        # the first call's buffer of one block of 32 effects, (32, 4, 257)
+        # floats; a grid in one block would take 64 of them here
+        block = 32 * 4 * (4 * 64 + 1) * 8
+
+        def transient(k):
+            grid = np.linspace(0.01, 3.0, k)
+            tracemalloc.start()
+            try:
+                curve = risk_curve(mm_rule(), grid, 1.0, 1)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(curve) == k
+            return peak - current
+
+        short, long = transient(64), transient(2048)
+        assert short < 4 * block
+        assert long < 4 * block
+
+
+class TestNonFiniteMoments:
+    """Moments past the float range are refused, naming the field and tau."""
+
+    @pytest.mark.parametrize("rule", [mm_rule(), BayesFlatMSR(), PosteriorMatchFlat(),
+                                      EmpiricalSuccess(), Threshold(0.3)])
+    @pytest.mark.parametrize("tau", [1e200, -1e308])
+    def test_refused_with_the_field_and_tau(self, rule, tau):
+        refusal = "^" + re.escape(f"regret_variance is nan at tau = {tau!r}:")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match=refusal):
+                exact_risk(rule, GaussianExperiment(tau, 1.0, 1))
+            with pytest.raises(DomainError, match=refusal):
+                risk_curve(rule, [1.0, tau], 1.0, 1)
+
+    def test_step_squares_below_the_overflow_are_kept(self):
+        # r * r of |tau| = 1e150 is 1e300, a float
+        report = exact_risk(EmpiricalSuccess(), GaussianExperiment(-1e150, 1e150, 1))
+        p = ndtr(-1.0)
+        assert report.mean_square_regret == 1e150 * 1e150 * p
