@@ -2,9 +2,14 @@
 
 Every capability of the library is reachable from one executable with
 subcommands; outputs are JSON objects or CSV tables on standard output (or a
-file via --csv), and the resolved configuration is echoed to standard error
-as a single JSON line.  Exit codes: 0 success, 2 usage errors, 1 numeric or
-data failures.
+file via --csv).  main holds the policy every subcommand shares, so a
+handler only computes and emits: it resolves the minimax calibration once
+for the subcommands that take --tau-star, echoes the configuration (with
+resolved_tau_star exactly where it was resolved) to standard error as a
+single JSON line, runs the handler with numpy's overflow warnings off (the
+library refuses an overflowed result with its own error), and maps errors to
+exit codes: 0 success, 2 usage errors, 1 numeric, data or file failures,
+each printed as one "error:" line.
 
 Rule tokens: es | ht | minimax | bayes-flat | post-match | threshold:T |
 mix:BASE,LAMBDA | prior-bayes.  Smooth statistic-based rules are built on the
@@ -13,8 +18,9 @@ parameter (sigma/sqrt(n)); the ht token compares the standardized statistic
 to z_{1-alpha}, so on a raw-statistic subcommand it becomes the equivalent
 raw threshold.
 
-The minimax calibration resolves in order: --tau-star flag, the shipped
-constants module, a fresh solve rounded to 6 significant digits.
+The minimax calibration resolves in order: --tau-star flag (positive and
+finite), the shipped constants module, a fresh solve rounded to 6
+significant digits.
 """
 from __future__ import annotations
 
@@ -73,7 +79,8 @@ __all__ = ["main"]
 TABLE1_YBAR = (0.0, 0.2533, 0.5244, 0.8416, 1.2816, 1.6449, 2.3263)
 FIGURE_RULES = ("es", "ht", "minimax", "bayes-flat", "post-match")
 
-_NUMERIC_ERRORS = (
+# exit 1: numeric failures, refused data, and files that cannot be read or written
+_FAILURES = (
     DomainError,
     ConvergenceError,
     BracketError,
@@ -82,6 +89,7 @@ _NUMERIC_ERRORS = (
     DominanceViolation,
     InputError,
     RankError,
+    OSError,
 )
 
 
@@ -183,17 +191,16 @@ def _build_rule(
     raise _UsageError(f"unknown rule token {token!r}")
 
 
-def _resolve_tau_star(args: argparse.Namespace) -> float:
-    if getattr(args, "tau_star", None) is not None:
-        if not args.tau_star > 0:
-            raise _UsageError(f"--tau-star must be positive, got {args.tau_star}")
-        return args.tau_star
-    return default_tau_star()
+def _resolve_tau_star(flag: Optional[float]) -> float:
+    if flag is None:
+        return default_tau_star()
+    if not 0.0 < flag < math.inf:
+        raise _UsageError(f"--tau-star must be positive and finite, got {flag}")
+    return flag
 
 
-def _echo_config(args: argparse.Namespace, **extra) -> None:
+def _echo_config(args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    cfg.update(extra)
     print(json.dumps(cfg, sort_keys=True), file=sys.stderr)
 
 
@@ -214,13 +221,22 @@ def _stat_sd(args: argparse.Namespace) -> float:
     return GaussianExperiment(0.0, args.sigma, args.n).stat_sd
 
 
-def _rule_from_args(args: argparse.Namespace, tau_star: float, sd: float) -> TreatmentRule:
-    prior = _parse_prior(args.prior) if getattr(args, "prior", None) else None
-    return _build_rule(args.rule, tau_star, sd, args.alpha, prior, args.alpha_g)
+def _rule_from_args(args: argparse.Namespace, sd: float) -> TreatmentRule:
+    prior = _parse_prior(args.prior) if args.prior else None
+    return _build_rule(args.rule, args.resolved_tau_star, sd, args.alpha, prior, args.alpha_g)
+
+
+def _rule_at_effect(args: argparse.Namespace) -> tuple:
+    """The experiment, rule, tail thresholds and payload header of a rule at
+    one effect (risk, simulate)."""
+    exp = GaussianExperiment(tau=args.tau, sigma=args.sigma, n=args.n)
+    rule = _rule_from_args(args, sd=exp.stat_sd)
+    tails = _parse_tail(args.tail) if args.tail else []
+    header = {"rule": rule_to_dict(rule), "tau": args.tau, "sigma": args.sigma, "n": args.n}
+    return exp, rule, tails, header
 
 
 def _cmd_solve_tau_star(args: argparse.Namespace) -> None:
-    _echo_config(args)
     value = solve_tau_star(tol=args.tol)
     _emit_json(
         {
@@ -232,9 +248,7 @@ def _cmd_solve_tau_star(args: argparse.Namespace) -> None:
 
 
 def _cmd_rule_eval(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
-    rule = _rule_from_args(args, tau_star, sd=1.0)
+    rule = _rule_from_args(args, sd=1.0)
     _emit_json(
         {
             "rule": rule_to_dict(rule),
@@ -245,128 +259,72 @@ def _cmd_rule_eval(args: argparse.Namespace) -> None:
 
 
 def _cmd_risk(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
-    exp = GaussianExperiment(tau=args.tau, sigma=args.sigma, n=args.n)
-    rule = _rule_from_args(args, tau_star, sd=exp.stat_sd)
-    tails = _parse_tail(args.tail) if args.tail else []
-    report = exact_risk(rule, exp, tail_thresholds=tails)
-    _emit_json(
-        {
-            "rule": rule_to_dict(rule),
-            "tau": args.tau,
-            "sigma": args.sigma,
-            "n": args.n,
-            "report": report.to_dict(),
-        }
-    )
+    exp, rule, tails, payload = _rule_at_effect(args)
+    payload["report"] = exact_risk(rule, exp, tail_thresholds=tails).to_dict()
+    _emit_json(payload)
 
 
 def _cmd_risk_curve(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
     exp_sd = _stat_sd(args)
-    rule = _rule_from_args(args, tau_star, sd=exp_sd)
+    rule = _rule_from_args(args, sd=exp_sd)
     grid = _parse_grid(args.grid)
     curve = risk_curve(rule, grid, args.sigma, args.n)
     _emit_csv(risk_curve_csv(curve), args.csv)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
-    exp = GaussianExperiment(tau=args.tau, sigma=args.sigma, n=args.n)
-    rule = _rule_from_args(args, tau_star, sd=exp.stat_sd)
-    tails = _parse_tail(args.tail) if args.tail else []
+    exp, rule, tails, payload = _rule_at_effect(args)
     summary = simulate(rule, exp, args.reps, RngSeed(args.seed), tail_thresholds=tails)
-    _emit_json(
-        {
-            "rule": rule_to_dict(rule),
-            "tau": args.tau,
-            "sigma": args.sigma,
-            "n": args.n,
-            "summary": summary.to_dict(),
-        }
-    )
+    payload["summary"] = summary.to_dict()
+    _emit_json(payload)
 
 
 def _cmd_saddle(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
-    cert = verify_saddle(tau_star)
+    cert = verify_saddle(args.resolved_tau_star)
     if args.csv is not None:
         _emit_csv(cert.to_csv(), args.csv)
     _emit_json(cert.to_dict())
 
 
 def _cmd_dominate(args: argparse.Namespace) -> None:
-    _echo_config(args)
-    sd = _stat_sd(args)
-    cert = verify_dominance(
-        t=args.t,
-        tau_bar=args.tau_bar,
-        alpha_g=args.alpha_g,
-        noise_sd=sd,
-        shrink=args.shrink,
-        grid_step=args.grid_step,
-    )
-    rule = dominating_rule(args.t, args.tau_bar, args.alpha_g, sd, args.shrink)
+    # (t, tau_bar, alpha_g, noise_sd, shrink) of both the certificate and the rule
+    design = (args.t, args.tau_bar, args.alpha_g, _stat_sd(args), args.shrink)
+    cert = verify_dominance(*design, grid_step=args.grid_step)
+    rule = dominating_rule(*design)
     if args.csv is not None:
         _emit_csv(cert.to_csv(), args.csv)
     _emit_json({"certificate": cert.to_dict(), "rule": rule_to_dict(rule)})
 
 
 def _cmd_sample_size(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
-    if args.criterion == "worst-msr-target":
-        if args.epsilon is None:
-            raise _UsageError("worst-msr-target requires --epsilon")
-        rule = _rule_from_args(args, tau_star, sd=1.0)
-        plan = plan_worst_msr(args.sigma, args.epsilon, rule)
-    elif args.criterion == "es-epsilon-optimal":
-        if args.epsilon is None:
-            raise _UsageError("es-epsilon-optimal requires --epsilon")
-        rule = _rule_from_args(args, tau_star, sd=1.0)
-        plan = plan_es_epsilon(args.sigma, args.epsilon, rule)
-    else:
+    if args.criterion == "ht-power":
         if args.tau is None:
             raise _UsageError("ht-power requires --tau (the alternative)")
-        plan = plan_ht_power(args.sigma, args.alpha, args.beta, args.tau, tau_star)
+        plan = plan_ht_power(args.sigma, args.alpha, args.beta, args.tau, args.resolved_tau_star)
+    else:
+        if args.epsilon is None:
+            raise _UsageError(f"{args.criterion} requires --epsilon")
+        planner = plan_worst_msr if args.criterion == "worst-msr-target" else plan_es_epsilon
+        plan = planner(args.sigma, args.epsilon, _rule_from_args(args, sd=1.0))
     _emit_json(plan.to_dict())
 
 
 def _cmd_regress(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
     data = load_dataset_csv(args.data, intercept=not args.no_intercept)
-    result = fit(data, tau_star=tau_star, unbiased=args.unbiased)
+    result = fit(data, tau_star=args.resolved_tau_star, unbiased=args.unbiased)
     _emit_json(result.to_dict())
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
-    minimax = MinimaxMSR(tau_star=tau_star)
-    bayes = BayesFlatMSR()
-    post = PosteriorMatchFlat()
-    es = EmpiricalSuccess()
-    rows = (
-        (
-            ybar,
-            float(minimax.evaluate(ybar)),
-            float(bayes.evaluate(ybar)),
-            float(post.evaluate(ybar)),
-            float(es.evaluate(ybar)),
-        )
-        for ybar in TABLE1_YBAR
-    )
+    rules = [
+        _build_rule(name, args.resolved_tau_star, 1.0, 0.05, None, 2.0)
+        for name in ("minimax", "bayes-flat", "post-match", "es")
+    ]
+    rows = ((ybar, *(float(rule.evaluate(ybar)) for rule in rules)) for ybar in TABLE1_YBAR)
     _emit_csv(csv_text("ybar,minimax,bayes,posterior_match,es", rows), args.csv)
 
 
 def _cmd_figure1(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
     exp = GaussianExperiment(tau=args.tau, sigma=args.sigma, n=args.n)
     tails = _parse_tail(args.tail) if args.tail else [0.95]
     seed = RngSeed(args.seed)
@@ -376,13 +334,11 @@ def _cmd_figure1(args: argparse.Namespace) -> None:
         "n": args.n,
         "replications": args.reps,
         "seed": args.seed,
-        "tau_star": tau_star,
+        "tau_star": args.resolved_tau_star,
         "tail_thresholds": tails,
     }
-    for name, rule in (
-        ("es", EmpiricalSuccess()),
-        ("minimax", MinimaxMSR(tau_star=tau_star, scale=exp.stat_sd)),
-    ):
+    for name in ("es", "minimax"):
+        rule = _build_rule(name, args.resolved_tau_star, exp.stat_sd, 0.05, None, 2.0)
         payload[name] = {
             "exact": exact_risk(rule, exp, tail_thresholds=tails).to_dict(),
             "simulated": simulate(rule, exp, args.reps, seed, tail_thresholds=tails).to_dict(),
@@ -391,10 +347,8 @@ def _cmd_figure1(args: argparse.Namespace) -> None:
 
 
 def _cmd_figures3to6(args: argparse.Namespace) -> None:
-    tau_star = _resolve_tau_star(args)
-    _echo_config(args, resolved_tau_star=tau_star)
     rules = [
-        (name, _build_rule(name, tau_star, 1.0, args.alpha, None, 2.0))
+        (name, _build_rule(name, args.resolved_tau_star, 1.0, args.alpha, None, 2.0))
         for name in FIGURE_RULES
     ]
     rows = []
@@ -554,14 +508,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args)
+        # a result that overflows is refused by the library with its own error,
+        # so numpy's overflow warning would only add a line to stderr
+        with np.errstate(over="ignore"):
+            if hasattr(args, "tau_star"):
+                args.resolved_tau_star = _resolve_tau_star(args.tau_star)
+            _echo_config(args)
+            args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

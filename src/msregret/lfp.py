@@ -36,7 +36,6 @@ from scipy.special import expit
 
 from ._codec import csv_text, record
 from .numerics import (
-    DomainError,
     gaussian_expectation,
     maximize_scalar,
     scan_brackets,
@@ -166,8 +165,6 @@ def verify_saddle(tau_star: float) -> SaddleCertificate:
     batched moments (risk._curve_moments); each value is the pointwise
     call's, bit for bit, and the tau = 0 row is exactly zero.
     """
-    if not tau_star > 0:
-        raise DomainError(f"tau_star must be positive, got {tau_star}")
     rule = MinimaxMSR(tau_star=tau_star)
 
     bayes = bayes_objective(tau_star)

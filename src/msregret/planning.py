@@ -57,12 +57,23 @@ def ht_msr_unit(alpha: float) -> float:
     return worst_case_msr(HypothesisTest(alpha=alpha), 1.0, 1).sup
 
 
-def n_for_msr_target(sigma: float, epsilon: float, unit: float) -> int:
-    """Smallest n >= 1 with (sigma^2/n) * unit <= epsilon^2.
+def _least_n(real: float, fits) -> int:
+    """Smallest n >= 1 with fits(n), for a fits that holds from some n on.
 
-    ceil of the real solution, with a step-down guard so floating-point noise
-    in the division cannot inflate the answer by one.
+    Starts at the ceiling of the real solution, steps down while n - 1 fits
+    and up while n does not, so floating-point noise in real can make the
+    answer neither one too large nor one too small.
     """
+    n = max(int(math.ceil(real)), 1)
+    while n > 1 and fits(n - 1):
+        n -= 1
+    while not fits(n):
+        n += 1
+    return n
+
+
+def n_for_msr_target(sigma: float, epsilon: float, unit: float) -> int:
+    """Smallest n >= 1 with (sigma^2/n) * unit <= epsilon^2."""
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not epsilon > 0:
@@ -70,12 +81,7 @@ def n_for_msr_target(sigma: float, epsilon: float, unit: float) -> int:
     if not unit > 0:
         raise DomainError(f"unit constant must be positive, got {unit}")
     target = epsilon * epsilon
-    n = max(int(math.ceil(sigma * sigma * unit / target)), 1)
-    while n > 1 and sigma * sigma * unit / (n - 1) <= target:
-        n -= 1
-    while sigma * sigma * unit / n > target:
-        n += 1
-    return n
+    return _least_n(sigma * sigma * unit / target, lambda n: sigma * sigma * unit / n <= target)
 
 
 def es_epsilon_optimal_n(sigma: float, epsilon: float) -> int:
@@ -136,9 +142,7 @@ def compare_vs_es(sigma: float, epsilon: float, rule: TreatmentRule) -> EsCompar
     n_es = es_epsilon_optimal_n(sigma, epsilon)
     es_msr = sigma * sigma * u_es / n_es
     n_rule_real = n_es * u_rule / u_es
-    n_rule = max(int(math.ceil(n_rule_real)), 1)
-    while n_rule > 1 and sigma * sigma * u_rule / (n_rule - 1) <= es_msr:
-        n_rule -= 1
+    n_rule = _least_n(n_rule_real, lambda n: sigma * sigma * u_rule / n <= es_msr)
     return EsComparison(
         n_es=n_es,
         es_worst_msr_at_n=es_msr,
@@ -163,10 +167,7 @@ def ht_power_n(sigma: float, alpha: float, beta: float, tau_alt: float) -> int:
         raise DomainError(f"sigma must be positive, got {sigma}")
     shift = std_normal_quantile(1.0 - alpha) - std_normal_quantile(1.0 - beta)
     n_real = (sigma / tau_alt) ** 2 * shift * shift
-    n = max(int(math.ceil(n_real)), 1)
-    while n > 1 and (sigma / tau_alt) ** 2 * shift * shift <= n - 1:
-        n -= 1
-    return n
+    return _least_n(n_real, lambda n: n_real <= n)
 
 
 @record
@@ -196,9 +197,7 @@ def compare_vs_ht(
     u_mm = minimax_msr_unit(tau_star)
     ht_msr = sigma * sigma * u_ht / n_ht
     n_mm_real = n_ht * u_mm / u_ht
-    n_mm = max(int(math.ceil(n_mm_real)), 1)
-    while n_mm > 1 and sigma * sigma * u_mm / (n_mm - 1) <= ht_msr:
-        n_mm -= 1
+    n_mm = _least_n(n_mm_real, lambda n: sigma * sigma * u_mm / n <= ht_msr)
     return HtComparison(
         n_ht=n_ht,
         ht_msr_unit=u_ht,

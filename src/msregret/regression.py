@@ -176,8 +176,8 @@ def fit(
     """
     if tau_star is None:
         tau_star = default_tau_star()
-    if not tau_star > 0:
-        raise DomainError(f"tau_star must be positive, got {tau_star}")
+    if not 0.0 < tau_star < math.inf:
+        raise DomainError(f"tau_star must be positive and finite, got {tau_star}")
     z = data.design
     y = data.outcomes
     n, k = z.shape

@@ -141,6 +141,11 @@ class Threshold(TreatmentRule):
     kind = "threshold"
     direction = 1
 
+    def __post_init__(self) -> None:
+        # t = +-inf are the never- and always-treat rules
+        if math.isnan(self.t):
+            raise DomainError("threshold t must be a number, got nan")
+
     @property
     def step(self) -> Tuple[float, float, float]:
         return self.t, 0.0, 1.0
@@ -179,8 +184,8 @@ class MinimaxMSR(TreatmentRule):
     direction = 1
 
     def __post_init__(self) -> None:
-        if not self.tau_star > 0:
-            raise DomainError(f"tau_star must be positive, got {self.tau_star}")
+        if not 0.0 < self.tau_star < math.inf:
+            raise DomainError(f"tau_star must be positive and finite, got {self.tau_star}")
         if not self.scale > 0:
             raise DomainError(f"scale must be positive, got {self.scale}")
 

@@ -67,6 +67,13 @@ POST_MATCH_COLUMN = (
 )
 
 
+def subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(msregret.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -100,6 +107,11 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["rule-eval", "--rule", "bogus", "--stat", "0"])
         assert code == 2
         assert "unknown rule token" in err
+
+    def test_nan_threshold_token(self, capsys):
+        code, out, err = run_cli(capsys, ["rule-eval", "--rule", "threshold:nan", "--stat", "0"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: bad threshold rule token 'threshold:nan'"
 
     def test_malformed_grid(self, capsys):
         code, _, err = run_cli(capsys, ["risk-curve", "--grid", "1:2"])
@@ -210,11 +222,13 @@ class TestExitCodes:
         assert err.count("error:") == 1
 
     def test_negative_tau_star(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["rule-eval", "--rule", "minimax", "--stat", "0", "--tau-star", "-1"]
-        )
-        assert code == 2
-        assert "--tau-star must be positive" in err
+        # an infinite or NaN calibration is refused the same way, not echoed as NaN
+        for argv in (["rule-eval", "--rule", "minimax", "--stat", "0"], ["table1"]):
+            for value in ("-1", "inf", "nan"):
+                code, out, err = run_cli(capsys, argv + ["--tau-star", value])
+                assert code == 2
+                assert out == ""
+                assert err == f"error: --tau-star must be positive and finite, got {float(value)}\n"
 
     def test_sample_size_missing_epsilon(self, capsys):
         code, _, err = run_cli(capsys, ["sample-size", "--criterion", "worst-msr-target"])
@@ -270,6 +284,75 @@ class TestConfigEcho:
         assert cfg["resolved_tau_star"] == TAU_STAR
         assert "func" not in cfg
         assert "tail" not in cfg  # None flags are dropped
+
+    # one invocation of every subcommand, with the configuration it must echo:
+    # every flag given or defaulted, None flags dropped, and resolved_tau_star
+    # exactly where the subcommand takes --tau-star
+    RULE_DEFAULTS = {"alpha": 0.05, "alpha_g": 2.0}
+    EVERY_SUBCOMMAND = [
+        (["solve-tau-star"], {"tol": 1e-7}),
+        (["rule-eval", "--rule", "es", "--stat", "0.5"],
+         dict(RULE_DEFAULTS, rule="es", stat=0.5, resolved_tau_star=TAU_STAR)),
+        (["risk", "--tau", "1", "--tail", "0.3", "--tau-star", "2"],
+         dict(RULE_DEFAULTS, rule="minimax", tau=1.0, sigma=1.0, n=1, tail="0.3",
+              tau_star=2.0, resolved_tau_star=2.0)),
+        (["risk-curve", "--rule", "bayes-flat", "--grid", "0:1:0.5", "--sigma", "2", "--n", "4"],
+         dict(RULE_DEFAULTS, rule="bayes-flat", grid="0:1:0.5", sigma=2.0, n=4,
+              resolved_tau_star=TAU_STAR)),
+        (["simulate", "--rule", "es", "--tau", "0.5", "--reps", "100", "--seed", "3"],
+         dict(RULE_DEFAULTS, rule="es", tau=0.5, sigma=1.0, n=1, reps=100, seed=3,
+              resolved_tau_star=TAU_STAR)),
+        (["saddle"], {"resolved_tau_star": TAU_STAR}),
+        (["dominate"], {"t": 0.0, "tau_bar": 1.0, "alpha_g": 2.0, "shrink": 0.5, "sigma": 1.0,
+                        "n": 1, "grid_step": 0.01}),
+        (["sample-size", "--criterion", "es-epsilon-optimal", "--epsilon", "0.1"],
+         dict(RULE_DEFAULTS, criterion="es-epsilon-optimal", rule="minimax", sigma=1.0,
+              epsilon=0.1, beta=0.9, resolved_tau_star=TAU_STAR)),
+        (["regress", "--data", "{csv}", "--unbiased"],
+         {"data": "{csv}", "no_intercept": False, "unbiased": True,
+          "resolved_tau_star": TAU_STAR}),
+        (["table1", "--tau-star", "1.5"], {"tau_star": 1.5, "resolved_tau_star": 1.5}),
+        (["figure1", "--seed", "3", "--reps", "100"],
+         {"tau": 1.0, "sigma": 1.0, "n": 1, "reps": 100, "seed": 3,
+          "resolved_tau_star": TAU_STAR}),
+        (["figures3to6", "--grid", "0:1:0.5", "--fraction-grid", "0:2:1"],
+         {"alpha": 0.05, "grid": "0:1:0.5", "fraction_grid": "0:2:1",
+          "resolved_tau_star": TAU_STAR}),
+    ]
+
+    def test_the_cases_cover_every_subcommand(self):
+        subcommands = _build_parser()._subparsers._group_actions[0].choices
+        assert sorted(argv[0] for argv, _ in self.EVERY_SUBCOMMAND) == sorted(subcommands)
+
+    @pytest.mark.parametrize("argv,cfg", EVERY_SUBCOMMAND,
+                             ids=[argv[0] for argv, _ in EVERY_SUBCOMMAND])
+    def test_every_subcommand_echoes_its_flags_once(self, capsys, tmp_path, argv, cfg):
+        path = tmp_path / "trial.csv"
+        path.write_text("y,d,x\n3,1,0.5\n5,1,-1\n1,0,2\n2,0,0.25\n2.5,1,1\n", encoding="utf-8")
+        argv = [str(path) if a == "{csv}" else a for a in argv]
+        cfg = {k: str(path) if v == "{csv}" else v for k, v in cfg.items()}
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0
+        assert err == json.dumps(dict(cfg, subcommand=argv[0]), sort_keys=True) + "\n"
+        subparser = _build_parser()._subparsers._group_actions[0].choices[argv[0]]
+        takes_tau_star = "--tau-star" in subparser._option_string_actions
+        assert ("resolved_tau_star" in cfg) == takes_tau_star
+
+    def test_ten_subcommands_resolve_the_calibration(self):
+        assert sum("resolved_tau_star" in cfg for _, cfg in self.EVERY_SUBCOMMAND) == 10
+
+    @pytest.mark.parametrize("rule", ["minimax", "bayes-flat"])
+    def test_an_overflowing_effect_prints_the_config_and_one_error(self, rule):
+        # a fresh interpreter: pytest records warnings raised in process, so a
+        # numpy overflow warning would never reach capsys
+        argv = ["risk", "--rule", rule, "--tau", "1e308"]
+        proc = subprocess.run([sys.executable, "-m", "msregret.cli", *argv],
+                              env=dict(subprocess_env(), PYTHONWARNINGS="default"),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        config, error = proc.stderr.splitlines()
+        assert json.loads(config)["tau"] == 1e308
+        assert error == "error: regret_variance is nan at tau = 1e+308: the moments overflow"
 
 
 class TestJsonOutput:
@@ -632,10 +715,7 @@ class TestProcessFloor:
             print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
             """
         )
-        src = os.path.dirname(os.path.dirname(msregret.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

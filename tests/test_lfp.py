@@ -171,8 +171,9 @@ class TestVerifySaddle:
             verify_saddle(2.0)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            verify_saddle(0.0)
+        for tau_star in (0.0, math.inf):
+            with pytest.raises(DomainError):
+                verify_saddle(tau_star)
 
     def test_worst_case_away_from_tau_star_rejected(self):
         # the objective gap (6e-9) passes; the worst case sits 2.3e-4 away

@@ -1,6 +1,7 @@
 """Sample-size calculations built on the worst-case risk units."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from msregret import (
     plan_es_epsilon,
     plan_ht_power,
     plan_worst_msr,
+    std_normal_quantile,
 )
 
 TAU_STAR = 1.22814
@@ -173,6 +175,39 @@ class TestCompareVsHt:
     def test_round_trip(self):
         comp = compare_vs_ht(1.0, 0.05, 0.8, 0.5, TAU_STAR)
         assert HtComparison.from_dict(comp.to_dict()) == comp
+
+
+class TestEveryNIsTheLeast:
+    """Each rounded sample size meets its budget at n and fails it at n - 1."""
+
+    @staticmethod
+    def assert_least(n, fits):
+        assert n >= 1 and fits(n)
+        assert n == 1 or not fits(n - 1)
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(2201)
+        rule = MinimaxMSR(tau_star=TAU_STAR)
+        for _ in range(400):
+            sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
+            eps = float(10.0 ** rng.uniform(-2.5, -0.3))
+            alpha = float(rng.choice([0.01, 0.025, 0.05, 0.1]))
+            beta = float(rng.uniform(0.5, 0.99))
+            tau = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 0.5))
+
+            es = compare_vs_es(sigma, eps, rule)
+            u = minimax_msr_unit(TAU_STAR)
+            self.assert_least(es.n_rule, lambda n: sigma * sigma * u / n <= es.es_worst_msr_at_n)
+
+            ht = compare_vs_ht(sigma, alpha, beta, tau, TAU_STAR)
+            ht_msr = sigma * sigma * ht.ht_msr_unit / ht.n_ht
+            self.assert_least(
+                ht.n_minimax, lambda n: sigma * sigma * ht.minimax_msr_unit / n <= ht_msr
+            )
+
+            shift = std_normal_quantile(1.0 - alpha) - std_normal_quantile(1.0 - beta)
+            n_real = (sigma / tau) ** 2 * shift * shift
+            self.assert_least(ht_power_n(sigma, alpha, beta, tau), lambda n: n_real <= n)
 
 
 class TestPlans:

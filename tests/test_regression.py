@@ -192,8 +192,9 @@ class TestFit:
             fit(data)
 
     def test_bad_tau_star(self):
-        with pytest.raises(DomainError):
-            fit(one_arm_dataset(), tau_star=0.0)
+        for tau_star in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fit(one_arm_dataset(), tau_star=tau_star)
 
     def test_result_round_trip(self):
         result = fit(one_arm_dataset())

@@ -114,6 +114,12 @@ class TestStepRules:
         assert rule.evaluate(0.699) == 0.0
         assert rule.evaluate(0.7) == 1.0
 
+    def test_threshold_refuses_nan_and_keeps_the_infinite_cuts(self):
+        with pytest.raises(DomainError):
+            Threshold(t=math.nan)
+        assert Threshold(t=math.inf).evaluate(1e308) == 0.0
+        assert Threshold(t=-math.inf).evaluate(-1e308) == 1.0
+
     def test_hypothesis_test_critical_value(self):
         rule = HypothesisTest(alpha=0.05)
         crit = 1.6448536269514722
@@ -154,8 +160,9 @@ class TestMinimaxRule:
         assert abs(raw.evaluate(3.0) - unit.evaluate(1.5)) < 1e-15
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            MinimaxMSR(tau_star=0.0)
+        for tau_star in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                MinimaxMSR(tau_star=tau_star)
         with pytest.raises(DomainError):
             MinimaxMSR(tau_star=TAU_STAR, scale=0.0)
 
