@@ -1,18 +1,15 @@
 """Fractional rules that dominate threshold rules under power-law regret risk.
 
-A threshold rule 1{Ybar >= t} takes only the values 0 and 1, so its regret at
-effect tau is the two-valued step |tau| * 1{wrong side}, and every risk
-functional of the form E[Reg^alpha_g] reduces to exact normal-CDF arithmetic:
-
-    risk_singleton(tau)  = |tau|^alpha_g * P(wrong | tau)
-    risk_fractional(tau) = |tau|^alpha_g * ((1-lam)^alpha_g * P(wrong | tau)
-                                            + lam^alpha_g * P(right | tau))
-
-for the mixture (1-lam) * base + lam * (1-base).  The wrong-side probability
-P(wrong | tau) is Phi((t-tau)/sd) for tau > 0 and Phi((tau-t)/sd), its own
-tail, for tau < 0; over tau in [-tau_bar, tau_bar] it is minimized at the
-endpoints, giving the tail bounds p_plus and p_minus.  With m = min(p_plus, p_minus)
-and r = m / (1-m), the mixing weight
+A threshold rule 1{Ybar >= t} and its complement mixture
+(1-lam) * base + lam * (1-base) are step rules, so the regret of each at
+effect tau takes two values and E[Reg^alpha_g] is the exact sum of
+r^alpha_g * p over the rule's two step outcomes (risk._step_outcomes), each
+probability from its own normal tail.  The threshold rule's outcomes are the
+regret 0 and the regret |tau| with the wrong-side probability P(wrong | tau),
+Phi((t-tau)/sd) for tau > 0 and Phi((tau-t)/sd) for tau < 0.  Over tau in
+[-tau_bar, tau_bar] that probability is least at the endpoints, giving the
+tail bounds p_plus and p_minus.  With m = min(p_plus, p_minus) and
+r = m / (1-m), the mixing weight
 
     lambda_star = r^(1/(alpha_g-1)) / (1 + r^(1/(alpha_g-1)))
 
@@ -21,9 +18,10 @@ lam in (0, lambda_star] makes the margin risk_singleton - risk_fractional
 strictly positive at all tau != 0 in the range: the normalized margin
 margin / |tau|^alpha_g = p (1 - (1-lam)^alpha_g) - lam^alpha_g (1 - p) is
 increasing in p = P(wrong) and positive already at its minimum m.
-verify_dominance certifies a particular construction on a tau grid using the
-closed forms, so the check is limited by grid resolution only, not quadrature
-error; inside |tau| < 1 its strict tolerance applies to the normalized margin.
+verify_dominance certifies the rule dominating_rule builds on a tau grid
+from the step outcomes, so the check is limited by grid resolution only, not
+quadrature error; inside |tau| < 1 its strict tolerance applies to the
+normalized margin.
 """
 from __future__ import annotations
 
@@ -33,7 +31,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._codec import csv_text, record
-from .numerics import DomainError, std_normal_cdf
+from .numerics import DomainError
+from .risk import _step_outcomes
 from .rules import ComplementMix, Threshold
 
 __all__ = [
@@ -53,25 +52,20 @@ class DominanceViolation(RuntimeError):
     """A margin on the verification grid fell below tolerance."""
 
 
-def _wrong_probability(t: float, tau: np.ndarray, noise_sd: float) -> np.ndarray:
-    """P(threshold rule picks the regret-incurring side | tau), from its own tail."""
-    tau = np.asarray(tau, dtype=float)
-    return std_normal_cdf(np.where(tau > 0, t - tau, tau - t) / noise_sd)
-
-
 def tail_bounds(t: float, tau_bar: float, noise_sd: float) -> Tuple[float, float]:
     """Minimal wrong-side probabilities of 1{Ybar >= t} over the effect range.
 
     Returns (p_plus, p_minus): the infimum of P(wrong | tau) over tau in
     (0, tau_bar] and over tau in [-tau_bar, 0).  Both are attained at the
-    endpoints +-tau_bar because each branch is monotone in tau.
+    endpoints +-tau_bar because each branch is monotone in tau: the step
+    outcome below t at +tau_bar and the one at or above t at -tau_bar.
     """
     if not tau_bar > 0:
         raise DomainError(f"tau_bar must be positive, got {tau_bar}")
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")
-    p_plus = float(std_normal_cdf((t - tau_bar) / noise_sd))
-    p_minus = float(std_normal_cdf(-(t + tau_bar) / noise_sd))
+    (_, p_plus), _ = _step_outcomes(Threshold(t).step, tau_bar, noise_sd)
+    _, (_, p_minus) = _step_outcomes(Threshold(t).step, -tau_bar, noise_sd)
     return p_plus, p_minus
 
 
@@ -89,11 +83,7 @@ def lambda_star(p_plus: float, p_minus: float, alpha_g: float) -> float:
 
 
 def dominating_rule(
-    t: float,
-    tau_bar: float,
-    alpha_g: float,
-    noise_sd: float,
-    shrink: float = 0.5,
+    t: float, tau_bar: float, alpha_g: float, noise_sd: float, shrink: float = 0.5
 ) -> ComplementMix:
     """ComplementMix of 1{Ybar >= t} at weight shrink * lambda_star.
 
@@ -128,22 +118,26 @@ class DominanceCertificate:
         """Why the certificate fails the checks of verify_dominance, or None.
 
         The first offending row in grid order is named, and in that row a
-        margin below tolerance before a margin that is not strictly positive.
+        margin below tolerance before one that is not finite (a risk that
+        overflowed) before one that is not strictly positive.
         """
         grid = np.asarray(self.grid, dtype=float).reshape(-1, 4)
         tau, margin = grid[:, 0], grid[:, 3]
         low = margin < _MIN_MARGIN
+        overflow = ~np.isfinite(margin)
         # the margin vanishes like |tau|^alpha_g at tau = 0, so near 0 the
         # strict tolerance is held by the normalized margin
         strict = _STRICT_MARGIN * np.minimum(1.0, np.abs(tau) ** self.alpha_g)
         weak = (tau != 0.0) & ~(margin > strict)
-        bad = np.flatnonzero(low | weak)
+        bad = np.flatnonzero(low | overflow | weak)
         if bad.size == 0:
             return None
         i = bad[0]
         at, mg = float(tau[i]), float(margin[i])
         if low[i]:
             return f"margin {mg!r} below tolerance at tau={at!r}"
+        if overflow[i]:
+            return f"margin {mg!r} not finite at tau={at!r}"
         return f"margin {mg!r} not strictly positive at tau={at!r}"
 
     @property
@@ -155,53 +149,38 @@ class DominanceCertificate:
 
 
 def verify_dominance(
-    t: float,
-    tau_bar: float,
-    alpha_g: float,
-    noise_sd: float,
-    shrink: float = 0.5,
+    t: float, tau_bar: float, alpha_g: float, noise_sd: float, shrink: float = 0.5,
     grid_step: float = 0.01,
 ) -> DominanceCertificate:
-    """Certify dominance of the shrunk mixture on a tau grid.
+    """Certify dominance of dominating_rule's mixture on a tau grid.
 
-    Risks come from the closed forms, so a failed margin is a real property
-    of the construction, not quadrature noise.  Raises DominanceViolation
-    naming the offending tau when a margin dips below -1e-12 or a nonzero tau
-    fails strict improvement.
+    Both risk columns are E[Reg^alpha_g] summed over the step outcomes of
+    Threshold(t) and of the mixture, each probability from its own tail, so
+    a failed margin is a real property of the construction, not quadrature
+    noise.  Raises DominanceViolation naming the offending tau when a margin
+    dips below -1e-12 or a nonzero tau fails strict improvement.
     """
     if not grid_step > 0:
         raise DomainError(f"grid_step must be positive, got {grid_step}")
-    p_plus, p_minus = tail_bounds(t, tau_bar, noise_sd)
-    lam_opt = lambda_star(p_plus, p_minus, alpha_g)
-    if not 0.0 < shrink < 1.0:
-        raise DomainError(f"shrink must lie in (0, 1), got {shrink}")
-    lam = shrink * lam_opt
-
+    rule = dominating_rule(t, tau_bar, alpha_g, noise_sd, shrink)
     # tau_bar * k / intervals for k = -intervals, ..., intervals step 2: the two
     # halves mirror each other and the middle node, when there is one, is 0.0
     intervals = max(int(round(2.0 * tau_bar / grid_step)), 1)
     taus = tau_bar * (np.arange(-intervals, intervals + 1, 2) / intervals)
-    p_wrong = _wrong_probability(t, taus, noise_sd)
-    mag = np.abs(taus) ** alpha_g
-    risk_single = mag * p_wrong
-    risk_frac = mag * (
-        (1.0 - lam) ** alpha_g * p_wrong + lam**alpha_g * (1.0 - p_wrong)
+    # E[Reg^alpha_g] over the step outcomes of Threshold(t), then of the mixture
+    risk_single, risk_frac = (
+        sum(r**alpha_g * p for r, p in _step_outcomes(step, taus, noise_sd))
+        for step in (rule.base.step, rule.step)
     )
-    # tau = 0 contributes zero risk on both sides regardless of p_wrong
-    zero = taus == 0.0
-    risk_single[zero] = 0.0
-    risk_frac[zero] = 0.0
-    margins = risk_single - risk_frac
+    rows = np.column_stack((taus, risk_single, risk_frac, risk_single - risk_frac))
 
     cert = DominanceCertificate(
         threshold_t=t,
         tau_bar=tau_bar,
         alpha_g=alpha_g,
-        lambda_star=lam_opt,
-        lambda_used=lam,
-        grid=tuple(
-            map(tuple, np.column_stack((taus, risk_single, risk_frac, margins)).tolist())
-        ),
+        lambda_star=lambda_star(*tail_bounds(t, tau_bar, noise_sd), alpha_g),
+        lambda_used=rule.lam,
+        grid=tuple(map(tuple, rows.tolist())),
     )
     problem = cert._violation()
     if problem is not None:

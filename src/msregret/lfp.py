@@ -17,13 +17,15 @@ two-point prior on {-tau_star, +tau_star} least favorable: the Bayes risk of
 the prior equals the worst-case risk of the rule, which certifies minimaxity
 of delta_{tau_star} among all rules.
 
-bayes_objective also takes an array of calibrations.  solve_tau_star
-maximizes bayes_objective alone: a certified 41-point scan of [0.5, 2.5] in
-one Gaussian-expectation call, then a Brent refinement of every scan peak
-that could hold the maximum.  verify_saddle checks the saddle-point
-equalities numerically and samples the two curves on a grid for plotting,
-bit for bit bayes_objective and exact_risk.  The shipped constant lives in
-_constants.py, written by write_constants from a fresh solve.
+frequentist_objective is exact_risk's moment body (risk._moments) at
+MinimaxMSR(|a|) and effect |a|.  bayes_objective also takes an array of
+calibrations.  solve_tau_star maximizes bayes_objective alone: a certified
+41-point scan of [0.5, 2.5] in one Gaussian-expectation call, then a Brent
+refinement of every scan peak that could hold the maximum.  verify_saddle
+checks the saddle-point equalities numerically and samples the two curves
+on a grid for plotting, bit for bit bayes_objective and exact_risk.  The
+shipped constant lives in _constants.py, written by write_constants from a
+fresh solve.
 """
 from __future__ import annotations
 
@@ -32,16 +34,16 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from ._codec import csv_text, record
 from .numerics import (
+    expit,
     gaussian_expectation,
     maximize_scalar,
     scan_brackets,
     _LEVEL_GAP,
 )
-from .risk import _curve_moments, worst_case_msr
+from .risk import _curve_moments, _moments, worst_case_msr
 from .rules import MinimaxMSR
 
 __all__ = [
@@ -79,11 +81,11 @@ def bayes_objective(a: float | np.ndarray) -> float | np.ndarray:
 
 
 def frequentist_objective(a: float) -> float:
-    """MSR of the rule expit(2 a s) at effect tau = a (equals the value at -a)."""
+    """MSR of the rule expit(2 a s) at effect tau = a (equals the value at -a):
+    exact_risk's, bit for bit, of MinimaxMSR(|a|) at effect |a| and sd 1."""
     if a == 0.0:
         return 0.0
-    val = gaussian_expectation(lambda s: expit(-2.0 * a * s) ** 2, a, 1.0)
-    return a * a * val
+    return _moments(MinimaxMSR(abs(a)), abs(a), 1.0)[1]
 
 
 def solve_tau_star(tol: float = 1e-7) -> float:

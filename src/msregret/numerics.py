@@ -1,6 +1,10 @@
 """Numerical kernel: normal special functions, the Gaussian-moment quadrature,
 bracketed root finding, and scalar maximization.
 
+This is the one module that imports scipy: ndtr, ndtri, log_ndtr and expit
+are scipy.special's ufuncs themselves, bound here, and the other modules
+take them from here.
+
 Every expectation in this package is E[f(X)] with X ~ N(mean, sd^2), the
 integral of phi(z) f(mean + sd*z) over z.  gaussian_expectation applies the
 trapezoid rule on z in [-10, 10], which converges geometrically on integrands
@@ -36,7 +40,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import special
+from scipy.special import expit, log_ndtr, ndtr, ndtri
 
 __all__ = [
     "DomainError",
@@ -93,7 +97,7 @@ def std_normal_cdf(x):
 
     Accepts a float or an ndarray and returns the same shape.
     """
-    out = special.ndtr(x)
+    out = ndtr(x)
     # a 0-d input gives a numpy scalar; testing np.ndim(x) costs more than ndtr
     return out if isinstance(out, np.ndarray) else float(out)
 
@@ -112,7 +116,7 @@ def std_normal_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {p}")
-    return float(special.ndtri(p))
+    return float(ndtri(p))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ criterion, or match a one-sided hypothesis test sized by a power requirement.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,8 +63,11 @@ def _least_n(real: float, fits) -> int:
 
     Starts at the ceiling of the real solution, steps down while n - 1 fits
     and up while n does not, so floating-point noise in real can make the
-    answer neither one too large nor one too small.
+    answer neither one too large nor one too small.  Raises DomainError for
+    a real solution that is not finite: the sample size overflows a float.
     """
+    if not math.isfinite(real):
+        raise DomainError(f"the sample size is not representable: its real solution is {real!r}")
     n = max(int(math.ceil(real)), 1)
     while n > 1 and fits(n - 1):
         n -= 1
@@ -81,6 +85,8 @@ def n_for_msr_target(sigma: float, epsilon: float, unit: float) -> int:
     if not unit > 0:
         raise DomainError(f"unit constant must be positive, got {unit}")
     target = epsilon * epsilon
+    if target < sys.float_info.min:
+        raise DomainError(f"epsilon^2 underflows at epsilon = {epsilon!r}")
     return _least_n(sigma * sigma * unit / target, lambda n: sigma * sigma * unit / n <= target)
 
 
@@ -166,7 +172,9 @@ def ht_power_n(sigma: float, alpha: float, beta: float, tau_alt: float) -> int:
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     shift = std_normal_quantile(1.0 - alpha) - std_normal_quantile(1.0 - beta)
-    n_real = (sigma / tau_alt) ** 2 * shift * shift
+    # a product, not ** 2, so an overflow gives inf for _least_n to refuse
+    ratio = sigma / tau_alt
+    n_real = ratio * ratio * shift * shift
     return _least_n(n_real, lambda n: n_real <= n)
 
 

@@ -48,7 +48,6 @@ from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._codec import csv_text, record
 from .numerics import (
@@ -57,6 +56,7 @@ from .numerics import (
     RngSeed,
     gaussian_expectation,
     maximize_scalar,
+    ndtri,
     scan_brackets,
     std_normal_cdf,
     _HALF_WIDTH,
@@ -94,6 +94,8 @@ _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
 _SIM_BLOCK = 8192  # simulate's draw and evaluation block, 64 KB of floats
 _RISK_BLOCK = 32  # effects per quadrature in _curve_moments
 _FIELDS = ("mean_regret", "regret_variance", "mean_square_regret", "welfare_mean")
+_SIM_FIELDS = ("mean_regret", "mean_square_regret", "welfare_mean", "regret_variance",
+               "welfare_sd", "se_mean_regret", "se_mean_square_regret", "se_regret_sd")
 
 
 @dataclass(frozen=True)
@@ -248,13 +250,17 @@ def _curve_moments(rule: TreatmentRule, taus: np.ndarray, sd: float) -> np.ndarr
     return rows
 
 
+def _check_finite(tau: float, names: Sequence[str], values: Sequence[float]) -> None:
+    """Raise DomainError naming the first of the fields that is not finite."""
+    if not all(map(math.isfinite, values)):
+        name, value = next(p for p in zip(names, values) if not math.isfinite(p[1]))
+        raise DomainError(f"{name} is {value!r} at tau = {tau!r}: the moments overflow")
+
+
 def _report(tau: float, m1: float, m2: float, w_mean: float, w_var: float, tail=()) -> RiskReport:
     """One effect's RiskReport, refusing a moment that is not finite."""
     w_var = max(w_var, 0.0)
-    fields = (m1, w_var, m2, w_mean)
-    if not all(map(math.isfinite, fields)):
-        name, value = next(p for p in zip(_FIELDS, fields) if not math.isfinite(p[1]))
-        raise DomainError(f"{name} is {value!r} at tau = {tau!r}: the moments overflow")
+    _check_finite(tau, _FIELDS, (m1, w_var, m2, w_mean))
     return RiskReport(m1, w_var, m2, w_mean, math.sqrt(w_var), tail)
 
 
@@ -490,7 +496,9 @@ def simulate(
     over them, so a call works in reused heap memory instead of faulting in
     fresh pages, whatever the process freed before.  The moments are
     two-pass (block sums, then squared deviations from the means); up to 8192
-    replications they are numpy's mean, var and std bit for bit.
+    replications they are numpy's mean, var and std bit for bit.  A field
+    that is not finite (the squares of regrets past about 1.3e154 overflow)
+    is refused with DomainError naming it, as exact_risk refuses a moment.
     """
     if replications < 2:
         raise DomainError(f"need at least 2 replications, got {replications}")
@@ -523,7 +531,11 @@ def simulate(
         counts = [n + int(np.count_nonzero(reg > c)) for n, c in zip(counts, tail_thresholds)]
         sums.append((reg.sum(), (reg * reg).sum(), (tau * f).sum()))
     s_reg, s_reg2, s_w = _totals(sums)
-    mean_reg, msr, w_mean = s_reg / replications, s_reg2 / replications, s_w / replications
+    mean_reg, msr, w_mean = (float(s / replications) for s in (s_reg, s_reg2, s_w))
+    # refused here, before the spread passes would subtract inf from inf; with
+    # these finite no later pass can: regret is nonnegative, so a deviation
+    # from the mean is at most the larger of the two, and its square finite
+    _check_finite(tau, _SIM_FIELDS[:3], (mean_reg, msr, w_mean))
     sums = []
     for f in fracs:
         reg = regret(f)
@@ -535,7 +547,6 @@ def simulate(
     mean_c2 = m2_reg / replications
     (m2_c2,) = _totals([(spread(spread(regret(f), mean_reg), mean_c2).sum(),) for f in fracs])
 
-    mean_reg, msr, w_mean = float(mean_reg), float(msr), float(w_mean)
     var_reg = float(m2_reg / (replications - 1))
     sd_reg = math.sqrt(var_reg)
     w_sd = math.sqrt(float(m2_w / (replications - 1)))
@@ -544,6 +555,7 @@ def simulate(
     # delta method for the sd: se(s) = se(s^2) / (2 s)
     se_var = math.sqrt(float(m2_c2 / (replications - 1))) / math.sqrt(r)
     se_sd = se_var / (2.0 * sd_reg) if sd_reg > 0 else 0.0
+    _check_finite(tau, _SIM_FIELDS, (mean_reg, msr, w_mean, var_reg, w_sd, se_mean, se_msr, se_sd))
     tail = [
         (float(c), n / r, math.sqrt((n / r) * (1.0 - n / r) / r))
         for c, n in zip(tail_thresholds, counts)

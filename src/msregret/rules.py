@@ -36,10 +36,9 @@ from functools import reduce
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy import special
 
 from ._codec import from_dict, register, to_dict
-from .numerics import _SQRT2PI, DomainError, std_normal_quantile
+from .numerics import _SQRT2PI, DomainError, expit, log_ndtr, ndtr, std_normal_quantile
 
 __all__ = [
     "PriorSupportError",
@@ -91,7 +90,7 @@ def psi(x):
     """
     x = np.asarray(x, dtype=float)
     log_pdf = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
-    out = np.exp(log_pdf - special.log_ndtr(x)) / (1.0 + x * x)
+    out = np.exp(log_pdf - log_ndtr(x)) / (1.0 + x * x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -192,10 +191,10 @@ class MinimaxMSR(TreatmentRule):
     def evaluate(self, stat: Stat) -> Stat:
         u = np.asarray(stat, dtype=float) / self.scale
         if isinstance(u, float):
-            return float(special.expit(2.0 * self.tau_star * u))
+            return float(expit(2.0 * self.tau_star * u))
         # u is a fresh array: scale it and map it in place
         u *= 2.0 * self.tau_star
-        return special.expit(u, out=u)
+        return expit(u, out=u)
 
     def stat_at(self, q: float) -> float:
         if not 0.0 < q < 1.0:
@@ -259,11 +258,11 @@ def _bayes_flat_fraction(u):
     """
     if type(u) is float:
         pdf = float(np.exp(-0.5 * u * u)) / _SQRT2PI
-        return min(max(float(special.ndtr(u)) + u * pdf / (1.0 + u * u), 0.0), 1.0)
+        return min(max(float(ndtr(u)) + u * pdf / (1.0 + u * u), 0.0), 1.0)
     # std_normal_cdf and std_normal_pdf written out, without their float
     # round trips; np.clip's wrapper costs more than the arithmetic
     pdf = np.exp(-0.5 * u * u) / _SQRT2PI
-    out = special.ndtr(u) + u * pdf / (1.0 + u * u)
+    out = ndtr(u) + u * pdf / (1.0 + u * u)
     return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
@@ -351,7 +350,7 @@ class PosteriorMatchFlat(TreatmentRule):
 
     def evaluate(self, stat: Stat) -> Stat:
         u = np.asarray(stat, dtype=float) / self.scale
-        return _match(special.ndtr(u), stat)
+        return _match(ndtr(u), stat)
 
     def stat_at(self, q: float) -> float:
         if not 0.0 < q < 1.0:
@@ -544,7 +543,7 @@ class DiscretePriorBayes(TreatmentRule):
             z = [(y - 0.5 * t) * t / var + lt for t, lt in pairs]
             log_a, log_b = reduce(np.logaddexp, z[m:]), reduce(np.logaddexp, z[:m])
             log_odds = (log_a - log_b) / e
-            f = min(max(float(special.expit(log_odds)), 1e-12), 1.0 - 1e-12)
+            f = min(max(float(expit(log_odds)), 1e-12), 1.0 - 1e-12)
             if f != f:
                 raise DomainError(f"{self!r} is NaN at {y!r}, so no crossing of {q!r} "
                                   "can be certified")
@@ -678,7 +677,7 @@ def solve_bayes_foc(
     z += log_terms.reshape(shape)
     log_a = np.logaddexp.reduce(z[m:], axis=0)
     log_b = np.logaddexp.reduce(z[:m], axis=0)
-    delta = special.expit((log_a - log_b) / (alpha_g - 1.0))
+    delta = expit((log_a - log_b) / (alpha_g - 1.0))
     if prior._max_abs_tau**2 >= var * _FLOAT_MAX:
         nan = np.isnan(delta)
         if nan.any() and not np.isnan(y[nan]).all():

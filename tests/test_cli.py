@@ -354,6 +354,32 @@ class TestConfigEcho:
         assert json.loads(config)["tau"] == 1e308
         assert error == "error: regret_variance is nan at tau = 1e+308: the moments overflow"
 
+    @pytest.mark.parametrize("argv, error", [
+        ("sample-size --criterion ht-power --tau 1e-200",
+         "the sample size is not representable: its real solution is inf"),
+        ("sample-size --sigma 1e300 --epsilon 1e-300", "epsilon^2 underflows at epsilon = 1e-300"),
+        ("sample-size --sigma 1e300 --epsilon 0.1",
+         "the sample size is not representable: its real solution is inf"),
+        ("sample-size --criterion ht-power --sigma 1e300 --tau 1",
+         "the sample size is not representable: its real solution is inf"),
+        ("sample-size --criterion es-epsilon-optimal --rule es --sigma 1e300 --epsilon 0.1",
+         "the sample size is not representable: its real solution is inf"),
+        ("simulate --rule minimax --tau 1e300 --sigma 1e300 --reps 100 --seed 1",
+         "mean_square_regret is inf at tau = 1e+300: the moments overflow"),
+    ], ids=["ht-tiny-alternative", "epsilon-underflow", "msr-huge-sigma", "ht-huge-sigma",
+            "es-huge-sigma", "simulate-huge-effect"])
+    def test_an_unrepresentable_plan_or_simulation_prints_the_config_and_one_error(
+        self, argv, error
+    ):
+        # a fresh interpreter, so a numpy warning would reach stderr
+        proc = subprocess.run([sys.executable, "-m", "msregret.cli", *argv.split()],
+                              env=dict(subprocess_env(), PYTHONWARNINGS="default"),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        config, line = proc.stderr.splitlines()
+        assert json.loads(config)["subcommand"] == argv.split()[0]
+        assert line == f"error: {error}"
+
 
 class TestJsonOutput:
     @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ import oracles
 from msregret import (
     ComplementMix,
     DominanceCertificate,
+    DominanceViolation,
     DomainError,
     GaussianExperiment,
     Threshold,
@@ -18,7 +19,7 @@ from msregret import (
     tail_bounds,
     verify_dominance,
 )
-from msregret.dominance import _wrong_probability
+from msregret.risk import _step_outcomes
 
 CDF_MINUS_1 = 0.15865525393145707
 CDF_MINUS_2 = 0.022750131948179216
@@ -45,12 +46,15 @@ class TestTailBounds:
 
     def test_check_flag_passes(self):
         # each branch is monotone in tau, so on a 100-point grid of
-        # (0, tau_bar] no wrong-side probability falls below the endpoint's
+        # (0, tau_bar] no wrong-side probability falls below the endpoint's:
+        # the step outcome below t for tau > 0, at or above t for tau < 0
         pos = np.linspace(1.5 / 100.0, 1.5, 100)
         for t in (-0.7, 0.0, 1.3):
             p_plus, p_minus = tail_bounds(t, 1.5, 0.8)
-            assert _wrong_probability(t, pos, 0.8).min() >= p_plus - 1e-10
-            assert _wrong_probability(t, -pos, 0.8).min() >= p_minus - 1e-10
+            (_, wrong_pos), _ = _step_outcomes(Threshold(t).step, pos, 0.8)
+            _, (_, wrong_neg) = _step_outcomes(Threshold(t).step, -pos, 0.8)
+            assert wrong_pos.min() >= p_plus - 1e-10
+            assert wrong_neg.min() >= p_minus - 1e-10
 
     def test_far_tails_come_from_their_own_side(self):
         # 1 - Phi(9) rounds to 0.0; Phi(-9) keeps the wrong-side mass
@@ -58,10 +62,18 @@ class TestTailBounds:
         assert p_plus == p_minus
         assert abs(p_minus - oracles.cdf(-9.0)) <= 1e-13 * p_minus
         tau = np.linspace(0.5, 9.0, 18)
-        assert _wrong_probability(0.0, -tau, 1.0).tolist() == _wrong_probability(
-            0.0, tau, 1.0
-        ).tolist()
+        (_, wrong_pos), _ = _step_outcomes(Threshold(0.0).step, tau, 1.0)
+        _, (_, wrong_neg) = _step_outcomes(Threshold(0.0).step, -tau, 1.0)
+        assert wrong_neg.tolist() == wrong_pos.tolist()
         assert 0.0 < dominating_rule(0.0, 9.0, 2.0, 1.0).lam < p_minus
+
+    def test_bounds_are_the_step_outcomes_at_the_endpoints(self):
+        # bit for bit the outcome below t at +tau_bar and the one at or
+        # above t at -tau_bar
+        for t, tau_bar, sd in ((-0.7, 1.5, 0.8), (0.3, 2.0, 1.0), (1.2, 0.4, 2.5)):
+            (_, below), _ = _step_outcomes(Threshold(t).step, tau_bar, sd)
+            _, (_, above) = _step_outcomes(Threshold(t).step, -tau_bar, sd)
+            assert tail_bounds(t, tau_bar, sd) == (below, above)
 
     def test_shrinking_range_raises_the_floor(self):
         wide = tail_bounds(0.0, 2.0, 1.0)
@@ -165,6 +177,20 @@ class TestVerifyDominance:
             ).mean_square_regret if tau != 0.0 else 0.0
             assert abs(r_single - want) < 1e-12
 
+    @pytest.mark.parametrize("design", [(0.3, 1.0, 2.0, 1.0, 0.5), (-0.5, 2.0, 3.5, 0.7, 0.9)])
+    def test_risk_columns_are_the_step_outcome_sums(self, design):
+        # both columns bit for bit E[Reg^alpha_g] over the step outcomes:
+        # of Threshold(t), and of the rule dominating_rule builds
+        t, tau_bar, alpha_g, sd, shrink = design
+        cert = verify_dominance(*design, grid_step=0.05)
+        rule = dominating_rule(*design)
+        assert cert.lambda_used == rule.lam
+        grid = np.array(cert.grid)
+        for col, step in ((1, Threshold(t).step), (2, rule.step)):
+            (r_lo, p_lo), (r_hi, p_hi) = _step_outcomes(step, grid[:, 0], sd)
+            want = r_lo**alpha_g * p_lo + r_hi**alpha_g * p_hi
+            assert grid[:, col].tolist() == want.tolist()
+
     def test_fractional_risk_column_matches_adaptive_quadrature(self):
         # independent route for the mixed rule's risk, split at the jump
         cert = verify_dominance(0.3, 1.0, 2.0, 1.0, grid_step=1.0)
@@ -230,6 +256,14 @@ class TestVerifyDominance:
         normalized = [mg / abs(tau) ** 6 for tau, _, _, mg in cert.grid if tau != 0.0]
         assert abs(min(normalized) - floor) <= 1e-12 * floor
         assert 3.5e-3 < floor < 3.7e-3
+
+    def test_an_overflowed_risk_certifies_nothing(self):
+        # |tau|^4 overflows at 1.2e77 while the mixture's smaller regrets do
+        # not, so the margin is inf there; further out it is inf - inf
+        for tau_bar, margin in ((1.2e77, "inf"), (3e77, "nan")):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DominanceViolation, match=f"margin {margin} not finite"):
+                    verify_dominance(0.0, tau_bar, 4.0, tau_bar, grid_step=tau_bar / 4)
 
     def test_validity_predicate_scales_the_strict_tolerance(self):
         # inside |tau| < 1 the margin is judged over |tau|^alpha_g, outside raw

@@ -48,11 +48,12 @@ class TestObjectives:
             assert abs(bayes_objective(a) - frequentist_objective(a)) < 1e-10
 
     def test_frequentist_is_the_rule_risk(self):
-        # different code path: the generic risk integrator at tau = a
+        # exact_risk's moment body at tau = a, bit for bit, and even in a
         for a in (0.6, 1.22814, 1.8):
             rule = MinimaxMSR(tau_star=a)
             rep = exact_risk(rule, GaussianExperiment(a, 1.0, 1))
-            assert abs(frequentist_objective(a) - rep.mean_square_regret) < 1e-10
+            assert frequentist_objective(a) == rep.mean_square_regret
+            assert frequentist_objective(-a) == rep.mean_square_regret
 
     def test_vanishes_in_both_limits(self):
         assert frequentist_objective(8.0) < 1e-10

@@ -1,5 +1,7 @@
 """Normal CDF/quantile accuracy, quadrature exactness, and the root/max helpers."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,29 @@ class TestStdNormalQuantile:
     @given(st.floats(min_value=1e-8, max_value=1.0 - 1e-8))
     def test_roundtrip(self, p):
         assert abs(std_normal_cdf(std_normal_quantile(p)) - p) < 1e-10
+
+
+class TestSpecialFunctionsLiveInNumerics:
+    def test_numerics_is_the_only_module_importing_scipy(self):
+        package = Path(numerics.__file__).parent
+        importers = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    importers.add(path.name)
+        assert importers == {"numerics.py"}
+
+    def test_the_bound_names_are_scipys_ufuncs(self):
+        from scipy import special
+
+        for name in ("ndtr", "ndtri", "log_ndtr", "expit"):
+            assert getattr(numerics, name) is getattr(special, name)
 
 
 class TestRngSeed:

@@ -75,6 +75,15 @@ class TestNForMsrTarget:
         with pytest.raises(DomainError):
             n_for_msr_target(1.0, 0.01, -0.1)
 
+    def test_refuses_what_a_float_cannot_hold(self):
+        # epsilon^2 underflowing, and a real solution that overflows
+        with pytest.raises(DomainError, match="epsilon\\^2 underflows"):
+            n_for_msr_target(1e300, 1e-300, 0.1)
+        with pytest.raises(DomainError, match="epsilon\\^2 underflows"):
+            n_for_msr_target(1.0, 1e-160, 0.1)
+        with pytest.raises(DomainError, match="not representable"):
+            n_for_msr_target(1e300, 0.1, 0.1)
+
     @given(
         st.floats(min_value=0.1, max_value=5.0),
         st.floats(min_value=0.01, max_value=1.0),
@@ -156,6 +165,11 @@ class TestHtPowerN:
             ht_power_n(1.0, 0.05, 0.8, 0.0)
         with pytest.raises(DomainError):
             ht_power_n(0.0, 0.05, 0.8, 0.5)
+
+    @pytest.mark.parametrize("sigma, tau_alt", [(1.0, 1e-200), (1e300, 1.0), (1.0, math.nan)])
+    def test_refuses_a_sample_size_that_is_not_finite(self, sigma, tau_alt):
+        with pytest.raises(DomainError, match="not representable"):
+            ht_power_n(sigma, 0.05, 0.8, tau_alt)
 
 
 class TestCompareVsHt:

@@ -884,6 +884,17 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(mm_rule(), GaussianExperiment(1.0, 1.0, 1), 1, RngSeed(0))
 
+    @pytest.mark.parametrize("tau, message", [
+        (1e300, "mean_square_regret is inf at tau = 1e+300: the moments overflow"),
+        (1e100, "se_mean_square_regret is inf at tau = 1e+100: the moments overflow"),
+    ])
+    def test_refuses_a_field_that_is_not_finite(self, tau, message):
+        # the squared regrets overflow at 1e300, their spread at 1e100; no
+        # pass subtracts inf from inf on the way to the refusal
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                simulate(mm_rule(), GaussianExperiment(tau, tau, 1), 100, RngSeed(1))
+
     def test_matches_quadrature_within_sampling_error(self):
         exp = GaussianExperiment(1.0, 1.0, 1)
         for rule in (mm_rule(), EmpiricalSuccess(), BayesFlatMSR()):
