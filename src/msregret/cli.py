@@ -14,13 +14,13 @@ each printed as one "error:" line.
 Rule tokens: es | ht | minimax | bayes-flat | post-match | threshold:T |
 mix:BASE,LAMBDA | prior-bayes.  Smooth statistic-based rules are built on the
 standardized scale and applied to raw statistics through their scale
-parameter (sigma/sqrt(n)); the ht token compares the standardized statistic
-to z_{1-alpha}, so on a raw-statistic subcommand it becomes the equivalent
-raw threshold.
+parameter (sigma/sqrt(n)); the ht token is HypothesisTest(alpha), which
+compares the standardized statistic to its critical value z_{1-alpha}, so on
+a raw-statistic subcommand it becomes the threshold at that critical value
+times sigma/sqrt(n).
 
-The minimax calibration resolves in order: --tau-star flag (positive and
-finite), the shipped constants module, a fresh solve rounded to 6
-significant digits.
+The minimax calibration is the --tau-star flag (positive and finite) when
+given, else the shipped constant (default_tau_star).
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ._codec import csv_text, json_text
-from .dominance import DominanceViolation, dominating_rule, verify_dominance
+from .dominance import DominanceViolation, verify_dominance
 from .lfp import (
     SaddleViolation,
     bayes_objective,
@@ -43,13 +43,7 @@ from .lfp import (
     solve_tau_star,
     verify_saddle,
 )
-from .numerics import (
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    RngSeed,
-    std_normal_quantile,
-)
+from .numerics import BracketError, ConvergenceError, DomainError, RngSeed
 from .planning import plan_es_epsilon, plan_ht_power, plan_worst_msr
 from .regression import InputError, RankError, fit, load_dataset_csv
 from .risk import (
@@ -152,16 +146,15 @@ def _build_rule(
 
     sd is the statistic's standard deviation in the target context: smooth
     standardized rules get scale=sd so they can be applied to the raw
-    statistic, and the ht token turns into the raw-scale threshold when
-    sd != 1.
+    statistic, and the ht token turns into the raw-scale threshold of its
+    test when sd != 1.
     """
     token = token.strip()
     if token == "es":
         return EmpiricalSuccess()
     if token == "ht":
-        if sd == 1.0:
-            return HypothesisTest(alpha=alpha)
-        return Threshold(t=std_normal_quantile(1.0 - alpha) * sd)
+        test = HypothesisTest(alpha=alpha)
+        return test if sd == 1.0 else Threshold(t=test.critical_value * sd)
     if token == "minimax":
         return MinimaxMSR(tau_star=tau_star, scale=sd)
     if token == "bayes-flat":
@@ -248,6 +241,8 @@ def _cmd_solve_tau_star(args: argparse.Namespace) -> None:
 
 
 def _cmd_rule_eval(args: argparse.Namespace) -> None:
+    if not math.isfinite(args.stat):
+        raise _UsageError(f"--stat must be finite, got {args.stat}")
     rule = _rule_from_args(args, sd=1.0)
     _emit_json(
         {
@@ -287,13 +282,12 @@ def _cmd_saddle(args: argparse.Namespace) -> None:
 
 
 def _cmd_dominate(args: argparse.Namespace) -> None:
-    # (t, tau_bar, alpha_g, noise_sd, shrink) of both the certificate and the rule
-    design = (args.t, args.tau_bar, args.alpha_g, _stat_sd(args), args.shrink)
-    cert = verify_dominance(*design, grid_step=args.grid_step)
-    rule = dominating_rule(*design)
+    cert = verify_dominance(
+        args.t, args.tau_bar, args.alpha_g, _stat_sd(args), args.shrink, grid_step=args.grid_step
+    )
     if args.csv is not None:
         _emit_csv(cert.to_csv(), args.csv)
-    _emit_json({"certificate": cert.to_dict(), "rule": rule_to_dict(rule)})
+    _emit_json({"certificate": cert.to_dict(), "rule": rule_to_dict(cert.rule)})
 
 
 def _cmd_sample_size(args: argparse.Namespace) -> None:

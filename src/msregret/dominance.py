@@ -21,7 +21,8 @@ increasing in p = P(wrong) and positive already at its minimum m.
 verify_dominance certifies the rule dominating_rule builds on a tau grid
 from the step outcomes, so the check is limited by grid resolution only, not
 quadrature error; inside |tau| < 1 its strict tolerance applies to the
-normalized margin.
+normalized margin.  The certificate's rule property is that same rule, built
+from the certificate's own threshold_t and lambda_used.
 """
 from __future__ import annotations
 
@@ -97,6 +98,32 @@ def dominating_rule(
     return ComplementMix(base=Threshold(t), lam=lam)
 
 
+def _margin_violation(rows: np.ndarray, alpha_g: float) -> Optional[str]:
+    """Why the (k, 4) grid rows fail the checks of verify_dominance, or None.
+
+    The first offending row in grid order is named, and in that row a margin
+    below tolerance before one that is not finite (a risk that overflowed)
+    before one that is not strictly positive.
+    """
+    tau, margin = rows[:, 0], rows[:, 3]
+    low = margin < _MIN_MARGIN
+    overflow = ~np.isfinite(margin)
+    # the margin vanishes like |tau|^alpha_g at tau = 0, so near 0 the
+    # strict tolerance is held by the normalized margin
+    strict = _STRICT_MARGIN * np.minimum(1.0, np.abs(tau) ** alpha_g)
+    weak = (tau != 0.0) & ~(margin > strict)
+    bad = np.flatnonzero(low | overflow | weak)
+    if bad.size == 0:
+        return None
+    i = bad[0]
+    at, mg = float(tau[i]), float(margin[i])
+    if low[i]:
+        return f"margin {mg!r} below tolerance at tau={at!r}"
+    if overflow[i]:
+        return f"margin {mg!r} not finite at tau={at!r}"
+    return f"margin {mg!r} not strictly positive at tau={at!r}"
+
+
 @record
 @dataclass(frozen=True)
 class DominanceCertificate:
@@ -114,31 +141,14 @@ class DominanceCertificate:
     lambda_used: float
     grid: Tuple[Tuple[float, float, float, float], ...]
 
-    def _violation(self) -> Optional[str]:
-        """Why the certificate fails the checks of verify_dominance, or None.
+    @property
+    def rule(self) -> ComplementMix:
+        """The certified rule: dominating_rule's mixture at lambda_used."""
+        return ComplementMix(base=Threshold(self.threshold_t), lam=self.lambda_used)
 
-        The first offending row in grid order is named, and in that row a
-        margin below tolerance before one that is not finite (a risk that
-        overflowed) before one that is not strictly positive.
-        """
-        grid = np.asarray(self.grid, dtype=float).reshape(-1, 4)
-        tau, margin = grid[:, 0], grid[:, 3]
-        low = margin < _MIN_MARGIN
-        overflow = ~np.isfinite(margin)
-        # the margin vanishes like |tau|^alpha_g at tau = 0, so near 0 the
-        # strict tolerance is held by the normalized margin
-        strict = _STRICT_MARGIN * np.minimum(1.0, np.abs(tau) ** self.alpha_g)
-        weak = (tau != 0.0) & ~(margin > strict)
-        bad = np.flatnonzero(low | overflow | weak)
-        if bad.size == 0:
-            return None
-        i = bad[0]
-        at, mg = float(tau[i]), float(margin[i])
-        if low[i]:
-            return f"margin {mg!r} below tolerance at tau={at!r}"
-        if overflow[i]:
-            return f"margin {mg!r} not finite at tau={at!r}"
-        return f"margin {mg!r} not strictly positive at tau={at!r}"
+    def _violation(self) -> Optional[str]:
+        """Why the certificate fails the checks of verify_dominance, or None."""
+        return _margin_violation(np.asarray(self.grid, dtype=float).reshape(-1, 4), self.alpha_g)
 
     @property
     def is_valid(self) -> bool:
@@ -158,23 +168,31 @@ def verify_dominance(
     Threshold(t) and of the mixture, each probability from its own tail, so
     a failed margin is a real property of the construction, not quadrature
     noise.  Raises DominanceViolation naming the offending tau when a margin
-    dips below -1e-12 or a nonzero tau fails strict improvement.
+    dips below -1e-12 or a nonzero tau fails strict improvement, and
+    DomainError for a grid_step whose grid cannot be built.
     """
     if not grid_step > 0:
         raise DomainError(f"grid_step must be positive, got {grid_step}")
     rule = dominating_rule(t, tau_bar, alpha_g, noise_sd, shrink)
     # tau_bar * k / intervals for k = -intervals, ..., intervals step 2: the two
     # halves mirror each other and the middle node, when there is one, is 0.0
-    intervals = max(int(round(2.0 * tau_bar / grid_step)), 1)
-    taus = tau_bar * (np.arange(-intervals, intervals + 1, 2) / intervals)
+    try:
+        intervals = max(int(round(2.0 * tau_bar / grid_step)), 1)
+        taus = tau_bar * (np.arange(-intervals, intervals + 1, 2) / intervals)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        # an interval count past the float range, a grid too long to index and
+        # one too large to hold are all refused before any element is written
+        raise DomainError(f"grid_step {grid_step!r} gives no grid: {exc}") from None
     # E[Reg^alpha_g] over the step outcomes of Threshold(t), then of the mixture
     risk_single, risk_frac = (
         sum(r**alpha_g * p for r, p in _step_outcomes(step, taus, noise_sd))
         for step in (rule.base.step, rule.step)
     )
     rows = np.column_stack((taus, risk_single, risk_frac, risk_single - risk_frac))
-
-    cert = DominanceCertificate(
+    problem = _margin_violation(rows, alpha_g)
+    if problem is not None:
+        raise DominanceViolation(problem)
+    return DominanceCertificate(
         threshold_t=t,
         tau_bar=tau_bar,
         alpha_g=alpha_g,
@@ -182,7 +200,3 @@ def verify_dominance(
         lambda_used=rule.lam,
         grid=tuple(map(tuple, rows.tolist())),
     )
-    problem = cert._violation()
-    if problem is not None:
-        raise DominanceViolation(problem)
-    return cert

@@ -25,7 +25,8 @@ refinement of every scan peak that could hold the maximum.  verify_saddle
 checks the saddle-point equalities numerically and samples the two curves
 on a grid for plotting, bit for bit bayes_objective and exact_risk.  The
 shipped constant lives in _constants.py, written by write_constants from a
-fresh solve.
+fresh solve; default_tau_star returns it, and the package does not import
+without it.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._codec import csv_text, record
+from ._constants import TAU_STAR
 from .numerics import (
     expit,
     gaussian_expectation,
@@ -198,22 +200,10 @@ def round_sig(x: float, digits: int) -> float:
     return round(x, digits - 1 - exp)
 
 
-def _cached_tau_star() -> Optional[float]:
-    try:
-        from ._constants import TAU_STAR
-    except ImportError:
-        return None
-    return float(TAU_STAR)
-
-
 def default_tau_star() -> float:
-    """Shipped calibration constant, or a fresh solve rounded to 6 significant
-    digits when the constants module is absent (keeps output byte-identical
-    across the two paths)."""
-    cached = _cached_tau_star()
-    if cached is not None:
-        return cached
-    return round_sig(solve_tau_star(), 6)
+    """Shipped calibration constant: solve_tau_star() rounded to 6 significant
+    digits, as write_constants wrote it."""
+    return TAU_STAR
 
 
 def write_constants(path: str) -> float:

@@ -162,8 +162,8 @@ def compare_vs_es(sigma: float, epsilon: float, rule: TreatmentRule) -> EsCompar
 
 def ht_power_n(sigma: float, alpha: float, beta: float, tau_alt: float) -> int:
     """Classical one-sided test sample size: size alpha, power beta at tau_alt."""
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
+    # the test's own check refuses an alpha outside (0, 0.5) first
+    z_alpha = HypothesisTest(alpha=alpha).critical_value
     # beta = 0.5 is the knife-edge design z_{0.5} = 0, still well defined
     if not 0.5 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0.5, 1), got {beta}")
@@ -171,7 +171,7 @@ def ht_power_n(sigma: float, alpha: float, beta: float, tau_alt: float) -> int:
         raise DomainError("tau_alt must be nonzero")
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    shift = std_normal_quantile(1.0 - alpha) - std_normal_quantile(1.0 - beta)
+    shift = z_alpha - std_normal_quantile(1.0 - beta)
     # a product, not ** 2, so an overflow gives inf for _least_n to refuse
     ratio = sigma / tau_alt
     n_real = ratio * ratio * shift * shift

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import msregret
-import msregret.lfp
 from msregret import (
     ComplementMix,
     DominanceCertificate,
@@ -24,6 +23,7 @@ from msregret import (
     SampleSizePlan,
     SimulationSummary,
     Threshold,
+    dominating_rule,
     exact_risk,
     plan_es_epsilon,
     plan_ht_power,
@@ -31,6 +31,7 @@ from msregret import (
     risk_curve,
     risk_curve_csv,
     rule_from_dict,
+    rule_to_dict,
     simulate,
 )
 from msregret.cli import _build_parser, main
@@ -263,6 +264,44 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["dominate", "--shrink", "1.0"])
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [(["dominate", "--grid-step", "1e-300"], "Maximum allowed size exceeded"),
+         (["dominate", "--tau-bar", "1e300", "--sigma", "1e300", "--grid-step", "1e-10"],
+          "cannot convert float infinity to integer")],
+        ids=["too-long-to-index", "interval-count-overflows"],
+    )
+    def test_a_dominance_grid_that_cannot_be_built(self, capsys, argv, cause):
+        # both are refused before numpy allocates anything
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 2 and json.loads(lines[0])["grid_step"] == float(argv[-1])
+        assert lines[1] == f"error: grid_step {float(argv[-1])!r} gives no grid: {cause}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rule-eval", "--rule", "bayes-flat", "--stat=inf"],
+         ["rule-eval", "--rule", "prior-bayes", "--prior=-1:1,1:1", "--stat=nan"]],
+        ids=["bayes-flat-inf", "prior-bayes-nan"],
+    )
+    def test_a_non_finite_statistic(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1] == f"error: --stat must be finite, got {argv[-1][7:]}"
+
+    @pytest.mark.parametrize("alpha", ["0.0", "0.5", "0.7", "1.5"])
+    def test_ht_off_the_unit_scale_checks_its_size(self, capsys, alpha):
+        # the raw-scale threshold is built from HypothesisTest(alpha), so an
+        # alpha it refuses is refused at every sigma, with its own message
+        argv = ["risk", "--rule", "ht", "--alpha", alpha, "--tau", "1", "--sigma", "2"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 2 and json.loads(lines[0])["alpha"] == float(alpha)
+        assert lines[1] == f"error: alpha must lie in (0, 0.5), got {float(alpha)}"
 
     def test_bad_saddle_candidate(self, capsys):
         code, _, err = run_cli(capsys, ["saddle", "--tau-star", "0.5"])
@@ -540,6 +579,12 @@ class TestDominate:
         header = path.read_text(encoding="ascii").splitlines()[0]
         assert header == "tau,risk_singleton,risk_fractional,margin"
 
+    def test_the_rule_is_the_library_construction(self, capsys):
+        argv = ["dominate", "--t", "0.3", "--tau-bar", "1.25", "--alpha-g", "3",
+                "--shrink", "0.7", "--sigma", "2", "--n", "4"]
+        payload = payload_of(capsys, argv)
+        assert payload["rule"] == rule_to_dict(dominating_rule(0.3, 1.25, 3.0, 1.0, 0.7))
+
 
 class TestSampleSize:
     def test_worst_msr_target(self, capsys):
@@ -612,12 +657,6 @@ class TestTable1:
         _, first, _ = run_cli(capsys, ["table1"])
         _, second, _ = run_cli(capsys, ["table1"])
         assert first == second
-
-    def test_missing_constants_module_changes_nothing(self, capsys, monkeypatch):
-        _, shipped, _ = run_cli(capsys, ["table1"])
-        monkeypatch.setattr(msregret.lfp, "_cached_tau_star", lambda: None)
-        _, solved, _ = run_cli(capsys, ["table1"])
-        assert solved == shipped
 
     def test_tau_star_override_moves_the_minimax_column(self, capsys):
         _, default, _ = run_cli(capsys, ["table1"])

@@ -228,6 +228,31 @@ class TestVerifyDominance:
                             t, tau_bar, alpha_g, 1.0, shrink=shrink, grid_step=0.05
                         )
                         assert cert.is_valid, (t, tau_bar, alpha_g, shrink)
+                        # the certificate holds the rule it certified
+                        assert cert.rule == dominating_rule(t, tau_bar, alpha_g, 1.0, shrink)
+
+    @pytest.mark.parametrize(
+        "tau_bar, noise_sd, grid_step, cause",
+        [(1.0, 1.0, 1e-300, "Maximum allowed size exceeded"),
+         (1e300, 1e300, 1e-10, "cannot convert float infinity to integer")],
+        ids=["too-long-to-index", "interval-count-overflows"],
+    )
+    def test_a_grid_that_cannot_be_built(self, tau_bar, noise_sd, grid_step, cause):
+        # each is refused before numpy allocates anything
+        with pytest.raises(DomainError) as info:
+            verify_dominance(0.0, tau_bar, 2.0, noise_sd, grid_step=grid_step)
+        assert str(info.value) == f"grid_step {grid_step!r} gives no grid: {cause}"
+
+    def test_a_grid_too_large_to_hold(self, monkeypatch):
+        # what numpy raises when the allocator refuses a grid, faked on a small
+        # grid so that a grid is never allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(DomainError) as info:
+            verify_dominance(0.0, 1.0, 2.0, 1.0, grid_step=0.5)
+        assert str(info.value) == "grid_step 0.5 gives no grid: Unable to allocate 149. GiB"
 
     def test_weight_ceiling_shrinks_with_the_range(self):
         lams = [

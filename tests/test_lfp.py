@@ -251,8 +251,9 @@ class TestShippedConstant:
         assert out.read_text(encoding="ascii") == shipped
         assert "TAU_STAR = 1.22814\n" in shipped
 
-    def test_missing_cache_falls_back_to_a_rounded_solve(self, monkeypatch):
-        import msregret.lfp as lfp
+    def test_default_is_the_shipped_constant_without_a_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("default_tau_star solved for tau*")
 
-        monkeypatch.setattr(lfp, "_cached_tau_star", lambda: None)
+        monkeypatch.setattr(lfp, "solve_tau_star", refuse)
         assert lfp.default_tau_star() == _constants.TAU_STAR

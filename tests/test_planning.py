@@ -171,6 +171,14 @@ class TestHtPowerN:
         with pytest.raises(DomainError, match="not representable"):
             ht_power_n(sigma, 0.05, 0.8, tau_alt)
 
+    def test_alpha_is_checked_first_by_the_test_rule(self):
+        # every argument is bad; the size-alpha test's own check speaks first
+        with pytest.raises(DomainError) as plan:
+            ht_power_n(0.0, 0.7, 0.3, 0.0)
+        with pytest.raises(DomainError) as rule:
+            HypothesisTest(alpha=0.7)
+        assert str(plan.value) == str(rule.value) == "alpha must lie in (0, 0.5), got 0.7"
+
 
 class TestCompareVsHt:
     def test_reference_numbers(self):
