@@ -91,11 +91,17 @@ def dominating_rule(
     Any shrink in (0, 1) yields strict dominance over the effect range; the
     default backs off to half the optimal weight.
     """
+    return _construction(t, tau_bar, alpha_g, noise_sd, shrink)[1]
+
+
+def _construction(
+    t: float, tau_bar: float, alpha_g: float, noise_sd: float, shrink: float
+) -> Tuple[float, ComplementMix]:
+    # lambda_star and dominating_rule's mixture, from one pair of tail bounds
     if not 0.0 < shrink < 1.0:
         raise DomainError(f"shrink must lie in (0, 1), got {shrink}")
-    p_plus, p_minus = tail_bounds(t, tau_bar, noise_sd)
-    lam = shrink * lambda_star(p_plus, p_minus, alpha_g)
-    return ComplementMix(base=Threshold(t), lam=lam)
+    lam_star = lambda_star(*tail_bounds(t, tau_bar, noise_sd), alpha_g)
+    return lam_star, ComplementMix(base=Threshold(t), lam=shrink * lam_star)
 
 
 def _margin_violation(rows: np.ndarray, alpha_g: float) -> Optional[str]:
@@ -173,7 +179,7 @@ def verify_dominance(
     """
     if not grid_step > 0:
         raise DomainError(f"grid_step must be positive, got {grid_step}")
-    rule = dominating_rule(t, tau_bar, alpha_g, noise_sd, shrink)
+    lam_star, rule = _construction(t, tau_bar, alpha_g, noise_sd, shrink)
     # tau_bar * k / intervals for k = -intervals, ..., intervals step 2: the two
     # halves mirror each other and the middle node, when there is one, is 0.0
     try:
@@ -196,7 +202,7 @@ def verify_dominance(
         threshold_t=t,
         tau_bar=tau_bar,
         alpha_g=alpha_g,
-        lambda_star=lambda_star(*tail_bounds(t, tau_bar, noise_sd), alpha_g),
+        lambda_star=lam_star,
         lambda_used=rule.lam,
         grid=tuple(map(tuple, rows.tolist())),
     )

@@ -429,11 +429,9 @@ class DiscretePrior:
         total = sum(weights)
         if abs(total - 1.0) > 1e-8:
             raise DomainError(f"prior weights must sum to 1, got {total}")
-        # derived once, since tilted_posterior_match_msr reads them on every
-        # call, solve_bayes_foc reads max|tau| on every call, and
-        # DiscretePriorBayes.stat_at keeps its per-alpha_g terms in
-        # _foc_terms; none is a field, so equality, hashing and to_dict see
-        # support alone
+        # derived once, since tilted_posterior_match_msr reads them and
+        # DiscretePriorBayes reads max|tau| on every call; none is a field,
+        # so equality, hashing and to_dict see support alone
         taus, weights = np.array(taus), np.array(weights)
         taus.setflags(write=False)
         weights.setflags(write=False)
@@ -441,7 +439,6 @@ class DiscretePrior:
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_two_sided", bool((taus > 0).any() and (taus < 0).any()))
         object.__setattr__(self, "_max_abs_tau", float(np.abs(taus).max()))
-        object.__setattr__(self, "_foc_terms", {})
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscretePrior":
@@ -472,9 +469,18 @@ class DiscretePriorBayes(TreatmentRule):
     the closed-form solution of the posterior first-order condition at each
     statistic value (solve_bayes_foc).
 
+    Construction builds the condition's terms once: the support partitioned
+    stably by sign, the negative points, then the positive ones, each in
+    support order (points at tau = 0 drop out), with log w_i
+    + alpha_g log|tau_i|.  evaluate forms z_i = (y - tau_i / 2) tau_i / sd^2
+    + log w_i + alpha_g log|tau_i| with the support on the first axis and
+    folds each sign's rows with np.logaddexp one at a time in support order,
+    the order np.logaddexp.reduce takes, so log B and log A have its bits,
+    infinite and NaN statistics included.
+
     stat_at(q) inverts the fraction with the certified crossing search
-    (_crossing), computing it on Python floats in solve_bayes_foc's
-    operation order, which gives the same bits.  The fraction is
+    (_crossing), computing it on Python floats from the rule's own terms in
+    evaluate's operation order, which gives the same bits.  The fraction is
     clamp(expit(L)) with the log-odds L(y) = (log A - log B) / e,
     e = alpha_g - 1, whose slope is (E_A tau - E_B tau) / (sd^2 e), the means
     of tau under A's and B's weights.  That slope is at least
@@ -489,7 +495,8 @@ class DiscretePriorBayes(TreatmentRule):
     and +inf for q > 1 - 1e-12, and a crossing beyond the finite floats
     gives +-inf.  Raises PriorSupportError for a one-sided prior, and
     DomainError when noise_sd**2 is 0 or not finite or a fraction is NaN,
-    where a crossing cannot be certified.
+    where a crossing cannot be certified; a rule with such a prior or
+    noise_sd constructs, and evaluate refuses it as stat_at does.
     """
 
     prior: DiscretePrior
@@ -503,9 +510,46 @@ class DiscretePriorBayes(TreatmentRule):
             raise DomainError(f"alpha_g must exceed 1, got {self.alpha_g}")
         if not self.noise_sd > 0:
             raise DomainError(f"noise_sd must be positive, got {self.noise_sd}")
+        # an infinite alpha_g would make alpha_g log|tau| NaN at |tau| = 1
+        if self.alpha_g == math.inf:
+            raise DomainError(f"alpha_g must be finite, got {self.alpha_g}")
+        # the condition's terms, with tau_i / 2, as arrays for evaluate and
+        # as (tau_i, log term) float pairs for stat_at; none is a field, so
+        # equality, hashing, repr, to_dict and pickling see the fields alone
+        support = [p for p in self.prior.support if p[0] < 0]
+        object.__setattr__(self, "_m", len(support))
+        support += [p for p in self.prior.support if p[0] > 0]
+        taus = np.array([t for t, _ in support])
+        log_terms = np.log(np.array([w for _, w in support])) + self.alpha_g * np.log(np.abs(taus))
+        object.__setattr__(self, "_taus", taus)
+        object.__setattr__(self, "_halves", 0.5 * taus)
+        object.__setattr__(self, "_log_terms", log_terms)
+        object.__setattr__(self, "_pairs", tuple(zip(taus.tolist(), log_terms.tolist())))
 
     def evaluate(self, stat: Stat) -> Stat:
-        return solve_bayes_foc(self.prior, self.alpha_g, self.noise_sd, stat)
+        _require_two_sided(self.prior)
+        var = _variance(self.noise_sd)
+        y = np.asarray(stat, dtype=float)
+        shape = (-1,) + (1,) * y.ndim
+        z = y - self._halves.reshape(shape)
+        z *= self._taus.reshape(shape)
+        z /= var
+        z += self._log_terms.reshape(shape)
+        # each sign folded one row at a time in support order, the order
+        # np.logaddexp.reduce takes, without its cost
+        m = self._m
+        log_b, log_a = z[0], z[m]
+        for i in range(1, m):
+            log_b = np.logaddexp(log_b, z[i])
+        for i in range(m + 1, len(z)):
+            log_a = np.logaddexp(log_a, z[i])
+        delta = expit((log_a - log_b) / (self.alpha_g - 1.0))
+        if self.prior._max_abs_tau**2 >= var * _FLOAT_MAX:
+            nan = np.isnan(delta)
+            if nan.any() and not np.isnan(y[nan]).all():
+                raise DomainError(f"the Bayes fraction is NaN at a statistic that is a number: "
+                                  f"at noise_sd**2 = {var!r} both of its log sums are -inf")
+        return _match(np.minimum(np.maximum(delta, 1e-12), 1.0 - 1e-12), stat)
 
     def stat_at(self, q: float) -> float:
         if not 1e-12 < q <= 1.0 - 1e-12:
@@ -514,14 +558,7 @@ class DiscretePriorBayes(TreatmentRule):
         _require_two_sided(prior)
         var = _variance(self.noise_sd)
         e = self.alpha_g - 1.0
-        # float(alpha_g) keys the memo, so an int, a numpy float and a 0-d
-        # array share one entry, and each multiplies log|tau| to the same bits
-        key = float(self.alpha_g)
-        terms = prior._foc_terms.get(key)
-        if terms is None:
-            m, taus, log_terms = _foc_terms(prior, key)
-            terms = prior._foc_terms[key] = (m, list(zip(taus.tolist(), log_terms.tolist())))
-        m, pairs = terms
+        m, pairs = self._m, self._pairs
         taus = [t for t, _ in pairs]
         gap = min(taus[m:]) - max(taus[:m])
         # sd^2 z_i = tau_i (y - tau_i / 2) + sd^2 log_term_i is at most this
@@ -535,8 +572,7 @@ class DiscretePriorBayes(TreatmentRule):
         width /= q * (1.0 - q)
 
         def at(y: float, newton: bool = True) -> tuple:
-            # the fraction at y, in solve_bayes_foc's operation order with each
-            # sign folded one pair at a time as np.logaddexp.reduce does, and,
+            # the fraction at y, in evaluate's operation order and fold, and,
             # for Newton, the step to the target, the rounding scale of L on
             # the statistic, and E_A tau - E_B tau; sd^2 multiplies rather
             # than divides, so neither overflows where z does
@@ -610,16 +646,6 @@ def _variance(noise_sd: float) -> float:
     return var
 
 
-def _foc_terms(prior: DiscretePrior, alpha_g: float) -> tuple:
-    # the m negative support points, then the positive ones, each in support
-    # order, with log w_i + alpha_g log|tau_i|
-    support = [p for p in prior.support if p[0] < 0]
-    m = len(support)
-    support += [p for p in prior.support if p[0] > 0]
-    taus = np.array([t for t, _ in support])
-    return m, taus, np.log(np.array([w for _, w in support])) + alpha_g * np.log(np.abs(taus))
-
-
 def solve_bayes_foc(
     prior: DiscretePrior, alpha_g: float, noise_sd: float, stat: Stat
 ) -> Stat:
@@ -641,49 +667,19 @@ def solve_bayes_foc(
     which is positive because A puts all its weight on tau > 0 and B on
     tau < 0 (the monotone likelihood ratio of the Gaussian location family).
 
-    Both signs share one array z = log(w_i) + alpha_g log|tau_i|
-    + tau_i (y - tau_i / 2) / sd^2 with the support on its first axis,
-    partitioned stably by sign: the negative points, then the positive ones,
-    each in support order (points at tau = 0 drop out).  log B and log A are
-    the logaddexp reductions of the two slices along that axis, so each sums
-    exactly the terms of its own sign in support order, as reducing the signs
-    one at a time would, and the result is the same bit for bit, infinite and
-    NaN statistics included.  A Python float statistic goes through the same
-    array path; only DiscretePriorBayes.stat_at computes the fraction on
-    Python floats, in the same operation order.
-
-    Accepts a float or an ndarray statistic and returns the matching type.
-    Raises PriorSupportError when the prior mass is one-sided, and
-    DomainError for alpha_g <= 1, for noise_sd <= 0, for noise_sd**2 that is
-    0 or overflows, and for a NaN fraction at a statistic that is not NaN.
-    That takes log A = log B = -inf, every z_i overflowed to -inf, which
-    needs max|tau|^2 of at least 2 sd^2 times the largest float up to
-    rounding; the array path looks for NaNs only from sd^2 times the largest
-    float on, so the common case pays one comparison.
+    This is DiscretePriorBayes(prior, alpha_g, noise_sd).evaluate(stat): the
+    rule builds the terms log w_i + alpha_g log|tau_i| once, and its evaluate
+    folds each sign's log-sum.  Accepts a float or an ndarray statistic and
+    returns the matching type.  Raises DomainError for alpha_g <= 1 or
+    infinite and for noise_sd <= 0, then PriorSupportError when the prior
+    mass is one-sided, then DomainError for noise_sd**2 that is 0 or
+    overflows and for a NaN fraction at a statistic that is not NaN.  That
+    takes log A = log B = -inf, every z_i overflowed to -inf, which needs
+    max|tau|^2 of at least 2 sd^2 times the largest float up to rounding;
+    evaluate looks for NaNs only from sd^2 times the largest float on, so
+    the common case pays one comparison.
     """
-    if not alpha_g > 1:
-        raise DomainError(f"alpha_g must exceed 1, got {alpha_g}")
-    if not noise_sd > 0:
-        raise DomainError(f"noise_sd must be positive, got {noise_sd}")
-    _require_two_sided(prior)
-    var = _variance(noise_sd)
-    m, taus, log_terms = _foc_terms(prior, alpha_g)
-    y = np.asarray(stat, dtype=float)
-    shape = (-1,) + (1,) * y.ndim
-    t = taus.reshape(shape)
-    z = y - 0.5 * t
-    z *= t
-    z /= var
-    z += log_terms.reshape(shape)
-    log_a = np.logaddexp.reduce(z[m:], axis=0)
-    log_b = np.logaddexp.reduce(z[:m], axis=0)
-    delta = expit((log_a - log_b) / (alpha_g - 1.0))
-    if prior._max_abs_tau**2 >= var * _FLOAT_MAX:
-        nan = np.isnan(delta)
-        if nan.any() and not np.isnan(y[nan]).all():
-            raise DomainError(f"the Bayes fraction is NaN at a statistic that is a number: "
-                              f"at noise_sd**2 = {var!r} both of its log sums are -inf")
-    return _match(np.minimum(np.maximum(delta, 1e-12), 1.0 - 1e-12), stat)
+    return DiscretePriorBayes(prior, alpha_g, noise_sd).evaluate(stat)
 
 
 def tilted_posterior_match_msr(

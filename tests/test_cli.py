@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import msregret
+import msregret.dominance as dominance
 from msregret import (
     ComplementMix,
     DominanceCertificate,
@@ -221,6 +222,17 @@ class TestExitCodes:
         )
         assert code == 1
         assert err.count("error:") == 1
+
+    @pytest.mark.parametrize("value, reason", [("nan", "exceed 1"), ("inf", "be finite")])
+    def test_an_alpha_g_that_is_not_a_finite_power(self, capsys, recwarn, value, reason):
+        argv = ["rule-eval", "--rule", "prior-bayes", "--prior=-1:1,1:1,2:0.5",
+                "--alpha-g", value, "--stat", "0.5"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 2 and math.isnan(json.loads(lines[0])["alpha_g"]) == (value == "nan")
+        assert lines[1] == f"error: alpha_g must {reason}, got {value}"
+        assert not recwarn.list
 
     def test_negative_tau_star(self, capsys):
         # an infinite or NaN calibration is refused the same way, not echoed as NaN
@@ -578,6 +590,18 @@ class TestDominate:
         assert cert.lambda_used == 0.5 * cert.lambda_star
         header = path.read_text(encoding="ascii").splitlines()[0]
         assert header == "tau,risk_singleton,risk_fractional,margin"
+
+    def test_one_op_takes_the_tail_bounds_once(self, capsys, monkeypatch):
+        calls = []
+        bounds = dominance.tail_bounds
+
+        def spy(*args):
+            calls.append(args)
+            return bounds(*args)
+
+        monkeypatch.setattr(dominance, "tail_bounds", spy)
+        payload_of(capsys, ["dominate", "--t", "0.1", "--tau-bar", "1.25", "--alpha-g", "3"])
+        assert calls == [(0.1, 1.25, 1.0)]
 
     def test_the_rule_is_the_library_construction(self, capsys):
         argv = ["dominate", "--t", "0.3", "--tau-bar", "1.25", "--alpha-g", "3",

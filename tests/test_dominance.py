@@ -139,6 +139,16 @@ class TestDominatingRule:
 
 
 class TestVerifyDominance:
+    def test_the_refusals_keep_their_order(self):
+        # shrink, then the tail bounds' own checks, then lambda_star's
+        for fn in (dominating_rule, verify_dominance):
+            with pytest.raises(DomainError, match="^shrink must lie"):
+                fn(0.0, 0.0, 1.0, 0.0, 1.0)
+            with pytest.raises(DomainError, match="^tau_bar must be positive"):
+                fn(0.0, 0.0, 1.0, 0.0, 0.5)
+            with pytest.raises(DomainError, match="^alpha_g must exceed 1"):
+                fn(0.0, 1.0, 1.0, 1.0, 0.5)
+
     def test_certificate_structure(self):
         cert = verify_dominance(0.0, 1.0, 2.0, 1.0)
         assert cert.is_valid

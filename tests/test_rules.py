@@ -1,6 +1,7 @@
 """Rule evaluation: reference grid values, invariants, and the Bayes solver."""
 import json
 import math
+import re
 import sys
 import warnings
 from unittest import mock
@@ -664,21 +665,37 @@ class TestBayesFoc:
         if 1e-6 < lo and hi < 1.0 - 1e-6:
             assert lo < hi
 
-    def test_evaluate_calls_the_module_solver_once(self, monkeypatch):
+    def test_the_module_solver_is_the_rules_evaluate(self, monkeypatch):
         calls = []
-        solve = rules_module.solve_bayes_foc
+        run = DiscretePriorBayes.evaluate
 
-        def spy(*args):
-            calls.append(args)
-            return solve(*args)
+        def spy(rule, stat):
+            calls.append(rule)
+            return run(rule, stat)
 
-        monkeypatch.setattr(rules_module, "solve_bayes_foc", spy)
+        monkeypatch.setattr(DiscretePriorBayes, "evaluate", spy)
         prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)])
-        rule = DiscretePriorBayes(prior=prior, alpha_g=2.0, noise_sd=1.0)
-        rule.evaluate(np.linspace(-3.0, 3.0, 24))
-        assert len(calls) == 1
-        rule.evaluate(0.5)
+        stats = np.linspace(-3.0, 3.0, 24)
+        got = solve_bayes_foc(prior, 2.0, 1.0, stats)
+        assert calls == [DiscretePriorBayes(prior, 2.0, 1.0)]
+        assert got.tobytes() == run(calls[0], stats).tobytes()
+        assert solve_bayes_foc(prior, 2.0, 1.0, 0.5) == run(calls[0], 0.5)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("alpha_g", [math.inf, np.float64(math.inf), np.array(math.inf)])
+    def test_an_infinite_alpha_g_is_refused(self, alpha_g):
+        # alpha_g log|tau| would be inf * 0 = NaN at |tau| = 1
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)])
+        with pytest.raises(DomainError, match="^alpha_g must be finite, got inf$"):
+            DiscretePriorBayes(prior, alpha_g, 1.0)
+        with pytest.raises(DomainError, match="^alpha_g must be finite, got inf$"):
+            solve_bayes_foc(prior, alpha_g, 1.0, 0.5)
+        # the existing checks come first
+        with pytest.raises(DomainError, match="^noise_sd must be positive"):
+            DiscretePriorBayes(prior, alpha_g, 0.0)
+        for low in (-math.inf, math.nan, 1.0):
+            with pytest.raises(DomainError, match="^alpha_g must exceed 1, got"):
+                solve_bayes_foc(prior, low, 1.0, 0.5)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -919,9 +936,9 @@ class TestBayesFocFrozen:
     @pytest.mark.parametrize("alpha_g", [2.0, 3.0])
     @pytest.mark.parametrize("warm", [int, np.float64, np.array])
     def test_memo_warmed_through_another_alpha_g_type(self, alpha_g, warm):
-        # the inverse's first call builds the terms and their float form with
-        # alpha_g of another type; every later type must read the same pins
-        # and find the crossings a cold prior does
+        # a rule built with alpha_g of one type leaves nothing on the prior:
+        # every later type must read the same pins and find the crossings a
+        # cold prior does
         want = self.FROZEN_BAYES[alpha_g]
         qs = (0.1, 0.5, 0.7, 1.0 - 1e-9)
         cold = DiscretePrior.from_pairs(self.PIN_PAIRS)
@@ -936,7 +953,6 @@ class TestBayesFocFrozen:
             assert self.same(scalars, want["scalars"])
             assert self.same(solve_bayes_foc(prior, a, 0.8, self.TABLE).tolist(),
                              want["table"])
-        assert list(prior._foc_terms) == [alpha_g]
 
     # the six fixed tail cases of the prior-bayes benchmark workload:
     # (prior, alpha_g, noise_sd, tau, threshold) and P(Reg > threshold), from
@@ -997,76 +1013,114 @@ class TestBayesFocFrozen:
         assert (got.sup, got.argsup_tau, got.saturated) == (sup, argsup, False)
 
 
-class TestFocTermsMemo:
-    """DiscretePriorBayes.stat_at keeps each prior's sign split and log terms
-    per alpha_g."""
+class TestFocTermsAtConstruction:
+    """DiscretePriorBayes builds its sign split and log terms once, when it
+    is constructed, and evaluate and stat_at read them."""
 
     PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
 
-    class CountingDict(dict):
-        def __init__(self):
-            super().__init__()
-            self.sets = 0
+    def test_one_build_per_construction(self, monkeypatch):
+        # the terms take the two np.log calls of the package's Bayes
+        # fraction; evaluate and stat_at take none
+        logs = []
+        log = np.log
 
-        def __setitem__(self, key, value):
-            self.sets += 1
-            super().__setitem__(key, value)
+        def counted_log(*args, **kwargs):
+            logs.append(args)
+            return log(*args, **kwargs)
 
-    def fresh(self):
-        # a prior whose memo counts the entries it is given
+        monkeypatch.setattr(np, "log", counted_log)
         prior = DiscretePrior.from_pairs(self.PAIRS)
-        object.__setattr__(prior, "_foc_terms", self.CountingDict())
-        return prior
-
-    def test_one_tail_stores_the_terms_once(self, monkeypatch):
-        builds = []
-        build = rules_module._foc_terms
-
-        def counted_build(*args):
-            builds.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(rules_module, "_foc_terms", counted_build)
-        prior = self.fresh()
         rule = DiscretePriorBayes(prior, 2.0, 1.0)
-        exp = GaussianExperiment(1.0, 1.0, 1)
-        assert tail_probability(rule, exp, 0.1) == TestBayesFocFrozen.FROZEN_TAILS[0][-1]
-        # every evaluation of the inverse reads one stored entry
-        assert len(builds) == 1 and prior._foc_terms.sets == 1
-        entry = prior._foc_terms[2.0]
-        tail_probability(rule, exp, 0.3)
-        tail_probability(DiscretePriorBayes(prior, 2, 0.5), exp, 0.1)
-        # later tails at that alpha_g build nothing
-        assert len(builds) == 1 and prior._foc_terms.sets == 1
-        assert prior._foc_terms == {2.0: entry} and prior._foc_terms[2.0] is entry
-
-    def test_array_calls_store_nothing(self):
-        prior = self.fresh()
-        rule = DiscretePriorBayes(prior, 3.0, 1.0)
+        assert len(logs) == 2
         rule.evaluate(np.linspace(-4.0, 4.0, 24))
+        rule.evaluate(np.linspace(-4.0, 4.0, 15).reshape(3, 5))
         rule.evaluate(np.float64(0.5))
+        rule.evaluate(np.array(0.5))
         rule.evaluate(0.5)
-        assert not prior._foc_terms and prior._foc_terms.sets == 0
         rule.stat_at(0.3)
         rule.stat_at(0.8)
-        assert list(prior._foc_terms) == [3.0] and prior._foc_terms.sets == 1
+        assert tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 0.1) \
+            == TestBayesFocFrozen.FROZEN_TAILS[0][-1]
+        assert len(logs) == 2
+        DiscretePriorBayes(prior, 3.0, 1.0)
+        assert len(logs) == 4
+        solve_bayes_foc(prior, 2.0, 1.0, 0.5)
+        assert len(logs) == 6
 
-    def test_the_memo_is_invisible(self):
+    def test_the_terms_are_invisible(self):
+        import dataclasses
         import pickle
 
-        cold = DiscretePrior.from_pairs(self.PAIRS)
-        warm = DiscretePrior.from_pairs(self.PAIRS)
-        for alpha_g in (1.5, 2.0, 3.0):
-            DiscretePriorBayes(warm, alpha_g, 1.0).stat_at(0.25)
-        assert len(warm._foc_terms) == 3 and not cold._foc_terms
-        assert warm == cold and hash(warm) == hash(cold)
-        rule_w, rule_c = (DiscretePriorBayes(p, 2.0, 1.0) for p in (warm, cold))
-        assert rule_w == rule_c and hash(rule_w) == hash(rule_c)
-        assert rule_to_dict(rule_w) == rule_to_dict(rule_c)
-        twin = pickle.loads(pickle.dumps(rule_w))
-        assert twin == rule_w == rule_c and hash(twin) == hash(rule_c)
-        assert twin.evaluate(0.25) == rule_w.evaluate(0.25)
-        assert twin.stat_at(0.25) == rule_w.stat_at(0.25) == rule_c.stat_at(0.25)
+        prior = DiscretePrior.from_pairs(self.PAIRS)
+        rules = [DiscretePriorBayes(prior, a, 1.0) for a in (2.0, 2, np.float64(2.0))]
+        assert [f.name for f in dataclasses.fields(rules[0])] == ["prior", "alpha_g", "noise_sd"]
+        assert rules[0] == rules[1] == rules[2]
+        assert len({hash(r) for r in rules}) == 1
+        assert rule_to_dict(rules[0]) == rule_to_dict(rules[2])
+        assert repr(rules[0]) == ("DiscretePriorBayes(prior=DiscretePrior(support=((-1.0, 0.4), "
+                                  "(1.0, 0.4), (2.0, 0.2))), alpha_g=2.0, noise_sd=1.0)")
+        assert not hasattr(prior, "_foc_terms")
+        twin = pickle.loads(pickle.dumps(rules[0]))
+        assert twin == rules[0] and hash(twin) == hash(rules[0])
+        stats = np.linspace(-4.0, 4.0, 24)
+        assert twin.evaluate(stats).tobytes() == rules[0].evaluate(stats).tobytes()
+        assert twin.evaluate(0.25) == rules[0].evaluate(0.25) == rules[1].evaluate(0.25)
+        assert twin.stat_at(0.25) == rules[0].stat_at(0.25) == rules[2].stat_at(0.25)
+        # a rule read back from its dict builds the same terms
+        back = rule_from_dict(rule_to_dict(rules[0]))
+        assert back.stat_at(0.7) == rules[0].stat_at(0.7)
+
+    @pytest.mark.parametrize("pairs", [[(1.0, 0.5), (2.0, 0.5)], [(-1.0, 0.5), (0.0, 0.5)],
+                                       [(0.0, 1.0)]])
+    def test_a_one_sided_prior_constructs_and_is_refused_at_use(self, pairs):
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), 2.0, 1.0)
+        for stat in (0.5, np.float64(0.5), np.linspace(-1.0, 1.0, 5)):
+            with pytest.raises(PriorSupportError):
+                rule.evaluate(stat)
+        with pytest.raises(PriorSupportError):
+            rule.stat_at(0.3)
+        # the support is checked before the variance, as before
+        bad = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), 2.0, 1e200)
+        with pytest.raises(PriorSupportError):
+            bad.evaluate(0.5)
+
+    @pytest.mark.parametrize("sd, var", [(1e200, "inf"), (1e-170, "0.0")])
+    def test_an_unusable_variance_constructs_and_is_refused_at_use(self, sd, var):
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs(self.PAIRS), 2.0, sd)
+        match = "^" + re.escape(f"noise_sd**2 is {var} at noise_sd {sd!r}; the Bayes fraction")
+        for stat in (0.5, np.linspace(-1.0, 1.0, 5)):
+            with pytest.raises(DomainError, match=match):
+                rule.evaluate(stat)
+        with pytest.raises(DomainError, match=match):
+            rule.stat_at(0.3)
+
+    @pytest.mark.parametrize("pairs", [
+        [(-2.1, 0.3), (-0.6, 0.1), (0.4, 0.2), (1.3, 0.25), (2.7, 0.15)],
+        [(1.9, 0.1), (-0.3, 0.2), (0.8, 0.15), (-2.4, 0.2), (2.6, 0.05), (-1.1, 0.3)],
+    ])
+    @pytest.mark.parametrize("alpha_g", [1.5, 3.0])
+    def test_a_block_equals_its_float_calls_and_the_axis_reduction(self, pairs, alpha_g):
+        # an 8192-draw block, as simulate passes it: each element has the bits
+        # of its own float call and of the parent's np.logaddexp.reduce along
+        # the support axis
+        prior = DiscretePrior.from_pairs(pairs)
+        sd = 0.7
+        rule = DiscretePriorBayes(prior, alpha_g, sd)
+        block = np.random.default_rng(8192).normal(0.0, 2.5, 8192)
+        got = rule.evaluate(block)
+        assert got.tobytes() == np.array([rule.evaluate(float(y)) for y in block]).tobytes()
+        neg = [(t, w) for t, w in prior.support if t < 0]
+        pos = [(t, w) for t, w in prior.support if t > 0]
+        sums = []
+        for side in (pos, neg):
+            taus = np.array([t for t, _ in side])[:, None]
+            logs = (np.log(np.array([w for _, w in side])) + alpha_g * np.log(np.abs(taus[:, 0])))
+            z = (block - 0.5 * taus) * taus / sd**2 + logs[:, None]
+            sums.append(np.logaddexp.reduce(z, axis=0))
+        want = np.minimum(np.maximum(expit((sums[0] - sums[1]) / (alpha_g - 1.0)), 1e-12),
+                          1.0 - 1e-12)
+        assert got.tobytes() == want.tobytes()
 
 
 def _assert_prior_certified(rule, q):
