@@ -1013,15 +1013,15 @@ class TestBayesFocFrozen:
         assert (got.sup, got.argsup_tau, got.saturated) == (sup, argsup, False)
 
 
-class TestFocTermsAtConstruction:
-    """DiscretePriorBayes builds its sign split and log terms once, when it
-    is constructed, and evaluate and stat_at read them."""
+class TestFocTermsMemo:
+    """The sign split and log terms a DiscretePriorBayes stores when it is
+    constructed serve every later call: tails and array calls build none."""
 
     PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
 
-    def test_one_build_per_construction(self, monkeypatch):
-        # the terms take the two np.log calls of the package's Bayes
-        # fraction; evaluate and stat_at take none
+    @staticmethod
+    def count_logs(monkeypatch):
+        # the terms take the two np.log calls of the package's Bayes fraction
         logs = []
         log = np.log
 
@@ -1030,23 +1030,46 @@ class TestFocTermsAtConstruction:
             return log(*args, **kwargs)
 
         monkeypatch.setattr(np, "log", counted_log)
+        return logs
+
+    def test_one_tail_stores_the_terms_once(self, monkeypatch):
+        logs = self.count_logs(monkeypatch)
         prior = DiscretePrior.from_pairs(self.PAIRS)
         rule = DiscretePriorBayes(prior, 2.0, 1.0)
+        assert len(logs) == 2
+        exp = GaussianExperiment(1.0, 1.0, 1)
+        assert tail_probability(rule, exp, 0.1) == TestBayesFocFrozen.FROZEN_TAILS[0][-1]
+        tail_probability(rule, exp, 0.3)
+        # every evaluation of the inverse reads the stored terms
+        assert len(logs) == 2
+        # each construction builds its own, and the module solver constructs one
+        tail_probability(DiscretePriorBayes(prior, 2, 0.5), exp, 0.1)
+        assert len(logs) == 4
+        DiscretePriorBayes(prior, 3.0, 1.0)
+        assert len(logs) == 6
+        solve_bayes_foc(prior, 2.0, 1.0, 0.5)
+        assert len(logs) == 8
+
+    def test_array_calls_store_nothing(self, monkeypatch):
+        logs = self.count_logs(monkeypatch)
+        rule = DiscretePriorBayes(DiscretePrior.from_pairs(self.PAIRS), 3.0, 1.0)
         assert len(logs) == 2
         rule.evaluate(np.linspace(-4.0, 4.0, 24))
         rule.evaluate(np.linspace(-4.0, 4.0, 15).reshape(3, 5))
         rule.evaluate(np.float64(0.5))
         rule.evaluate(np.array(0.5))
         rule.evaluate(0.5)
+        assert len(logs) == 2
         rule.stat_at(0.3)
         rule.stat_at(0.8)
-        assert tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 0.1) \
-            == TestBayesFocFrozen.FROZEN_TAILS[0][-1]
         assert len(logs) == 2
-        DiscretePriorBayes(prior, 3.0, 1.0)
-        assert len(logs) == 4
-        solve_bayes_foc(prior, 2.0, 1.0, 0.5)
-        assert len(logs) == 6
+
+
+class TestFocTermsAtConstruction:
+    """DiscretePriorBayes builds its sign split and log terms once, when it
+    is constructed, and evaluate and stat_at read them."""
+
+    PAIRS = [(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)]
 
     def test_the_terms_are_invisible(self):
         import dataclasses
