@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -91,7 +91,7 @@ _SCAN_MAX_LEVEL = 64  # finest s-grid step is _SCAN_STEP / 64
 # FFT rounding on the unit curves; measured at most 5e-14 with the b^2 factor
 _SCAN_ROUNDING = 1e-12
 _CHUNK = 1 << 16  # fixed substream width; not a parallelism knob
-_SIM_BLOCK = 8192  # simulate's draw and evaluation block, 64 KB of floats
+_SIM_BLOCK = 8192  # simulate's draw block: 64 KB of draws, 192 KB of rows
 _RISK_BLOCK = 32  # effects per quadrature in _curve_moments
 _FIELDS = ("mean_regret", "regret_variance", "mean_square_regret", "welfare_mean")
 _SIM_FIELDS = ("mean_regret", "mean_square_regret", "welfare_mean", "regret_variance",
@@ -457,7 +457,12 @@ def _normal_draws(seed: RngSeed, count: int) -> np.ndarray:
     last call's draws are kept, read-only, since figure1 simulates two rules
     from one seed.
     """
-    out = np.empty(count, dtype=float)
+    try:
+        out = np.empty(count, dtype=float)
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses a count too large to index, and the allocator one too
+        # large to hold, before any draw is made
+        raise DomainError(f"replications {count!r} cannot be held: {exc}") from None
     # a chunk's stream continues across random_raw calls, so it is mapped in
     # blocks of _SIM_BLOCK words (a divisor of _CHUNK) with small temporaries
     for lo in range(0, count, _SIM_BLOCK):
@@ -472,15 +477,6 @@ def _normal_draws(seed: RngSeed, count: int) -> np.ndarray:
     return out
 
 
-def _totals(rows: list) -> list:
-    """Column sums of per-block rows, added in block order starting from the
-    first block's values, so one block gives numpy's sums bit for bit."""
-    out = list(rows[0])
-    for row in rows[1:]:
-        out = [t + x for t, x in zip(out, row)]
-    return out
-
-
 def simulate(
     rule: TreatmentRule,
     exp: GaussianExperiment,
@@ -490,62 +486,62 @@ def simulate(
 ) -> SimulationSummary:
     """Monte Carlo analogue of exact_risk; deterministic given the seed.
 
-    The draws are mapped, and the rule and the regret evaluated, in blocks of
-    at most 8192 draws: 64 KB temporaries stay under glibc's initial 128 KB
-    mmap threshold, and only the blocks of fractions live across the passes
-    over them, so a call works in reused heap memory instead of faulting in
-    fresh pages, whatever the process freed before.  The moments are
-    two-pass (block sums, then squared deviations from the means); up to 8192
-    replications they are numpy's mean, var and std bit for bit.  A field
-    that is not finite (the squares of regrets past about 1.3e154 overflow)
-    is refused with DomainError naming it, as exact_risk refuses a moment.
+    The draws are mapped, and the rule evaluated, in blocks of at most 8192
+    draws.  Each block's regret, squared regret and welfare are formed once,
+    as the three rows of one array, and every block's rows are held across
+    the passes over them: 24 bytes per replication, 480 KB at 20,000.  A
+    block's rows take 192 KB, above glibc's initial 128 KB mmap threshold,
+    so they come from fresh pages until glibc, on freeing such a block,
+    raises the threshold past them.  The moments are two-pass (block sums,
+    then squared deviations from the means), the block sums added in block
+    order from the first block's; up to 8192 replications they are numpy's
+    mean, var and std bit for bit.  A field that is not finite (the squares
+    of regrets past about 1.3e154 overflow) is refused with DomainError
+    naming it, as exact_risk refuses a moment.  Before any draw is made, a
+    negative or NaN tail threshold is refused as tail_probability refuses
+    it, and a replication count numpy cannot hold with DomainError naming
+    replications.
     """
     if replications < 2:
         raise DomainError(f"need at least 2 replications, got {replications}")
+    tails = [float(c) for c in tail_thresholds]
+    for c in tails:
+        if not c >= 0:
+            raise DomainError(f"threshold must be >= 0, got {c}")
     tau = exp.tau
     ind = 1.0 if tau >= 0 else 0.0
     draws = _normal_draws(seed, replications)
-    fracs = [
-        np.asarray(rule.evaluate(tau + exp.stat_sd * draws[i : i + _SIM_BLOCK]), dtype=float)
-        for i in range(0, replications, _SIM_BLOCK)
-    ]
+    blocks = []
+    for i in range(0, replications, _SIM_BLOCK):
+        f = np.asarray(rule.evaluate(tau + exp.stat_sd * draws[i : i + _SIM_BLOCK]), dtype=float)
+        rows = np.empty((3, f.size))
+        reg = np.subtract(ind, f, out=rows[0])
+        reg *= tau
+        np.multiply(reg, reg, out=rows[1])
+        np.multiply(tau, f, out=rows[2])
+        blocks.append(rows)
     r = float(replications)
 
-    def regret(f: np.ndarray) -> np.ndarray:
-        out = ind - f
-        out *= tau
-        return out
-
-    def spread(block: np.ndarray, mean) -> np.ndarray:
-        # squared deviations, in place
-        block -= mean
-        block *= block
-        return block
-
-    # only the fractions are kept across the passes; every other block is
-    # recomputed from them, so a call holds a few blocks at once
-    counts = [0] * len(tail_thresholds)
-    sums = []
-    for f in fracs:
-        reg = regret(f)
-        counts = [n + int(np.count_nonzero(reg > c)) for n, c in zip(counts, tail_thresholds)]
-        sums.append((reg.sum(), (reg * reg).sum(), (tau * f).sum()))
-    s_reg, s_reg2, s_w = _totals(sums)
-    mean_reg, msr, w_mean = (float(s / replications) for s in (s_reg, s_reg2, s_w))
+    counts = [sum(int(np.count_nonzero(rows[0] > c)) for rows in blocks) for c in tails]
+    mean_reg, msr, w_mean = (
+        float(s) for s in reduce(np.add, [rows.sum(axis=1) for rows in blocks]) / replications
+    )
     # refused here, before the spread passes would subtract inf from inf; with
     # these finite no later pass can: regret is nonnegative, so a deviation
     # from the mean is at most the larger of the two, and its square finite
     _check_finite(tau, _SIM_FIELDS[:3], (mean_reg, msr, w_mean))
-    sums = []
-    for f in fracs:
-        reg = regret(f)
-        reg2 = spread(reg * reg, msr)
-        sums.append((spread(reg, mean_reg).sum(), reg2.sum(), spread(tau * f, w_mean).sum()))
-    m2_reg, m2_reg2, m2_w = _totals(sums)
-    # the squared regret deviations have mean m2_reg / n; a third pass takes
-    # their spread
+    means = np.array([[mean_reg], [msr], [w_mean]])
+    for rows in blocks:
+        rows -= means
+        rows *= rows
+    m2_reg, m2_reg2, m2_w = reduce(np.add, [rows.sum(axis=1) for rows in blocks])
+    # the squared regret deviations, row 0 now, have mean m2_reg / n; a third
+    # pass takes their spread
     mean_c2 = m2_reg / replications
-    (m2_c2,) = _totals([(spread(spread(regret(f), mean_reg), mean_c2).sum(),) for f in fracs])
+    for rows in blocks:
+        rows[0] -= mean_c2
+        rows[0] *= rows[0]
+    m2_c2 = reduce(np.add, [rows[0].sum() for rows in blocks])
 
     var_reg = float(m2_reg / (replications - 1))
     sd_reg = math.sqrt(var_reg)
@@ -556,10 +552,7 @@ def simulate(
     se_var = math.sqrt(float(m2_c2 / (replications - 1))) / math.sqrt(r)
     se_sd = se_var / (2.0 * sd_reg) if sd_reg > 0 else 0.0
     _check_finite(tau, _SIM_FIELDS, (mean_reg, msr, w_mean, var_reg, w_sd, se_mean, se_msr, se_sd))
-    tail = [
-        (float(c), n / r, math.sqrt((n / r) * (1.0 - n / r) / r))
-        for c, n in zip(tail_thresholds, counts)
-    ]
+    tail = [(c, n / r, math.sqrt((n / r) * (1.0 - n / r) / r)) for c, n in zip(tails, counts)]
 
     return SimulationSummary(
         replications=replications,

@@ -497,6 +497,8 @@ class DiscretePriorBayes(TreatmentRule):
     DomainError when noise_sd**2 is 0 or not finite or a fraction is NaN,
     where a crossing cannot be certified; a rule with such a prior or
     noise_sd constructs, and evaluate refuses it as stat_at does.
+    Construction raises DomainError for an alpha_g that carries a term
+    alpha_g log|tau_i| past the float range.
     """
 
     prior: DiscretePrior
@@ -520,7 +522,17 @@ class DiscretePriorBayes(TreatmentRule):
         object.__setattr__(self, "_m", len(support))
         support += [p for p in self.prior.support if p[0] > 0]
         taus = np.array([t for t, _ in support])
-        log_terms = np.log(np.array([w for _, w in support])) + self.alpha_g * np.log(np.abs(taus))
+        logs = np.log(np.abs(taus))
+        # a term alpha_g log|tau| past the float range would make the log sums
+        # infinite and the fraction NaN.  |log|tau|| is at most 745, so only
+        # an alpha_g past 2e305 can get there; the largest |log|tau|| gets
+        # there first, and a product of Python floats does without a warning
+        if self.alpha_g > 2e305:
+            big, tau = max(zip(map(abs, logs.tolist()), taus.tolist()), default=(0.0, 0.0))
+            if not math.isfinite(float(self.alpha_g) * big):
+                raise DomainError(f"alpha_g log|tau| must be finite, got alpha_g = "
+                                  f"{self.alpha_g} at tau = {tau}")
+        log_terms = np.log(np.array([w for _, w in support])) + self.alpha_g * logs
         object.__setattr__(self, "_taus", taus)
         object.__setattr__(self, "_halves", 0.5 * taus)
         object.__setattr__(self, "_log_terms", log_terms)

@@ -255,6 +255,72 @@ def crossing_tail(cut, rising, tau, sd):
     return float(cdf(z if (tau > 0) == rising else -z))
 
 
+def block_summary(fracs, tau, tails=()):
+    """The Monte Carlo summary of a rule's fractions, given in blocks, by the
+    three-pass block algorithm: block sums of regret, squared regret and
+    welfare give the means; block sums of squared deviations from them give
+    the variances; a third pass gives the spread of the squared regret
+    deviations.  Each pass rebuilds regret from the fractions and adds the
+    block sums in block order, starting from the first block's values.
+    Returns the summary fields after replications and seed, tail rows
+    included, as keyword arguments of the summary."""
+    reps = sum(f.size for f in fracs)
+    ind = 1.0 if tau >= 0 else 0.0
+
+    def regret(f):
+        out = ind - f
+        out *= tau
+        return out
+
+    def spread(block, mean):
+        block -= mean
+        block *= block
+        return block
+
+    def totals(rows):
+        out = list(rows[0])
+        for row in rows[1:]:
+            out = [t + x for t, x in zip(out, row)]
+        return out
+
+    counts = [0] * len(tails)
+    sums = []
+    for f in fracs:
+        reg = regret(f)
+        counts = [n + int(np.count_nonzero(reg > c)) for n, c in zip(counts, tails)]
+        sums.append((reg.sum(), (reg * reg).sum(), (tau * f).sum()))
+    mean_reg, msr, w_mean = (float(s / reps) for s in totals(sums))
+    sums = []
+    for f in fracs:
+        reg = regret(f)
+        reg2 = spread(reg * reg, msr)
+        sums.append((spread(reg, mean_reg).sum(), reg2.sum(), spread(tau * f, w_mean).sum()))
+    m2_reg, m2_reg2, m2_w = totals(sums)
+    mean_c2 = m2_reg / reps
+    (m2_c2,) = totals([(spread(spread(regret(f), mean_reg), mean_c2).sum(),) for f in fracs])
+
+    r = float(reps)
+    var_reg = float(m2_reg / (reps - 1))
+    sd_reg = math.sqrt(var_reg)
+    se_mean = sd_reg / math.sqrt(r)
+    se_var = math.sqrt(float(m2_c2 / (reps - 1))) / math.sqrt(r)
+    se_sd = se_var / (2.0 * sd_reg) if sd_reg > 0 else 0.0
+    return {
+        "mean_regret": mean_reg,
+        "regret_variance": var_reg,
+        "mean_square_regret": msr,
+        "welfare_mean": w_mean,
+        "welfare_sd": math.sqrt(float(m2_w / (reps - 1))),
+        "se_mean_regret": se_mean,
+        "se_mean_square_regret": math.sqrt(float(m2_reg2 / (reps - 1))) / math.sqrt(r),
+        "se_regret_sd": se_sd,
+        "se_welfare_mean": se_mean,
+        "se_welfare_sd": se_sd,
+        "tail": tuple((float(c), n / r, math.sqrt((n / r) * (1.0 - n / r) / r))
+                      for c, n in zip(tails, counts)),
+    }
+
+
 def grid_argmax(f, lo, hi, step):
     xs = np.arange(lo, hi + step / 2, step)
     vals = np.array([f(x) for x in xs])

@@ -76,6 +76,40 @@ class TestSummarize:
         assert not slower["ops"]["within_bound"]
 
 
+class TestVerdictLines:
+    def test_one_line_per_metric_in_spec_order(self):
+        spec = LOWER + [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
+        pairs = [{side: {"metrics": {"pass_s": p - d, "peak_rss_mb": 60.0 + d}}
+                  for side, d in (("parent", 0.0), ("change", 5.0))} for p in PARENT]
+        lines = bench_pairs.verdict_lines("study-design", bench_pairs.summarize(pairs, spec))
+        assert lines == [
+            "study-design pass_s: 14.5 -> 9.5 s (-34.5%), wins 10/10, "
+            "within_bound true, gain_claimable true",
+            "study-design peak_rss_mb: 60 -> 65 MB (+8.3%), wins 0/10, "
+            "within_bound false, gain_claimable false",
+        ]
+
+    def test_main_ends_with_the_lines(self, tmp_path, monkeypatch, capsys):
+        summary = bench_pairs.summarize(_pairs(PARENT, PARENT), LOWER)
+        monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc")
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+        monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
+        monkeypatch.setattr(bench_pairs, "run", lambda *args: {"metrics": {"pass_s": 1.0}})
+        monkeypatch.setattr(bench_pairs, "digests", lambda *args: [])
+        monkeypatch.setattr(bench_pairs, "summarize", lambda pairs, spec: summary)
+        monkeypatch.setattr(bench_pairs, "summarize_kinds", lambda pairs: {})
+        monkeypatch.setattr(bench_pairs, "summarize_kind_ranges", lambda pairs: {})
+        monkeypatch.setattr(bench_pairs, "side_checkout",
+                            lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "2",
+                                 "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("w pass_s: 14.5 -> 14.5 s (+0.0%), wins 0/10, "
+                           "within_bound true, gain_claimable false")
+        assert json.loads(out.read_text())["workloads"]["w"]["summary"] == summary
+
+
 class TestCompareOutputs:
     def test_identical(self):
         assert bench_pairs.compare_outputs(["a", "b"], ["a", "b"]) == {

@@ -234,6 +234,30 @@ class TestExitCodes:
         assert lines[1] == f"error: alpha_g must {reason}, got {value}"
         assert not recwarn.list
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["rule-eval", "--rule", "prior-bayes", "--prior=-20:1,20:1,2:0.5", "--alpha-g",
+           "1e308", "--stat", "0.5"],
+          "alpha_g log|tau| must be finite, got alpha_g = 1e+308 at tau = 20.0"),
+         (["simulate", "--rule", "es", "--tau", "1", "--seed", "1", "--reps", "100",
+           "--tail", "nan"], "threshold must be >= 0, got nan"),
+         (["simulate", "--rule", "es", "--tau", "1", "--seed", "1", "--reps", "100",
+           "--tail=0.5,-1"], "threshold must be >= 0, got -1.0"),
+         (["simulate", "--rule", "es", "--tau", "1", "--seed", "1", "--reps",
+           "4611686018427387904"], "replications 4611686018427387904 cannot be held: "
+          "array is too big")],
+        ids=["alpha-g-log-term", "simulate-nan-tail", "simulate-negative-tail",
+             "simulate-reps-past-numpy"],
+    )
+    def test_refused_before_any_output(self, capsys, recwarn, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 2 and json.loads(lines[0])["subcommand"] == argv[0]
+        # numpy's words for a count it cannot index follow the prefix
+        assert lines[1].startswith(f"error: {message}")
+        assert not recwarn.list
+
     def test_negative_tau_star(self, capsys):
         # an infinite or NaN calibration is refused the same way, not echoed as NaN
         for argv in (["rule-eval", "--rule", "minimax", "--stat", "0"], ["table1"]):

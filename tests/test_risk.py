@@ -28,6 +28,7 @@ from msregret import (
     PosteriorMatchFlat,
     RiskReport,
     RngSeed,
+    SimulationSummary,
     Threshold,
     TreatmentRule,
     bayes_msr,
@@ -884,6 +885,39 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(mm_rule(), GaussianExperiment(1.0, 1.0, 1), 1, RngSeed(0))
 
+    @pytest.mark.parametrize("tails", [[math.nan], [-1.0], [0.05, math.nan], [-math.inf]])
+    def test_refuses_the_thresholds_tail_probability_refuses(self, monkeypatch, tails):
+        exp = GaussianExperiment(1.0, 1.0, 1)
+        bad = next(c for c in tails if not c >= 0)
+        with pytest.raises(DomainError) as want:
+            tail_probability(EmpiricalSuccess(), exp, bad)
+
+        def no_draws(seed, count):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(risk, "_normal_draws", no_draws)
+        with pytest.raises(DomainError) as got:
+            simulate(EmpiricalSuccess(), exp, 100, RngSeed(1), tail_thresholds=tails)
+        assert str(got.value) == str(want.value) == f"threshold must be >= 0, got {bad}"
+
+    def test_refuses_a_count_numpy_cannot_index(self):
+        # numpy refuses 2**62 doubles before allocating anything
+        with pytest.raises(DomainError) as info:
+            simulate(EmpiricalSuccess(), GaussianExperiment(1.0, 1.0, 1), 2**62, RngSeed(1))
+        assert str(info.value).startswith("replications 4611686018427387904 cannot be held: "
+                                          "array is too big")
+
+    def test_refuses_a_count_too_large_to_hold(self, monkeypatch):
+        # what numpy raises when the allocator refuses the draws, faked on a
+        # small count under a seed no earlier call kept, so nothing is allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(DomainError) as info:
+            simulate(EmpiricalSuccess(), GaussianExperiment(1.0, 1.0, 1), 1000, RngSeed(8675309))
+        assert str(info.value) == "replications 1000 cannot be held: Unable to allocate 7.28 TiB"
+
     @pytest.mark.parametrize("tau, message", [
         (1e300, "mean_square_regret is inf at tau = 1e+300: the moments overflow"),
         (1e100, "se_mean_square_regret is inf at tau = 1e+100: the moments overflow"),
@@ -1036,6 +1070,33 @@ class TestSimulateBlocks:
         monkeypatch.setattr(MinimaxMSR, "evaluate", spy)
         simulate(mm_rule(), GaussianExperiment(0.4, 1.0, 1), 20_000, RngSeed(1))
         assert sizes == [8192, 8192, 3616]
+
+
+# every simulated rule kind at one effect; the pins also take its mirror image
+PIN_CASES = [
+    *SIM_CASES,
+    (prior3_rule(), GaussianExperiment(0.6, 1.0, 1)),
+    *((rule, GaussianExperiment(0.3, 1.0, 1)) for rule in STEP_RULES),
+]
+
+
+class TestSimulateBlockPins:
+    """Past one block, simulate gives the three-pass block algorithm's bits
+    (oracles.block_summary, on the fractions the rule gives block by block)."""
+
+    @pytest.mark.parametrize("reps", [8193, 2 * 8192 + 3, 20_000, 50_000])
+    @pytest.mark.parametrize("tails", [(), (0.05,), (0.05, 0.3)], ids=["0", "1", "2"])
+    def test_multi_block_summaries_are_pinned(self, reps, tails):
+        for k, (rule, exp) in enumerate(PIN_CASES):
+            for tau in (exp.tau, -exp.tau):
+                at = GaussianExperiment(tau, exp.sigma, exp.n)
+                seed = RngSeed(500 + k)
+                draws = _normal_draws(seed, reps)
+                fracs = [np.asarray(rule.evaluate(tau + at.stat_sd * draws[i : i + 8192]),
+                                    dtype=float) for i in range(0, reps, 8192)]
+                want = SimulationSummary(reps, seed, **oracles.block_summary(fracs, tau, tails))
+                got = simulate(rule, at, reps, seed, tail_thresholds=tails)
+                assert got.to_dict() == want.to_dict(), (rule, tau)
 
 
 class TestRiskCurve:

@@ -697,6 +697,35 @@ class TestBayesFoc:
             with pytest.raises(DomainError, match="^alpha_g must exceed 1, got"):
                 solve_bayes_foc(prior, low, 1.0, 0.5)
 
+    @pytest.mark.parametrize("alpha_g", [1e308, np.float64(1e308), np.array(1e308)])
+    @pytest.mark.parametrize("pairs, tau", [([(-20.0, 1.0), (20.0, 1.0), (2.0, 0.5)], "20.0"),
+                                            ([(-0.01, 1.0), (0.02, 1.0)], "-0.01")],
+                             ids=["past-the-top", "past-the-bottom"])
+    def test_a_log_term_past_the_float_range_is_refused(self, recwarn, alpha_g, pairs, tau):
+        # alpha_g log|tau| would be +-inf; the largest |log|tau|| is named
+        prior = DiscretePrior.from_pairs(pairs)
+        message = f"alpha_g log|tau| must be finite, got alpha_g = {alpha_g} at tau = {tau}"
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            DiscretePriorBayes(prior, alpha_g, 1.0)
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            solve_bayes_foc(prior, alpha_g, 1.0, 0.5)
+        assert not recwarn.list
+
+    def test_the_least_tau_bounds_the_log_terms(self, recwarn):
+        # |log 5e-324| = 744.4: alpha_g 2e305 keeps every term finite, 2.5e305 does not
+        prior = DiscretePrior.from_pairs([(-5e-324, 1.0), (1.0, 1.0)])
+        assert -1.49e308 < DiscretePriorBayes(prior, 2e305, 1.0)._log_terms[0] < -1.48e308
+        with pytest.raises(DomainError, match=re.escape("alpha_g = 2.5e+305 at tau = -5e-324")):
+            DiscretePriorBayes(prior, 2.5e305, 1.0)
+        assert not recwarn.list
+
+    def test_a_large_finite_log_term_keeps_its_bits(self):
+        prior = DiscretePrior.from_pairs([(-20.0, 1.0), (20.0, 1.0), (2.0, 0.5)])
+        assert DiscretePriorBayes(prior, 400, 1.0).evaluate(0.5) == 0.5125287051838942
+        # 1e307 log 20 is finite, and so is every fraction
+        rule = DiscretePriorBayes(prior, 1e307, 1.0)
+        assert rule.evaluate(np.array([-1e10, 0.5, 1e10])).tolist() == [0.5, 0.5, 0.5]
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 5),

@@ -29,6 +29,11 @@ with --check 0, and compares the two lists of output digests: the pair
 records outputs_identical and the indices of the operations whose digests
 differ (differing_ops), and the workload records whether every pair's
 outputs were identical.
+
+The run ends by printing to standard error one line per end-to-end metric:
+parent -> change median, relative change, wins/pairs, within_bound and
+gain_claimable, so a change that claims no gain can be checked for
+regressions from the terminal.
 """
 from __future__ import annotations
 
@@ -207,6 +212,19 @@ def summarize(pairs: list, spec: list) -> dict:
     return out
 
 
+def verdict_lines(workload: str, summary: dict) -> list:
+    """One line per end-to-end metric of a summarize result: the parent and
+    change medians, the relative change, the change's wins over the pairs,
+    and whether the metric is within its bound and a gain claimable."""
+    return [
+        f"{workload} {name}: {m['parent_median']:.6g} -> {m['change_median']:.6g} {m['unit']} "
+        f"({m['relative_change']:+.1%}), wins {m['change_wins']}/{m['pairs']}, "
+        f"within_bound {str(m['within_bound']).lower()}, "
+        f"gain_claimable {str(m['gain_claimable']).lower()}"
+        for name, m in summary.items()
+    ]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
@@ -253,14 +271,17 @@ def main(argv=None) -> int:
         command="python3 bench/run.py --workload W --seed S "
         f"--seconds {seconds} --trace 0",
     )
+    summary = summarize(pairs, bench["end_to_end"])
     doc.setdefault("workloads", {})[args.workload] = {
-        "summary": summarize(pairs, bench["end_to_end"]),
+        "summary": summary,
         "outputs_identical": all(p["outputs_identical"] for p in pairs),
         "kind_s": summarize_kinds(pairs),
         "kind_range": summarize_kind_ranges(pairs),
         "runs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for line in verdict_lines(args.workload, summary):
+        print(line, file=sys.stderr)
     return 0
 
 
