@@ -7,178 +7,28 @@ fractional allocations optimal; this package computes those rules, their
 exact and simulated risk, minimax calibrations with saddle certificates,
 dominance constructions over threshold rules, sample-size plans, and the
 regression front end that feeds a t-statistic into the rules.
+
+Each module declares its public names in its own ``__all__``; the package
+re-exports exactly those.
 """
-from .numerics import (
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    RngSeed,
-    find_root,
-    gaussian_expectation,
-    maximize_scalar,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
-from .rules import (
-    BayesFlatMSR,
-    ComplementMix,
-    DiscretePrior,
-    DiscretePriorBayes,
-    EmpiricalSuccess,
-    HypothesisTest,
-    MinimaxMSR,
-    PosteriorMatchFlat,
-    PriorSupportError,
-    Threshold,
-    TreatmentRule,
-    evaluate,
-    psi,
-    rule_from_dict,
-    rule_to_dict,
-    solve_bayes_foc,
-    tilted_posterior_match_msr,
-)
-from .risk import (
-    GaussianExperiment,
-    RiskReport,
-    SimulationSummary,
-    WorstCase,
-    bayes_msr,
-    exact_risk,
-    regret,
-    risk_curve,
-    risk_curve_csv,
-    simulate,
-    tail_probability,
-    worst_case_mean_regret,
-    worst_case_msr,
-)
-from .lfp import (
-    SaddleCertificate,
-    SaddleViolation,
-    bayes_objective,
-    default_tau_star,
-    frequentist_objective,
-    round_sig,
-    solve_tau_star,
-    verify_saddle,
-    write_constants,
-)
-from .dominance import (
-    DominanceCertificate,
-    DominanceViolation,
-    dominating_rule,
-    lambda_star,
-    tail_bounds,
-    verify_dominance,
-)
-from .planning import (
-    EsComparison,
-    HtComparison,
-    SampleSizePlan,
-    compare_vs_es,
-    compare_vs_ht,
-    es_epsilon_optimal_n,
-    es_mean_regret_unit,
-    es_msr_unit,
-    ht_msr_unit,
-    ht_power_n,
-    minimax_msr_unit,
-    n_for_msr_target,
-    plan_es_epsilon,
-    plan_ht_power,
-    plan_worst_msr,
-)
-from .regression import (
-    Dataset,
-    InputError,
-    RankError,
-    RegressionResult,
-    fit,
-    fraction_from_tstat,
-    load_dataset_csv,
-)
+from . import numerics, rules, risk, lfp, dominance, planning, regression
+from .numerics import *  # noqa: F401,F403
+from .rules import *  # noqa: F401,F403
+from .risk import *  # noqa: F401,F403
+from .lfp import *  # noqa: F401,F403
+from .dominance import *  # noqa: F401,F403
+from .planning import *  # noqa: F401,F403
+from .regression import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BracketError",
-    "ConvergenceError",
-    "DomainError",
-    "RngSeed",
-    "find_root",
-    "gaussian_expectation",
-    "maximize_scalar",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
-    "BayesFlatMSR",
-    "ComplementMix",
-    "DiscretePrior",
-    "DiscretePriorBayes",
-    "EmpiricalSuccess",
-    "HypothesisTest",
-    "MinimaxMSR",
-    "PosteriorMatchFlat",
-    "PriorSupportError",
-    "Threshold",
-    "TreatmentRule",
-    "evaluate",
-    "psi",
-    "rule_from_dict",
-    "rule_to_dict",
-    "solve_bayes_foc",
-    "tilted_posterior_match_msr",
-    "GaussianExperiment",
-    "RiskReport",
-    "SimulationSummary",
-    "WorstCase",
-    "bayes_msr",
-    "exact_risk",
-    "regret",
-    "risk_curve",
-    "risk_curve_csv",
-    "simulate",
-    "tail_probability",
-    "worst_case_mean_regret",
-    "worst_case_msr",
-    "SaddleCertificate",
-    "SaddleViolation",
-    "bayes_objective",
-    "default_tau_star",
-    "frequentist_objective",
-    "round_sig",
-    "solve_tau_star",
-    "verify_saddle",
-    "write_constants",
-    "DominanceCertificate",
-    "DominanceViolation",
-    "dominating_rule",
-    "lambda_star",
-    "tail_bounds",
-    "verify_dominance",
-    "EsComparison",
-    "HtComparison",
-    "SampleSizePlan",
-    "compare_vs_es",
-    "compare_vs_ht",
-    "es_epsilon_optimal_n",
-    "es_mean_regret_unit",
-    "es_msr_unit",
-    "ht_msr_unit",
-    "ht_power_n",
-    "minimax_msr_unit",
-    "n_for_msr_target",
-    "plan_es_epsilon",
-    "plan_ht_power",
-    "plan_worst_msr",
-    "Dataset",
-    "InputError",
-    "RankError",
-    "RegressionResult",
-    "fit",
-    "fraction_from_tstat",
-    "load_dataset_csv",
+    *numerics.__all__,
+    *rules.__all__,
+    *risk.__all__,
+    *lfp.__all__,
+    *dominance.__all__,
+    *planning.__all__,
+    *regression.__all__,
 ]

@@ -27,6 +27,10 @@ __all__ = [
     "EsComparison",
     "HtComparison",
     "SampleSizePlan",
+    "es_mean_regret_unit",
+    "es_msr_unit",
+    "minimax_msr_unit",
+    "ht_msr_unit",
     "n_for_msr_target",
     "es_epsilon_optimal_n",
     "compare_vs_es",
@@ -40,22 +44,38 @@ __all__ = [
 
 def es_mean_regret_unit() -> float:
     """Unit-problem worst mean regret of the plug-in rule 1{Ybar >= 0}."""
-    return worst_case_mean_regret(EmpiricalSuccess(), 1.0, 1).sup
+    return _bounded_worst(worst_case_mean_regret, EmpiricalSuccess())
 
 
 def es_msr_unit() -> float:
     """Unit-problem worst MSR of the plug-in rule."""
-    return worst_case_msr(EmpiricalSuccess(), 1.0, 1).sup
+    return _bounded_worst(worst_case_msr, EmpiricalSuccess())
 
 
 def minimax_msr_unit(tau_star: float) -> float:
     """Unit-problem worst MSR of the logistic minimax rule."""
-    return worst_case_msr(MinimaxMSR(tau_star=tau_star), 1.0, 1).sup
+    return _bounded_worst(worst_case_msr, MinimaxMSR(tau_star=tau_star))
 
 
 def ht_msr_unit(alpha: float) -> float:
     """Unit-problem worst MSR of the one-sided size-alpha test rule."""
-    return worst_case_msr(HypothesisTest(alpha=alpha), 1.0, 1).sup
+    return _bounded_worst(worst_case_msr, HypothesisTest(alpha=alpha))
+
+
+def _bounded_worst(worst_case, rule: TreatmentRule) -> float:
+    """Unit-problem sup of worst_case (worst_case_msr or
+    worst_case_mean_regret) of a rule that plans and comparisons can use.
+
+    Raises DomainError when the worst-case scan saturates: the supremum then
+    sits on the scan edge and the rule's risk may grow without bound.
+    """
+    worst = worst_case(rule, 1.0, 1)
+    if worst.saturated:
+        raise DomainError(
+            f"{worst_case.__name__} of {rule!r} is not bounded on the scan: its "
+            f"supremum sits on the edge at tau={worst.argsup_tau!r}"
+        )
+    return worst.sup
 
 
 def _least_n(real: float, fits) -> int:
@@ -120,21 +140,6 @@ class EsComparison:
     rule_n_constant: float
 
 
-def _bounded_worst_msr(rule: TreatmentRule) -> float:
-    """Unit-problem worst MSR of a rule that plans and comparisons can use.
-
-    Raises DomainError when the worst-case scan saturates: the supremum then
-    sits on the scan edge and the rule's MSR may grow without bound.
-    """
-    worst = worst_case_msr(rule, 1.0, 1)
-    if worst.saturated:
-        raise DomainError(
-            f"worst-case MSR of {rule!r} is not bounded on the scan: its supremum "
-            f"sits on the edge at tau={worst.argsup_tau!r}"
-        )
-    return worst.sup
-
-
 def compare_vs_es(sigma: float, epsilon: float, rule: TreatmentRule) -> EsComparison:
     """Match the plug-in design's worst-case MSR with fewer samples.
 
@@ -144,7 +149,7 @@ def compare_vs_es(sigma: float, epsilon: float, rule: TreatmentRule) -> EsCompar
     """
     u1 = es_mean_regret_unit()
     u_es = es_msr_unit()
-    u_rule = _bounded_worst_msr(rule)
+    u_rule = _bounded_worst(worst_case_msr, rule)
     n_es = es_epsilon_optimal_n(sigma, epsilon)
     es_msr = sigma * sigma * u_es / n_es
     n_rule_real = n_es * u_rule / u_es
@@ -237,7 +242,7 @@ def plan_worst_msr(
     sigma: float, epsilon: float, rule: TreatmentRule
 ) -> SampleSizePlan:
     """n making the rule's worst-case MSR at most epsilon^2."""
-    unit = _bounded_worst_msr(rule)
+    unit = _bounded_worst(worst_case_msr, rule)
     n = n_for_msr_target(sigma, epsilon, unit)
     return SampleSizePlan(
         criterion="worst_msr_target",

@@ -421,19 +421,26 @@ def worst_case_msr(rule: TreatmentRule, sigma: float, n: int) -> WorstCase:
 
     saturated flags a supremum that sat on the scan bracket edge (degenerate
     rules whose risk grows along one tail).  Raises ConvergenceError when the
-    scan cannot be certified (see _unit_curve).
+    scan cannot be certified (see _unit_curve), and DomainError when the
+    scaled sup or argsup_tau is not finite.
     """
     scale = GaussianExperiment(0.0, sigma, n).stat_sd
     arg, val, saturated = _unit_worst(rule, 2)
-    return WorstCase(sup=val * scale * scale, argsup_tau=arg * scale, saturated=saturated)
+    return _worst_case(val * scale * scale, arg * scale, saturated)
 
 
 def worst_case_mean_regret(rule: TreatmentRule, sigma: float, n: int) -> WorstCase:
     """sup over tau of mean regret on the standardized scale; scales by
-    sigma/sqrt(n)."""
+    sigma/sqrt(n), refused as worst_case_msr's is."""
     scale = GaussianExperiment(0.0, sigma, n).stat_sd
     arg, val, saturated = _unit_worst(rule, 1)
-    return WorstCase(sup=val * scale, argsup_tau=arg * scale, saturated=saturated)
+    return _worst_case(val * scale, arg * scale, saturated)
+
+
+def _worst_case(sup: float, argsup_tau: float, saturated: bool) -> WorstCase:
+    """A scaled worst case, refusing a sup or argsup_tau that overflowed."""
+    _check_finite(argsup_tau, ("sup", "argsup_tau"), (sup, argsup_tau))
+    return WorstCase(sup=sup, argsup_tau=argsup_tau, saturated=saturated)
 
 
 def bayes_msr(rule: TreatmentRule, prior: DiscretePrior, sigma: float, n: int) -> float:

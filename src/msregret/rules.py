@@ -153,7 +153,10 @@ class Threshold(TreatmentRule):
 @dataclass(frozen=True)
 class HypothesisTest(TreatmentRule):
     """Treat everyone iff a one-sided size-alpha test on a standardized
-    statistic rejects a zero effect, i.e. stat >= z_{1-alpha}."""
+    statistic rejects a zero effect, i.e. stat >= z_{1-alpha}.
+
+    The cut is taken from alpha's own tail, -z_alpha: 1 - alpha would lose
+    alpha's low bits and round to 1 below about 1.1e-16."""
 
     alpha: float
     kind = "hypothesis_test"
@@ -165,7 +168,7 @@ class HypothesisTest(TreatmentRule):
 
     @property
     def critical_value(self) -> float:
-        return std_normal_quantile(1.0 - self.alpha)
+        return -std_normal_quantile(self.alpha)
 
     @property
     def step(self) -> Tuple[float, float, float]:

@@ -246,6 +246,18 @@ def step_tail_mp(cut, lo, hi, tau, sd, threshold, dps=40):
         return total
 
 
+def normal_upper_quantile_mp(alpha, dps=30):
+    """The z with P(Z >= z) = alpha for Z ~ N(0, 1), alpha in (0, 0.5) taken
+    exactly from its float, an mpmath number at dps digits: the root in
+    (0, 40) of log ncdf(-z) = log alpha, which stays well scaled down to the
+    smallest normal alpha (ncdf(-40) is about 4e-350)."""
+    with mpmath.workdps(dps + 10):
+        goal = mpmath.log(mpmath.mpf(alpha))
+        return mpmath.findroot(lambda z: mpmath.log(mpmath.ncdf(-z)) - goal,
+                               (mpmath.mpf(0), mpmath.mpf(40)), solver="anderson",
+                               tol=mpmath.mpf(10) ** (-2 * dps))
+
+
 def crossing_tail(cut, rising, tau, sd):
     """P(Reg > c), Y ~ N(tau, sd^2), for a rule monotone in the statistic
     (rising or falling) that crosses q, the fraction where regret is c, at

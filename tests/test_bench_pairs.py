@@ -267,3 +267,51 @@ def test_family_labels_of_the_risk_curves_workload():
     kind_s, _ = bench_pairs.by_kind(ops, [1.0] * 108)
     assert kind_s == {"risk:es": 12, "risk:ht": 12, "risk:minimax": 12, "risk:bayes-flat": 18,
                       "risk:post-match": 12, "risk:logistic": 24, "risk:mix": 18}
+
+
+class TestUnresolved:
+    TIGHT = [14.0 + 0.1 * i for i in range(10)]  # quartile distance 0.45 over 14.45: 3%
+    WIDE = [10.0 + i for i in range(10)]  # 4.5 over 14.5: 31%, past the 0.24 bound
+
+    def test_tight_spreads_are_resolved(self):
+        pairs = _pairs(self.TIGHT, [p * 1.1 for p in self.TIGHT])
+        assert not bench_pairs.unresolved(pairs, LOWER[0])
+
+    def test_a_wide_parent_or_change_spread_is_unresolved(self):
+        assert bench_pairs.unresolved(_pairs(self.WIDE, self.TIGHT[::-1]), LOWER[0])
+        assert bench_pairs.unresolved(_pairs(self.TIGHT, self.WIDE), LOWER[0])
+
+    def test_a_change_better_in_every_run_is_resolved(self):
+        better = [p - 10.0 for p in self.WIDE]  # at most 9.0, below the parent's least 10.0
+        assert not bench_pairs.unresolved(_pairs(self.WIDE, better), LOWER[0])
+        higher = [p + 10.0 for p in self.WIDE]
+        assert not bench_pairs.unresolved(_pairs(self.WIDE, higher, "ops"), HIGHER[0])
+        # one change run that is not better leaves the spread to decide
+        assert bench_pairs.unresolved(_pairs(self.WIDE, better[:-1] + [10.0]), LOWER[0])
+
+    def test_the_verdict_line_gives_the_parent_spread(self):
+        summary = bench_pairs.summarize(_pairs(self.WIDE, self.WIDE), LOWER)
+        summary["pass_s"]["unresolved"] = True
+        assert bench_pairs.verdict_lines("w", summary) == [
+            "w pass_s: 14.5 -> 14.5 s (+0.0%), wins 0/10, within_bound true, "
+            "gain_claimable false, unresolved true (parent spread 31.0%)"]
+
+    def test_main_records_the_flag_in_each_summary(self, tmp_path, monkeypatch, capsys):
+        runs = iter(self.WIDE * 2)
+        monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc")
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+        monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
+        monkeypatch.setattr(bench_pairs, "run", lambda *args: {
+            "metrics": {"pass_s": next(runs)}, "kind_s": {}, "kind_range": {}})
+        monkeypatch.setattr(bench_pairs, "digests", lambda *args: [])
+        monkeypatch.setattr(bench_pairs, "side_checkout",
+                            lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": LOWER}))
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "10",
+                                 "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
+        assert summary["pass_s"]["unresolved"] is True
+        assert ", unresolved true (parent spread " in capsys.readouterr().err.splitlines()[-1]

@@ -841,3 +841,21 @@ class TestProcessFloor:
         _, third, _ = run_cli(capsys, argv)
         # an option given once does not stick to the shared parser
         assert first == third != second
+
+
+class TestSaturatedPlans:
+    @pytest.mark.parametrize("argv, rule", [
+        ("sample-size --criterion ht-power --tau-star 0.05 --tau 0.5",
+         "MinimaxMSR(tau_star=0.05, scale=1.0)"),
+        ("sample-size --criterion ht-power --alpha 1e-30 --tau 0.5",
+         "HypothesisTest(alpha=1e-30)"),
+    ], ids=["flat-minimax", "tiny-alpha"])
+    def test_a_unit_whose_scan_saturates_prints_the_config_and_one_error(self, argv, rule):
+        # a fresh interpreter, so a numpy warning would reach stderr
+        proc = subprocess.run([sys.executable, "-m", "msregret.cli", *argv.split()],
+                              env=dict(subprocess_env(), PYTHONWARNINGS="default"),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        config, line = proc.stderr.splitlines()
+        assert json.loads(config)["subcommand"] == "sample-size"
+        assert line.startswith(f"error: worst_case_msr of {rule} is not bounded on the scan")

@@ -333,3 +333,13 @@ class TestMixRegretDecomposition:
                 got = regret(float(mix.evaluate(float(y))), tau)
                 want = (1 - lam) * regret(b, tau) + lam * regret(1.0 - b, tau)
                 assert abs(got - want) < 1e-12
+
+
+class TestMarginTolerance:
+    def test_a_margin_a_billionth_below_zero_is_below_tolerance(self):
+        # the tolerance is -1e-12, so -1e-9 is refused as below it, not only
+        # as a margin that is not strictly positive
+        from msregret.dominance import _margin_violation
+
+        rows = np.array([[0.5, 1.0, 1.0 + 1e-9, -1e-9]])
+        assert _margin_violation(rows, 2.0) == "margin -1e-09 below tolerance at tau=0.5"

@@ -274,3 +274,25 @@ class TestPlans:
     def test_round_trip(self, plan_factory):
         plan = plan_factory()
         assert SampleSizePlan.from_dict(plan.to_dict()) == plan
+
+
+class TestUnitsRefuseASaturatedScan:
+    """Each unit constant refuses a rule whose worst case sits on the scan
+    edge, as plan_worst_msr does."""
+
+    def test_a_flat_minimax_rule_is_refused(self):
+        # MinimaxMSR(0.05) treats about half at every statistic, so its MSR
+        # grows like tau^2 / 4 to the scan edge
+        with pytest.raises(DomainError, match="not bounded on the scan"):
+            minimax_msr_unit(0.05)
+        with pytest.raises(DomainError, match="not bounded on the scan"):
+            compare_vs_ht(1.0, 0.05, 0.9, 0.5, 0.05)
+        with pytest.raises(DomainError, match="not bounded on the scan"):
+            plan_worst_msr(1.0, 0.1, MinimaxMSR(tau_star=0.05))
+
+    def test_a_tiny_test_size_is_refused(self):
+        # the size-1e-30 cut is 11.46, past the scan's reach
+        with pytest.raises(DomainError, match="not bounded on the scan"):
+            ht_msr_unit(1e-30)
+        with pytest.raises(DomainError, match="not bounded on the scan"):
+            plan_ht_power(1.0, 1e-30, 0.9, 0.5, TAU_STAR)

@@ -1231,3 +1231,26 @@ class TestNonFiniteMoments:
         report = exact_risk(EmpiricalSuccess(), GaussianExperiment(-1e150, 1e150, 1))
         p = ndtr(-1.0)
         assert report.mean_square_regret == 1e150 * 1e150 * p
+
+
+class TestWorstCaseOverflow:
+    """A scaled worst case past the float range is refused, naming its field
+    (pytest turns any RuntimeWarning into an error here)."""
+
+    def test_msr_sup_overflow_is_refused(self):
+        assert math.isfinite(worst_case_msr(EmpiricalSuccess(), 1e154, 1).sup)
+        with pytest.raises(DomainError, match=r"^sup is inf at tau = 1\.19\d*e\+155"):
+            worst_case_msr(EmpiricalSuccess(), 1e155, 1)
+
+    def test_mean_regret_sup_and_argsup_overflow_is_refused(self):
+        with pytest.raises(DomainError, match=r"^sup is inf at tau = inf"):
+            worst_case_mean_regret(HypothesisTest(1e-15), 1.7e308, 1)
+
+
+class TestSaturationMargin:
+    def test_an_argsup_between_a_half_and_two_steps_from_the_edge_saturates(self):
+        # the flag reads |argsup| >= 8 - 2 steps = 7.98; this cut's argsup
+        # lies midway between 7.98 and half a step from the edge, 7.995
+        w = worst_case_msr(Threshold(9.092), 1.0, 1)
+        assert 7.984 < w.argsup_tau < 7.991
+        assert w.saturated

@@ -30,10 +30,16 @@ records outputs_identical and the indices of the operations whose digests
 differ (differing_ops), and the workload records whether every pair's
 outputs were identical.
 
+Each metric's summary also records whether it is unresolved: either side's
+runs spread, quartile to quartile, by more than the metric's bound relative
+to the parent median, so that a median inside the bound does not show the
+change to be within it; a change whose every run reads better than every
+parent run is resolved.
+
 The run ends by printing to standard error one line per end-to-end metric:
 parent -> change median, relative change, wins/pairs, within_bound and
-gain_claimable, so a change that claims no gain can be checked for
-regressions from the terminal.
+gain_claimable, and for an unresolved metric the parent's spread, so a
+change that claims no gain can be checked for regressions from the terminal.
 """
 from __future__ import annotations
 
@@ -212,15 +218,34 @@ def summarize(pairs: list, spec: list) -> dict:
     return out
 
 
+def unresolved(pairs: list, metric: dict) -> bool:
+    """Whether an end-to-end metric's runs spread too widely to tell a change
+    within its bound from one outside it: either side's quartile distance,
+    over the parent median, exceeds the metric's bound, unless every change
+    run reads better than every parent run."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    par = [p["parent"]["metrics"][name] for p in pairs]
+    chg = [p["change"]["metrics"][name] for p in pairs]
+    spread = max(q3 - q1 for q1, _, q3 in (
+        statistics.quantiles(side, n=4, method="inclusive") for side in (par, chg)))
+    better = max(chg) < min(par) if lower else min(chg) > max(par)
+    return spread / statistics.median(par) > metric["bound"] and not better
+
+
 def verdict_lines(workload: str, summary: dict) -> list:
     """One line per end-to-end metric of a summarize result: the parent and
     change medians, the relative change, the change's wins over the pairs,
-    and whether the metric is within its bound and a gain claimable."""
+    and whether the metric is within its bound and a gain claimable; a metric
+    flagged unresolved (see unresolved) also gives the parent's quartile
+    distance over its median."""
     return [
         f"{workload} {name}: {m['parent_median']:.6g} -> {m['change_median']:.6g} {m['unit']} "
         f"({m['relative_change']:+.1%}), wins {m['change_wins']}/{m['pairs']}, "
         f"within_bound {str(m['within_bound']).lower()}, "
         f"gain_claimable {str(m['gain_claimable']).lower()}"
+        + (f", unresolved true (parent spread "
+           f"{(m['parent_quartiles'][1] - m['parent_quartiles'][0]) / m['parent_median']:.1%})"
+           if m.get("unresolved") else "")
         for name, m in summary.items()
     ]
 
@@ -272,6 +297,9 @@ def main(argv=None) -> int:
         f"--seconds {seconds} --trace 0",
     )
     summary = summarize(pairs, bench["end_to_end"])
+    spec = {metric["name"]: metric for metric in bench["end_to_end"]}
+    for name, m in summary.items():
+        m["unresolved"] = unresolved(pairs, spec[name])
     doc.setdefault("workloads", {})[args.workload] = {
         "summary": summary,
         "outputs_identical": all(p["outputs_identical"] for p in pairs),
