@@ -315,3 +315,14 @@ class TestUnresolved:
         summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
         assert summary["pass_s"]["unresolved"] is True
         assert ", unresolved true (parent spread " in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("off", [True, False])
+def test_machine_names_what_set_up_and_memory_depend_on(monkeypatch, off):
+    import numpy
+    import scipy
+
+    monkeypatch.setattr(bench_pairs.sys, "dont_write_bytecode", off)
+    assert bench_pairs.machine().split(", ")[3:] == [
+        f"numpy {numpy.__version__}", f"scipy {scipy.__version__}",
+        f"dont_write_bytecode {str(off).lower()}"]

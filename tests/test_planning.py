@@ -61,7 +61,12 @@ class TestNForMsrTarget:
         assert n_for_msr_target(2.0, 0.01, 0.1199) == 4796
 
     def test_returns_the_smallest_sufficient_n(self):
-        for sigma, eps, unit in [(1.0, 0.01, 0.1199), (2.0, 0.03, 0.34), (0.7, 0.2, 1.4458)]:
+        # at the last input the real solution is 186229974827287.03, yet
+        # 186229974827287 meets the budget in floats: the ceiling overshoots
+        for sigma, eps, unit in [
+            (1.0, 0.01, 0.1199), (2.0, 0.03, 0.34), (0.7, 0.2, 1.4458),
+            (0.016708211959102142, 4.791462650738952e-10, 0.15315311938392365),
+        ]:
             n = n_for_msr_target(sigma, eps, unit)
             assert sigma * sigma * unit / n <= eps * eps + 1e-15
             if n > 1:

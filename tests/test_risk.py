@@ -26,6 +26,7 @@ from msregret import (
     HypothesisTest,
     MinimaxMSR,
     PosteriorMatchFlat,
+    PriorSupportError,
     RiskReport,
     RngSeed,
     SimulationSummary,
@@ -1254,3 +1255,69 @@ class TestSaturationMargin:
         w = worst_case_msr(Threshold(9.092), 1.0, 1)
         assert 7.984 < w.argsup_tau < 7.991
         assert w.saturated
+
+
+class TestScanRoundingFloor:
+    def test_mirrored_peaks_a_rounding_apart_both_compete(self):
+        # a step rule's scan is exact (error 0), but this mixture's mirrored
+        # grid peaks at b = -+0.78 differ by 2.8e-17 in their last bits; the
+        # 1e-12 rounding floor keeps both, both refine to one value, and the
+        # exact tie goes to the smaller argsup
+        rule = ComplementMix(Threshold(1e-16), 0.01)
+        grid, vals, err = _unit_curve(rule, 1)
+        low, high = vals[grid < 0].max(), vals[grid > 0].max()
+        assert err == 0.0 and 0.0 < high - low < 1e-12
+        w = worst_case_mean_regret(rule, 1.0, 1)
+        assert -0.78 < w.argsup_tau < -0.77
+
+
+class TestEdgeGrid:
+    """Every call on the edge grid returns finite floats or a typed error.
+
+    The grid: 9 rules, 11 effects from 0 to +-1e308, 7 sigmas from 1e-300 to
+    1e300 and n in {1, 10**16}.  A RuntimeWarning fails the test, since the
+    suite runs with warnings as errors (pyproject.toml), so "finite" also
+    means "finite without an overflow warning"."""
+
+    RULES = [
+        EmpiricalSuccess(), Threshold(0.5), HypothesisTest(0.05), MinimaxMSR(TAU_STAR),
+        BayesFlatMSR(), PosteriorMatchFlat(), ComplementMix(Threshold(0.4), 0.3),
+        ComplementMix(BayesFlatMSR(), 0.3),
+        DiscretePriorBayes(DiscretePrior.from_pairs(PRIOR3_PAIRS), 2.0, 0.1),
+    ]
+    EFFECTS = [0.0, *(s * e for e in (1e-300, 0.5, 3.0, 1e10, 1e308) for s in (1.0, -1.0))]
+    SIGMAS = [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300]
+    NS = [1, 10**16]
+
+    @staticmethod
+    def outcomes(calls) -> dict:
+        """Count of each outcome: "finite", or the typed error's name."""
+        counts: dict = {}
+        for call in calls:
+            try:
+                value = call()
+            except (DomainError, ConvergenceError, PriorSupportError) as exc:
+                outcome = type(exc).__name__
+            else:
+                floats = [value] if isinstance(value, float) else [value.sup, value.argsup_tau]
+                outcome = "finite" if all(map(math.isfinite, floats)) else f"non-finite {floats}"
+            counts[outcome] = counts.get(outcome, 0) + 1
+        return counts
+
+    def test_tail_probability(self):
+        calls = [
+            lambda r=r, e=GaussianExperiment(tau, sigma, n): tail_probability(r, e, abs(tau) / 2)
+            for r in self.RULES for tau in self.EFFECTS for sigma in self.SIGMAS
+            for n in self.NS
+        ]
+        assert self.outcomes(calls) == {"finite": 1386}
+
+    @pytest.mark.parametrize("worst_case, want", [
+        # sup = sigma^2 / n * unit overflows at sigma = 1e300, for every rule and n
+        (worst_case_msr, {"finite": 108, "DomainError": 18}),
+        (worst_case_mean_regret, {"finite": 126}),
+    ], ids=["msr", "mean-regret"])
+    def test_worst_cases(self, worst_case, want):
+        calls = [lambda r=r, s=sigma, n=n: worst_case(r, s, n)
+                 for r in self.RULES for sigma in self.SIGMAS for n in self.NS]
+        assert self.outcomes(calls) == want

@@ -57,6 +57,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,6 +150,16 @@ def by_kind(kinds: list, op_s: list) -> tuple:
         lo, hi = kind_range.get(kind, (t, t))
         kind_range[kind] = [min(lo, t), max(hi, t)]
     return kind_s, kind_range
+
+
+def machine() -> str:
+    """The hardware and software that set-up time and memory depend on: the
+    numpy and scipy versions, whose imports dominate a worker's set-up, and
+    whether bytecode writing is off (PYTHONDONTWRITEBYTECODE=1), in which
+    case every worker compiles msregret from source as it imports it."""
+    return (f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}, "
+            f"numpy {metadata.version('numpy')}, scipy {metadata.version('scipy')}, "
+            f"dont_write_bytecode {str(sys.dont_write_bytecode).lower()}")
 
 
 def digests(checkout: Path, workload: str, seed: int) -> list:
@@ -292,7 +303,7 @@ def main(argv=None) -> int:
         parent=parent_sha,
         change=f"working tree on {git('rev-parse', 'HEAD')}"
         + (" (uncommitted changes)" if git("status", "--porcelain", "--", "src") else ""),
-        machine=f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+        machine=machine(),
         command="python3 bench/run.py --workload W --seed S "
         f"--seconds {seconds} --trace 0",
     )
