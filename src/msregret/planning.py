@@ -81,19 +81,46 @@ def _bounded_worst(worst_case, rule: TreatmentRule) -> float:
 def _least_n(real: float, fits) -> int:
     """Smallest n >= 1 with fits(n), for a fits that holds from some n on.
 
-    Starts at the ceiling of the real solution, steps down while n - 1 fits
-    and up while n does not, so floating-point noise in real can make the
-    answer neither one too large nor one too small.  Raises DomainError for
-    a real solution that is not finite: the sample size overflows a float.
+    Starts at the ceiling of the real solution, so floating-point noise in
+    real can make the answer neither one too large nor one too small.  While
+    n - 1 fits it searches down, while n does not it searches up, each by
+    strides doubling from one and then bisecting, so an answer d away from
+    the ceiling costs about 2 log2(d) calls: above 2**53 many consecutive
+    integers give fits the same float.  Within one of the ceiling the calls
+    are those of stepping one integer at a time.  Raises DomainError for a
+    real solution that is not finite: the sample size overflows a float.
     """
     if not math.isfinite(real):
         raise DomainError(f"the sample size is not representable: its real solution is {real!r}")
     n = max(int(math.ceil(real)), 1)
-    while n > 1 and fits(n - 1):
-        n -= 1
-    while not fits(n):
-        n += 1
+    if n > 1 and fits(n - 1):
+        # fits(hi); the least n is hi or below
+        hi, stride = n - 1, 1
+        while hi > 1:
+            probe = max(hi - stride, 1)
+            if not fits(probe):
+                n = _bisect(probe, hi, fits)
+                break
+            hi, stride = probe, 2 * stride
+        else:
+            n = 1
+    if not fits(n):
+        lo, stride = n, 1
+        while not fits(lo + stride):
+            lo, stride = lo + stride, 2 * stride
+        n = _bisect(lo, lo + stride, fits)
     return n
+
+
+def _bisect(lo: int, hi: int, fits) -> int:
+    """Smallest n in (lo, hi] with fits(n), given fits(hi) and not fits(lo)."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def n_for_msr_target(sigma: float, epsilon: float, unit: float) -> int:

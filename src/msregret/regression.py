@@ -18,7 +18,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -182,28 +181,38 @@ def fit(
     y = data.outcomes
     n, k = z.shape
 
-    q, r = np.linalg.qr(z, mode="reduced")
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-10 * diag.max():
-        j = int(np.argmin(diag))
-        raise RankError(
-            f"design is rank deficient near column {data.column_names[j]!r}"
-        )
-    coef = _solve_upper(r, q.T @ y)
-    resid = y - z @ coef
-    rss = float(resid @ resid)
+    # an overflow raises, so data too large for a float end in DomainError,
+    # not in a RuntimeWarning and an infinite standard error
+    with np.errstate(over="raise"):
+        try:
+            q, r = np.linalg.qr(z, mode="reduced")
+            diag = np.abs(np.diag(r))
+            if diag.min() <= 1e-10 * diag.max():
+                j = int(np.argmin(diag))
+                raise RankError(
+                    f"design is rank deficient near column {data.column_names[j]!r}"
+                )
+            coef = _solve_upper(r, q.T @ y)
+            resid = y - z @ coef
+            rss = float(resid @ resid)
+
+            e0 = np.zeros(k)
+            e0[0] = 1.0
+            # a contiguous copy gives the row dot products unit stride
+            row = _solve_lower(np.ascontiguousarray(r.T), e0)
+            inv00 = float(row @ row)
+        except FloatingPointError as exc:
+            raise DomainError(f"the least-squares fit overflows a float: {exc}") from None
     dof = n - k if unbiased else n
     sigma2 = rss / dof
-
-    e0 = np.zeros(k)
-    e0[0] = 1.0
-    # a contiguous copy gives the row dot products unit stride
-    row = _solve_lower(np.ascontiguousarray(r.T), e0)
-    inv00 = float(row @ row)
     se = math.sqrt(sigma2 * inv00)
     if se == 0.0:
         raise RankError("zero standard error; outcomes fit exactly")
     t_stat = float(coef[0]) / se
+    if not (math.isfinite(se) and math.isfinite(t_stat)):
+        raise DomainError(
+            f"the least-squares fit overflows a float: se_tau = {se!r}, t_stat = {t_stat!r}"
+        )
     mm, by = fraction_from_tstat(t_stat, tau_star)
     return RegressionResult(
         tau_hat=float(coef[0]),
@@ -229,6 +238,12 @@ def load_dataset_csv(path: str, intercept: bool = True) -> Dataset:
     cells raise InputError naming the file line and column of the first one
     in file order, and each row is checked y first, then d, then the
     covariates.
+
+    A plain file (no double quote, no carriage return) whose every cell
+    numpy's C parser reads, finite and with each d 0 or 1, is parsed in one
+    np.loadtxt pass; every other file is read by csv.reader and converted
+    cell by cell.  Both give float(cell.strip()) for every cell, so the same
+    bits, and a file either refuses gets the per-cell pass's error.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -238,6 +253,69 @@ def load_dataset_csv(path: str, intercept: bool = True) -> Dataset:
         raise InputError(
             f"{path}: not UTF-8 text: byte {raw[exc.start]:#04x} at offset {exc.start}"
         ) from None
+    names, table = _plain_table(text) or _per_cell_table(path, text)
+    y_pos = names.index("y")
+    d_pos = names.index("d")
+    cov_pos = [i for i in range(len(names)) if i not in (y_pos, d_pos)]
+
+    # C-ordered copies: a strided outcome vector or an F-ordered covariate
+    # block changes the BLAS summation order in fit, and with it the last bits
+    n, k = len(table), len(cov_pos)
+    covs = np.ones((n, k + 1 if intercept else k))
+    covs[:, :k] = table[:, cov_pos]
+    cov_names = [names[i] for i in cov_pos]
+    if intercept:
+        cov_names.append("intercept")
+    return Dataset(
+        outcomes=table[:, y_pos].copy(),
+        treatments=table[:, d_pos].copy(),
+        covariates=covs,
+        covariate_names=tuple(cov_names),
+    )
+
+
+def _plain_table(text: str) -> Optional[Tuple[list, np.ndarray]]:
+    """(header names, C-ordered (rows, width) table) of a plain file, or None.
+
+    A file without a double quote or a carriage return, and without a line
+    past csv's field size limit, has csv.reader's records as its lines split
+    on commas.  np.loadtxt skips the empty lines, as the blank-row rule does,
+    strips the whitespace str.strip() strips, and converts with Python's own
+    float parsing; it refuses every cell float(cell.strip()) refuses and a
+    few it accepts (1_0, non-ASCII digits), and whitespace-only rows.  None
+    for a file it refuses, a header without exactly one y and one d, no data
+    line, a ragged table, a non-finite cell or a d other than 0 or 1, all of
+    which the per-cell pass reads or names.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, text.split("\n"))) > limit:
+        return None
+    header, _, body = text.partition("\n")
+    names = [cell.strip() for cell in header.split(",")]
+    if names.count("y") != 1 or names.count("d") != 1 or not body.strip("\n"):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(names) or not np.isfinite(table).all():
+        return None
+    d = table[:, names.index("d")]
+    if not ((d == 0.0) | (d == 1.0)).all():
+        return None
+    return names, table
+
+
+def _per_cell_table(path: str, text: str) -> Tuple[list, np.ndarray]:
+    """(header names, C-ordered (rows, width) table) of any file, cell by cell.
+
+    Records come from csv.reader; rows are read in file order, and within a
+    row the width, then y, d and the covariates are checked as
+    float(cell.strip()) and finite, then whether d is 0 or 1.  The first
+    fault raises InputError naming its line and column.
+    """
     try:
         records = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
@@ -253,92 +331,40 @@ def load_dataset_csv(path: str, intercept: bool = True) -> Dataset:
         raise InputError(
             f"{path}: header must contain exactly one column 'd', got {names!r}"
         )
-    y_pos = names.index("y")
-    d_pos = names.index("d")
-    cov_pos = [i for i in range(len(names)) if i not in (y_pos, d_pos)]
-
-    rows = [cells for cells in records[1:] if "".join(cells).strip()]
+    rows = [
+        (line_no, cells)
+        for line_no, cells in enumerate(records[1:], start=2)
+        if "".join(cells).strip()
+    ]
     if not rows:
         raise InputError(f"{path}: no data rows")
-    n, width = len(rows), len(names)
-    ragged = set(map(len, rows)) != {width}
-    values = None if ragged else _cells_as_floats(rows, n * width)
-    if values is None or not np.isfinite(values).all():
-        raise _first_bad_cell(path, names, records[1:])
-    table = values.reshape(n, width)
-    d = table[:, d_pos]
-    if not ((d == 0.0) | (d == 1.0)).all():
-        raise _first_bad_cell(path, names, records[1:])
-
-    # C-ordered copies: a strided outcome vector or an F-ordered covariate
-    # block changes the BLAS summation order in fit, and with it the last bits
-    k = len(cov_pos)
-    covs = np.ones((n, k + 1 if intercept else k))
-    covs[:, :k] = table[:, cov_pos]
-    cov_names = [names[i] for i in cov_pos]
-    if intercept:
-        cov_names.append("intercept")
-    return Dataset(
-        outcomes=table[:, y_pos].copy(),
-        treatments=d.copy(),
-        covariates=covs,
-        covariate_names=tuple(cov_names),
-    )
-
-
-def _cells_as_floats(rows: list, count: int) -> Optional[np.ndarray]:
-    """Every cell of rows, in order, as one float array; None if one is not a number.
-
-    float() skips the surrounding whitespace that str.strip() removes, except
-    the separators U+001C-U+001F, so a refused batch is stripped and tried
-    once more before the per-cell check runs.
-    """
-    try:
-        return np.fromiter(map(float, chain.from_iterable(rows)), float, count)
-    except ValueError:
-        pass
-    try:
-        return np.fromiter(
-            map(float, map(str.strip, chain.from_iterable(rows))), float, count
-        )
-    except ValueError:
-        return None
-
-
-def _first_bad_cell(path: str, names: list, records: list) -> InputError:
-    """The error for the first bad cell of the data records, in file order.
-
-    The per-cell check, run only on a file the bulk parse refused: rows are
-    read in order, and within a row the width, then y, d and the covariates,
-    then whether d is 0 or 1.
-    """
     y_pos = names.index("y")
     d_pos = names.index("d")
-    cov_pos = [i for i in range(len(names)) if i not in (y_pos, d_pos)]
-    for line_no, cells in enumerate(records, start=2):
-        if not cells or all(cell.strip() == "" for cell in cells):
-            continue
+    order = [y_pos, d_pos] + [i for i in range(len(names)) if i not in (y_pos, d_pos)]
+    table = np.empty((len(rows), len(names)))
+    for row, (line_no, cells) in zip(table, rows):
         if len(cells) != len(names):
-            return InputError(
+            raise InputError(
                 f"{path}: line {line_no} has {len(cells)} cells, expected {len(names)}"
             )
-        for pos in [y_pos, d_pos] + cov_pos:
+        for pos in order:
             cell = cells[pos].strip()
             try:
                 value = float(cell)
             except ValueError:
-                return InputError(
+                raise InputError(
                     f"{path}: line {line_no}, column {names[pos]!r}: "
                     f"not a number: {cell!r}"
-                )
+                ) from None
             if not math.isfinite(value):
-                return InputError(
+                raise InputError(
                     f"{path}: line {line_no}, column {names[pos]!r}: "
                     f"non-finite value {cell!r}"
                 )
-        if float(cells[d_pos].strip()) not in (0.0, 1.0):
-            return InputError(
+            row[pos] = value
+        if row[d_pos] not in (0.0, 1.0):
+            raise InputError(
                 f"{path}: line {line_no}, column 'd': must be 0 or 1, "
                 f"got {cells[d_pos].strip()!r}"
             )
-    raise RuntimeError(f"{path}: the bulk parse refused a file whose cells all check")
+    return names, table

@@ -355,6 +355,20 @@ def round_sig(x, digits):
     return round(x, digits - 1 - mag)
 
 
+def least_n_linear(real, fits):
+    """The least n >= 1 with fits(n), stepping one integer at a time.
+
+    The planners' search as it was before it galloped: from the ceiling of
+    the real solution, down while n - 1 fits, then up while n does not.
+    """
+    n = max(int(math.ceil(real)), 1)
+    while n > 1 and fits(n - 1):
+        n -= 1
+    while not fits(n):
+        n += 1
+    return n
+
+
 def load_csv_per_cell(path, intercept=True):
     """The CSV loader parsed cell by cell: (outcomes, treatments, covariates, names).
 

@@ -110,6 +110,41 @@ class TestVerdictLines:
         assert json.loads(out.read_text())["workloads"]["w"]["summary"] == summary
 
 
+class TestKindVerdictLines:
+    def test_one_line_per_kind_with_medians_change_and_wins(self):
+        pairs = [
+            {"parent": {"kind_s": {"regress": p, "cli": 1.0}},
+             "change": {"kind_s": {"regress": c, "cli": 1.0}}}
+            for p, c in [(0.016, 0.0125), (0.015, 0.014), (0.014, 0.015)]
+        ]
+        assert bench_pairs.kind_verdict_lines("study-design", pairs) == [
+            "study-design kind_s regress: 0.015 -> 0.014 s (-6.7%), wins 2/3",
+            "study-design kind_s cli: 1 -> 1 s (+0.0%), wins 0/3",
+        ]
+
+    def test_main_prints_them_after_the_metric_lines(self, tmp_path, monkeypatch, capsys):
+        runs = iter([0.02, 0.01, 0.04, 0.03])
+        monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc")
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+        monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
+        monkeypatch.setattr(bench_pairs, "run", lambda *args: {
+            "metrics": {"pass_s": 1.0}, "kind_s": {"regress": next(runs)},
+            "kind_range": {"regress": [0.001, 0.002]}})
+        monkeypatch.setattr(bench_pairs, "digests", lambda *args: [])
+        monkeypatch.setattr(bench_pairs, "side_checkout",
+                            lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": LOWER}))
+        assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "2",
+                                 "--out", str(tmp_path / "bench.json")]) == 0
+        # pair 1 runs the parent first (0.02, change 0.01), pair 2 the change (0.04, parent 0.03)
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "w pass_s: 1 -> 1 s (+0.0%), wins 0/2, within_bound true, gain_claimable false",
+            "w kind_s regress: 0.025 -> 0.025 s (+0.0%), wins 1/2",
+        ]
+
+
 class TestCompareOutputs:
     def test_identical(self):
         assert bench_pairs.compare_outputs(["a", "b"], ["a", "b"]) == {

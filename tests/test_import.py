@@ -88,3 +88,21 @@ def test_a_star_import_binds_the_pinned_names():
 def test_the_cli_loads_every_module():
     out = fresh("import msregret.cli\nout['cli'] = loaded()\n")
     assert out["cli"] == sorted([*EAGER, "msregret._constants", "msregret.cli", *LAZY])
+
+
+def test_the_first_csv_load_after_the_cli_loads_no_module(tmp_path):
+    # np.loadtxt pulls no numpy submodule into a timed regress operation
+    path = tmp_path / "data.csv"
+    path.write_text("y,d,x\n1.5,0,2\n-0.25,1,3\n2,1,5\n0.5,0,7\n")
+    out = fresh(
+        f"""
+        import msregret.cli
+        from msregret.regression import load_dataset_csv
+        before = set(sys.modules)
+        load_dataset_csv({str(path)!r})
+        out["added"] = sorted(set(sys.modules) - before)
+        out["plain"] = msregret.regression._plain_table(open({str(path)!r}).read()) is not None
+        """
+    )
+    assert out["import"] == EAGER
+    assert out["plain"] and out["added"] == []

@@ -1,11 +1,16 @@
 """Sample-size calculations built on the worst-case risk units."""
+import json
 import math
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from msregret import (
     ComplementMix,
     DomainError,
@@ -29,6 +34,11 @@ from msregret import (
     plan_worst_msr,
     std_normal_quantile,
 )
+from msregret import planning
+from msregret.numerics import ConvergenceError
+from msregret.rules import PriorSupportError
+from test_cli import subprocess_env
+from test_risk import TestEdgeGrid as RiskEdgeGrid
 
 TAU_STAR = 1.22814
 
@@ -237,6 +247,72 @@ class TestEveryNIsTheLeast:
             self.assert_least(ht_power_n(sigma, alpha, beta, tau), lambda n: n_real <= n)
 
 
+def counted(monkeypatch) -> list:
+    """The n of every fits call that planning._least_n makes from now on."""
+    calls = []
+    least_n = planning._least_n
+    monkeypatch.setattr(planning, "_least_n", lambda real, fits: least_n(
+        real, lambda n: calls.append(n) or fits(n)))
+    return calls
+
+
+class TestLeastN:
+    """The least-n search gallops and bisects, returning the least n that
+    stepping one integer at a time returns (oracles.least_n_linear)."""
+
+    def test_a_float_flat_over_many_integers_costs_few_calls(self, monkeypatch):
+        # the least n is 67108865 (2**26 + 1) above the ceiling of 1e24, as
+        # the quotient 1 / n is one float over many consecutive n: stepping
+        # took 11.7 s; doubling strides up and bisecting back make 53 calls
+        calls = counted(monkeypatch)
+        start = time.perf_counter()
+        assert n_for_msr_target(1.0, 1e-12, 1.0) == 1000000000000000050331649
+        assert time.perf_counter() - start < 1.0
+        assert len(calls) == 53
+
+    def test_within_one_of_the_ceiling_the_calls_are_the_steps(self, monkeypatch):
+        # the step-down input of TestNForMsrTarget: the ceiling overshoots by one
+        calls = counted(monkeypatch)
+        n_for_msr_target(0.016708211959102142, 4.791462650738952e-10, 0.15315311938392365)
+        assert calls == [186229974827287, 186229974827286, 186229974827287]
+
+    def test_seeded_sweep_against_the_stepping_search(self):
+        rng = np.random.default_rng(3401)
+        for _ in range(300):
+            real = float(10.0 ** rng.uniform(-1.0, 12.0))
+            near = rng.uniform() < 0.5
+            offset = int(rng.choice([-1, 0, 1]) if near else rng.integers(-300, 301))
+            least = max(int(math.ceil(real)) + offset, 1)
+            got, want = [], []
+            assert planning._least_n(real, lambda n: got.append(n) or n >= least) == least
+            assert oracles.least_n_linear(real, lambda n: want.append(n) or n >= least) == least
+            if abs(offset) <= 1:
+                assert got == want
+            assert len(got) <= 2 * math.log2(abs(offset) + 1) + 4
+
+            sigma = float(10.0 ** rng.uniform(-2.0, 2.0))
+            eps = float(10.0 ** rng.uniform(-5.0, 0.0))
+            unit = float(10.0 ** rng.uniform(-2.0, 1.0))
+            real = sigma * sigma * unit / (eps * eps)
+            fits = lambda n: sigma * sigma * unit / n <= eps * eps  # noqa: E731
+            got, want = [], []
+            assert planning._least_n(real, lambda n: got.append(n) or fits(n)) == \
+                oracles.least_n_linear(real, lambda n: want.append(n) or fits(n))
+            assert got == want
+
+    def test_the_cli_plans_a_tiny_epsilon(self):
+        # n_es is about 2.9e38: stepping did not return within 10 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "msregret.cli", "sample-size",
+             "--criterion", "es-epsilon-optimal", "--epsilon", "1e-20"],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        plan = json.loads(proc.stdout)
+        assert plan["n_required"] == plan["es_comparison"]["n_es"] == \
+            288902113721764485889591051171957571584
+
+
 class TestPlans:
     def test_worst_msr_plan(self):
         plan = plan_worst_msr(1.0, 0.01, MinimaxMSR(tau_star=TAU_STAR))
@@ -301,3 +377,58 @@ class TestUnitsRefuseASaturatedScan:
             ht_msr_unit(1e-30)
         with pytest.raises(DomainError, match="not bounded on the scan"):
             plan_ht_power(1.0, 1e-30, 0.9, 0.5, TAU_STAR)
+
+
+class TestPlannerEdgeGrid:
+    """Every planner call on the edge grid returns finite numbers or a typed
+    error, without a RuntimeWarning (the suite runs with warnings as errors):
+    test_risk.TestEdgeGrid's seven sigmas, and epsilons (the alternative, for
+    plan_ht_power) from 0.5 to 1e-160."""
+
+    EPSILONS = [0.5, 1e-3, 1e-20, 1e-150, 1e-160]
+    PLANNERS = {
+        "n_for_msr_target": lambda sigma, eps: n_for_msr_target(sigma, eps, MM_MSR_UNIT),
+        "es_epsilon_optimal_n": es_epsilon_optimal_n,
+        "plan_worst_msr": lambda sigma, eps: plan_worst_msr(sigma, eps, MinimaxMSR(TAU_STAR)),
+        "plan_es_epsilon": lambda sigma, eps: plan_es_epsilon(sigma, eps, MinimaxMSR(TAU_STAR)),
+        "plan_ht_power": lambda sigma, eps: plan_ht_power(sigma, 0.05, 0.8, eps, TAU_STAR),
+    }
+
+    @staticmethod
+    def numbers(value) -> list:
+        """Every int and float of a planner's answer, nested records included."""
+        if isinstance(value, dict):
+            return [x for v in value.values() for x in TestPlannerEdgeGrid.numbers(v)]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return [value]
+        return []
+
+    @pytest.mark.parametrize("planner, want", [
+        # epsilon^2 underflows at 1e-160 (7 calls); sigma^2 / epsilon^2 is
+        # past the float range at sigma = 1e300 (4 more) and at epsilon = 1e-150
+        # for sigma = 1e10 and 1e100 (2 more)
+        ("n_for_msr_target", {"finite": 22, "DomainError": 13}),
+        ("es_epsilon_optimal_n", {"finite": 22, "DomainError": 13}),
+        ("plan_worst_msr", {"finite": 22, "DomainError": 13}),
+        ("plan_es_epsilon", {"finite": 22, "DomainError": 13}),
+        # (sigma / tau_alt)^2 is past the float range wherever sigma / tau_alt
+        # exceeds about 1e154: at sigma = 1e300 (5 calls), and for tau_alt = 1e-160
+        # and 1e-150 at sigma = 1e10 and 1e100 (4), and at sigma = 1 (1)
+        ("plan_ht_power", {"finite": 25, "DomainError": 10}),
+    ])
+    def test_planners(self, planner, want):
+        counts: dict = {}
+        for sigma in RiskEdgeGrid.SIGMAS:
+            for eps in self.EPSILONS:
+                try:
+                    value = self.PLANNERS[planner](sigma, eps)
+                except (DomainError, ConvergenceError, PriorSupportError) as exc:
+                    outcome = type(exc).__name__
+                else:
+                    payload = value.to_dict() if hasattr(value, "to_dict") else value
+                    numbers = self.numbers(payload)
+                    outcome = "finite" if numbers and all(
+                        isinstance(x, int) or math.isfinite(x) for x in numbers
+                    ) else f"not finite: {payload}"
+                counts[outcome] = counts.get(outcome, 0) + 1
+        assert counts == want

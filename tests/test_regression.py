@@ -1,5 +1,6 @@
 """Least-squares fits and the treatment fractions they induce."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from msregret import (
     fraction_from_tstat,
     load_dataset_csv,
 )
+from msregret import regression
 
 TAU_STAR = 1.22814
 
@@ -191,6 +193,17 @@ class TestFit:
         with pytest.raises(RankError, match="zero standard error"):
             fit(data)
 
+    def test_an_overflowing_fit_is_refused(self):
+        # the residual sum of squares passes the float range: a DomainError,
+        # where it was a RuntimeWarning and an infinite standard error
+        data = Dataset(
+            outcomes=np.array([0.0, 1.9e154, 0.0, 5.0]),
+            treatments=np.array([0.0, 0.0, 1.0, 1.0]),
+            covariates=np.ones((4, 1)),
+        )
+        with pytest.raises(DomainError, match="the least-squares fit overflows a float"):
+            fit(data)
+
     def test_bad_tau_star(self):
         for tau_star in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
@@ -238,18 +251,32 @@ class TestFractionFromTstat:
 
 # cell spellings float() accepts, padded with whitespace str.strip() removes
 # (U+001C-U+001F among them, which float() alone does not skip)
-_PADS = st.sampled_from(["", " ", "  ", "\t", "\x0b\x0c", "\x1c", "\x1f ", "\xa0", "\u2003", "\x85"])
+_PADS = st.sampled_from(
+    ["", " ", "  ", "\t", "\x0b\x0c", "\x1c", "\x1f ", "\xa0", "\u2003", "\u3000", "\x85"]
+)
 _NUMBERS = st.one_of(
     st.floats(-1e6, 1e6).map(repr),
     st.integers(-99, 99).map(str),
     st.sampled_from(
-        ["+.5", "-.25", "1e-3", "2E+2", "1_0", "1_000.5", "-0", '"3.25"', '" 4 "', '"\n5"']
+        ["+.5", "-.25", "1e-3", "2E+2", "1_0", "1_000.5", "-0", "\u0661.\u0665", '"3.25"',
+         '" 4 "', '"\n5"']
     ),
 )
 _TREATMENTS = st.sampled_from(["0", "1", "1.0", "0.0", "-0", "+1", "1e0", "0_0", '"1"'])
+# what a plain file holds: no quote, no pad, and numbers from repr over the
+# whole float range (subnormals too), 2.2250738585072011e-308 at the subnormal
+# edge and digit strings of 20 or more digits, which numpy's C parser reads
+_PLAIN_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(10**19, 10**30).map(str),
+    st.tuples(st.integers(-10**12, 10**12), st.integers(10**19, 10**24)).map(
+        lambda t: f"{t[0]}.{t[1]}"),
+    st.sampled_from(["2.2250738585072011e-308", "4.9406564584124654e-324", "-0", "+.5", "1e-3"]),
+)
+_PLAIN_TREATMENTS = st.sampled_from(["0", "1", "1.0", "0.0", "-0", "+1", "1e0"])
 _NOT_NUMBERS = st.sampled_from(
     ["abc", "", "1..2", "_1", "1__0", "0x10", '"1,5"', ' "2"', "nan", "NaN", "-inf",
-     "+Infinity", "1e400", '"nan"']
+     "+Infinity", "1e400", '"nan"', "\x00"]
 )
 _BAD_TREATMENTS = st.sampled_from(["2", "0.5", "-1", "1e-300", "True"])
 _BLANK_ROWS = st.sampled_from(["", " ", "\t", ",", " , ", ",,,", "\x1c"])
@@ -257,21 +284,29 @@ _BLANK_ROWS = st.sampled_from(["", " ", "\t", ",", " , ", ",,,", "\x1c"])
 
 @st.composite
 def _csv_files(draw):
-    """CSV text with y, d and up to two covariates; faulty files mix in bad rows."""
+    """CSV text with y, d and up to two covariates; faulty files mix in bad rows.
+
+    A plain file has \\n line ends, empty blank rows and cells without quotes
+    or pads, the files load_dataset_csv parses in one np.loadtxt pass.
+    """
     header = draw(st.permutations(["y", "d"] + draw(
         st.lists(st.sampled_from(["w", "x1", " z "]), max_size=2)
     )))
+    plain = draw(st.booleans())
     kinds = ["row"] * 4 + ["blank"]
     if draw(st.booleans()):
         kinds += ["not-a-number", "bad-treatment", "ragged"]
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    eol = "\n" if plain else draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(kinds))
         if kind == "blank":
-            lines.append(draw(_BLANK_ROWS))
+            lines.append("" if plain else draw(_BLANK_ROWS))
             continue
-        cells = [draw(_TREATMENTS if name == "d" else _NUMBERS) for name in header]
+        if plain:
+            cells = [draw(_PLAIN_TREATMENTS if name == "d" else _PLAIN_NUMBERS) for name in header]
+        else:
+            cells = [draw(_TREATMENTS if name == "d" else _NUMBERS) for name in header]
         if kind == "not-a-number":
             cells[draw(st.integers(0, len(cells) - 1))] = draw(_NOT_NUMBERS)
         elif kind == "bad-treatment":
@@ -279,7 +314,7 @@ def _csv_files(draw):
         elif kind == "ragged":
             cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
         lines.append(",".join(
-            cell if cell.startswith('"') else draw(_PADS) + cell + draw(_PADS)
+            cell if plain or cell.startswith('"') else draw(_PADS) + cell + draw(_PADS)
             for cell in cells
         ))
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
@@ -346,6 +381,10 @@ class TestLoadDatasetCsv:
             ("y,d,w\n1,0,2\n1,2,3\n4,1,5\n1,0,abc\n", "line 3, column 'd': must be 0 or 1"),
             ("w,y,d\nabc,xyz,1\n", "line 2, column 'y': not a number: 'xyz'"),
             ("y,d\n" + "1" * 200_000 + ",0\n", "field larger than field limit"),
+            # a quoted comma in the header is part of one name
+            ('y,d,"a,b"\n1,0,2,3\n2,1,3,4\n3,0,4,6\n', "line 2 has 4 cells, expected 3"),
+            # a finite cell too long for csv.reader, in a file without quotes
+            ("y,d\n0." + "0" * 200_000 + "1,0\n1,1\n2,0\n", "field larger than field limit"),
         ],
         ids=[
             "empty",
@@ -362,6 +401,8 @@ class TestLoadDatasetCsv:
             "first-bad-line-named",
             "y-named-before-covariate",
             "oversized-field",
+            "quoted-comma-in-header",
+            "oversized-finite-field",
         ],
     )
     def test_diagnostics_name_line_and_column(self, tmp_path, text, fragment):
@@ -370,6 +411,14 @@ class TestLoadDatasetCsv:
             load_dataset_csv(path)
         assert fragment in str(excinfo.value)
         assert path in str(excinfo.value)
+
+    def test_blank_lines_after_the_header_raise_without_a_warning(self, tmp_path):
+        # given no data line, np.loadtxt would warn "input contained no data"
+        path = self._write(tmp_path, "y,d\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="no data rows"):
+                load_dataset_csv(path)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = self._write(tmp_path, "\ufeffy,d,w\n1,0,2\n2,1,3\n3,0,5\n4,1,4\n")
@@ -390,32 +439,48 @@ class TestLoadDatasetCsv:
         with pytest.raises(InputError, match="byte 0xff at offset 7$"):
             load_dataset_csv(str(path))
 
-    @seed(20261018)
-    @settings(max_examples=200, deadline=None)
-    @given(text=_csv_files())
-    def test_bulk_parse_matches_the_per_cell_loader(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("csv") / "data.csv"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            expected = Dataset(*oracles.load_csv_per_cell(str(path)))
-        except ValueError as exc:
-            with pytest.raises(InputError) as excinfo:
-                load_dataset_csv(str(path))
-            assert str(excinfo.value) == str(exc)
-            return
-        data = load_dataset_csv(str(path))
-        for got, want in zip(
-            (data.outcomes, data.treatments, data.covariates),
-            (expected.outcomes, expected.treatments, expected.covariates),
-        ):
-            assert np.array_equal(got, want)
-            assert got.flags.c_contiguous
-        assert data.covariate_names == expected.covariate_names
-        assert _fit_or_error(data) == _fit_or_error(expected)
+    def test_bulk_parse_matches_the_per_cell_loader(self, tmp_path_factory, monkeypatch):
+        # the spy counts the files np.loadtxt took and those read cell by cell
+        paths = {"loadtxt": 0, "per-cell": 0}
+        plain_table = regression._plain_table
+
+        def spy(text):
+            table = plain_table(text)
+            paths["per-cell" if table is None else "loadtxt"] += 1
+            return table
+
+        monkeypatch.setattr(regression, "_plain_table", spy)
+
+        @seed(20261018)
+        @settings(max_examples=300, deadline=None)
+        @given(text=_csv_files())
+        def check(text):
+            path = tmp_path_factory.mktemp("csv") / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = Dataset(*oracles.load_csv_per_cell(str(path)))
+            except ValueError as exc:
+                with pytest.raises(InputError) as excinfo:
+                    load_dataset_csv(str(path))
+                assert str(excinfo.value) == str(exc)
+                return
+            data = load_dataset_csv(str(path))
+            for got, want in zip(
+                (data.outcomes, data.treatments, data.covariates),
+                (expected.outcomes, expected.treatments, expected.covariates),
+            ):
+                # bytes, not values: -0.0 == 0.0
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous
+            assert data.covariate_names == expected.covariate_names
+            assert _fit_or_error(data) == _fit_or_error(expected)
+
+        check()
+        assert min(paths.values()) >= 50, paths
 
 
 def _fit_or_error(data: Dataset):
     try:
         return fit(data).to_dict()
-    except RankError as exc:
-        return str(exc)
+    except (RankError, DomainError) as exc:
+        return f"{type(exc).__name__}: {exc}"

@@ -40,6 +40,8 @@ The run ends by printing to standard error one line per end-to-end metric:
 parent -> change median, relative change, wins/pairs, within_bound and
 gain_claimable, and for an unresolved metric the parent's spread, so a
 change that claims no gain can be checked for regressions from the terminal.
+One line per kind follows: the parent -> change median of its kind_s, the
+relative change and the change's wins, which show where a change moved.
 """
 from __future__ import annotations
 
@@ -261,6 +263,19 @@ def verdict_lines(workload: str, summary: dict) -> list:
     ]
 
 
+def kind_verdict_lines(workload: str, pairs: list) -> list:
+    """One line per kind of the pairs: the parent and change medians of its
+    kind_s (see summarize_kinds), the relative change, and the change's wins,
+    the pairs whose change run has the lower sum."""
+    return [
+        f"{workload} kind_s {kind}: {m['parent_median']:.6g} -> {m['change_median']:.6g} s "
+        f"({(m['change_median'] - m['parent_median']) / m['parent_median']:+.1%}), wins "
+        f"{sum(p['change']['kind_s'][kind] < p['parent']['kind_s'][kind] for p in pairs)}"
+        f"/{len(pairs)}"
+        for kind, m in summarize_kinds(pairs).items()
+    ]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
@@ -319,7 +334,7 @@ def main(argv=None) -> int:
         "runs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for line in verdict_lines(args.workload, summary):
+    for line in verdict_lines(args.workload, summary) + kind_verdict_lines(args.workload, pairs):
         print(line, file=sys.stderr)
     return 0
 
