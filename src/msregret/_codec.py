@@ -12,12 +12,16 @@ the report classes and on first use for the rules.
 
 csv_text and json_text are the two text writers of the command line.
 json_text returns the bytes of json.dumps(payload, indent=2, sort_keys=True),
-which with an indent runs json's pure-Python encoder; json_text instead
-renders a list of floats, or a table of equal-length float rows, with one
-map(float.__repr__) and one string assembly.
+which with an indent runs json's pure-Python encoder.  json_text writes only
+the shapes a payload holds: a str, an exact int, a float, a non-empty dict
+with str keys, and a non-empty list of floats or table of equal-length float
+rows, each list with one map(float.__repr__) and one string assembly.  Every
+other value (bool, None, an empty or mixed list, a non-str key) is
+json.dumps's own text, re-indented.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, fields
 from functools import lru_cache
 from itertools import chain
@@ -129,58 +133,29 @@ def _json_table(rows: Sequence, indent: str) -> Optional[str]:
     return ("," + indent).join([row] * len(rows)) % tuple(cells)
 
 
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _json_floats((key,))[0]
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(
-            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-        )
-    return encode_basestring_ascii(key)
-
-
 def _json(value, indent: str) -> str:
     # indent is a newline and the indentation of the line value starts on;
-    # the type tests go in json's order, so bool comes before int
+    # an exact int test leaves bool and int subclasses to json
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
+    if type(value) is int:
         return int.__repr__(value)
     if isinstance(value, float):
         return _json_floats((value,))[0]
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, (list, tuple)) and value:
         try:
             body = ("," + inner).join(_json_floats(value))
         except TypeError:
             body = _json_table(value, inner)
-            if body is None:
-                body = ("," + inner).join([_json(v, inner) for v in value])
-        return "[" + inner + body + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{_json_key(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        if body is not None:
+            return "[" + inner + body + indent + "]"
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    # a JSON string holds no raw newline, so this re-indents json's text exactly
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
 
 def json_text(payload) -> str:

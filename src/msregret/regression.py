@@ -186,9 +186,12 @@ def fit(
     with np.errstate(over="raise"):
         try:
             q, r = np.linalg.qr(z, mode="reduced")
-            diag = np.abs(np.diag(r))
-            if diag.min() <= 1e-10 * diag.max():
-                j = int(np.argmin(diag))
+            # each column against its own length, so rescaling a column moves
+            # neither side; z_j = q r_j gives |z_j| = |r_j|, and hypot does
+            # not overflow where the squares would
+            short = np.abs(np.diag(r)) <= 1e-10 * np.hypot.reduce(r, axis=0)
+            if short.any():
+                j = int(np.argmax(short))
                 raise RankError(
                     f"design is rank deficient near column {data.column_names[j]!r}"
                 )

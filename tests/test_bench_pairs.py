@@ -276,6 +276,19 @@ def test_copy_worktree_takes_tracked_and_untracked_files_but_not_ignored_ones(tm
     assert (dest / "src" / "a.py").read_text() == "tracked, edited\nagain\n"
 
 
+def test_src_lines_counts_the_newlines_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "msregret"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    # a last line without a newline is not counted, as wc -l does not
+    (package / "b.py").write_bytes(b"x = 1\r\ny = 2")
+    (package / "notes.txt").write_text("not a module\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("nested\n")
+    (tmp_path / "tools.py").write_text("outside\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
 def test_family_labels_name_each_risk_operations_rule_family(tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "workloads.py").write_text(

@@ -121,10 +121,12 @@ class TestExitCodes:
         assert "lo:hi:step" in err
 
     @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:inf:0.1", "-inf:0:1", "0:1:nan",
-                                      "0:1e12:1e-9", "0:1:1e-300"])
+                                      "0:1e12:1e-9", "0:1:1e-300", "0:x:1", "1:0:0.1",
+                                      "0:1:0"])
     def test_grid_numpy_would_refuse(self, capsys, grid):
-        # non-finite ends or steps, and grids too long for numpy to allocate,
-        # which it refuses before allocating anything
+        # non-finite ends or steps, grids too long for numpy to allocate,
+        # which it refuses before allocating anything, and ends or steps that
+        # are not numbers or give no grid
         code, _, err = run_cli(capsys, ["risk-curve", f"--grid={grid}"])
         assert code == 2
         assert err.count("error:") == 1
@@ -209,6 +211,24 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == "error: --prior: prior support points must be finite"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["rule-eval", "--rule", "prior-bayes", "--prior=-1:a,1:1", "--stat", "0"],
+          "--prior values must be numbers, got '-1:a'"),
+         (["risk", "--rule", "es", "--tau", "1", "--tail", "0.5,x"],
+          "--tail must be comma-separated numbers, got '0.5,x'"),
+         (["rule-eval", "--rule", "mix:minimax", "--stat", "0"],
+          "mix token must be mix:base,lambda, got 'mix:minimax'"),
+         (["rule-eval", "--rule", "mix:minimax,x", "--stat", "0"],
+          "bad mix weight in 'mix:minimax,x'")],
+        ids=["prior-not-a-number", "tail-not-a-number", "mix-without-comma", "mix-bad-weight"],
+    )
+    def test_a_malformed_token(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1] == f"error: {message}"
 
     def test_prior_bayes_without_prior(self, capsys):
         code, _, err = run_cli(capsys, ["rule-eval", "--rule", "prior-bayes", "--stat", "0"])

@@ -139,6 +139,11 @@ class TestDominatingRule:
 
 
 class TestVerifyDominance:
+    @pytest.mark.parametrize("grid_step", [0.0, -0.5, math.nan])
+    def test_a_grid_step_that_is_not_positive(self, grid_step):
+        with pytest.raises(DomainError, match=f"^grid_step must be positive, got {grid_step}$"):
+            verify_dominance(0.0, 1.0, 2.0, 1.0, grid_step=grid_step)
+
     def test_the_refusals_keep_their_order(self):
         # shrink, then the tail bounds' own checks, then lambda_star's
         for fn in (dominating_rule, verify_dominance):

@@ -513,6 +513,9 @@ class TestFindRoot:
     def test_exact_endpoint(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
 
+    def test_exact_upper_endpoint(self):
+        assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
     def test_rejects_unbracketed(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)

@@ -429,6 +429,10 @@ def test_json_text_is_indented_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
+class _Count(int):
+    """An int subclass, which json writes as its int."""
+
+
 @pytest.mark.parametrize("payload", [
     {}, [], (), [[]], [[], []], [{}], {"a": {}},
     [float(x) for x in EDGE_FLOATS],
@@ -438,6 +442,12 @@ def test_json_text_is_indented_json_dumps(payload):
     [True, 1, 1.0, None, "x"],
     {"\u00e9": 1, "b": [np.float64(1) / 3], "a": (1.5, -0.0)},
     {"k": {"z": [[0.5]], "y": [0.5]}},
+    {"a": {1: "i", 2.5: [1.0]}, "b": [{False: 1.0}], "c": {"d": {None: 0}}},
+    [[True, 1.0], [None, 2.0]],
+    {"t": True, "n": None, "f": [False, 0.5]},
+    [{"a": 1.0}, {"b": [2.0, 3.0]}, {}],
+    {"a": {"b": [], "c": {}}, "d": [[], {}, [[]]]},
+    [_Count(7), {"n": _Count(-3)}, [_Count(1), 1.0]],
 ])
 def test_json_text_edge_cases(payload):
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
@@ -450,3 +460,42 @@ def test_json_text_keys_and_refusals():
         json_text({"x": np.float32(1.0)})
     with pytest.raises(TypeError):
         json_text({(1, 2): 0})
+
+
+class _NoDumps:
+    """A json module whose dumps refuses: every value json_text passes on."""
+
+    @staticmethod
+    def dumps(*args, **kwargs):
+        raise AssertionError("json_text passed a value on to json.dumps")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-tau-star"],
+    ["rule-eval", "--rule", "prior-bayes", "--prior=-1:0.5,1:0.5", "--stat", "0.3"],
+    ["risk", "--rule", "bayes-flat", "--tau", "-0.4", "--tail", "0.1"],
+    ["simulate", "--rule", "minimax", "--tau", "0.5", "--reps", "2000", "--seed", "5",
+     "--tail", "0.2"],
+    ["saddle"],
+    ["dominate", "--t", "0.1", "--tau-bar", "1.25"],
+    ["sample-size", "--criterion", "worst-msr-target", "--epsilon", "0.05"],
+    ["sample-size", "--criterion", "es-epsilon-optimal", "--epsilon", "0.05"],
+    ["sample-size", "--criterion", "ht-power", "--tau", "0.5"],
+    ["regress", "--data", "{csv}"],
+    ["figure1", "--tau", "0.4", "--reps", "500", "--seed", "5"],
+], ids=lambda argv: "-".join(argv[:3]) if argv[0] == "sample-size" else argv[0])
+def test_no_shipped_payload_reaches_json_dumps(monkeypatch, capsys, tmp_path, argv):
+    # _codec's json binding refuses, the command line's own (its config echo)
+    # is left as it is
+    from msregret import _codec
+    from msregret.cli import main
+
+    path = tmp_path / "trial.csv"
+    path.write_text("y,d,x\n3,1,0.5\n5,1,-1\n1,0,2\n2,0,0.25\n2.5,1,1\n", encoding="utf-8")
+    argv = [str(path) if a == "{csv}" else a for a in argv]
+    monkeypatch.setattr(_codec, "json", _NoDumps)
+    with pytest.raises(AssertionError, match="passed a value on"):
+        json_text([True])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

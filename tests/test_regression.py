@@ -94,6 +94,12 @@ class TestDataset:
         with pytest.raises(InputError, match="more observations"):
             Dataset(outcomes=[1.0], treatments=[1], covariates=[])
 
+    def test_treatments_and_covariates_of_the_wrong_rank(self):
+        with pytest.raises(InputError, match="^treatments must be one-dimensional"):
+            Dataset(outcomes=[1.0, 2.0], treatments=[[1], [0]], covariates=[])
+        with pytest.raises(InputError, match="^covariates must be two-dimensional"):
+            Dataset(outcomes=[1.0, 2.0], treatments=[1, 0], covariates=[1.0, 2.0])
+
 
 class TestFit:
     def test_balanced_two_group_closed_form(self):
@@ -203,6 +209,43 @@ class TestFit:
         )
         with pytest.raises(DomainError, match="the least-squares fit overflows a float"):
             fit(data)
+
+    def test_a_standard_error_past_the_float_range_is_refused(self):
+        # the covariate is d plus 1e-6 of noise, so (Z'Z)^-1 has a leading
+        # entry near 1e12; times sigma2_hat near 1e300 it overflows after the
+        # fit, and the t-statistic is 0
+        d = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        x = d + 1e-6 * np.array([0.3, -1.0, 0.5, 2.0, -0.7, 0.1])
+        data = Dataset(
+            outcomes=np.array([1.0, -1.0, 1.0, -1.0, 2.0, -3.0]) * 1e150,
+            treatments=d,
+            covariates=np.column_stack([np.ones(6), x]),
+        )
+        with pytest.raises(DomainError, match="^the least-squares fit overflows a float: "
+                                              "se_tau = inf, t_stat = 0.0$"):
+            fit(data)
+
+    def test_rank_is_tested_per_column_against_its_own_length(self):
+        # rescaling a covariate leaves the t-statistic as it was, while a
+        # collinear pair is refused at every scale
+        rng = np.random.default_rng(20)
+        n = 20
+        d = (rng.random(n) < 0.5).astype(float)
+        x = rng.normal(size=n)
+        y = 0.5 * d + 0.3 * x + rng.normal(size=n)
+
+        def design(*cols):
+            covariates = np.column_stack([np.ones(n), *cols])
+            return Dataset(outcomes=y, treatments=d, covariates=covariates)
+
+        t = fit(design(x)).t_stat
+        for scale in (1e-15, 1e-10, 1e9, 1e10, 1e100):
+            assert abs(fit(design(scale * x)).t_stat - t) <= 8 * math.ulp(t)
+        for pair in ((x, 2.0 * x), (1e10 * x, 2e10 * x)):
+            with pytest.raises(RankError, match="^design is rank deficient near column 'x2'$"):
+                fit(design(*pair))
+        with pytest.raises(RankError, match="^design is rank deficient near column 'x1'$"):
+            fit(design(0.0 * x))
 
     def test_bad_tau_star(self):
         for tau_star in (0.0, math.inf, math.nan):

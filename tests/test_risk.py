@@ -815,6 +815,16 @@ class TestWorstCaseScan:
                 # exact_risk carries its own 1e-10 tolerance
                 assert abs(vals[i] - want) <= err + 2e-10
 
+    def test_a_scan_that_is_not_finite_is_refused(self):
+        class Hole(TreatmentRule):
+            def evaluate(self, stat):
+                return np.where(np.asarray(stat) > 1.0, np.nan, 0.5)
+
+        rule = Hole()
+        with pytest.raises(ConvergenceError, match=f"^worst-case scan of {re.escape(repr(rule))} "
+                                                   "is not finite$"):
+            worst_case_msr(rule, 1.0, 1)
+
     def test_rule_too_steep_for_the_scan_is_refused(self):
         with pytest.raises(ConvergenceError, match="not certified"):
             worst_case_msr(MinimaxMSR(1e5), 1.0, 1)

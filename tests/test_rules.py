@@ -224,6 +224,14 @@ EXTREME_STATS = np.array(
 )
 
 
+class TestScaledFlatRules:
+    @pytest.mark.parametrize("cls", [BayesFlatMSR, PosteriorMatchFlat])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    def test_a_scale_that_is_not_positive(self, cls, scale):
+        with pytest.raises(DomainError, match=f"^scale must be positive, got {scale}$"):
+            cls(scale=scale)
+
+
 class TestReferenceForms:
     @pytest.mark.parametrize("make, form", REFERENCE_FORMS)
     @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
@@ -372,6 +380,12 @@ class TestComplementMix:
         v = mix.evaluate(y)
         assert 0.0 <= v <= 1.0
 
+    def test_a_half_half_mixture_has_no_inverse(self):
+        # the constant 1/2 takes every q or none, so it names no crossing
+        mix = ComplementMix(base=BayesFlatMSR(), lam=0.5)
+        assert mix.stat_at(0.3) is None
+        assert mix.stat_at(0.5) is None
+
 
 class TestRangeInvariant:
     @given(finite_stats)
@@ -416,6 +430,11 @@ class TestDiscretePrior:
             DiscretePrior.from_pairs([(1.0, 0.0), (-1.0, 0.0)])
         with pytest.raises(DomainError):
             DiscretePrior(())
+
+    def test_rejects_a_weight_that_is_not_positive(self):
+        # the weights sum to 1, so only the sign check refuses them
+        with pytest.raises(DomainError, match="^prior weights must be positive$"):
+            DiscretePrior(((1.0, 1.5), (-1.0, -0.5)))
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_rejects_a_support_point_that_is_not_finite(self, tau):
@@ -756,6 +775,14 @@ class TestBayesFoc:
         vals = rule.evaluate(ss)
         assert vals.shape == ss.shape
         assert np.all(np.diff(vals) > 0.0)
+
+
+class TestTiltedPosteriorMatch:
+    @pytest.mark.parametrize("noise_sd", [0.0, -1.0, math.nan])
+    def test_a_noise_sd_that_is_not_positive(self, noise_sd):
+        prior = DiscretePrior.from_pairs([(-1.0, 1.0), (1.0, 1.0)])
+        with pytest.raises(DomainError, match=f"^noise_sd must be positive, got {noise_sd}$"):
+            tilted_posterior_match_msr(prior, noise_sd, 0.5)
 
 
 class TestBayesFocFrozen:

@@ -36,7 +36,12 @@ to the parent median, so that a median inside the bound does not show the
 change to be within it; a change whose every run reads better than every
 parent run is resolved.
 
-The run ends by printing to standard error one line per end-to-end metric:
+The document also records src_lines, each side's source size: the newlines
+in its src/msregret/*.py, as wc -l counts them, since a design change is
+judged by the lines it removes.
+
+The run ends by printing to standard error the src_lines of both sides, then
+one line per end-to-end metric:
 parent -> change median, relative change, wins/pairs, within_bound and
 gain_claimable, and for an unresolved metric the parent's spread, so a
 change that claims no gain can be checked for regressions from the terminal.
@@ -101,6 +106,12 @@ def side_checkout(side: str, root: Path = ROOT) -> tempfile.TemporaryDirectory:
     tempfile's default directory, the parent side ran a few percent faster
     in an A/A run."""
     return tempfile.TemporaryDirectory(prefix=f"bench-{side}-", dir=root.parent)
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in checkout's src/msregret/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "msregret").glob("*.py"))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -295,6 +306,7 @@ def main(argv=None) -> int:
         parent_root, change_root = Path(parent_tmp), Path(change_tmp)
         export(parent_sha, parent_root)
         copy_worktree(change_root)
+        lines = {"parent": src_lines(parent_root), "change": src_lines(change_root)}
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -319,6 +331,7 @@ def main(argv=None) -> int:
         change=f"working tree on {git('rev-parse', 'HEAD')}"
         + (" (uncommitted changes)" if git("status", "--porcelain", "--", "src") else ""),
         machine=machine(),
+        src_lines=lines,
         command="python3 bench/run.py --workload W --seed S "
         f"--seconds {seconds} --trace 0",
     )
@@ -334,6 +347,7 @@ def main(argv=None) -> int:
         "runs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"src_lines: {lines['parent']} -> {lines['change']}", file=sys.stderr)
     for line in verdict_lines(args.workload, summary) + kind_verdict_lines(args.workload, pairs):
         print(line, file=sys.stderr)
     return 0
