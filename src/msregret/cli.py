@@ -43,7 +43,7 @@ from .lfp import (
     solve_tau_star,
     verify_saddle,
 )
-from .numerics import BracketError, ConvergenceError, DomainError, RngSeed
+from .numerics import ConvergenceError, DomainError, RngSeed
 from .planning import plan_es_epsilon, plan_ht_power, plan_worst_msr
 from .regression import InputError, RankError, fit, load_dataset_csv
 from .risk import (
@@ -77,7 +77,6 @@ FIGURE_RULES = ("es", "ht", "minimax", "bayes-flat", "post-match")
 _FAILURES = (
     DomainError,
     ConvergenceError,
-    BracketError,
     PriorSupportError,
     SaddleViolation,
     DominanceViolation,

@@ -1,9 +1,9 @@
 """Numerical kernel: normal special functions, the Gaussian-moment quadrature,
 bracketed root finding, and scalar maximization.
 
-This is the one module that imports scipy: ndtr, ndtri, log_ndtr and expit
-are scipy.special's ufuncs themselves, bound here, and the other modules
-take them from here.
+This is the one module that imports scipy: ndtr, ndtri and expit are
+scipy.special's ufuncs themselves, bound here, and the other modules take
+them from here.
 
 Every expectation in this package is E[f(X)] with X ~ N(mean, sd^2), the
 integral of phi(z) f(mean + sd*z) over z.  gaussian_expectation applies the
@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr, ndtri
+from scipy.special import expit, ndtr, ndtri
 
 __all__ = [
     "DomainError",
@@ -48,7 +48,6 @@ __all__ = [
     "BracketError",
     "RngSeed",
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
     "gaussian_expectation",
     "find_root",
@@ -100,13 +99,6 @@ def std_normal_cdf(x):
     out = ndtr(x)
     # a 0-d input gives a numpy scalar; testing np.ndim(x) costs more than ndtr
     return out if isinstance(out, np.ndarray) else float(out)
-
-
-def std_normal_pdf(x):
-    """Standard normal density."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / _SQRT2PI
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_quantile(p: float) -> float:

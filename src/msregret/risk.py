@@ -113,6 +113,14 @@ class GaussianExperiment:
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise DomainError(f"n must be an integer >= 1, got {self.n}")
+        try:
+            sd = self.stat_sd
+        except OverflowError:  # math.sqrt converts n to a float first
+            raise DomainError(f"n must be at most the float maximum, got "
+                              f"{self.n.bit_length()} bits") from None
+        if not sd > 0.0:
+            raise DomainError(f"sigma / sqrt(n) underflows to 0 at sigma = {self.sigma!r}, "
+                              f"n = {self.n!r}")
 
     @property
     def stat_sd(self) -> float:

@@ -38,7 +38,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ._codec import from_dict, register, to_dict
-from .numerics import _SQRT2PI, DomainError, expit, log_ndtr, ndtr, std_normal_quantile
+from .numerics import _SQRT2PI, DomainError, expit, ndtr, std_normal_quantile
 
 __all__ = [
     "PriorSupportError",
@@ -52,8 +52,6 @@ __all__ = [
     "ComplementMix",
     "DiscretePrior",
     "DiscretePriorBayes",
-    "psi",
-    "evaluate",
     "solve_bayes_foc",
     "tilted_posterior_match_msr",
     "rule_to_dict",
@@ -80,18 +78,6 @@ def _match(value: np.ndarray, like: Stat) -> Stat:
     if isinstance(like, float) or np.ndim(like) == 0:
         return float(value)
     return value
-
-
-def psi(x):
-    """psi(x) = pdf(x) / (cdf(x) * (1 + x^2)), positive for all finite x.
-
-    Evaluated through log-space so the cdf underflow for very negative x
-    cancels against the pdf underflow.
-    """
-    x = np.asarray(x, dtype=float)
-    log_pdf = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
-    out = np.exp(log_pdf - log_ndtr(x)) / (1.0 + x * x)
-    return float(out) if out.ndim == 0 else out
 
 
 class TreatmentRule:
@@ -188,8 +174,8 @@ class MinimaxMSR(TreatmentRule):
     def __post_init__(self) -> None:
         if not 0.0 < self.tau_star < math.inf:
             raise DomainError(f"tau_star must be positive and finite, got {self.tau_star}")
-        if not self.scale > 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise DomainError(f"scale must be positive and finite, got {self.scale}")
 
     def evaluate(self, stat: Stat) -> Stat:
         u = np.asarray(stat, dtype=float) / self.scale
@@ -262,8 +248,8 @@ def _bayes_flat_fraction(u):
     if type(u) is float:
         pdf = float(np.exp(-0.5 * u * u)) / _SQRT2PI
         return min(max(float(ndtr(u)) + u * pdf / (1.0 + u * u), 0.0), 1.0)
-    # std_normal_cdf and std_normal_pdf written out, without their float
-    # round trips; np.clip's wrapper costs more than the arithmetic
+    # the cdf and density as ufuncs on the array, with no float round trip;
+    # np.clip's wrapper costs more than the arithmetic
     pdf = np.exp(-0.5 * u * u) / _SQRT2PI
     out = ndtr(u) + u * pdf / (1.0 + u * u)
     return np.minimum(np.maximum(out, 0.0), 1.0)
@@ -272,12 +258,11 @@ def _bayes_flat_fraction(u):
 @dataclass(frozen=True)
 class BayesFlatMSR(TreatmentRule):
     """Bayes mean-square-regret rule under a flat prior on the effect:
-    cdf(u) * (1 + u * psi(u)) with u = stat / scale.
+    f(u) = cdf(u) + u * pdf(u) / (1 + u^2) with u = stat / scale
+    (_bayes_flat_fraction).
 
-    Evaluated as f(u) = cdf(u) + u * pdf(u) / (1 + u^2) (_bayes_flat_fraction),
-    the algebraically identical form that stays finite when cdf(u)
-    underflows; the classic Mills bound keeps the value inside [0, 1] for
-    every finite u.
+    The form stays finite where cdf(u) underflows, and the classic Mills
+    bound keeps the value inside [0, 1] for every finite u.
 
     stat_at(q) inverts the computed f with the certified crossing search
     (_crossing).  Since f - cdf has the sign of u, the crossing lies between
@@ -294,8 +279,8 @@ class BayesFlatMSR(TreatmentRule):
     direction = 1
 
     def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise DomainError(f"scale must be positive and finite, got {self.scale}")
 
     def evaluate(self, stat: Stat) -> Stat:
         return _match(_bayes_flat_fraction(np.asarray(stat, dtype=float) / self.scale), stat)
@@ -348,8 +333,8 @@ class PosteriorMatchFlat(TreatmentRule):
     direction = 1
 
     def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise DomainError(f"scale must be positive and finite, got {self.scale}")
 
     def evaluate(self, stat: Stat) -> Stat:
         u = np.asarray(stat, dtype=float) / self.scale
@@ -635,11 +620,6 @@ class DiscretePriorBayes(TreatmentRule):
         far = _finite_toward(reach, side)
         lo, hi = (far, 0.0) if f >= q else (0.0, far)
         return _crossing(q, probe, lo, hi, far, step_from(0.0, f, step, scale))
-
-
-def evaluate(rule: TreatmentRule, stat: Stat) -> Stat:
-    """Treatment fraction of rule at stat; in [0, 1] for every finite stat."""
-    return rule.evaluate(stat)
 
 
 def _require_two_sided(prior: DiscretePrior) -> None:

@@ -31,6 +31,20 @@ def cdf(x):
     return 0.5 * special.erfc(-np.asarray(x) / math.sqrt(2.0))
 
 
+def psi(x):
+    """psi(x) = pdf(x) / (cdf(x) * (1 + x^2)), positive for all finite x: the
+    Mills-ratio term of the published flat-prior Bayes fraction
+    cdf(u) * (1 + u * psi(u)).
+
+    Evaluated through log-space so the cdf underflow for very negative x
+    cancels against the pdf underflow.
+    """
+    x = np.asarray(x, dtype=float)
+    log_pdf = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+    out = np.exp(log_pdf - special.log_ndtr(x)) / (1.0 + x * x)
+    return float(out) if out.ndim == 0 else out
+
+
 def normal_expectation(f, mean, sd):
     """Adaptive Gauss-Kronrod expectation of f under N(mean, sd^2)."""
     val, err = integrate.quad(

@@ -151,6 +151,20 @@ class TestExitCodes:
         assert err.count("error:") == 1
         assert err.splitlines()[-1] == f"error: n must be an integer >= 1, got {argv[-1]}"
 
+    @pytest.mark.parametrize("argv, error", [
+        ("risk --rule es --tau 1 --sigma 5e-324 --n 10000000000000000",
+         "sigma / sqrt(n) underflows to 0 at sigma = 5e-324, n = 10000000000000000"),
+        *((f"{command} --n {10**400}", "n must be at most the float maximum, got 1329 bits")
+          for command in ("risk --rule es --tau 1", "risk-curve", "dominate",
+                          "simulate --tau 1 --reps 10 --seed 1")),
+    ], ids=["risk-sd-underflows", "risk-huge-n", "risk-curve-huge-n", "dominate-huge-n",
+            "simulate-huge-n"])
+    def test_a_statistic_sd_that_is_not_a_positive_float(self, capsys, argv, error):
+        code, _, err = run_cli(capsys, argv.split())
+        assert code == 1
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1] == f"error: {error}"
+
     @pytest.mark.parametrize(
         "argv",
         [["risk", "--rule", "es", "--tau", "nan", "--tail", "0.5"],

@@ -112,6 +112,18 @@ class TestExperiment:
         with pytest.raises(DomainError, match="sigma must be positive and finite"):
             GaussianExperiment(1.0, value, 1)
 
+    def test_refuses_a_statistic_sd_that_is_not_a_positive_float(self):
+        # sigma / sqrt(n) rounding to 0, and an n that math.sqrt cannot take;
+        # risk_curve builds the same experiment, so it refuses the same way
+        with pytest.raises(DomainError, match=r"^sigma / sqrt\(n\) underflows to 0 at sigma"):
+            GaussianExperiment(1.0, 5e-324, 10**16)
+        with pytest.raises(DomainError, match="^n must be at most the float maximum, got 1329 "):
+            GaussianExperiment(1.0, 1.0, 10**400)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            risk_curve(Threshold(0.0), [0.5], 5e-324, 10**16)
+        # the smallest sd that is a float still is one
+        assert GaussianExperiment(1.0, 5e-324, 1).stat_sd == 5e-324
+
 
 class TestRegret:
     def test_zero_at_oracle_action(self):

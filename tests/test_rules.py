@@ -29,15 +29,12 @@ from msregret import (
     RngSeed,
     Threshold,
     TreatmentRule,
-    evaluate,
     exact_risk,
-    psi,
     rule_from_dict,
     rule_to_dict,
     simulate,
     solve_bayes_foc,
     std_normal_cdf,
-    std_normal_pdf,
     tail_probability,
     tilted_posterior_match_msr,
     worst_case_msr,
@@ -181,7 +178,7 @@ class TestBayesFlatRule:
         # cdf(u) * (1 + u * psi(u)) without the stabilized rearrangement
         rule = BayesFlatMSR()
         for u in np.linspace(-8.0, 8.0, 81):
-            direct = oracles.cdf(u) * (1.0 + u * psi(u))
+            direct = oracles.cdf(u) * (1.0 + u * oracles.psi(u))
             assert abs(rule.evaluate(float(u)) - direct) < 1e-12
 
     def test_stays_in_unit_interval_far_out(self):
@@ -206,8 +203,8 @@ class TestBayesFlatRule:
 
 
 def _bayes_flat_reference(u):
-    # the published form through the public normal functions, clipped
-    out = std_normal_cdf(u) + u * std_normal_pdf(u) / (1.0 + u * u)
+    # the published form through the public cdf and the oracle density, clipped
+    out = std_normal_cdf(u) + u * oracles.phi(u) / (1.0 + u * u)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -225,11 +222,13 @@ EXTREME_STATS = np.array(
 
 
 class TestScaledFlatRules:
-    @pytest.mark.parametrize("cls", [BayesFlatMSR, PosteriorMatchFlat])
-    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("cls", [MinimaxMSR, BayesFlatMSR, PosteriorMatchFlat])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_a_scale_that_is_not_positive(self, cls, scale):
-        with pytest.raises(DomainError, match=f"^scale must be positive, got {scale}$"):
-            cls(scale=scale)
+        # an infinite scale would make each rule the constant 1/2
+        args = (TAU_STAR,) if cls is MinimaxMSR else ()
+        with pytest.raises(DomainError, match=f"^scale must be positive and finite, got {scale}$"):
+            cls(*args, scale=scale)
 
 
 class TestReferenceForms:
@@ -344,12 +343,12 @@ class TestBayesFlatInverse:
 class TestPsi:
     def test_positive_everywhere(self):
         xs = np.linspace(-30.0, 30.0, 301)
-        assert np.all(psi(xs) > 0.0)
+        assert np.all(oracles.psi(xs) > 0.0)
 
     def test_matches_naive_form_where_stable(self):
         for x in np.linspace(-5.0, 5.0, 41):
             naive = oracles.phi(x) / (oracles.cdf(x) * (1.0 + x * x))
-            assert abs(psi(float(x)) - naive) < 1e-12
+            assert abs(oracles.psi(float(x)) - naive) < 1e-12
 
 
 class TestComplementMix:
@@ -391,7 +390,7 @@ class TestRangeInvariant:
     @given(finite_stats)
     def test_every_rule_maps_into_unit_interval(self, y):
         for rule in ALL_SMOOTH + ALL_STEP:
-            v = evaluate(rule, y)
+            v = rule.evaluate(y)
             assert 0.0 <= v <= 1.0
 
     def test_monotone_in_the_statistic(self):
