@@ -82,13 +82,13 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class RngSeed:
-    """A 64-bit unsigned seed; equal seeds produce bit-identical streams."""
+    """A 64-bit unsigned integer seed; equal seeds give bit-identical streams."""
 
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 def std_normal_cdf(x):

@@ -5,9 +5,9 @@ and the untreated-arm mean normalized to zero.  Regret of a fraction d in a
 state with effect tau is Reg = tau * (1{tau >= 0} - d), which is nonnegative;
 welfare is W = tau * d.  The two differ by the constant tau * 1{tau >= 0}, so
 the variance of regret equals the variance of welfare, and mean square regret
-decomposes as (mean regret)^2 + variance of regret.  exact_risk computes the
-regret moments and the welfare moments through separate integrals so that the
-decomposition stays a genuine cross-check rather than an identity of the code.
+decomposes as (mean regret)^2 + variance of regret.  exact_risk's moments are
+rows of one linear trapezoid sum, so that holds to rounding by identity, not
+as a cross-check; the kernel stops only once each row's level gap settles.
 
 exact_risk, tail_probability, simulate, and risk_curve feed the rule the raw
 statistic Ybar.  worst_case_msr and worst_case_mean_regret treat the rule as a
@@ -514,11 +514,11 @@ def simulate(
     of regrets past about 1.3e154 overflow) is refused with DomainError
     naming it, as exact_risk refuses a moment.  Before any draw is made, a
     negative or NaN tail threshold is refused as tail_probability refuses
-    it, and a replication count numpy cannot hold with DomainError naming
-    replications.
+    it, and a replication count that is not an integer of at least 2, or
+    that numpy cannot hold, with DomainError naming replications.
     """
-    if replications < 2:
-        raise DomainError(f"need at least 2 replications, got {replications}")
+    if not (isinstance(replications, (int, np.integer)) and replications >= 2):
+        raise DomainError(f"replications must be an integer >= 2, got {replications!r}")
     tails = [float(c) for c in tail_thresholds]
     for c in tails:
         if not c >= 0:

@@ -469,24 +469,24 @@ class DiscretePriorBayes(TreatmentRule):
     stat_at(q) inverts the fraction with the certified crossing search
     (_crossing), computing it on Python floats from the rule's own terms in
     evaluate's operation order, which gives the same bits.  The fraction is
-    clamp(expit(L)) with the log-odds L(y) = (log A - log B) / e,
-    e = alpha_g - 1, whose slope is (E_A tau - E_B tau) / (sd^2 e), the means
-    of tau under A's and B's weights.  That slope is at least
-    (min positive tau - max negative tau) / (sd^2 e), which bounds how far
-    from 0 the crossing can lie: the far end.  Newton aims L at the logit of
-    the lower edge of the floats that round to q, exact in one step for a
-    two-point prior, whose L is linear.  Within the rounding scale of L,
-    where Newton cannot tell the floats apart, steps from the last iterate
-    double until they cross; past a budget of Newton steps, and once the
-    steps cross, bisection closes the bracket.  A pushed far end starts
-    both afresh.  The clamp to [1e-12, 1 - 1e-12] gives -inf for q <= 1e-12
-    and +inf for q > 1 - 1e-12, and a crossing beyond the finite floats
-    gives +-inf.  Raises PriorSupportError for a one-sided prior, and
-    DomainError when noise_sd**2 is 0 or not finite or a fraction is NaN,
-    where a crossing cannot be certified; a rule with such a prior or
-    noise_sd constructs, and evaluate refuses it as stat_at does.
-    Construction raises DomainError for an alpha_g that carries a term
-    alpha_g log|tau_i| past the float range.
+    expit(L), 0 or 1 only where expit rounds to them, with the log-odds
+    L(y) = (log A - log B) / e, e = alpha_g - 1, whose slope is
+    (E_A tau - E_B tau) / (sd^2 e), the means of tau under A's and B's
+    weights.  That slope is at least (min positive tau - max negative tau)
+    / (sd^2 e), which bounds how far from 0 the crossing can lie: the far
+    end.  Newton aims L at the logit of the lower edge of the floats that
+    round to q, exact in one step for a two-point prior, whose L is linear.
+    Within the rounding scale of L, where Newton cannot tell the floats
+    apart, steps from the last iterate double until they cross; past a
+    budget of Newton steps, and once the steps cross, bisection closes the
+    bracket.  A pushed far end starts both afresh.  A q outside (0, 1), or
+    a crossing beyond the finite floats, gives +-inf.  Raises
+    PriorSupportError for a one-sided prior, and DomainError when
+    noise_sd**2 is 0 or not finite or a fraction is NaN, where a crossing
+    cannot be certified; a rule with such a prior or noise_sd constructs,
+    and evaluate refuses it as stat_at does.  Construction raises
+    DomainError for an alpha_g that carries a term alpha_g log|tau_i| past
+    the float range.
     """
 
     prior: DiscretePrior
@@ -549,11 +549,11 @@ class DiscretePriorBayes(TreatmentRule):
             if nan.any() and not np.isnan(y[nan]).all():
                 raise DomainError(f"the Bayes fraction is NaN at a statistic that is a number: "
                                   f"at noise_sd**2 = {var!r} both of its log sums are -inf")
-        return _match(np.minimum(np.maximum(delta, 1e-12), 1.0 - 1e-12), stat)
+        return _match(delta, stat)
 
     def stat_at(self, q: float) -> float:
-        if not 1e-12 < q <= 1.0 - 1e-12:
-            return -math.inf if q <= 1e-12 else math.inf
+        if not 0.0 < q < 1.0:
+            return -math.inf if q <= 0.0 else math.inf
         prior = self.prior
         _require_two_sided(prior)
         var = _variance(self.noise_sd)
@@ -567,9 +567,8 @@ class DiscretePriorBayes(TreatmentRule):
         z_floor = 0.5 * top * top + var * max(abs(lt) for _, lt in pairs)
         # Newton aims at the lower edge of the floats that round to q; width
         # is the log-odds between two floats there
-        width = q - math.nextafter(q, 0.0)
-        target = math.log(q / (1.0 - q)) - 0.5 * width / (q * (1.0 - q))
-        width /= q * (1.0 - q)
+        width = (q - math.nextafter(q, 0.0)) / (q * (1.0 - q))
+        target = math.log(q / (1.0 - q)) - 0.5 * width
 
         def at(y: float, newton: bool = True) -> tuple:
             # the fraction at y, in evaluate's operation order and fold, and,
@@ -579,7 +578,7 @@ class DiscretePriorBayes(TreatmentRule):
             z = [(y - 0.5 * t) * t / var + lt for t, lt in pairs]
             log_a, log_b = reduce(np.logaddexp, z[m:]), reduce(np.logaddexp, z[:m])
             log_odds = (log_a - log_b) / e
-            f = min(max(float(expit(log_odds)), 1e-12), 1.0 - 1e-12)
+            f = float(expit(log_odds))
             if f != f:
                 raise DomainError(f"{self!r} is NaN at {y!r}, so no crossing of {q!r} "
                                   "can be certified")
@@ -656,11 +655,11 @@ def solve_bayes_foc(
         delta = expit((log A - log B) / e),
 
     computed in log space (the common factor exp(-y^2 / (2 sd^2)) is dropped,
-    so neither side underflows) and clamped to [1e-12, 1 - 1e-12].  The rule
-    is increasing in the statistic: d/dy (log A - log B) equals the mean of
-    tau under A's weights minus the mean of tau under B's weights, over sd^2,
-    which is positive because A puts all its weight on tau > 0 and B on
-    tau < 0 (the monotone likelihood ratio of the Gaussian location family).
+    so neither side underflows).  The rule is increasing in the statistic:
+    d/dy (log A - log B) equals the mean of tau under A's weights minus the
+    mean of tau under B's weights, over sd^2, which is positive because A
+    puts all its weight on tau > 0 and B on tau < 0 (the monotone
+    likelihood ratio of the Gaussian location family).
 
     This is DiscretePriorBayes(prior, alpha_g, noise_sd).evaluate(stat): the
     rule builds the terms log w_i + alpha_g log|tau_i| once, and its evaluate
@@ -685,10 +684,11 @@ def tilted_posterior_match_msr(
 
         sum_{tau_i >= 0} w_i(stat) tau_i^2 / sum_i w_i(stat) tau_i^2.
 
-    Agrees with solve_bayes_foc at alpha_g = 2 to 1e-10, also where the
-    posterior piles on a support point at 0.  Raises DomainError as
-    solve_bayes_foc does for noise_sd**2 that is 0 or overflows, and for a
-    NaN at a statistic that is not NaN, where every tilted weight is 0.
+    Agrees with solve_bayes_foc at alpha_g = 2 within 2e-15 (1e-12 relative
+    below 1/2) out to |y| = 12, also where the posterior piles on a support
+    point at 0.  Raises DomainError as solve_bayes_foc does for noise_sd**2
+    that is 0 or overflows, and for a NaN at a statistic that is not NaN,
+    where every tilted weight is 0.
     """
     if not noise_sd > 0:
         raise DomainError(f"noise_sd must be positive, got {noise_sd}")

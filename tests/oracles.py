@@ -226,17 +226,31 @@ def prior_bayes_cut_mp(pairs, alpha_g, sd, q, dps=30):
                                tol=mpmath.mpf(10) ** (-2 * dps))
 
 
+def prior_bayes_fraction_mp(pairs, alpha_g, sd, y, dps=30):
+    """Bayes fraction of a discrete prior under regret power alpha_g at the
+    statistic y, an mpmath number at dps digits: expit((log A - log B) / e)
+    with e = alpha_g - 1, A(y) the sum of w_i tau_i^alpha_g exp(tau_i (y -
+    tau_i / 2) / sd^2) over tau_i > 0 and B the same over tau_i < 0 with
+    |tau_i|, every input taken exactly from its float."""
+    with mpmath.workdps(dps + 10):
+        y, sd2, a = mpmath.mpf(y), mpmath.mpf(sd) ** 2, mpmath.mpf(alpha_g)
+        side = lambda pos: mpmath.fsum(
+            mpmath.exp(mpmath.log(w) + a * mpmath.log(abs(mpmath.mpf(t)))
+                       + mpmath.mpf(t) * (y - mpmath.mpf(t) / 2) / sd2)
+            for t, w in pairs if t != 0 and (t > 0) == pos)
+        return 1 / (1 + mpmath.exp(-(mpmath.log(side(True)) - mpmath.log(side(False))) / (a - 1)))
+
+
 def prior_bayes_tail_mp(pairs, alpha_g, sd, tau, threshold, stat_sd=None, dps=30):
     """prior_bayes_tail at dps digits, an mpmath number, with q formed exactly
-    from the float inputs.  The fraction is clamped to [1e-12, 1 - 1e-12] (the
-    floats), so a q at or below the lower clamp is reached everywhere and one
-    above the upper clamp nowhere."""
+    from the float inputs.  The fraction takes every value in (0, 1), so a q
+    at or below 0 is reached everywhere and one at or above 1 nowhere."""
     with mpmath.workdps(dps + 10):
         tau = mpmath.mpf(tau)
         q = 1 - threshold / tau if tau > 0 else threshold / -tau
-        if q <= mpmath.mpf(1e-12):
+        if q <= 0:
             cut = -mpmath.inf
-        elif q > mpmath.mpf(1.0 - 1e-12):
+        elif q >= 1:
             cut = mpmath.inf
         else:
             cut = prior_bayes_cut_mp(pairs, alpha_g, sd, q, dps)

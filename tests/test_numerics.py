@@ -124,6 +124,13 @@ class TestRngSeed:
             RngSeed(-1)
         with pytest.raises(DomainError):
             RngSeed(2**64)
+        assert RngSeed(np.uint64(2**64 - 1)) == RngSeed(2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(1.0), "1", None])
+    def test_a_seed_that_is_not_an_integer(self, seed):
+        # 1.5 would draw key 1's stream yet compare unequal to RngSeed(1)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            RngSeed(seed)
 
 
 class TestGaussianExpectation:

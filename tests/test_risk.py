@@ -439,12 +439,15 @@ class TestTailProbability:
         got = tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 0.5)
         assert abs(got - (1.0 - float(oracles.cdf(-1.0)))) < 1e-12
 
-    def test_no_crossing_inside_the_bracket(self):
-        # the fraction never leaves [1e-12, 1 - 1e-12], so regret is always
-        # above 1e-13 at tau = -1 and always below 1 - 1e-13 at tau = 1
+    def test_extreme_thresholds_cross_at_finite_statistics(self):
+        # the fraction takes every value in (0, 1): it crosses 1e-13 near
+        # y = -19.47, so regret at tau = -1 is above 1e-13 all but surely,
+        # and at tau = 1 above 1 - 1e-13 with probability 1.9e-93
         rule = prior3_rule()
-        assert tail_probability(rule, GaussianExperiment(-1.0, 1.0, 1), 1e-13) == 1.0
-        assert tail_probability(rule, GaussianExperiment(1.0, 1.0, 1), 1.0 - 1e-13) == 0.0
+        for tau, c in ((-1.0, 1e-13), (1.0, 1.0 - 1e-13)):
+            got = tail_probability(rule, GaussianExperiment(tau, 1.0, 1), c)
+            want = oracles.prior_bayes_tail_mp(rule.prior.support, 2.0, 1.0, tau, c)
+            assert abs(got - want) <= 1e-12 * want, (tau, got, want)
 
     def test_undeclared_rule_refused(self):
         class Wave(TreatmentRule):
@@ -772,6 +775,25 @@ class TestWorstCase:
         assert abs(w.sup - want) < 1e-10
         assert abs(w.argsup_tau - 1.18880) < 1e-4
 
+    def test_prior_bayes_risk_far_out_stays_below_the_sup(self):
+        # the fraction is expit of the log-odds, so regret vanishes far out:
+        # no effect out to 1e150 has an exact risk above the reported sup,
+        # and none is refused
+        prior = DiscretePrior.from_pairs([(-1.0, 0.3), (0.5, 0.4), (2.0, 0.3)])
+        rng = np.random.default_rng(19)
+        count = 0
+        for alpha_g in (1.5, 2.0, 3.0):
+            for sd in (0.3, 1.0, 2.0):
+                rule = DiscretePriorBayes(prior, alpha_g, sd)
+                worst = worst_case_msr(rule, 1.0, 1)
+                assert not worst.saturated, (alpha_g, sd)
+                taus = 10.0 ** rng.uniform(-3.0, 150.0, 60) * rng.choice([-1.0, 1.0], 60)
+                for tau in taus.tolist():
+                    got = exact_risk(rule, GaussianExperiment(tau, 1.0, 1)).mean_square_regret
+                    assert math.isfinite(got) and got <= worst.sup + 1e-10, (rule, tau, got)
+                    count += 1
+        assert count == 540
+
     def test_minimax_flatness_near_the_calibrated_level(self):
         # the defining property: the risk curve of the calibrated rule peaks
         # at the saddle level
@@ -907,6 +929,20 @@ class TestSimulate:
     def test_rejects_degenerate_replication_count(self):
         with pytest.raises(DomainError):
             simulate(mm_rule(), GaussianExperiment(1.0, 1.0, 1), 1, RngSeed(0))
+
+    @pytest.mark.parametrize("count", [10.0, np.float64(10), 1e4, "10"])
+    def test_refuses_a_count_that_is_not_an_integer(self, monkeypatch, count):
+        def no_draws(seed, count):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(risk, "_normal_draws", no_draws)
+        with pytest.raises(DomainError, match="^replications must be an integer >= 2, got "):
+            simulate(mm_rule(), GaussianExperiment(1.0, 1.0, 1), count, RngSeed(1))
+
+    def test_a_numpy_integer_count_is_the_int_count(self):
+        exp = GaussianExperiment(1.0, 1.0, 1)
+        got = simulate(mm_rule(), exp, np.int64(500), RngSeed(4))
+        assert got == simulate(mm_rule(), exp, 500, RngSeed(4))
 
     @pytest.mark.parametrize("tails", [[math.nan], [-1.0], [0.05, math.nan], [-math.inf]])
     def test_refuses_the_thresholds_tail_probability_refuses(self, monkeypatch, tails):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -505,6 +505,23 @@ class TestBayesFoc:
             tilt = tilted_posterior_match_msr(prior, sd, s)
             assert abs(foc - tilt) < 1e-10
 
+    @pytest.mark.parametrize("pairs", [[(-1.0, 1.0), (1.0, 1.0), (2.0, 0.5)],
+                                       [(-1.3, 0.3), (-0.4, 0.2), (0.6, 0.35), (1.9, 0.15)],
+                                       [(-1.0, 0.3), (0.0, 0.4), (1.5, 0.3)]])
+    @pytest.mark.parametrize("sd", [1.0, 0.5, 0.3])
+    def test_the_two_squared_regret_forms_agree_in_the_tails(self, pairs, sd):
+        # out to |y| = 12, where the tilted fraction falls to 4e-148, the
+        # closed form stays within 7.8e-16 of it, and within 3.5e-13 relative
+        # below 1/2
+        prior = DiscretePrior.from_pairs(pairs)
+        stats = np.linspace(-12.0, 12.0, 961)
+        foc = solve_bayes_foc(prior, 2.0, sd, stats)
+        tilt = np.array([tilted_posterior_match_msr(prior, sd, y) for y in stats.tolist()])
+        gap = np.abs(foc - tilt)
+        assert gap.max() <= 2e-15, (pairs, sd, gap.max())
+        low = tilt < 0.5
+        assert (gap[low] / tilt[low]).max() <= 1e-12, (pairs, sd)
+
     def test_tilted_frozen_anchor(self):
         prior = DiscretePrior.from_pairs([(2.0, 0.5), (-1.0, 0.5)])
         got = tilted_posterior_match_msr(prior, 1.0, 0.0)
@@ -568,18 +585,26 @@ class TestBayesFoc:
         st.floats(min_value=1.2, max_value=5.0),
     )
     @settings(max_examples=40, deadline=None)
+    @example(4.0, 1.2)
     def test_interior_solution_property(self, s, alpha_g):
         prior = DiscretePrior.from_pairs([(1.5, 0.3), (-0.7, 0.7)])
         d = solve_bayes_foc(prior, alpha_g, 1.0, s)
-        assert 0.0 < d < 1.0
+        if d == 1.0:
+            # float expit rounds 1 + exp(-L) to 1 once exp(-L) <= 2^-53, so
+            # 1.0 needs an exact fraction within an ulp of 1; at (4, 1.2) it
+            # is 1 - 4.5e-18, whose correctly rounded value is 1.0
+            gap = 1 - oracles.prior_bayes_fraction_mp(prior.support, alpha_g, 1.0, s)
+            assert gap <= 2.0**-52, (s, alpha_g, gap)
+        else:
+            assert 0.0 < d < 1.0
 
     def test_posterior_underflow_is_not_one_sided(self):
         # at noise sd 0.05 the posterior weight of -1 given stat 1 is below the
-        # smallest double, but the prior is two-sided: the fraction is the
-        # upper clip, not a refusal
+        # smallest double, but the prior is two-sided: the log-odds is +-800,
+        # so the fraction rounds to 1.0 and 0.0, not a refusal
         prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
-        assert solve_bayes_foc(prior, 2.0, 0.05, 1.0) == 1.0 - 1e-12
-        assert solve_bayes_foc(prior, 2.0, 0.05, -1.0) == 1e-12
+        assert solve_bayes_foc(prior, 2.0, 0.05, 1.0) == 1.0
+        assert solve_bayes_foc(prior, 2.0, 0.05, -1.0) == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sd, match", [
@@ -609,7 +634,7 @@ class TestBayesFoc:
         prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
         assert math.isnan(solve_bayes_foc(prior, 2.0, 1e-160, math.nan))
         got = solve_bayes_foc(prior, 2.0, 1e-154, np.array([math.nan, 0.0, 1.0]))
-        assert json.dumps(got.tolist()) == json.dumps([math.nan, 0.5, 1.0 - 1e-12])
+        assert json.dumps(got.tolist()) == json.dumps([math.nan, 0.5, 1.0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_nan_fraction_needs_max_tau_squared_near_the_float_range(self):
@@ -810,8 +835,8 @@ class TestBayesFocFrozen:
             ],
             "grid": [
                 [
-                    1e-12, 1e-12, 1e-12, 3.915455536160516e-12, 8.659604796677237e-11,
-                    1.912226131449808e-09,
+                    3.607652378841387e-16, 7.989479124250887e-15, 1.7690183921080982e-13,
+                    3.915455536160516e-12, 8.659604796677237e-11, 1.912226131449808e-09,
                 ],
                 [
                     4.2095825929000255e-08, 9.211624429826527e-07, 1.9933762101297966e-05,
@@ -822,13 +847,13 @@ class TestBayesFocFrozen:
                     0.9999917390610009, 0.9999998114149942, 0.9999999957322245,
                 ],
                 [
-                    0.9999999999023332, 0.9999999999977398, 0.999999999999, 0.999999999999,
-                    0.999999999999, 0.999999999999,
+                    0.9999999999023332, 0.9999999999977398, 0.9999999999999474,
+                    0.9999999999999987, 1.0, 1.0,
                 ],
             ],
             "special": [
-                0.999999999999, 1e-12, NAN, 0.4445956893845991, 0.4445956893845991,
-                0.999999999999, 1e-12,
+                1.0, 0.0, NAN, 0.4445956893845991, 0.4445956893845991,
+                1.0, 0.0,
             ],
             "scalars": [
                 0.9819291698841407, 0.1236863924765714, 0.9986532502842006, 0.9999976472244139,
@@ -843,8 +868,8 @@ class TestBayesFocFrozen:
                 0.9999996068223977, 0.9999999309292519, 0.9999999878661273, 0.9999999978684051,
             ],
             "zero_special": [
-                0.999999999999, 1e-12, NAN, 0.49159962159381454, 0.49159962159381454,
-                0.999999999999, 1e-12,
+                1.0, 0.0, NAN, 0.49159962159381454, 0.49159962159381454,
+                1.0, 0.0,
             ],
         },
         2.0: {
@@ -876,8 +901,8 @@ class TestBayesFocFrozen:
                 ],
             ],
             "special": [
-                0.999999999999, 1e-12, NAN, 0.4377020189131108, 0.4377020189131108,
-                0.999999999999, 1e-12,
+                1.0, 0.0, NAN, 0.4377020189131108, 0.4377020189131108,
+                1.0, 0.0,
             ],
             "scalars": [
                 0.8965516514550974, 0.23099205780718415, 0.974844367224369, 0.999189647748763,
@@ -892,8 +917,8 @@ class TestBayesFocFrozen:
                 0.9994882868829018, 0.9997854599973521, 0.9999100678386857, 0.999962304427567,
             ],
             "zero_special": [
-                0.999999999999, 1e-12, NAN, 0.5463491066966051, 0.5463491066966051,
-                0.999999999999, 1e-12,
+                1.0, 0.0, NAN, 0.5463491066966051, 0.5463491066966051,
+                1.0, 0.0,
             ],
         },
         3.0: {
@@ -925,8 +950,8 @@ class TestBayesFocFrozen:
                 ],
             ],
             "special": [
-                0.999999999999, 1e-12, NAN, 0.4428842160584389, 0.4428842160584389,
-                0.999999999999, 1e-12,
+                1.0, 0.0, NAN, 0.4428842160584389, 0.4428842160584389,
+                1.0, 0.0,
             ],
             "scalars": [
                 0.7763827736599427, 0.31021844213794114, 0.8945826083481749,
@@ -942,8 +967,8 @@ class TestBayesFocFrozen:
                 0.9818603659891654, 0.9881807076802192, 0.9923161044110742, 0.9950118902770868,
             ],
             "zero_special": [
-                0.999999999999, 1e-12, NAN, 0.5733904392342579, 0.5733904392342579,
-                0.999999999999, 1e-12,
+                1.0, 0.0, NAN, 0.5733904392342579, 0.5733904392342579,
+                1.0, 0.0,
             ],
         },
     }
@@ -1035,7 +1060,7 @@ class TestBayesFocFrozen:
     # noise sd, sup and argsup
     FROZEN_WORST = [
         (1.0, 0.1572925045114404, -1.3005615430493072),
-        (0.1, 0.16433894501118618, 1.18879641641774),
+        (0.1, 0.16433894501144464, 1.188796434083643),
     ]
 
     @pytest.mark.parametrize("case", range(6))
@@ -1196,8 +1221,7 @@ class TestFocTermsAtConstruction:
             logs = (np.log(np.array([w for _, w in side])) + alpha_g * np.log(np.abs(taus[:, 0])))
             z = (block - 0.5 * taus) * taus / sd**2 + logs[:, None]
             sums.append(np.logaddexp.reduce(z, axis=0))
-        want = np.minimum(np.maximum(expit((sums[0] - sums[1]) / (alpha_g - 1.0)), 1e-12),
-                          1.0 - 1e-12)
+        want = expit((sums[0] - sums[1]) / (alpha_g - 1.0))
         assert got.tobytes() == want.tobytes()
 
 
@@ -1205,9 +1229,6 @@ def _assert_prior_certified(rule, q):
     # the computed fraction is below q one float before the crossing and not
     # below it at the crossing, in the scalar path and the array path alike
     y = rule.stat_at(q)
-    if q <= 1e-12 or q > 1.0 - 1e-12:
-        assert y == (-math.inf if q <= 1e-12 else math.inf), (rule, q, y)
-        return
     below = math.nextafter(y, -math.inf)
     assert type(y) is float and math.isfinite(y), (rule, q, y)
     assert rule.evaluate(below) < q <= rule.evaluate(y), (rule, q, y)
@@ -1243,15 +1264,22 @@ class TestDiscretePriorInverse:
                     for q in qs:
                         _assert_prior_certified(rule, q)
 
-    def test_the_clamp_bounds_the_crossings(self):
-        rule = DiscretePriorBayes(DiscretePrior.from_pairs([(-1.0, 1.0), (2.0, 1.0)]), 2.0, 1.0)
-        for q in (-0.5, 0.0, 5e-324, 1e-13, 1e-12):
-            assert rule.stat_at(q) == -math.inf
-        for q in (math.nextafter(1.0 - 1e-12, 1.0), 1.0, 2.0):
-            assert rule.stat_at(q) == math.inf
-        # the fraction reaches the top of the clamp, so that q has a crossing
-        y = rule.stat_at(1.0 - 1e-12)
-        assert math.isfinite(y) and rule.evaluate(y) == 1.0 - 1e-12
+    def test_the_extreme_crossings_are_certified(self):
+        # the fraction takes every value in (0, 1), so every q in (0, 1),
+        # down to the least subnormal and up to the float below 1, has a
+        # finite crossing, and no other q has one
+        prior = DiscretePrior.from_pairs([(-1.0, 0.3), (0.5, 0.4), (2.0, 0.3)])
+        qs = (5e-324, 1e-300, 1e-13, math.nextafter(1e-12, 0.0), 1e-12, 1.0 - 1e-13,
+              math.nextafter(1.0 - 1e-12, 1.0), 1.0 - 2.0**-53)
+        for alpha_g in (1.5, 2.0, 3.0):
+            for sd in (0.3, 1.0, 2.0):
+                rule = DiscretePriorBayes(prior, alpha_g, sd)
+                for q in qs:
+                    _assert_prior_certified(rule, q)
+                for q in (-0.5, 0.0, -0.0):
+                    assert rule.stat_at(q) == -math.inf
+                for q in (1.0, 2.0):
+                    assert rule.stat_at(q) == math.inf
 
     def test_a_two_point_log_odds_is_linear(self):
         # L(y) = (log(w+ t+^a / (w- |t-|^a)) + (t+ - t-)(y - (t+ + t-)/2) / sd^2) / e
