@@ -6,7 +6,8 @@ annotations`, so dataclass fields carry their annotations as text).  Numbers
 and strings pass through, so ints stay ints; tuples become lists; a seed
 becomes its int; a nested record becomes its dict; a field holding None is
 left out.  Reading back, a missing or null field takes its dataclass default,
-and a missing required field raises DomainError.  Each class's field plan,
+and a missing required field, an int field holding anything but an int, and
+a seed that RngSeed refuses raise DomainError.  Each class's field plan,
 (name, encoder, decoder, required) per field, is built once, by @record for
 the report classes and on first use for the rules.
 
@@ -47,10 +48,17 @@ def _float_rows(data) -> Tuple[Tuple[float, ...], ...]:
     return tuple(tuple(float(x) for x in row) for row in data)
 
 
+def _int(value) -> int:
+    # an exact int only: int() would read 50.7 as 50 and true as 1
+    if type(value) is not int:
+        raise DomainError(f"an int field must hold an integer, got {value!r}")
+    return value
+
+
 register("float", lambda v: v, float)
-register("int", lambda v: v, int)
+register("int", lambda v: v, _int)
 register("str", lambda v: v, str)
-register("RngSeed", lambda s: s.seed, lambda v: RngSeed(int(v)))
+register("RngSeed", lambda s: s.seed, RngSeed)
 register("Tuple[float, ...]", list, lambda d: tuple(float(x) for x in d))
 register("Tuple[Tuple[float, float], ...]", _rows, _float_rows)
 register("Tuple[Tuple[float, float, float], ...]", _rows, _float_rows)

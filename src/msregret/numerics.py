@@ -82,13 +82,16 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class RngSeed:
-    """A 64-bit unsigned integer seed; equal seeds give bit-identical streams."""
+    """A 64-bit unsigned integer seed, held as an int; equal seeds give
+    bit-identical streams."""
 
     seed: int
 
     def __post_init__(self) -> None:
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if type(self.seed) is not int:
+            object.__setattr__(self, "seed", int(self.seed))
 
 
 def std_normal_cdf(x):

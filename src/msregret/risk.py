@@ -100,7 +100,8 @@ _SIM_FIELDS = ("mean_regret", "mean_square_regret", "welfare_mean", "regret_vari
 
 @dataclass(frozen=True)
 class GaussianExperiment:
-    """Statistic distribution Ybar ~ N(tau, sigma^2/n) with known sigma."""
+    """Statistic distribution Ybar ~ N(tau, sigma^2/n) with known sigma; a
+    numpy integer n is held as an int."""
 
     tau: float
     sigma: float
@@ -113,6 +114,8 @@ class GaussianExperiment:
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise DomainError(f"n must be an integer >= 1, got {self.n}")
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", int(self.n))
         try:
             sd = self.stat_sd
         except OverflowError:  # math.sqrt converts n to a float first
@@ -570,7 +573,7 @@ def simulate(
     tail = [(c, n / r, math.sqrt((n / r) * (1.0 - n / r) / r)) for c, n in zip(tails, counts)]
 
     return SimulationSummary(
-        replications=replications,
+        replications=int(replications),
         seed=seed,
         mean_regret=mean_reg,
         regret_variance=var_reg,

@@ -15,14 +15,13 @@ otherwise; direction is +1 (nondecreasing) or -1 (nonincreasing); and
 stat_at(q) gives the statistic where the fraction crosses q: the logistic
 rule by logit, posterior probability matching by the normal quantile, the
 flat-prior and discrete-prior Bayes rules by one search on Python floats
-(_crossing), driven by each rule's Newton proposals and certified against
-the rule's own computed fractions, and a complement mixture through its
-base.  A rule that declares
-no step form and lacks either a direction or an inverse of its own has no
-exact tail probability, and the risk module refuses it.  Rules serialize
-through one kind registry (rule_to_dict, rule_from_dict); their
-fields go through the payload codec the report classes share, to which this
-module adds the TreatmentRule and DiscretePrior entries.
+(_crossing), fed each rule's Newton steps and certified against the rule's
+own computed fractions, and a complement mixture through its base.  A rule
+that declares no step form and lacks either a direction or an inverse of
+its own has no exact tail probability, and the risk module refuses it.
+Rules serialize through one kind registry (rule_to_dict, rule_from_dict);
+their fields go through the payload codec the report classes share, to
+which this module adds the TreatmentRule and DiscretePrior entries.
 
 All rule values are immutable, hashable, and evaluate as pure functions; they
 accept a float or an ndarray statistic and return the matching type.
@@ -63,10 +62,10 @@ Stat = Union[float, np.ndarray]
 _FLOAT_MAX = sys.float_info.max
 _FLOAT_TINY = math.ulp(0.0)
 _EPS = sys.float_info.epsilon
-# Newton iterations DiscretePriorBayes.stat_at takes before it bisects
-_NEWTON_STEPS = 8
-# and the relative margin it puts beyond the farthest crossing the least slope
-# of the log-odds allows, so a two-point prior's Newton step lands inside
+# Newton steps _crossing takes before it bisects
+_NEWTON_STEPS = 16
+# the margin DiscretePriorBayes.stat_at puts beyond its farthest crossing,
+# so that a two-point prior's Newton step lands inside
 _WIDEN = 1.0 + 2.0**-20
 
 
@@ -196,44 +195,59 @@ def _finite_toward(y: float, z: float) -> float:
     return math.copysign(min(max(abs(y), _FLOAT_TINY), _FLOAT_MAX), z)
 
 
-def _crossing(q: float, probe, lo: float, hi: float, far: float, x: float) -> float:
+def _crossing(q: float, probe, far: float, y: float, seen: tuple) -> float:
     """Statistic y+ where a nondecreasing computed fraction f crosses q.
 
-    The crossing lies in (lo, hi), one end of which, far, f has not been
-    evaluated at; x is the first point to try.  probe(y, restart) returns
-    f(y); the next point to try, which the search takes when it lies inside
-    the bracket and otherwise replaces by the midpoint; and the least
-    distance to push a far end at y by.  restart is True where y is a far
-    end being checked.  The search stops at adjacent floats y- < y+ with
-    f(y-) < q <= f(y+), and returns y+, so the crossing is certified against
-    f's own values, not a tolerance.  Where it ends beside far, it checks
-    far, and while the check fails pushes far outward to at least twice its
-    size; a crossing beyond the finite floats gives +-inf.
+    The crossing lies between y, where seen is probe(y, True) or what it
+    would return, and far, where f is not evaluated.  probe(y, newton) gives
+    (f(y), step, scale): the Newton step, to y - step, and the distance
+    within which the rule cannot tell two statistics apart, both read only
+    when newton is True.  The search takes up to _NEWTON_STEPS Newton steps;
+    one that moves no float moves one float toward the other side, and one
+    within the scale starts a gallop, steps doubling from max(scale, ulp)
+    toward the other side.  A point outside the bracket, and every point
+    once Newton is spent, is the midpoint.  It stops at adjacent floats
+    y- < y+ with f(y-) < q <= f(y+) and returns y+, certified against f's
+    own values, not a tolerance.  Where it ends beside far, it checks far;
+    while the check fails it pushes far out by at least far's own size and
+    scale and starts Newton and the gallop over.  A crossing beyond the
+    finite floats gives +-inf.
     """
+    f, step, scale = seen
+    lo, hi = (far, y) if f >= q else (y, far)
     above = far == hi
+    newton, jump = _NEWTON_STEPS, 0.0
     while True:
         if hi == math.nextafter(lo, math.inf):
             if (hi if above else lo) != far:
                 return hi
-            f, x, least = probe(far, True)
+            y = far
+            f, step, scale = probe(y, True)
             if (f >= q) == above:
                 return hi
             if abs(far) == _FLOAT_MAX:
                 return far * math.inf
-            pushed = _finite_toward(abs(far) + max(abs(far), least), far)
-            lo, hi = (far, pushed) if above else (pushed, far)
-            far = pushed
+            far = _finite_toward(abs(far) + max(abs(far), scale), far)
+            lo, hi = (y, far) if above else (far, y)
+            newton, jump = _NEWTON_STEPS, 0.0
             continue
+        if jump or newton and abs(step) <= scale:
+            jump = 2.0 * jump if jump else max(scale, math.ulp(y))
+            x = y - jump if f >= q else y + jump
+        elif not newton:
+            x = math.nan
+        elif y - step == y:
+            x = math.nextafter(y, -math.inf if f >= q else math.inf)
+        else:
+            newton -= 1
+            x = y - step
         if not lo < x < hi:
             x = 0.5 * lo + 0.5 * hi
             if not lo < x < hi:
                 x = math.nextafter(lo, math.inf)
-        f, nxt, _ = probe(x, False)
-        if f >= q:
-            hi = x
-        else:
-            lo = x
-        x = nxt
+        y = x
+        f, step, scale = probe(y, not jump and newton > 0)
+        lo, hi = (lo, y) if f >= q else (y, hi)
 
 
 def _bayes_flat_fraction(u):
@@ -265,13 +279,13 @@ class BayesFlatMSR(TreatmentRule):
     bound keeps the value inside [0, 1] for every finite u.
 
     stat_at(q) inverts the computed f with the certified crossing search
-    (_crossing).  Since f - cdf has the sign of u, the crossing lies between
-    0, where f is exactly 1/2, and the far end scale * ndtri(q).  Newton uses
-    the slope f'(u) = 2 pdf(u) / (1 + u^2)^2, on the log of the nearer tail's
-    mass far from q, and moves one float where its step is below one.
-    q = 1/2 gives 0.0, where the symmetry f(-u) = 1 - f(u) puts the
-    crossing; a q that no finite statistic reaches, which takes a scale near
-    the float maximum, gives +-inf.
+    (_crossing).  Bracket: since f - cdf has the sign of u, the crossing
+    lies between 0, where f is exactly 1/2, and the far end scale * ndtri(q).
+    Newton step: the slope f'(u) = 2 pdf(u) / (1 + u^2)^2, on the log of the
+    nearer tail's mass far from q.  Scale: 0, so Newton runs until a step
+    moves no float.  q = 1/2 gives 0.0, where the symmetry f(-u) = 1 - f(u)
+    puts the crossing; a q that no finite statistic reaches, which takes a
+    scale near the float maximum, gives +-inf.
     """
 
     scale: float = 1.0
@@ -294,11 +308,11 @@ class BayesFlatMSR(TreatmentRule):
         above = q > 0.5
         z = std_normal_quantile(q)
         far = _finite_toward(s * z, z)
-        # Newton aims half an ulp below q, at the edge of the floats that
-        # round to q
+        # Newton aims half an ulp below q, at the edge of the floats that round to q
         half = 0.5 * (q - math.nextafter(q, 0.0))
+        tail = 1.0 - q if above else q
 
-        def probe(x: float, restart: bool) -> tuple:
+        def probe(x: float, newton: bool) -> tuple:
             u = x / s
             fx = _bayes_flat_fraction(u)
             w = 1.0 + u * u
@@ -308,20 +322,12 @@ class BayesFlatMSR(TreatmentRule):
             if not abs(g) <= 0.5 * m:
                 # far from q, Newton runs on the log of the nearer tail's mass
                 # m, which is near quadratic in u where f is exponentially flat
-                if m == 0.0:
-                    g = math.nan
-                else:
-                    g = -m * math.log(m / (1.0 - q)) if above else m * math.log(m / q)
-            nxt = x - g / slope if slope > 0.0 else math.nan
-            # a step below one float moves one float toward the other side
-            if nxt == x:
-                nxt = math.nextafter(x, math.inf if fx < q else -math.inf)
-            return fx, nxt, 0.0
+                g = (-m if above else m) * math.log(m / tail) if m else math.nan
+            return fx, g / slope if slope > 0.0 else math.nan, 0.0
 
-        # the first point is u = z/2 + z^3/48 + ... near 0, which tends to
-        # u = z far out
-        lo, hi = (0.0, far) if above else (far, 0.0)
-        return _crossing(q, probe, lo, hi, far, far * (12.0 + z * z) / (24.0 + z * z))
+        # f(0) is exactly 1/2, and the first step from 0 is to
+        # u = z/2 + z^3/48 + ..., which tends to u = z far out
+        return _crossing(q, probe, far, 0.0, (0.5, -far * (12.0 + z * z) / (24.0 + z * z), 0.0))
 
 
 @dataclass(frozen=True)
@@ -472,15 +478,13 @@ class DiscretePriorBayes(TreatmentRule):
     expit(L), 0 or 1 only where expit rounds to them, with the log-odds
     L(y) = (log A - log B) / e, e = alpha_g - 1, whose slope is
     (E_A tau - E_B tau) / (sd^2 e), the means of tau under A's and B's
-    weights.  That slope is at least (min positive tau - max negative tau)
-    / (sd^2 e), which bounds how far from 0 the crossing can lie: the far
-    end.  Newton aims L at the logit of the lower edge of the floats that
-    round to q, exact in one step for a two-point prior, whose L is linear.
-    Within the rounding scale of L, where Newton cannot tell the floats
-    apart, steps from the last iterate double until they cross; past a
-    budget of Newton steps, and once the steps cross, bisection closes the
-    bracket.  A pushed far end starts both afresh.  A q outside (0, 1), or
-    a crossing beyond the finite floats, gives +-inf.  Raises
+    weights.  Bracket: the slope lies between (min positive tau - max
+    negative tau) / (sd^2 e) and (max tau - min tau) / (sd^2 e), so the
+    Newton step from 0 times their ratio bounds the crossing: the far end.
+    Newton step: L aimed at the logit of the lower edge of the floats that
+    round to q, exact at once for a two-point prior, whose L is linear.
+    Scale: the rounding of the z_i and of that logit, over the slope.  A q
+    outside (0, 1), or a crossing beyond the finite floats, gives +-inf.  Raises
     PriorSupportError for a one-sided prior, and DomainError when
     noise_sd**2 is 0 or not finite or a fraction is NaN, where a crossing
     cannot be certified; a rule with such a prior or noise_sd constructs,
@@ -554,27 +558,27 @@ class DiscretePriorBayes(TreatmentRule):
     def stat_at(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             return -math.inf if q <= 0.0 else math.inf
-        prior = self.prior
-        _require_two_sided(prior)
+        _require_two_sided(self.prior)
         var = _variance(self.noise_sd)
         e = self.alpha_g - 1.0
         m, pairs = self._m, self._pairs
         taus = [t for t, _ in pairs]
         gap = min(taus[m:]) - max(taus[:m])
+        span = max(taus[m:]) - min(taus[:m])
         # sd^2 z_i = tau_i (y - tau_i / 2) + sd^2 log_term_i is at most this
         # plus |y| top in size, which sets the rounding scale of z
-        top = prior._max_abs_tau
+        top = self.prior._max_abs_tau
         z_floor = 0.5 * top * top + var * max(abs(lt) for _, lt in pairs)
         # Newton aims at the lower edge of the floats that round to q; width
         # is the log-odds between two floats there
         width = (q - math.nextafter(q, 0.0)) / (q * (1.0 - q))
         target = math.log(q / (1.0 - q)) - 0.5 * width
 
-        def at(y: float, newton: bool = True) -> tuple:
+        def probe(y: float, newton: bool) -> tuple:
             # the fraction at y, in evaluate's operation order and fold, and,
-            # for Newton, the step to the target, the rounding scale of L on
-            # the statistic, and E_A tau - E_B tau; sd^2 multiplies rather
-            # than divides, so neither overflows where z does
+            # for Newton, the step to the target and the rounding scale of L
+            # on the statistic; sd^2 multiplies rather than divides, so
+            # neither overflows where z does
             z = [(y - 0.5 * t) * t / var + lt for t, lt in pairs]
             log_a, log_b = reduce(np.logaddexp, z[m:]), reduce(np.logaddexp, z[:m])
             log_odds = (log_a - log_b) / e
@@ -583,42 +587,19 @@ class DiscretePriorBayes(TreatmentRule):
                 raise DomainError(f"{self!r} is NaN at {y!r}, so no crossing of {q!r} "
                                   "can be certified")
             if not newton:
-                return f, math.nan, math.nan, math.nan
+                return f, math.nan, math.nan
+            # E_A tau - E_B tau, sd^2 e times the slope of L
             spread = sum(t * math.exp(zi - log_a) for t, zi in zip(taus[m:], z[m:]))
             spread -= sum(t * math.exp(zi - log_b) for t, zi in zip(taus[:m], z[:m]))
-            per = e * var / spread  # statistic per unit of log-odds
             scale = (_EPS * (abs(y) * top + z_floor) + e * width * var) / spread
-            return f, float(log_odds - target) * per, scale, spread
+            return f, float(log_odds - target) * (e * var / spread), scale
 
-        newton, jump = _NEWTON_STEPS, 0.0
-
-        def step_from(y: float, f: float, step: float, scale: float) -> float:
-            # Newton for a few steps, then bisection; within the rounding
-            # scale Newton cannot tell the floats apart, so steps from y
-            # toward the crossing double until they cross
-            nonlocal newton, jump
-            if jump or abs(step) <= scale:
-                jump = 2.0 * jump if jump else max(scale, math.ulp(y))
-                return y - jump if f >= q else y + jump
-            newton -= 1
-            return y - step if newton > 0 else math.nan
-
-        def probe(y: float, restart: bool) -> tuple:
-            # a pushed far end starts the Newton steps afresh
-            nonlocal newton, jump
-            if restart:
-                newton, jump = _NEWTON_STEPS, 0.0
-            f, step, scale, _ = at(y, not jump)
-            return f, step_from(y, f, step, scale), scale
-
-        f, step, scale, spread = at(0.0)
+        seen = f, step, scale = probe(0.0, True)
         # the crossing lies below 0 where f(0) >= q, else above; far is the
-        # farthest crossing the least slope allows, a few rounding scales out
+        # farthest crossing the slope bounds allow, a few rounding scales out
         side = -1.0 if f >= q else 1.0
-        reach = max(0.0, -side * step * spread / gap) * _WIDEN + max(0.0, 4.0 * scale)
-        far = _finite_toward(reach, side)
-        lo, hi = (far, 0.0) if f >= q else (0.0, far)
-        return _crossing(q, probe, lo, hi, far, step_from(0.0, f, step, scale))
+        reach = max(0.0, -side * step * span / gap) * _WIDEN + max(0.0, 4.0 * scale)
+        return _crossing(q, probe, _finite_toward(reach, side), 0.0, seen)
 
 
 def _require_two_sided(prior: DiscretePrior) -> None:

@@ -289,6 +289,36 @@ def test_src_lines_counts_the_newlines_of_the_package_modules(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 3
 
 
+CODE_LINES_MODULE = '''"""Module docstring,
+over two lines."""
+import math  # a comment after code
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    def f(self):
+        \'\'\'Function
+        docstring.\'\'\'
+        text = """a string
+        that is data"""
+        return (text,
+                math.pi)
+'''
+
+
+def test_src_code_lines_leave_out_blank_lines_comments_and_docstrings(tmp_path):
+    package = tmp_path / "src" / "msregret"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(CODE_LINES_MODULE)
+    (package / "b.py").write_text("x = 1\n    \n")
+    (package / "notes.txt").write_text("not = 'a module'\n")
+    # the import, class and def lines, the string's two lines, the return's
+    # two, and b.py's assignment
+    assert bench_pairs.src_code_lines(tmp_path) == 8
+    assert bench_pairs.src_lines(tmp_path) == 17
+
+
 def test_family_labels_name_each_risk_operations_rule_family(tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "workloads.py").write_text(

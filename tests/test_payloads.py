@@ -266,6 +266,34 @@ def test_missing_required_field_raises():
         SampleSizePlan.from_dict(data)
 
 
+def test_numpy_integer_inputs_give_the_int_payload():
+    # a numpy count, seed and sample size are held as ints, so the payload
+    # is the Python-int call's, byte for byte
+    def payload(count, seed, n):
+        sim = msregret.simulate(MinimaxMSR(1.22814), msregret.GaussianExperiment(1, 1, n),
+                                count, RngSeed(seed))
+        return json_text(sim.to_dict())
+
+    want = payload(50, 3, 1)
+    assert payload(np.int64(50), np.uint64(3), np.int32(1)) == want
+    assert type(RngSeed(np.uint64(3)).seed) is int
+    assert type(msregret.GaussianExperiment(1.0, 1.0, np.int64(4)).n) is int
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", 3.0), ("seed", "3"),
+                                          ("replications", 50.7), ("replications", 50.0),
+                                          ("replications", True), ("replications", "50")])
+def test_a_simulation_payload_that_changes_its_numbers_is_refused(field, value):
+    # the seed decodes through RngSeed, and an int field takes an exact int,
+    # so neither truncates a malformed value into a different record
+    data = msregret.simulate(MinimaxMSR(1.22814), msregret.GaussianExperiment(1, 1, 1), 50,
+                             RngSeed(3)).to_dict()
+    assert SimulationSummary.from_dict(data).to_dict() == data
+    data[field] = value
+    with pytest.raises(DomainError, match="integer"):
+        SimulationSummary.from_dict(data)
+
+
 def test_missing_defaulted_field_takes_its_default():
     data = RISK.to_dict()
     del data["tail"]

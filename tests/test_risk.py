@@ -540,9 +540,9 @@ class TestTailProbability:
         search = rules_module._crossing
 
         def spy(q, probe, *args):
-            def counted(y, restart):
+            def counted(y, newton):
                 stats.append(y)
-                return probe(y, restart)
+                return probe(y, newton)
             return search(q, counted, *args)
 
         monkeypatch.setattr(rules_module, "_crossing", spy)

@@ -1,6 +1,8 @@
 """Rule evaluation: reference grid values, invariants, and the Bayes solver."""
+import importlib.util
 import json
 import math
+import pathlib
 import re
 import sys
 import warnings
@@ -339,6 +341,19 @@ class TestBayesFlatInverse:
             want = float(scale * oracles.bayes_flat_cut_mp(float(q)))
             assert abs(y - want) <= 1e-12 * max(1.0, abs(want)), (q, scale, y, want)
 
+    def test_where_the_computed_fraction_wobbles_the_crossing_keeps_its_float(self):
+        # the computed fraction is not monotone over a few floats here, so
+        # more than one adjacent pair straddles q and the search path picks
+        # the one returned; a Newton step below one float moves one float,
+        # and these are the crossings that path has always reached
+        for scale, q, want in ((1.0, "0x1.d14097c45b200p-9", "-0x1.b176dea8607c2p+0"),
+                               (1.0, "0x1.ee001978669c8p-4", "-0x1.3cd7e6673ac08p-1"),
+                               (5.0, "0x1.855aca9cbdc89p-18", "-0x1.068781a1a8e0dp+4"),
+                               (1e-300, "0x1.855aca9cbdc89p-18", "-0x1.194d6bea733bcp-995")):
+            rule = BayesFlatMSR(scale)
+            assert rule.stat_at(float.fromhex(q)).hex() == want
+            _assert_certified(rule, float.fromhex(q))
+
 
 class TestPsi:
     def test_positive_everywhere(self):
@@ -460,7 +475,7 @@ class TestDiscretePrior:
 
 def _inverse_probe(rule, q=0.5):
     # the probe that rule.stat_at(q) hands the shared crossing search: the
-    # rule's fraction on Python floats and its next point
+    # rule's fraction on Python floats, its Newton step and its scale
     probes = []
     search = rules_module._crossing
 
@@ -1328,17 +1343,17 @@ class TestDiscretePriorInverse:
         pushed = []
         search = rules_module._crossing
 
-        def spy(q, probe, *args):
-            # whether the crossing lies beyond a far end the search checked
-            ends = []
+        def spy(q, probe, far, *args):
+            # a far-end check is a probe at the far end the search was given;
+            # every other probe lies strictly inside the bracket
+            checked = []
 
-            def counted(y, restart):
-                if restart:
-                    ends.append(y)
-                return probe(y, restart)
+            def counted(y, newton):
+                checked.append(y == far)
+                return probe(y, newton)
 
-            y = search(q, counted, *args)
-            pushed.append(any(abs(y) > abs(end) for end in ends))
+            y = search(q, counted, far, *args)
+            pushed.append(any(checked) and abs(y) > abs(far))
             return y
 
         monkeypatch.setattr(rules_module, "_crossing", spy)
@@ -1369,6 +1384,72 @@ class TestDiscretePriorInverse:
         rule = DiscretePriorBayes(DiscretePrior.from_pairs([(1.0, 1.0), (2.0, 1.0)]), 2.0, 1.0)
         with pytest.raises(PriorSupportError):
             rule.stat_at(0.5)
+
+
+def _evaluations(rule, run):
+    # fraction evaluations behind run(), which makes one crossing search of
+    # rule: the search's probes, and for the discrete-prior rule the probe
+    # at 0 it hands the search
+    calls = []
+    search = rules_module._crossing
+
+    def spy(q, probe, *args):
+        def counted(y, newton):
+            calls.append(y)
+            return probe(y, newton)
+        return search(q, counted, *args)
+
+    with mock.patch.object(rules_module, "_crossing", spy):
+        run()
+    return len(calls) + isinstance(rule, DiscretePriorBayes)
+
+
+def _bench_workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCrossingEvaluations:
+    """Upper bounds on the fraction evaluations one crossing search takes."""
+
+    def test_the_benchmark_prior_tails(self):
+        got = []
+        for case in _bench_workloads().FIXED_TAILS:
+            rule = DiscretePriorBayes(DiscretePrior.from_pairs(case["prior"]), case["alpha_g"],
+                                      case["noise_sd"])
+            exp = GaussianExperiment(case["tau"], case["noise_sd"], 1)
+            got.append(_evaluations(rule, lambda: tail_probability(rule, exp, case["threshold"])))
+        assert len(got) == 6
+        assert all(n <= bound for n, bound in zip(got, (9, 9, 8, 10, 8, 13))), got
+
+    def test_the_benchmark_flat_tails_of_one_seed(self):
+        # the bayes-flat operations of risk-curves seed 1, each bounded by
+        # one more evaluation than the search took before it owned the
+        # Newton budget and the gallop
+        before = (6, 6, 6, 8, 7, 5, 5, 5, 4, 8, 6, 8, 5, 7, 7, 5, 5, 4)
+        got = []
+        for spec in _bench_workloads().risk_curves(1):
+            if spec["rule"]["name"] == "bayes-flat":
+                rule = BayesFlatMSR(spec["rule"]["scale"])
+                exp = GaussianExperiment(spec["tau"], spec["sigma"], spec["n"])
+                got.append(_evaluations(rule, lambda: tail_probability(rule, exp, spec["tail"])))
+        assert len(got) == len(before)
+        assert all(n <= bound + 1 for n, bound in zip(got, before)), got
+
+    def test_a_crossing_inside_the_rounding_scale_gallops(self):
+        # at the least subnormal q a symmetric two-point prior's Newton steps
+        # fall within the rounding scale of L, and steps that double from it
+        # reach the crossing in 56 or 57 evaluations; steps that did not
+        # double would take 81
+        prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+        for alpha_g in (1.5, 2.0, 3.0):
+            for sd in (1e-3, 1.0, 1e3):
+                rule = DiscretePriorBayes(prior, alpha_g, sd)
+                n = _evaluations(rule, lambda: _assert_prior_certified(rule, 5e-324))
+                assert n <= 57, (alpha_g, sd, n)
 
 
 class TestJsonMapping:

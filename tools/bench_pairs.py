@@ -36,11 +36,13 @@ to the parent median, so that a median inside the bound does not show the
 change to be within it; a change whose every run reads better than every
 parent run is resolved.
 
-The document also records src_lines, each side's source size: the newlines
-in its src/msregret/*.py, as wc -l counts them, since a design change is
-judged by the lines it removes.
+The document also records each side's source size, since a design change is
+judged by the lines it removes: src_lines, the newlines in its
+src/msregret/*.py, as wc -l counts them, and src_code_lines, the lines of
+those files that are not blank, not comments and not docstrings, so that
+deleted prose does not read as deleted code.
 
-The run ends by printing to standard error the src_lines of both sides, then
+The run ends by printing to standard error both sizes of both sides, then
 one line per end-to-end metric:
 parent -> change median, relative change, wins/pairs, within_bound and
 gain_claimable, and for an unresolved metric the parent's spread, so a
@@ -51,6 +53,7 @@ relative change and the change's wins, which show where a change moved.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import io
 import json
@@ -64,6 +67,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 from importlib import metadata
 from pathlib import Path
 
@@ -112,6 +116,30 @@ def src_lines(checkout: Path) -> int:
     """The newlines in checkout's src/msregret/*.py, as wc -l counts them."""
     return sum(path.read_bytes().count(b"\n")
                for path in (checkout / "src" / "msregret").glob("*.py"))
+
+
+# tokens that hold no code: a line holding only these is blank or a comment
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def src_code_lines(checkout: Path) -> int:
+    """The lines of checkout's src/msregret/*.py that hold a token other
+    than a comment and lie outside every module, class and function
+    docstring."""
+    total = 0
+    for path in (checkout / "src" / "msregret").glob("*.py"):
+        text = path.read_text()
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += len(lines)
+    return total
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -307,6 +335,7 @@ def main(argv=None) -> int:
         export(parent_sha, parent_root)
         copy_worktree(change_root)
         lines = {"parent": src_lines(parent_root), "change": src_lines(change_root)}
+        code_lines = {"parent": src_code_lines(parent_root), "change": src_code_lines(change_root)}
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -332,6 +361,7 @@ def main(argv=None) -> int:
         + (" (uncommitted changes)" if git("status", "--porcelain", "--", "src") else ""),
         machine=machine(),
         src_lines=lines,
+        src_code_lines=code_lines,
         command="python3 bench/run.py --workload W --seed S "
         f"--seconds {seconds} --trace 0",
     )
@@ -347,7 +377,8 @@ def main(argv=None) -> int:
         "runs": pairs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"src_lines: {lines['parent']} -> {lines['change']}", file=sys.stderr)
+    print(f"src_lines: {lines['parent']} -> {lines['change']}, src_code_lines: "
+          f"{code_lines['parent']} -> {code_lines['change']}", file=sys.stderr)
     for line in verdict_lines(args.workload, summary) + kind_verdict_lines(args.workload, pairs):
         print(line, file=sys.stderr)
     return 0
