@@ -20,8 +20,8 @@ of delta_{tau_star} among all rules.
 frequentist_objective is exact_risk's moment body (risk._moments) at
 MinimaxMSR(|a|) and effect |a|.  bayes_objective also takes an array of
 calibrations.  solve_tau_star maximizes bayes_objective alone: a certified
-41-point scan of [0.5, 2.5] in one Gaussian-expectation call, then a Brent
-refinement of every scan peak that could hold the maximum.  verify_saddle
+41-point scan of [0.5, 2.5] in one Gaussian-expectation call, whose maximum
+numerics.scan_maximum refines.  verify_saddle
 checks the saddle-point equalities numerically and samples the two curves
 on a grid for plotting, bit for bit bayes_objective and exact_risk.  The
 shipped constant lives in _constants.py, written by write_constants from a
@@ -38,13 +38,7 @@ import numpy as np
 
 from ._codec import csv_text, record
 from ._constants import TAU_STAR
-from .numerics import (
-    expit,
-    gaussian_expectation,
-    maximize_scalar,
-    scan_brackets,
-    _LEVEL_GAP,
-)
+from .numerics import expit, gaussian_expectation, scan_maximum, _LEVEL_GAP
 from .risk import _curve_moments, _moments, worst_case_msr
 from .rules import MinimaxMSR
 
@@ -99,19 +93,13 @@ def solve_tau_star(tol: float = 1e-7) -> float:
     the Bayes one is searched.  It is scanned at the 41 points
     a = 0.5, 0.55, ..., 2.5 by one bayes_objective call on the array, so each
     scan value is bayes_objective(a), certified to within a^2 / 2 times the
-    kernel's level gap, 1e-10.
-    Every scan local maximum within two such errors at a = 2.5 of the best
-    one is refined by Brent's bounded search to tol between its grid
-    neighbours, and the largest refined value's calibration is returned.
+    kernel's level gap, 1e-10.  scan_maximum refines it to tol with two such
+    errors at a = 2.5 as the scan's error, and its argmax is returned.
     """
     grid = np.arange(_SCAN_LO * _SCAN_DIV, _SCAN_HI * _SCAN_DIV + 1) / _SCAN_DIV
     # two scan values, each within a^2 / 2 tol of the objective
     err = _SCAN_HI**2 * _LEVEL_GAP
-    refined = [
-        maximize_scalar(bayes_objective, lo, hi, tol=tol)
-        for lo, hi in scan_brackets(grid, bayes_objective(grid), err)
-    ]
-    return max(refined, key=lambda r: r[1])[0]
+    return scan_maximum(bayes_objective, grid, bayes_objective(grid), err, tol)[0]
 
 
 @record

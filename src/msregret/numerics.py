@@ -26,8 +26,10 @@ Prentice-Hall, 1973, chapters 4 and 5), written out step for step as scipy
 runs them (brentq.c and _minimize_scalar_bounded), so they return the same
 floats without importing scipy.optimize.  Both refuse a non-finite function
 value with DomainError and an exhausted evaluation budget with
-ConvergenceError.  scan_brackets picks the brackets that maximize_scalar
-refines from a certified scan of a curve.
+ConvergenceError.  scan_maximum takes the maximum of a certified scan of a
+curve: maximize_scalar refines every peak that scan_brackets keeps within
+the scan's error of the best one, and the largest refined value wins, the
+first on an exact tie.
 
 All functions here are pure and deterministic; values may be shared freely
 across threads.
@@ -393,3 +395,15 @@ def scan_brackets(grid, vals, err: float) -> list:
         (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)]))
         for i in np.flatnonzero(near & (vals > left) & (vals >= right))
     ]
+
+
+def scan_maximum(f: Callable[[float], float], grid, vals, err: float,
+                 tol: float) -> Tuple[float, float]:
+    """(argmax, max) of f from a certified scan vals of it on an increasing grid.
+
+    Every peak that scan_brackets keeps at err is refined by maximize_scalar
+    to tol, in grid order, and the largest refined value wins; on an exact
+    tie, the first, so the smaller argument.
+    """
+    refined = [maximize_scalar(f, lo, hi, tol) for lo, hi in scan_brackets(grid, vals, err)]
+    return max(refined, key=lambda r: r[1])

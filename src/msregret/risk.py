@@ -38,7 +38,7 @@ of b = 0.  Halving the grid step until two levels agree within
 1e-10 gives the scan's error; a rule too steep to settle by step 0.01/64
 raises ConvergenceError instead of returning an uncertified number.  Every
 grid peak within that error of the best one, both peaks of a symmetric rule
-for instance, is then refined by Brent's bounded search on exact_risk.
+for instance, is then refined on exact_risk by numerics.scan_maximum.
 """
 from __future__ import annotations
 
@@ -55,9 +55,8 @@ from .numerics import (
     DomainError,
     RngSeed,
     gaussian_expectation,
-    maximize_scalar,
     ndtri,
-    scan_brackets,
+    scan_maximum,
     std_normal_cdf,
     _HALF_WIDTH,
     _INTERVALS,
@@ -406,21 +405,15 @@ def _unit_curve(rule: TreatmentRule, power: int) -> Tuple[np.ndarray, np.ndarray
 def _unit_worst(rule: TreatmentRule, power: int) -> Tuple[float, float, bool]:
     """Supremum of the unit-problem objective over b in [-8, 8].
 
-    The certified scan curve of _unit_curve picks the candidates: every grid
-    local maximum within the curve's error plus the FFT rounding floor (1e-12)
-    of the best grid value, so both peaks of a symmetric rule are kept.  Each
-    candidate is refined by the bounded Brent search of exact_risk's moment
-    (_moments at sd 1) between its grid neighbours, and the largest refined
-    value wins; candidates go in increasing b, so an exact tie goes to the
-    smaller argsup.  saturated flags an argsup within two grid steps of the
+    scan_maximum refines exact_risk's moment (_moments at sd 1) from the
+    certified scan curve of _unit_curve, with the curve's error plus the FFT
+    rounding floor (1e-12) as the scan's error, so both peaks of a symmetric
+    rule compete.  saturated flags an argsup within two grid steps of the
     scan edge.
     """
     grid, vals, err = _unit_curve(rule, power)
-    refined = [
-        maximize_scalar(lambda b: _moments(rule, b, 1.0)[power - 1], lo, hi, tol=1e-10)
-        for lo, hi in scan_brackets(grid, vals, err + _SCAN_ROUNDING)
-    ]
-    arg, val = max(refined, key=lambda r: r[1])
+    arg, val = scan_maximum(lambda b: _moments(rule, b, 1.0)[power - 1], grid, vals,
+                            err + _SCAN_ROUNDING, 1e-10)
     saturated = abs(arg) >= _SCAN_LIMIT - 2 * _SCAN_STEP
     return arg, val, saturated
 
@@ -505,20 +498,18 @@ def simulate(
     """Monte Carlo analogue of exact_risk; deterministic given the seed.
 
     The draws are mapped, and the rule evaluated, in blocks of at most 8192
-    draws.  Each block's regret, squared regret and welfare are formed once,
-    as the three rows of one array, and every block's rows are held across
-    the passes over them: 24 bytes per replication, 480 KB at 20,000.  A
-    block's rows take 192 KB, above glibc's initial 128 KB mmap threshold,
-    so they come from fresh pages until glibc, on freeing such a block,
-    raises the threshold past them.  The moments are two-pass (block sums,
-    then squared deviations from the means), the block sums added in block
-    order from the first block's; up to 8192 replications they are numpy's
-    mean, var and std bit for bit.  A field that is not finite (the squares
-    of regrets past about 1.3e154 overflow) is refused with DomainError
-    naming it, as exact_risk refuses a moment.  Before any draw is made, a
-    negative or NaN tail threshold is refused as tail_probability refuses
-    it, and a replication count that is not an integer of at least 2, or
-    that numpy cannot hold, with DomainError naming replications.
+    draws.  Regret, squared regret and welfare are the three rows of one
+    table, 24 bytes per replication (480 KB at 20,000), that every pass
+    reads whole.  The moments are two-pass (sums, then squared deviations
+    from the means), each row summed by 8192-column block and the block
+    sums added in block order from the first block's; up to 8192
+    replications they are numpy's mean, var and std bit for bit.  A field
+    that is not finite (the squares of regrets past about 1.3e154 overflow)
+    is refused with DomainError naming it, as exact_risk refuses a moment.
+    Before any draw is made, a negative or NaN tail threshold is refused as
+    tail_probability refuses it, and a replication count that is not an
+    integer of at least 2, or that numpy cannot hold, with DomainError
+    naming replications.
     """
     if not (isinstance(replications, (int, np.integer)) and replications >= 2):
         raise DomainError(f"replications must be an integer >= 2, got {replications!r}")
@@ -529,37 +520,36 @@ def simulate(
     tau = exp.tau
     ind = 1.0 if tau >= 0 else 0.0
     draws = _normal_draws(seed, replications)
-    blocks = []
+    table = np.empty((3, replications))
+    reg, reg2, welfare = table
     for i in range(0, replications, _SIM_BLOCK):
-        f = np.asarray(rule.evaluate(tau + exp.stat_sd * draws[i : i + _SIM_BLOCK]), dtype=float)
-        rows = np.empty((3, f.size))
-        reg = np.subtract(ind, f, out=rows[0])
-        reg *= tau
-        np.multiply(reg, reg, out=rows[1])
-        np.multiply(tau, f, out=rows[2])
-        blocks.append(rows)
+        welfare[i : i + _SIM_BLOCK] = rule.evaluate(tau + exp.stat_sd * draws[i : i + _SIM_BLOCK])
+    np.subtract(ind, welfare, out=reg)
+    reg *= tau
+    np.multiply(reg, reg, out=reg2)
+    welfare *= tau
     r = float(replications)
 
-    counts = [sum(int(np.count_nonzero(rows[0] > c)) for rows in blocks) for c in tails]
-    mean_reg, msr, w_mean = (
-        float(s) for s in reduce(np.add, [rows.sum(axis=1) for rows in blocks]) / replications
-    )
+    def block_sums(rows):
+        # each block's sums along the last axis, added in block order from the first's
+        return reduce(np.add, [rows[..., i : i + _SIM_BLOCK].sum(axis=-1)
+                               for i in range(0, replications, _SIM_BLOCK)])
+
+    counts = [int(np.count_nonzero(reg > c)) for c in tails]
+    means = block_sums(table) / replications
+    mean_reg, msr, w_mean = means.tolist()
     # refused here, before the spread passes would subtract inf from inf; with
     # these finite no later pass can: regret is nonnegative, so a deviation
     # from the mean is at most the larger of the two, and its square finite
     _check_finite(tau, _SIM_FIELDS[:3], (mean_reg, msr, w_mean))
-    means = np.array([[mean_reg], [msr], [w_mean]])
-    for rows in blocks:
-        rows -= means
-        rows *= rows
-    m2_reg, m2_reg2, m2_w = reduce(np.add, [rows.sum(axis=1) for rows in blocks])
+    table -= means[:, None]
+    table *= table
+    m2_reg, m2_reg2, m2_w = block_sums(table)
     # the squared regret deviations, row 0 now, have mean m2_reg / n; a third
     # pass takes their spread
-    mean_c2 = m2_reg / replications
-    for rows in blocks:
-        rows[0] -= mean_c2
-        rows[0] *= rows[0]
-    m2_c2 = reduce(np.add, [rows[0].sum() for rows in blocks])
+    reg -= m2_reg / replications
+    reg *= reg
+    m2_c2 = block_sums(reg)
 
     var_reg = float(m2_reg / (replications - 1))
     sd_reg = math.sqrt(var_reg)

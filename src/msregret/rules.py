@@ -64,6 +64,10 @@ _FLOAT_TINY = math.ulp(0.0)
 _EPS = sys.float_info.epsilon
 # Newton steps _crossing takes before it bisects
 _NEWTON_STEPS = 16
+# expit(L) is 0.0 below this log-odds, where exp(-L) overflows, and its
+# least positive value, about 5.5627e-309, at it
+_EXPIT_FLOOR = -math.log(_FLOAT_MAX)
+_EXPIT_LEAST = float(expit(_EXPIT_FLOOR))
 # the margin DiscretePriorBayes.stat_at puts beyond its farthest crossing,
 # so that a two-point prior's Newton step lands inside
 _WIDEN = 1.0 + 2.0**-20
@@ -483,14 +487,16 @@ class DiscretePriorBayes(TreatmentRule):
     Newton step from 0 times their ratio bounds the crossing: the far end.
     Newton step: L aimed at the logit of the lower edge of the floats that
     round to q, exact at once for a two-point prior, whose L is linear.
-    Scale: the rounding of the z_i and of that logit, over the slope.  A q
-    outside (0, 1), or a crossing beyond the finite floats, gives +-inf.  Raises
-    PriorSupportError for a one-sided prior, and DomainError when
-    noise_sd**2 is 0 or not finite or a fraction is NaN, where a crossing
-    cannot be certified; a rule with such a prior or noise_sd constructs,
-    and evaluate refuses it as stat_at does.  Construction raises
-    DomainError for an alpha_g that carries a term alpha_g log|tau_i| past
-    the float range.
+    expit is 0.0 below its floor L = -log(max float) = -709.78, where
+    exp(-L) overflows, and about 5.5627e-309 at it, so a q at or below that
+    value aims at the floor.  Scale: the rounding of the z_i and of that
+    logit, over the slope.  A q outside (0, 1), or a crossing beyond the
+    finite floats, gives +-inf.  Raises PriorSupportError for a one-sided
+    prior, and DomainError when noise_sd**2 is 0 or not finite or a fraction
+    is NaN, where a crossing cannot be certified; a rule with such a prior
+    or noise_sd constructs, and evaluate refuses it as stat_at does.
+    Construction raises DomainError for an alpha_g that carries a term
+    alpha_g log|tau_i| past the float range.
     """
 
     prior: DiscretePrior
@@ -569,10 +575,15 @@ class DiscretePriorBayes(TreatmentRule):
         # plus |y| top in size, which sets the rounding scale of z
         top = self.prior._max_abs_tau
         z_floor = 0.5 * top * top + var * max(abs(lt) for _, lt in pairs)
-        # Newton aims at the lower edge of the floats that round to q; width
-        # is the log-odds between two floats there
-        width = (q - math.nextafter(q, 0.0)) / (q * (1.0 - q))
-        target = math.log(q / (1.0 - q)) - 0.5 * width
+        if q <= _EXPIT_LEAST:
+            # the fraction steps from 0 to its least positive value at the
+            # floor, so it crosses every q up to that value there
+            width, target = 0.0, _EXPIT_FLOOR
+        else:
+            # Newton aims at the lower edge of the floats that round to q;
+            # width is the log-odds between two floats there
+            width = (q - math.nextafter(q, 0.0)) / (q * (1.0 - q))
+            target = math.log(q / (1.0 - q)) - 0.5 * width
 
         def probe(y: float, newton: bool) -> tuple:
             # the fraction at y, in evaluate's operation order and fold, and,

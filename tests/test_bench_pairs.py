@@ -94,7 +94,8 @@ class TestVerdictLines:
         monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc")
         monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
         monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
-        monkeypatch.setattr(bench_pairs, "run", lambda *args: {"metrics": {"pass_s": 1.0}})
+        monkeypatch.setattr(bench_pairs, "run", lambda *args: {
+            "metrics": {"pass_s": 1.0}, "percentile_kinds": {"op_ms_p50": [], "op_ms_p90": []}})
         monkeypatch.setattr(bench_pairs, "digests", lambda *args: [])
         monkeypatch.setattr(bench_pairs, "summarize", lambda pairs, spec: summary)
         monkeypatch.setattr(bench_pairs, "summarize_kinds", lambda pairs: {})
@@ -129,7 +130,8 @@ class TestKindVerdictLines:
         monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
         monkeypatch.setattr(bench_pairs, "run", lambda *args: {
             "metrics": {"pass_s": 1.0}, "kind_s": {"regress": next(runs)},
-            "kind_range": {"regress": [0.001, 0.002]}})
+            "kind_range": {"regress": [0.001, 0.002]},
+            "percentile_kinds": {"op_ms_p50": [], "op_ms_p90": []}})
         monkeypatch.setattr(bench_pairs, "digests", lambda *args: [])
         monkeypatch.setattr(bench_pairs, "side_checkout",
                             lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
@@ -212,10 +214,52 @@ def test_run_reads_the_kinds_from_the_run_record(tmp_path, monkeypatch):
     assert got == {"correct": 3, "attempted": 3, "failed": 0,
                    "metrics": {"pass_s": 3.75, "op_ms_p90": 3.0},
                    "kind_s": {"table": 0.75, "tail": 3.0},
-                   "kind_range": {"table": [0.25, 0.5], "tail": [3.0, 3.0]}}
+                   "kind_range": {"table": [0.25, 0.5], "tail": [3.0, 3.0]},
+                   "percentile_kinds": {"op_ms_p50": ["table"], "op_ms_p90": ["table", "tail"]}}
     (argv, cwd), = seen
     assert argv[1:] == ["bench/run.py", "--workload", "prior-bayes", "--seed", "7",
                         "--seconds", "24", "--trace", "0"] and cwd == tmp_path
+
+
+@pytest.mark.parametrize("op_s, p50, p90", [
+    # five operations: the median is the third fastest, and the 90th
+    # percentile sits 0.6 of the way from the fourth to the fifth
+    ([0.4, 0.1, 0.5, 0.3, 0.2], ["regress"], ["figure1", "tail"]),
+    # four: the median is the mean of the middle two, the 90th percentile
+    # 0.7 of the way from the third to the fourth
+    ([0.4, 0.1, 0.2, 0.3], ["tail", "regress"], ["regress", "figure1"]),
+])
+def test_percentile_kinds_name_the_operations_each_percentile_reads(op_s, p50, p90):
+    kinds = ["figure1", "sample-size", "tail", "regress", "saddle"][:len(op_s)]
+    assert bench_pairs.percentile_kinds(kinds, op_s) == {"op_ms_p50": p50, "op_ms_p90": p90}
+
+
+def test_main_prints_the_percentile_kinds_per_seed_and_side(tmp_path, monkeypatch, capsys):
+    reads = iter([["a"], ["b"], ["c"], ["d"]])
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: {
+        "metrics": {"pass_s": 1.0}, "kind_s": {}, "kind_range": {},
+        "percentile_kinds": {"op_ms_p50": next(reads), "op_ms_p90": ["x", "y"]}})
+    monkeypatch.setattr(bench_pairs, "digests", lambda *args: [])
+    monkeypatch.setattr(bench_pairs, "side_checkout",
+                        lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": LOWER}))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    # pair 1 runs the parent first (a, change b), pair 2 the change (c, parent d)
+    assert [line for line in err if " reads " in line] == [
+        "w seed 1 parent: op_ms_p50 reads a; op_ms_p90 reads x, y",
+        "w seed 1 change: op_ms_p50 reads b; op_ms_p90 reads x, y",
+        "w seed 2 parent: op_ms_p50 reads d; op_ms_p90 reads x, y",
+        "w seed 2 change: op_ms_p50 reads c; op_ms_p90 reads x, y",
+    ]
+    runs = json.loads(out.read_text())["workloads"]["w"]["runs"]
+    assert [r["parent"]["percentile_kinds"]["op_ms_p50"] for r in runs] == [["a"], ["d"]]
 
 
 def test_one_pair_is_refused_before_any_run(tmp_path, capsys):
@@ -380,7 +424,8 @@ class TestUnresolved:
         monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
         monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
         monkeypatch.setattr(bench_pairs, "run", lambda *args: {
-            "metrics": {"pass_s": next(runs)}, "kind_s": {}, "kind_range": {}})
+            "metrics": {"pass_s": next(runs)}, "kind_s": {}, "kind_range": {},
+            "percentile_kinds": {"op_ms_p50": [], "op_ms_p90": []}})
         monkeypatch.setattr(bench_pairs, "digests", lambda *args: [])
         monkeypatch.setattr(bench_pairs, "side_checkout",
                             lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))

@@ -133,13 +133,14 @@ class TestSolve:
             return -(((a - 1.0) * (a - 2.0)) ** 2) + lift * a
 
         seen = []
+        refine = numerics.maximize_scalar
 
         def recording(f, lo, hi, tol):
             seen.append((lo, hi))
-            return numerics.maximize_scalar(f, lo, hi, tol)
+            return refine(f, lo, hi, tol)
 
         monkeypatch.setattr(lfp, "bayes_objective", two_peaks)
-        monkeypatch.setattr(lfp, "maximize_scalar", recording)
+        monkeypatch.setattr(numerics, "maximize_scalar", recording)
         got = solve_tau_star()
         assert seen == brackets
         assert abs(got - 2.0) < 1e-3

@@ -43,7 +43,7 @@ from msregret import (
     worst_case_mean_regret,
     worst_case_msr,
 )
-from msregret import risk
+from msregret import numerics, risk
 from msregret import rules as rules_module
 from msregret.risk import _normal_draws, _unit_curve, _unit_worst
 
@@ -818,7 +818,7 @@ class TestWorstCaseScan:
             brackets.append((lo, hi))
             return maximize_scalar(f, lo, hi, tol)
 
-        monkeypatch.setattr(risk, "maximize_scalar", recording)
+        monkeypatch.setattr(numerics, "maximize_scalar", recording)
         _unit_worst.cache_clear()
         w = worst_case_msr(rule, 1.0, 1)
         assert len(brackets) == 2 and brackets[0] == (-brackets[1][1], -brackets[1][0])
@@ -1143,7 +1143,7 @@ class TestSimulateBlockPins:
     """Past one block, simulate gives the three-pass block algorithm's bits
     (oracles.block_summary, on the fractions the rule gives block by block)."""
 
-    @pytest.mark.parametrize("reps", [8193, 2 * 8192 + 3, 20_000, 50_000])
+    @pytest.mark.parametrize("reps", [8193, 2 * 8192 + 3, 20_000, 50_000, 65_537])
     @pytest.mark.parametrize("tails", [(), (0.05,), (0.05, 0.3)], ids=["0", "1", "2"])
     def test_multi_block_summaries_are_pinned(self, reps, tails):
         for k, (rule, exp) in enumerate(PIN_CASES):

@@ -1296,6 +1296,20 @@ class TestDiscretePriorInverse:
                 for q in (1.0, 2.0):
                     assert rule.stat_at(q) == math.inf
 
+    def test_every_q_up_to_the_least_positive_fraction_crosses_at_one_point(self):
+        # expit(L) is 0.0 below L = -log(max float) and about 5.5627e-309 at
+        # it, so the fraction crosses every q in (0, 5.5627e-309] at one y
+        least = float(expit(-math.log(sys.float_info.max)))
+        qs = (5e-324, 1e-320, 1e-315, 1e-310, math.nextafter(least, 0.0), least)
+        for pairs in ([(-1.0, 0.5), (1.0, 0.5)], [(-1.0, 0.3), (0.5, 0.4), (2.0, 0.3)]):
+            for alpha_g in (1.5, 3.0):
+                for sd in (1e-3, 1.0, 1e3):
+                    rule = DiscretePriorBayes(DiscretePrior.from_pairs(pairs), alpha_g, sd)
+                    ys = {rule.stat_at(q) for q in qs}
+                    assert len(ys) == 1, (pairs, alpha_g, sd, ys)
+                    _assert_prior_certified(rule, least)
+                    assert rule.evaluate(math.nextafter(ys.pop(), -math.inf)) == 0.0
+
     def test_a_two_point_log_odds_is_linear(self):
         # L(y) = (log(w+ t+^a / (w- |t-|^a)) + (t+ - t-)(y - (t+ + t-)/2) / sd^2) / e
         # crosses logit(q) where the closed form puts it, up to rounding
@@ -1439,17 +1453,36 @@ class TestCrossingEvaluations:
         assert len(got) == len(before)
         assert all(n <= bound + 1 for n, bound in zip(got, before)), got
 
-    def test_a_crossing_inside_the_rounding_scale_gallops(self):
-        # at the least subnormal q a symmetric two-point prior's Newton steps
-        # fall within the rounding scale of L, and steps that double from it
-        # reach the crossing in 56 or 57 evaluations; steps that did not
-        # double would take 81
-        prior = DiscretePrior.from_pairs([(-1.0, 0.5), (1.0, 0.5)])
+    @pytest.mark.parametrize("pairs, bound", [
+        ([(-0.390, 0.400), (2.975, 0.522)], 4),
+        ([(-0.235, 0.709), (2.308, 0.462)], 4),
+        ([(-1.0, 0.5), (1.0, 0.5)], 14),
+    ])
+    def test_the_least_subnormal_crossings(self, pairs, bound):
+        # Newton aims at the log-odds floor, where the fraction first is
+        # positive: 4 evaluations on these two-point priors and 13 or 14 on
+        # {-1, 1} at noise_sd 1e-3, where aiming at logit(5e-324) took 89-91
+        # and 56-57
+        prior = DiscretePrior.from_pairs(pairs)
         for alpha_g in (1.5, 2.0, 3.0):
             for sd in (1e-3, 1.0, 1e3):
                 rule = DiscretePriorBayes(prior, alpha_g, sd)
                 n = _evaluations(rule, lambda: _assert_prior_certified(rule, 5e-324))
-                assert n <= 57, (alpha_g, sd, n)
+                assert n <= bound, (alpha_g, sd, n)
+
+    def test_a_crossing_inside_the_rounding_scale_gallops(self):
+        # Newton steps of 0, within the rounding scale 1, with the fraction's
+        # jump 1000 scales away: steps doubling from the scale pass it in 10
+        # and bisection ends at adjacent floats, 62 evaluations; steps that
+        # did not double would take 1043
+        calls = []
+
+        def probe(y, newton):
+            calls.append(y)
+            return (0.0 if y < 1000.0 else 1.0), 0.0, 1.0
+
+        assert rules_module._crossing(0.5, probe, 2.0**20, 0.0, (0.0, 0.0, 1.0)) == 1000.0
+        assert len(calls) <= 62
 
 
 class TestJsonMapping:

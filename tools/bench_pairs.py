@@ -17,7 +17,11 @@ the pairs of the per-kind sums of operation times (kind_s: the operation
 medians that bench-out/W-seedS.json records for a run, summed by kind, in
 seconds at the reference speed) and of each kind's fastest and slowest
 operation median (kind_range), which places a kind at the rank a percentile
-metric reads.  A risk operation's kind carries its rule family, read from
+metric reads.  Each run also records percentile_kinds, the kinds of the
+operations that op_ms_p50 and op_ms_p90 read (the middle one or two
+operation medians, and the two neighbours of the inclusive 90th
+percentile), printed per seed and side, so a percentile claim can name
+its kind.  A risk operation's kind carries its rule family, read from
 bench/workloads.py (risk:bayes-flat, risk:logistic, ...), so kind_s shows
 which family a change moved.  An existing file keeps its other workloads, so
 several invocations fill one file.  A gain is claimed for a metric when the
@@ -161,6 +165,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         "metrics": {name: m["value"] for name, m in out["metrics"].items()},
         "kind_s": kind_s,
         "kind_range": kind_range,
+        "percentile_kinds": percentile_kinds(kinds, record["record"]["op_s"]),
     }
 
 
@@ -191,6 +196,18 @@ def by_kind(kinds: list, op_s: list) -> tuple:
         lo, hi = kind_range.get(kind, (t, t))
         kind_range[kind] = [min(lo, t), max(hi, t)]
     return kind_s, kind_range
+
+
+def percentile_kinds(kinds: list, op_s: list) -> dict:
+    """The kinds of the operations that op_ms_p50 and op_ms_p90 read from
+    the operation medians op_s: the middle one or two in sorted order, and
+    the two neighbours that the inclusive 90th percentile interpolates
+    between."""
+    order = sorted(range(len(op_s)), key=op_s.__getitem__)
+    n = len(order)
+    j = 90 * (n - 1) // 100  # statistics.quantiles' inclusive index
+    return {"op_ms_p50": [kinds[i] for i in order[(n - 1) // 2 : n // 2 + 1]],
+            "op_ms_p90": [kinds[i] for i in order[j : j + 2]]}
 
 
 def machine() -> str:
@@ -351,6 +368,11 @@ def main(argv=None) -> int:
                   f"{pair['change']['metrics']['pass_s']:.4f}, outputs "
                   + ("identical" if pair["outputs_identical"]
                      else f"differ at {pair['differing_ops']}"), file=sys.stderr)
+            for side in ("parent", "change"):
+                reads = pair[side]["percentile_kinds"]
+                print(f"{args.workload} seed {seed} {side}: op_ms_p50 reads "
+                      f"{', '.join(reads['op_ms_p50'])}; op_ms_p90 reads "
+                      f"{', '.join(reads['op_ms_p90'])}", file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     if doc.get("parent", parent_sha) != parent_sha:
