@@ -11,6 +11,12 @@ library refuses an overflowed result with its own error), and maps errors to
 exit codes: 0 success, 2 usage errors, 1 numeric, data or file failures,
 each printed as one "error:" line.
 
+main parses with the named subcommand's own parser, built on first use from
+one table of subcommands, and builds the full parser, from the same table,
+only for help and usage errors: an empty argv, a help flag first, an
+unknown subcommand, or arguments the subcommand does not take.  Usage lines,
+help, error messages and exit codes are the full parser's either way.
+
 Rule tokens: es | ht | minimax | bayes-flat | post-match | threshold:T |
 mix:BASE,LAMBDA | prior-bayes.  Smooth statistic-based rules are built on the
 standardized scale and applied to raw statistics through their scale
@@ -380,27 +386,19 @@ def _add_tau_star_flag(sub: argparse.ArgumentParser) -> None:
                      help="override the minimax calibration constant")
 
 
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args returns a fresh namespace and no
-    # command touches the parser or its defaults, so main() can share it
-    parser = argparse.ArgumentParser(
-        prog="msregret",
-        description="Treatment-choice rules under mean square regret.",
-    )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("solve-tau-star", help="solve the minimax calibration")
+def _fill_solve_tau_star(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-7)
     p.set_defaults(func=_cmd_solve_tau_star)
 
-    p = subs.add_parser("rule-eval", help="evaluate a rule at a statistic")
+
+def _fill_rule_eval(p: argparse.ArgumentParser) -> None:
     _add_rule_flags(p, default=None)
     _add_tau_star_flag(p)
     p.add_argument("--stat", type=float, required=True)
     p.set_defaults(func=_cmd_rule_eval)
 
-    p = subs.add_parser("risk", help="exact risk report at one effect")
+
+def _fill_risk(p: argparse.ArgumentParser) -> None:
     _add_rule_flags(p)
     _add_tau_star_flag(p)
     p.add_argument("--tau", type=float, required=True)
@@ -409,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", help="comma-separated regret thresholds")
     p.set_defaults(func=_cmd_risk)
 
-    p = subs.add_parser("risk-curve", help="risk report along an effect grid (CSV)")
+
+def _fill_risk_curve(p: argparse.ArgumentParser) -> None:
     _add_rule_flags(p)
     _add_tau_star_flag(p)
     p.add_argument("--grid", default="0:3:0.02", help="tau grid lo:hi:step")
@@ -418,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_risk_curve)
 
-    p = subs.add_parser("simulate", help="Monte Carlo risk summary")
+
+def _fill_simulate(p: argparse.ArgumentParser) -> None:
     _add_rule_flags(p)
     _add_tau_star_flag(p)
     p.add_argument("--tau", type=float, required=True)
@@ -429,12 +429,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", help="comma-separated regret thresholds")
     p.set_defaults(func=_cmd_simulate)
 
-    p = subs.add_parser("saddle", help="verify the minimax saddle, emit the curve")
+
+def _fill_saddle(p: argparse.ArgumentParser) -> None:
     _add_tau_star_flag(p)
     p.add_argument("--csv", help="write the curve samples CSV here")
     p.set_defaults(func=_cmd_saddle)
 
-    p = subs.add_parser("dominate", help="dominating fractional rule certificate")
+
+def _fill_dominate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, default=0.0, help="threshold of the base rule")
     p.add_argument("--tau-bar", type=float, default=1.0, dest="tau_bar")
     p.add_argument("--alpha-g", type=float, default=2.0, dest="alpha_g")
@@ -445,7 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the margin grid CSV here")
     p.set_defaults(func=_cmd_dominate)
 
-    p = subs.add_parser("sample-size", help="plan n under a risk criterion")
+
+def _fill_sample_size(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--criterion",
         choices=["worst-msr-target", "es-epsilon-optimal", "ht-power"],
@@ -459,7 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, help="alternative effect for ht-power")
     p.set_defaults(func=_cmd_sample_size)
 
-    p = subs.add_parser("regress", help="fit y on d and covariates from CSV")
+
+def _fill_regress(p: argparse.ArgumentParser) -> None:
     _add_tau_star_flag(p)
     p.add_argument("--data", required=True, help="CSV with columns y and d")
     p.add_argument("--no-intercept", action="store_true", dest="no_intercept")
@@ -467,12 +471,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the degrees-of-freedom variance divisor")
     p.set_defaults(func=_cmd_regress)
 
-    p = subs.add_parser("table1", help="treatment fractions at the reference grid (CSV)")
+
+def _fill_table1(p: argparse.ArgumentParser) -> None:
     _add_tau_star_flag(p)
     p.add_argument("--csv", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_table1)
 
-    p = subs.add_parser("figure1", help="exact and simulated risk summaries (JSON)")
+
+def _fill_figure1(p: argparse.ArgumentParser) -> None:
     _add_tau_star_flag(p)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
@@ -482,7 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", help="comma-separated regret thresholds (default 0.95)")
     p.set_defaults(func=_cmd_figure1)
 
-    p = subs.add_parser("figures3to6", help="rule fractions and risk curves (long CSV)")
+
+def _fill_figures3to6(p: argparse.ArgumentParser) -> None:
     _add_tau_star_flag(p)
     p.add_argument("--alpha", type=float, default=0.05,
                    help="test size for the ht rule (default 0.05)")
@@ -491,13 +498,62 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_figures3to6)
 
+
+# each subcommand's help line and the function that adds its arguments and its
+# func default, in the order the full parser lists them
+_COMMANDS = {
+    "solve-tau-star": ("solve the minimax calibration", _fill_solve_tau_star),
+    "rule-eval": ("evaluate a rule at a statistic", _fill_rule_eval),
+    "risk": ("exact risk report at one effect", _fill_risk),
+    "risk-curve": ("risk report along an effect grid (CSV)", _fill_risk_curve),
+    "simulate": ("Monte Carlo risk summary", _fill_simulate),
+    "saddle": ("verify the minimax saddle, emit the curve", _fill_saddle),
+    "dominate": ("dominating fractional rule certificate", _fill_dominate),
+    "sample-size": ("plan n under a risk criterion", _fill_sample_size),
+    "regress": ("fit y on d and covariates from CSV", _fill_regress),
+    "table1": ("treatment fractions at the reference grid (CSV)", _fill_table1),
+    "figure1": ("exact and simulated risk summaries (JSON)", _fill_figure1),
+    "figures3to6": ("rule fractions and risk curves (long CSV)", _fill_figures3to6),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, as the full parser's subparser for it is
+    built; cached per name."""
+    parser = argparse.ArgumentParser(prog=f"msregret {name}")
+    _COMMANDS[name][1](parser)
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args returns a fresh namespace and no
+    # command touches the parser or its defaults, so main() can share it
+    parser = argparse.ArgumentParser(
+        prog="msregret",
+        description="Treatment-choice rules under mean square regret.",
+    )
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (summary, fill) in _COMMANDS.items():
+        fill(subs.add_parser(name, help=summary))
+    return parser
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, by the named subcommand's
+    own parser where that parser takes every argument that follows."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.subcommand = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -189,9 +189,21 @@ class MinimaxMSR(TreatmentRule):
         return expit(u, out=u)
 
     def stat_at(self, q: float) -> float:
+        """The logit of q over 2 tau_star, times scale.  expit is 0.0 below
+        its floor, so a q at or below its least positive value is crossed
+        where the computed fraction first leaves 0: near the floor's
+        statistic, moved one float at a time until the fraction there is at
+        least q and one float below it is not."""
         if not 0.0 < q < 1.0:
             return -math.inf if q <= 0.0 else math.inf
-        return self.scale * math.log(q / (1.0 - q)) / (2.0 * self.tau_star)
+        if q > _EXPIT_LEAST:
+            return self.scale * math.log(q / (1.0 - q)) / (2.0 * self.tau_star)
+        y = self.scale * _EXPIT_FLOOR / (2.0 * self.tau_star)
+        while self.evaluate(y) < q:
+            y = math.nextafter(y, math.inf)
+        while self.evaluate(math.nextafter(y, -math.inf)) >= q:
+            y = math.nextafter(y, -math.inf)
+        return y
 
 
 def _finite_toward(y: float, z: float) -> float:
@@ -301,7 +313,10 @@ class BayesFlatMSR(TreatmentRule):
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
 
     def evaluate(self, stat: Stat) -> Stat:
-        return _match(_bayes_flat_fraction(np.asarray(stat, dtype=float) / self.scale), stat)
+        if isinstance(stat, float) or np.ndim(stat) == 0:
+            # a Python float u takes the fraction's float path
+            return _bayes_flat_fraction(float(stat) / float(self.scale))
+        return _bayes_flat_fraction(np.asarray(stat, dtype=float) / self.scale)
 
     def stat_at(self, q: float) -> float:
         if not 0.0 < q < 1.0:

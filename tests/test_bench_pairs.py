@@ -102,6 +102,9 @@ class TestVerdictLines:
         monkeypatch.setattr(bench_pairs, "summarize_kind_ranges", lambda pairs: {})
         monkeypatch.setattr(bench_pairs, "side_checkout",
                             lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": LOWER}))
         out = tmp_path / "bench.json"
         assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "2",
                                  "--out", str(out)]) == 0
@@ -137,7 +140,7 @@ class TestKindVerdictLines:
                             lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
         monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
         (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 1, "end_to_end": LOWER}))
+            {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": LOWER}))
         assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "2",
                                  "--out", str(tmp_path / "bench.json")]) == 0
         # pair 1 runs the parent first (0.02, change 0.01), pair 2 the change (0.04, parent 0.03)
@@ -246,7 +249,8 @@ def test_main_prints_the_percentile_kinds_per_seed_and_side(tmp_path, monkeypatc
     monkeypatch.setattr(bench_pairs, "side_checkout",
                         lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": LOWER}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": LOWER}))
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "2",
                              "--out", str(out)]) == 0
@@ -269,6 +273,23 @@ def test_one_pair_is_refused_before_any_run(tmp_path, capsys):
                           "--out", str(out)])
     assert excinfo.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_workload_the_benchmark_does_not_list_is_refused_before_any_copy(
+    tmp_path, monkeypatch, capsys
+):
+    def refuse(*args):
+        raise AssertionError("a checkout was made")
+
+    for name in ("side_checkout", "export", "copy_worktree", "run"):
+        monkeypatch.setattr(bench_pairs, name, refuse)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "study-desing", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert ("--workload must be one of risk-curves, prior-bayes, study-design, "
+            "got 'study-desing'") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -431,7 +452,7 @@ class TestUnresolved:
                             lambda side: bench_pairs.tempfile.TemporaryDirectory(dir=tmp_path))
         monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
         (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 1, "end_to_end": LOWER}))
+            {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": LOWER}))
         out = tmp_path / "bench.json"
         assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "10",
                                  "--out", str(out)]) == 0

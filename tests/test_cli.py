@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import msregret
+import msregret.cli as cli
 import msregret.dominance as dominance
 from msregret import (
     ComplementMix,
@@ -490,6 +491,66 @@ class TestConfigEcho:
         assert line == f"error: {error}"
 
 
+USAGE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["no-such-command"],
+    ["regress", "-h"],
+    ["simulate", "--tau", "1"],
+    ["risk", "--tau", "1", "--no-such-flag"],
+    ["risk", "--tau", "-1"],
+]
+
+
+class TestDirectDispatch:
+    """main parses a subcommand's argv with that subcommand's own parser and
+    every other argv with the full parser; either way it answers as the full
+    parser does, byte for byte on both streams."""
+
+    CASES = [argv for argv, _ in TestConfigEcho.EVERY_SUBCOMMAND] + USAGE_CASES
+
+    @pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv) or "empty" for argv in CASES])
+    def test_main_answers_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+        path = tmp_path / "trial.csv"
+        path.write_text("y,d,x\n3,1,0.5\n5,1,-1\n1,0,2\n2,0,0.25\n2.5,1,1\n", encoding="utf-8")
+        argv = [str(path) if a == "{csv}" else a for a in argv]
+        direct = run_cli(capsys, argv)
+        # the full parser is cached with every subcommand before the table is
+        # emptied, so main hands it every argv
+        _build_parser()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_COMMANDS", {})
+            full = run_cli(capsys, argv)
+        assert direct == full
+
+    def test_parsers_are_built_on_first_use(self):
+        # a fresh interpreter, so no parser is cached yet
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json
+            from msregret import cli
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["table1"])
+            built = [cli._command_parser.cache_info().currsize,
+                     cli._build_parser.cache_info().currsize]
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                help_code = cli.main(["--help"])
+            print(json.dumps([code, built, help_code, text.getvalue()]))
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, built, help_code, text = json.loads(proc.stdout)
+        assert (code, built, help_code) == (0, [1, 0], 0)
+        # one line per subcommand, its name indented four spaces
+        listed = [line.split()[0] for line in text.splitlines()
+                  if line.startswith("    ") and line[4] != " "]
+        assert listed == [argv[0] for argv, _ in TestConfigEcho.EVERY_SUBCOMMAND]
+
+
 class TestJsonOutput:
     @pytest.mark.parametrize("argv", [
         ["solve-tau-star"],
@@ -869,6 +930,9 @@ class TestProcessFloor:
 
     def test_parser_is_built_once(self, capsys):
         assert _build_parser() is _build_parser()
+        parsers = [cli._command_parser(name) for name in cli._COMMANDS]
+        assert [cli._command_parser(name) for name in cli._COMMANDS] == parsers
+        assert len(set(map(id, parsers))) == len(parsers)
         argv = ["rule-eval", "--rule", "minimax", "--stat", "0.5"]
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv + ["--tau-star", "2.0"])

@@ -171,6 +171,29 @@ class TestMinimaxRule:
         rule = MinimaxMSR(tau_star=TAU_STAR)
         assert abs(rule.evaluate(y) + rule.evaluate(-y) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 0.2, 5.0])
+    @pytest.mark.parametrize("q", [5e-324, 1e-310, rules_module._EXPIT_LEAST])
+    def test_a_q_at_or_below_the_least_fraction_crosses_where_it_leaves_0(self, scale, q):
+        # expit is 0.0 below its floor, so the logit of such a q lies where
+        # the computed fraction is still 0
+        rule = MinimaxMSR(tau_star=TAU_STAR, scale=scale)
+        y = rule.stat_at(q)
+        assert rule.evaluate(math.nextafter(y, -math.inf)) == 0.0
+        assert rule.evaluate(y) >= q
+        assert y == rule.stat_at(rules_module._EXPIT_LEAST)
+        assert abs(y - scale * rules_module._EXPIT_FLOOR / (2.0 * TAU_STAR)) <= 2.0 * math.ulp(y)
+
+    def test_every_q_above_the_least_fraction_is_the_scaled_logit(self):
+        rng = np.random.default_rng(40)
+        qs = [float(q) for q in rng.uniform(0.0, 1.0, 200)]
+        qs += [float(q) for q in 10.0 ** rng.uniform(-308.0, -1.0, 200)]
+        qs += [math.nextafter(rules_module._EXPIT_LEAST, 1.0), 1.0 - 2.0**-53]
+        for scale in (1.0, 0.2, 5.0, *rng.uniform(0.1, 10.0, 3).tolist()):
+            rule = MinimaxMSR(tau_star=TAU_STAR, scale=scale)
+            for q in qs:
+                want = scale * math.log(q / (1.0 - q)) / (2.0 * TAU_STAR)
+                assert rule.stat_at(q) == want, (scale, q)
+
 
 class TestBayesFlatRule:
     def test_center_is_half(self):
@@ -202,6 +225,36 @@ class TestBayesFlatRule:
         for y in (0.5, 1.0, 2.0, 3.0):
             assert bayes.evaluate(y) > post.evaluate(y)
             assert bayes.evaluate(-y) < post.evaluate(-y)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_float_statistic_takes_the_float_path_with_the_arrays_bits(self):
+        # the reference is the array path on a numpy scalar, which a float
+        # statistic took before; it warns on overflow, the float path does not
+        rng = np.random.default_rng(1901)
+        edges = [0.0, -0.0, 1e-310, -1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan]
+        stats = edges + (4.0 * rng.standard_normal(20_000)).tolist()
+        stats += rng.uniform(-40.0, 40.0, 20_000).tolist()
+        fraction = rules_module._bayes_flat_fraction
+        for scale, ys in ((1.0, stats), (0.7, stats[:1000])):
+            rule = BayesFlatMSR(scale)
+            for y in ys:
+                got = rule.evaluate(y)
+                want = fraction(np.float64(y) / scale)
+                assert type(got) is float and np.float64(got).tobytes() == want.tobytes(), y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert BayesFlatMSR().evaluate(1e308) == 1.0
+            assert BayesFlatMSR().evaluate(-1e308) == 0.0
+
+    @pytest.mark.parametrize("stat", [0.3, np.float64(0.3), np.array(0.3), np.float32(0.3), 2])
+    def test_a_0d_statistic_takes_the_float_path(self, stat):
+        seen = []
+        fraction = rules_module._bayes_flat_fraction
+        with mock.patch.object(rules_module, "_bayes_flat_fraction",
+                               side_effect=lambda u: seen.append(type(u)) or fraction(u)):
+            got = BayesFlatMSR(np.float64(2.0)).evaluate(stat)
+        assert seen == [float] and type(got) is float
+        assert got == float(BayesFlatMSR(2.0).evaluate(np.array([stat], dtype=float))[0])
 
 
 def _bayes_flat_reference(u):

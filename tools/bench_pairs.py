@@ -4,9 +4,11 @@
     python3 tools/bench_pairs.py --parent REV --workload study-design --pairs 10 \
         --out BENCH_tag.json
 
-Exports the committed files of REV (git archive, so the repository gains no
-worktree or branch) and copies this working tree's files into two temporary
-directories beside the working tree, removed afterwards, and runs the
+A --workload that BENCHMARK.json does not list is refused before anything
+is exported or copied.  Otherwise it exports the committed files of REV (git
+archive, so the repository gains no worktree or branch) and copies this
+working tree's files into two temporary directories beside the working
+tree, removed afterwards, and runs the
 unmodified bench/run.py of each copy: REV's, then the working tree's,
 alternating which side goes first from one pair to the next.  Pair i uses seed
 --first-seed + i, and both sides run for the run_seconds of BENCHMARK.json.
@@ -343,6 +345,9 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         p.error("--pairs must be at least 2, the fewest runs that have quartiles")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload not in names:
+        p.error(f"--workload must be one of {', '.join(names)}, got {args.workload!r}")
     seconds = bench["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
 
