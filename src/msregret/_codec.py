@@ -6,8 +6,9 @@ annotations`, so dataclass fields carry their annotations as text).  Numbers
 and strings pass through, so ints stay ints; tuples become lists; a seed
 becomes its int; a nested record becomes its dict; a field holding None is
 left out.  Reading back, a missing or null field takes its dataclass default,
-and a missing required field, an int field holding anything but an int, and
-a seed that RngSeed refuses raise DomainError.  Each class's field plan,
+and a missing required field, an int field holding anything but an int, a
+float holding a bool or a string, and a seed that RngSeed refuses raise
+DomainError.  Each class's field plan,
 (name, encoder, decoder, required) per field, is built once, by @record for
 the report classes and on first use for the rules.
 
@@ -44,8 +45,15 @@ def _rows(value) -> list:
     return [list(row) for row in value]
 
 
+def float_value(value) -> float:
+    """A number as a float; float() would read true as 1.0 and "0.5" as 0.5."""
+    if isinstance(value, (bool, str)):
+        raise DomainError(f"a float field must hold a number, got {value!r}")
+    return float(value)
+
+
 def _float_rows(data) -> Tuple[Tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in data)
+    return tuple(tuple(map(float_value, row)) for row in data)
 
 
 def _int(value) -> int:
@@ -55,11 +63,11 @@ def _int(value) -> int:
     return value
 
 
-register("float", lambda v: v, float)
+register("float", lambda v: v, float_value)
 register("int", lambda v: v, _int)
 register("str", lambda v: v, str)
 register("RngSeed", lambda s: s.seed, RngSeed)
-register("Tuple[float, ...]", list, lambda d: tuple(float(x) for x in d))
+register("Tuple[float, ...]", list, lambda d: tuple(map(float_value, d)))
 register("Tuple[Tuple[float, float], ...]", _rows, _float_rows)
 register("Tuple[Tuple[float, float, float], ...]", _rows, _float_rows)
 register("Tuple[Tuple[float, float, float, float], ...]", _rows, _float_rows)

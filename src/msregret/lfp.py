@@ -24,20 +24,17 @@ calibrations.  solve_tau_star maximizes bayes_objective alone: a certified
 numerics.scan_maximum refines.  verify_saddle
 checks the saddle-point equalities numerically and samples the two curves
 on a grid for plotting, bit for bit bayes_objective and exact_risk.  The
-shipped constant lives in _constants.py, written by write_constants from a
-fresh solve; default_tau_star returns it, and the package does not import
-without it.
+shipped constant TAU_STAR is a literal here, solve_tau_star() rounded to six
+significant digits; default_tau_star returns it without a solve.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ._codec import csv_text, record
-from ._constants import TAU_STAR
 from .numerics import expit, gaussian_expectation, scan_maximum, _LEVEL_GAP
 from .risk import _curve_moments, _moments, worst_case_msr
 from .rules import MinimaxMSR
@@ -50,9 +47,11 @@ __all__ = [
     "solve_tau_star",
     "verify_saddle",
     "default_tau_star",
-    "write_constants",
-    "round_sig",
 ]
+
+# solve_tau_star() rounded to six significant digits; pinned against a fresh
+# solve by tests/test_lfp.py::TestShippedConstant::test_matches_a_fresh_solve
+TAU_STAR = 1.22814
 
 # calibration scan a = k / _SCAN_DIV on [_SCAN_LO, _SCAN_HI]: 41 points
 _SCAN_LO = 0.5
@@ -180,29 +179,7 @@ def verify_saddle(tau_star: float) -> SaddleCertificate:
     return cert
 
 
-def round_sig(x: float, digits: int) -> float:
-    """Round to a number of significant digits."""
-    if x == 0.0 or not math.isfinite(x):
-        return x
-    exp = math.floor(math.log10(abs(x)))
-    return round(x, digits - 1 - exp)
-
-
 def default_tau_star() -> float:
-    """Shipped calibration constant: solve_tau_star() rounded to 6 significant
-    digits, as write_constants wrote it."""
+    """Shipped calibration constant: the literal TAU_STAR, solve_tau_star()
+    rounded to 6 significant digits and pinned to a fresh solve by a test."""
     return TAU_STAR
-
-
-def write_constants(path: str) -> float:
-    """Re-derive tau_star and write the constants module to path."""
-    value = round_sig(solve_tau_star(), 6)
-    text = (
-        '"""Shipped numerical constants.\n\n'
-        "Generated by msregret.lfp.write_constants; do not edit by hand.\n"
-        '"""\n\n'
-        f"TAU_STAR = {value!r}\n"
-    )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    return value

@@ -90,7 +90,9 @@ class RngSeed:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        # a bool is an int to isinstance, so a JSON true would read as seed 1
+        if isinstance(self.seed, bool) or not (
+                isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if type(self.seed) is not int:
             object.__setattr__(self, "seed", int(self.seed))

@@ -36,7 +36,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ._codec import from_dict, register, to_dict
+from ._codec import float_value, from_dict, register, to_dict
 from .numerics import _SQRT2PI, DomainError, expit, ndtr, std_normal_quantile
 
 __all__ = [
@@ -752,5 +752,5 @@ register("TreatmentRule", rule_to_dict, rule_from_dict)
 register(
     "DiscretePrior",
     lambda p: [[t, w] for t, w in p.support],
-    lambda d: DiscretePrior(tuple((float(t), float(w)) for t, w in d)),
+    lambda d: DiscretePrior(tuple((float_value(t), float_value(w)) for t, w in d)),
 )

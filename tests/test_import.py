@@ -58,8 +58,19 @@ def test_a_name_loads_its_module_on_first_use():
         """
     )
     assert out["solve_tau_star"] and out["fit"]
-    assert out["after_lfp"] == sorted([*EAGER, "msregret._constants", "msregret.lfp"])
-    assert out["after_fit"] == sorted([*EAGER, "msregret._constants", *LAZY])
+    assert out["after_lfp"] == sorted([*EAGER, "msregret.lfp"])
+    assert out["after_fit"] == sorted([*EAGER, *LAZY])
+
+
+def test_a_lazy_module_read_as_an_attribute_loads_itself_alone():
+    out = fresh(
+        """
+        out["module"] = msregret.dominance is sys.modules["msregret.dominance"]
+        out["after"] = loaded()
+        """
+    )
+    assert out["module"]
+    assert out["after"] == sorted([*EAGER, "msregret.dominance"])
 
 
 def test_an_unknown_name_is_refused_by_name():
@@ -87,7 +98,7 @@ def test_a_star_import_binds_the_pinned_names():
 
 def test_the_cli_loads_every_module():
     out = fresh("import msregret.cli\nout['cli'] = loaded()\n")
-    assert out["cli"] == sorted([*EAGER, "msregret._constants", "msregret.cli", *LAZY])
+    assert out["cli"] == sorted([*EAGER, "msregret.cli", *LAZY])
 
 
 def test_the_first_csv_load_after_the_cli_loads_no_module(tmp_path):

@@ -16,12 +16,10 @@ from msregret import (
     default_tau_star,
     exact_risk,
     frequentist_objective,
-    round_sig,
     solve_tau_star,
     verify_saddle,
-    write_constants,
 )
-from msregret import _constants, lfp, numerics, risk
+from msregret import lfp, numerics, risk
 
 # frozen from oracles.py: independent refinement of both programs
 ORACLE_ARGMAX = 1.228141128368002
@@ -230,31 +228,14 @@ class TestVerifySaddle:
         assert not SaddleCertificate(1.0, 0.1, 0.1, 1.0, 0.0, ((0.5, 0.05, 0.1 + 2e-8),)).is_valid
 
 
-class TestRoundSig:
-    def test_examples(self):
-        assert round_sig(1.2281411, 6) == 1.22814
-        assert round_sig(0.00123456, 3) == 0.00123
-        assert round_sig(987654.0, 2) == 990000.0
-        assert round_sig(0.0, 6) == 0.0
-        assert round_sig(-1.2281411, 6) == -1.22814
-
-
 class TestShippedConstant:
     def test_matches_a_fresh_solve(self, tau_star_solved):
-        assert _constants.TAU_STAR == round_sig(tau_star_solved, 6)
-        assert default_tau_star() == _constants.TAU_STAR
-
-    def test_write_constants_reproduces_the_shipped_module(self, tmp_path):
-        out = tmp_path / "_constants.py"
-        value = write_constants(str(out))
-        assert value == _constants.TAU_STAR
-        shipped = open(_constants.__file__, encoding="ascii").read()
-        assert out.read_text(encoding="ascii") == shipped
-        assert "TAU_STAR = 1.22814\n" in shipped
+        assert lfp.TAU_STAR == oracles.round_sig(tau_star_solved, 6)
+        assert default_tau_star() == lfp.TAU_STAR
 
     def test_default_is_the_shipped_constant_without_a_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("default_tau_star solved for tau*")
 
         monkeypatch.setattr(lfp, "solve_tau_star", refuse)
-        assert lfp.default_tau_star() == _constants.TAU_STAR
+        assert lfp.default_tau_star() == lfp.TAU_STAR

@@ -1,5 +1,6 @@
 """The package's public surface: each name is declared once, in its module."""
 import ast
+import importlib
 from pathlib import Path
 
 import msregret
@@ -7,7 +8,7 @@ from msregret import dominance, lfp, numerics, planning, regression, risk, rules
 
 MODULES = (numerics, rules, risk, lfp, dominance, planning, regression)
 
-# The 75 names the package exports; a change to the public surface must edit
+# The 73 names the package exports; a change to the public surface must edit
 # this pin.
 PUBLIC = [
     "BayesFlatMSR", "BracketError", "ComplementMix", "ConvergenceError",
@@ -26,11 +27,11 @@ PUBLIC = [
     "ht_power_n", "lambda_star", "load_dataset_csv", "maximize_scalar",
     "minimax_msr_unit", "n_for_msr_target", "plan_es_epsilon",
     "plan_ht_power", "plan_worst_msr", "regret", "risk_curve",
-    "risk_curve_csv", "round_sig", "rule_from_dict", "rule_to_dict",
+    "risk_curve_csv", "rule_from_dict", "rule_to_dict",
     "simulate", "solve_bayes_foc", "solve_tau_star", "std_normal_cdf",
     "std_normal_quantile", "tail_bounds", "tail_probability",
     "tilted_posterior_match_msr", "verify_dominance", "verify_saddle",
-    "worst_case_mean_regret", "worst_case_msr", "write_constants",
+    "worst_case_mean_regret", "worst_case_msr",
 ]
 
 
@@ -66,7 +67,6 @@ UNLOADED = {
     "find_root": "bench-traced",
     "solve_bayes_foc": "paper closed form",
     "tilted_posterior_match_msr": "paper closed form",
-    "write_constants": "constants writer",
 }
 
 
@@ -77,3 +77,18 @@ def test_every_export_the_package_never_loads_has_a_reason():
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
     assert sorted(n for n in msregret.__all__ if n not in loaded) == sorted(UNLOADED)
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # bench/tracing.py's install() looks each _SPANS name up with getattr and
+    # no default, so deleting one breaks `bench/run.py --trace 1`; the table
+    # is read as a literal, importing nothing under bench/
+    tracing = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spans = next(
+        ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_SPANS" for t in node.targets)
+    )
+    missing = [f"{short}.{name}" for short, names in spans.items() for name in names
+               if not hasattr(importlib.import_module(f"msregret.{short}"), name)]
+    assert missing == []

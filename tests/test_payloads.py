@@ -281,6 +281,7 @@ def test_numpy_integer_inputs_give_the_int_payload():
 
 
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", 3.0), ("seed", "3"),
+                                          ("seed", True),
                                           ("replications", 50.7), ("replications", 50.0),
                                           ("replications", True), ("replications", "50")])
 def test_a_simulation_payload_that_changes_its_numbers_is_refused(field, value):
@@ -292,6 +293,38 @@ def test_a_simulation_payload_that_changes_its_numbers_is_refused(field, value):
     data[field] = value
     with pytest.raises(DomainError, match="integer"):
         SimulationSummary.from_dict(data)
+
+
+def _risk_field(value):
+    data = RISK.to_dict()
+    data["mean_regret"] = value
+    return RiskReport.from_dict(data)
+
+
+def _risk_tail_row(value):
+    data = RISK.to_dict()
+    data["tail"][0][1] = value
+    return RiskReport.from_dict(data)
+
+
+def _prior_pair(value):
+    prior = DiscretePrior(((-1.0, 0.5), (1.0, 0.5)))
+    data = rule_to_dict(DiscretePriorBayes(prior, 2.0, 1.0))
+    data["prior"][0][1] = value
+    return rule_from_dict(data)
+
+
+def _threshold(value):
+    return rule_from_dict({"kind": "threshold", "t": value})
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+@pytest.mark.parametrize("decode", [_risk_field, _risk_tail_row, _prior_pair, _threshold])
+def test_a_float_field_holding_a_bool_or_a_string_is_refused(decode, value):
+    # float() would read true as 1.0 and "0.5" as 0.5
+    decode(0.5)
+    with pytest.raises(DomainError, match="number"):
+        decode(value)
 
 
 def test_missing_defaulted_field_takes_its_default():

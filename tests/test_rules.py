@@ -171,7 +171,9 @@ class TestMinimaxRule:
         rule = MinimaxMSR(tau_star=TAU_STAR)
         assert abs(rule.evaluate(y) + rule.evaluate(-y) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("scale", [1.0, 0.2, 5.0])
+    # at scale 1.5504616806973683 the floor's statistic evaluates to 0.0 and
+    # the crossing is one float above it
+    @pytest.mark.parametrize("scale", [1.0, 0.2, 5.0, 1.5504616806973683])
     @pytest.mark.parametrize("q", [5e-324, 1e-310, rules_module._EXPIT_LEAST])
     def test_a_q_at_or_below_the_least_fraction_crosses_where_it_leaves_0(self, scale, q):
         # expit is 0.0 below its floor, so the logit of such a q lies where
